@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -34,7 +35,7 @@ DEFAULT_CONFIG = {
     "profile": {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
     "grid": {"y_max": 30.0, "ny": 601, "t0": 0.15, "nt": 16},
     "eigen": {"Z": 12.0, "dz": 1e-3, "rtol": 1e-10,
-              "rect": [-5.0, 5.0, -5.0, -0.05], "scan_n": [21, 16]},
+              "rect": [-5.0, 5.0, -5.0, -0.05]},
     "path": {"dt": 2e-3, "floor_frac": 0.1},
     "mode": {"n": 64, "f_width": 2.0, "phi_order": 7, "t_snapshot": 0.05},
     "solver": {"scheme": "imex-cn", "c_cfl": 0.5, "min_steps": 240},
@@ -156,13 +157,15 @@ class Pipeline:
         return self._path
 
     @property
+    def problem(self) -> DispersionProblem:
+        e = self.cfg["eigen"]
+        return DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"],
+                                 rect=tuple(e["rect"]))
+
+    @property
     def pair(self) -> Eigenpair:
         if self._pair is None:
-            e = self.cfg["eigen"]
-            prob = DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"],
-                                     rect=tuple(e["rect"]),
-                                     scan_n=tuple(e["scan_n"]))
-            self._pair = find_tau(prob)
+            self._pair = find_tau(self.problem)
         return self._pair
 
     @property
@@ -188,15 +191,11 @@ class Pipeline:
 
 
 def cmd_eigen(cfg: dict, out: Path) -> int:
-    e = cfg["eigen"]
-    prob = DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"],
-                             rect=tuple(e["rect"]), scan_n=tuple(e["scan_n"]))
-    pair = find_tau(prob)
-    refined = find_tau(DispersionProblem(Z=1.5 * e["Z"], dz=e["dz"],
-                                         rtol=e["rtol"] / 100,
-                                         rect=tuple(e["rect"]),
-                                         scan_n=tuple(e["scan_n"])),
-                       seed_tau=pair.tau)
+    pipe = Pipeline(cfg)
+    prob, pair = pipe.problem, pipe.pair
+    refined = find_tau(
+        dataclasses.replace(prob, Z=1.5 * prob.Z, rtol=prob.rtol / 100),
+        seed_tau=pair.tau)
     drift = abs(refined.tau - pair.tau)
     ev = matrix_eigenvalues(prob)
     oracle_gap = float(np.min(np.abs(ev - pair.tau)))
@@ -501,11 +500,6 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", default=None, help="JSON config file")
     ap.add_argument("--out", default="artifacts", help="output directory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="reserved for parallel sweeps (sequential runs are "
-                         "deterministic; kept for interface stability)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for synthetic-noise tests only")
     args = ap.parse_args(argv)
 
     try:

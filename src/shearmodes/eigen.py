@@ -11,7 +11,10 @@ whose solutions behave like exp(s1 z^2 / 2) z^{sm1} at |z| -> inf with
 s1^2 = i s.  Both tails are integrated inward on the decaying branch and
 matched at z_match; the eigenvalue condition is the vanishing Wronskian of
 G across the matching point, found by complex Newton on the logarithmic-
-derivative mismatch (holomorphic in tau) seeded from a rectangle scan.
+derivative mismatch (holomorphic in tau) seeded from the closed form
+tau^2 = -i s, Im tau < 0 (tau = -e^{i pi/4} for s = -1; s = +1 follows by
+W -> conj(W), tau -> -conj(tau)).  At the closed form the shooting defect is
+already below the Newton tolerance, so the shooting confirms the value.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -39,7 +42,6 @@ class DispersionProblem:
     rtol: float = 1e-10
     guard: float = 1e12
     rect: tuple = (-5.0, 5.0, -5.0, -0.05)   # (re_min, re_max, im_min, im_max)
-    scan_n: tuple = (21, 16)
     boundary_tol: float = 1e-10
 
     def __post_init__(self):
@@ -128,11 +130,10 @@ def shoot_tails(tau: complex, problem: DispersionProblem, *,
     return left, right
 
 
-def _log_derivative_defect(tau: complex, problem: DispersionProblem,
-                           rtol: float | None = None) -> complex:
+def _log_derivative_defect(tau: complex, problem: DispersionProblem) -> complex:
     """(G'/G)_right - (G'/G)_left at z_match; holomorphic in tau, zero
     exactly at eigenvalues (Wronskian zero with G != 0)."""
-    left, right = shoot_tails(tau, problem, rtol=rtol)
+    left, right = shoot_tails(tau, problem)
     _, GL, GLp = left.at_match
     _, GR, GRp = right.at_match
     return GRp / GR - GLp / GL
@@ -160,34 +161,6 @@ def matching_defect(tau: complex, problem: DispersionProblem, *,
     denom = np.vdot(rv, rv)
     c = -np.vdot(rv, r0) / denom if abs(denom) > 0 else 0.0
     return r0 + c * rv
-
-
-def _scan_minima(problem: DispersionProblem, scan_rtol: float) -> list[complex]:
-    re0, re1, im0, im1 = problem.rect
-    nre, nim = problem.scan_n
-    res = np.linspace(re0, re1, nre)
-    ims = np.linspace(im0, im1, nim)
-    mag = np.full((nim, nre), np.inf)
-    for i, b in enumerate(ims):
-        for j, a in enumerate(res):
-            if b == 0.0:
-                continue
-            try:
-                mag[i, j] = abs(_log_derivative_defect(a + 1j * b, problem,
-                                                       rtol=scan_rtol))
-            except TailBlowup:
-                continue
-    seeds = []
-    for i in range(nim):
-        for j in range(nre):
-            v = mag[i, j]
-            if not np.isfinite(v):
-                continue
-            patch = mag[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
-            if v == patch.min() and v < 1.0:
-                seeds.append((v, res[j] + 1j * ims[i]))
-    seeds.sort(key=lambda p: p[0])
-    return [s for _, s in seeds[:6]]
 
 
 def _newton_polish(tau: complex, problem: DispersionProblem,
@@ -304,31 +277,27 @@ def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
     return float(np.max(np.abs(r)))
 
 
-def find_tau(problem: DispersionProblem, *, scan_rtol: float = 1e-6,
+def find_tau(problem: DispersionProblem, *,
              seed_tau: complex | None = None) -> Eigenpair:
-    """Rectangle scan + complex Newton; returns the root with the most
-    negative imaginary part and the assembled eigenprofile.
+    """Complex Newton on the shooting defect, seeded from the closed form
+    tau^2 = -i s, Im tau < 0; returns the root and the assembled eigenprofile.
 
-    seed_tau skips the rectangle scan (refinement re-solves around a known
+    Unseeded, the closed-form value must lie in problem.rect.  seed_tau
+    replaces the closed-form seed (refinement re-solves around a known
     root)."""
-    seeds = [complex(seed_tau)] if seed_tau is not None else _scan_minima(
-        problem, scan_rtol)
-    roots: list[complex] = []
-    for seed in seeds:
-        root = _newton_polish(seed, problem)
-        if root is None or root.imag >= 0:
-            continue
-        re0, re1, im0, _ = problem.rect
-        pad = 0.5 * max(re1 - re0, abs(im0))
-        if not (re0 - pad <= root.real <= re1 + pad and root.imag >= im0 - pad):
-            continue
-        if all(abs(root - r) > 1e-6 for r in roots):
-            roots.append(root)
-    if not roots:
-        raise NoRootFound(
-            f"no eigenvalue with Im tau < 0 in rectangle {problem.rect}")
-    roots.sort(key=lambda r: r.imag)
-    tau = roots[0]
+    s = problem.sign_curvature
+    if seed_tau is None:
+        seed = s * np.exp(-1j * s * np.pi / 4)
+        re0, re1, im0, im1 = problem.rect
+        if not (re0 <= seed.real <= re1 and im0 <= seed.imag <= im1):
+            raise NoRootFound(f"the eigenvalue {seed:.6g} with Im tau < 0 "
+                              f"lies outside the rectangle {problem.rect}")
+    else:
+        seed = complex(seed_tau)
+    tau = _newton_polish(seed, problem)
+    if tau is None or tau.imag >= 0:
+        raise NoRootFound(f"Newton from {seed:.6g} found no eigenvalue "
+                          "with Im tau < 0")
 
     # assembly pass at tighter tolerance: the dense-output samples feed the
     # finite-difference residual measure, which amplifies interpolant noise
@@ -347,7 +316,6 @@ def find_tau(problem: DispersionProblem, *, scan_rtol: float = 1e-6,
     Y = np.concatenate([yl.T, yr.T[::-1][1:]]).T
     W, W1, W2 = Y
 
-    s = problem.sign_curvature
     boundary_err = float(max(abs(W[0]), abs(W[-1] - 1.0)))
     match_defect = float(np.max(np.abs(matching_defect(tau, problem))))
     residual_norm = _fd_ode_residual(z, W, W1, W2, tau, s)
@@ -378,7 +346,7 @@ def find_tau(problem: DispersionProblem, *, scan_rtol: float = 1e-6,
         tau=tau, problem=problem, z_grid=z, W=W, W1=W1, W2=W2, V=V,
         residual_norm=residual_norm, boundary_err=boundary_err,
         match_defect=match_defect, v_jumps=v_jumps,
-        all_roots=tuple(roots), evaluator=evaluator,
+        all_roots=(tau,), evaluator=evaluator,
     )
 
 

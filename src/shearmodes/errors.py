@@ -26,7 +26,8 @@ class TailBlowup(ShearmodesError):
 
 
 class NoRootFound(ShearmodesError):
-    """Grid search plus Newton found no eigenvalue in the search rectangle."""
+    """No eigenvalue with Im tau < 0: the closed-form value lies outside the
+    search rectangle, or Newton from the given seed did not converge."""
 
 
 class ZeroMass(ShearmodesError):

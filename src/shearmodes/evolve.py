@@ -300,12 +300,9 @@ def frozen_mode_operator(profile, k: int, *, y_max: float = 20.0,
     n = ny - 2
     D2 = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
           + np.diag(np.ones(n - 1), -1)) / h**2
-    T = np.zeros((n, n))
-    for j in range(n):
-        if j >= 1:
-            T[j, :j] += h
-        T[j, j] += h / 2
-    A = -1j * k * np.diag(Ui) + 1j * k * np.diag(U1i) @ T + D2
+    # trapezoid weights of int_0^y: h below the diagonal, h/2 on it
+    T = np.tril(np.full((n, n), h), -1) + (h / 2) * np.eye(n)
+    A = -1j * k * np.diag(Ui) + 1j * k * U1i[:, None] * T + D2
     return A, y
 
 

@@ -7,7 +7,6 @@ from shearmodes.cli import Pipeline, deep_merge, load_config, main
 
 FAST = {
     "grid": {"y_max": 30.0, "ny": 201, "t0": 0.06, "nt": 4},
-    "eigen": {"scan_n": [7, 5]},
 }
 
 
@@ -61,8 +60,7 @@ def test_heat_report_contents(tmp_path):
 
 
 def test_eigen_command_no_root_in_upper_rectangle(tmp_path):
-    cfg = _write_cfg(tmp_path, {"eigen": {"rect": [-5.0, 5.0, 0.05, 5.0],
-                                          "scan_n": [5, 4]}})
+    cfg = _write_cfg(tmp_path, {"eigen": {"rect": [-5.0, 5.0, 0.05, 5.0]}})
     rc = main(["eigen", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     err = json.loads((tmp_path / "o" / "eigen" / "error.json").read_text())
@@ -71,7 +69,7 @@ def test_eigen_command_no_root_in_upper_rectangle(tmp_path):
 
 @pytest.mark.slow
 def test_eigen_command_default_artifact(tmp_path):
-    cfg = _write_cfg(tmp_path, {"eigen": {"scan_n": [11, 8]}})
+    cfg = _write_cfg(tmp_path, {})
     rc = main(["eigen", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
     art = json.loads((tmp_path / "o" / "eigen" / "eigenpair.json").read_text())

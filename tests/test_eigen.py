@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import shearmodes as sm
-from shearmodes.eigen import (DispersionProblem, find_tau, matching_defect,
-                              matrix_eigenvalues, scale_eigendata, shoot_tails)
+from shearmodes import eigen
+from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
+                              find_tau, matching_defect, matrix_eigenvalues,
+                              scale_eigendata, shoot_tails)
 from shearmodes.errors import NoRootFound, TailBlowup
 from shearmodes.path import CriticalPath
 
@@ -13,8 +15,9 @@ def test_eigenvalue_in_lower_half_plane(pair):
 
 
 def test_eigenvalue_known_value(pair):
-    # frozen regression anchor, found independently by the rectangle scan,
-    # the Newton polish, and the collocation oracle: tau = -exp(i pi/4)
+    # closed form tau^2 = i, Im tau < 0: tau = -exp(i pi/4).  find_tau
+    # seeds Newton there, so this checks that the shooting defect confirms
+    # the value; the collocation oracle checks it independently below
     assert abs(pair.tau - (-np.exp(1j * np.pi / 4))) < 1e-9
 
 
@@ -110,9 +113,40 @@ def test_refinement_drift(pair):
 
 
 def test_upper_half_rectangle_has_no_admissible_root():
-    prob = DispersionProblem(rect=(-5.0, 5.0, 0.05, 5.0), scan_n=(9, 7))
+    prob = DispersionProblem(rect=(-5.0, 5.0, 0.05, 5.0))
     with pytest.raises(NoRootFound):
         find_tau(prob)
+
+
+def test_positive_curvature_root_by_conjugation():
+    # s = +1: W -> conj(W), tau -> -conj(tau) maps the s = -1 problem onto
+    # it, so tau = exp(-i pi/4)
+    prob = DispersionProblem(sign_curvature=1)
+    p1 = find_tau(prob)
+    assert abs(p1.tau - np.exp(-1j * np.pi / 4)) < 1e-10
+    assert np.min(np.abs(matrix_eigenvalues(prob) - p1.tau)) < 1e-9
+    assert p1.residual_norm < 1e-8
+
+
+def test_unseeded_solve_makes_no_scan(monkeypatch):
+    calls = []
+    shoot = eigen.shoot_tails
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return shoot(*args, **kwargs)
+    monkeypatch.setattr(eigen, "shoot_tails", counting)
+    find_tau(DispersionProblem())
+    assert 0 < len(calls) <= 5
+
+
+def test_shooting_defect_separates_the_root():
+    # the Newton check is not vacuous: the defect vanishes at the closed
+    # form and not a micro-step away from it
+    prob = DispersionProblem()
+    tau_s = -np.exp(1j * np.pi / 4)
+    assert abs(_log_derivative_defect(tau_s, prob)) < 1e-11
+    assert abs(_log_derivative_defect(tau_s + 1e-6, prob)) > 1e-7
 
 
 def _synthetic_path(lam_value, flow):

@@ -4,8 +4,9 @@ import pytest
 import shearmodes as sm
 from shearmodes.errors import CflViolation, NonFiniteState
 from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt,
-                               dirichlet_heat_kernel, evolve, inviscid_exact,
-                               step, transient_amplification)
+                               dirichlet_heat_kernel, evolve,
+                               frozen_mode_operator, inviscid_exact, step,
+                               transient_amplification)
 from shearmodes.heat import frozen_field
 from shearmodes.modes import default_params
 
@@ -129,6 +130,27 @@ def test_transient_amplification_known_value(gauss_prof):
     # exponential); regression anchor for the growth experiments
     amp = transient_amplification(gauss_prof, 64, 0.05, ny=700)
     assert amp == pytest.approx(1.131, rel=0.02)
+
+
+def test_frozen_mode_operator_matches_loop_reference(gauss_prof):
+    # reference: T filled row by row, U' applied as a dense diagonal product
+    k, y_max, ny = 64, 20.0, 41
+    y = np.linspace(0.0, y_max, ny)
+    h = y[1] - y[0]
+    d = gauss_prof.derivs(y)
+    Ui, U1i = d[0][1:-1], d[1][1:-1]
+    n = ny - 2
+    D2 = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+          + np.diag(np.ones(n - 1), -1)) / h**2
+    T = np.zeros((n, n))
+    for j in range(n):
+        if j >= 1:
+            T[j, :j] += h
+        T[j, j] += h / 2
+    ref = -1j * k * np.diag(Ui) + 1j * k * np.diag(U1i) @ T + D2
+    A, yA = frozen_mode_operator(gauss_prof, k, y_max=y_max, ny=ny)
+    assert np.array_equal(yA, y)
+    assert np.array_equal(A, ref)
 
 
 @pytest.mark.slow
