@@ -83,8 +83,26 @@ def load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ValueError("config root must be a JSON object")
         cfg = deep_merge(cfg, user)
+        unread = _unread_keys(user, DEFAULT_CONFIG)
+        if unread:
+            print(f"config: keys that nothing reads: {', '.join(unread)}",
+                  file=sys.stderr)
     _validate(cfg)
     return cfg
+
+
+def _unread_keys(user: dict, base: dict, prefix: str = "") -> list[str]:
+    """Dotted names of the keys of user absent from base, walking only the
+    dict levels base defines; a profile's family-specific params are not
+    checked."""
+    out = []
+    for k, v in user.items():
+        if k not in base:
+            out.append(prefix + k)
+        elif (k != "params" and isinstance(v, dict)
+              and isinstance(base[k], dict)):
+            out += _unread_keys(v, base[k], f"{prefix}{k}.")
+    return out
 
 
 def _validate(cfg: dict):
@@ -180,6 +198,18 @@ class Pipeline:
         m = self.cfg["mode"]
         return default_params(self.profile, n, f_width=m["f_width"],
                               phi_order=m["phi_order"])
+
+    def step_dt(self, k: int, t_final: float) -> float:
+        """auto_dt's step for wavenumber k at cfg["solver"]'s settings."""
+        s = self.cfg["solver"]
+        return auto_dt(k, self.field, t_final, c_cfl=s["c_cfl"],
+                       min_steps=s["min_steps"])
+
+    def solver_config(self, k: int, t_final: float) -> SolverConfig:
+        """The stepper settings of cfg["solver"] for wavenumber k."""
+        s = self.cfg["solver"]
+        return SolverConfig(dt=self.step_dt(k, t_final), scheme=s["scheme"],
+                            c_cfl=s["c_cfl"])
 
     def mode_initial(self, n: int) -> np.ndarray:
         params = self.mode_params(n)
@@ -368,11 +398,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
             u0 = pipe.mode_initial(n)
             s0 = FourierModeState(k=n, t=0.0, y=pipe.y,
                                   u_hat=u0.astype(complex))
-            dt = auto_dt(n, pipe.field, t_final,
-                         c_cfl=cfg["solver"]["c_cfl"],
-                         min_steps=cfg["solver"]["min_steps"])
-            traj = evolve(s0, pipe.field, SolverConfig(dt=dt), t_final,
-                          renormalize=True)
+            traj = evolve(s0, pipe.field, pipe.solver_config(n, t_final),
+                          t_final, renormalize=True)
             rows = ["t,log_mode_sl,log_mode_full,log_evolved,evolved_slope_est"]
             ev = np.interp(amp["t"], traj.t, traj.lognorm)
             slope = np.gradient(ev, amp["t"])
@@ -422,19 +449,19 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     pr = cfg["probe"]
     t = min(pr["t"], pipe.path.t0)
     rate = pipe.sigma0()
-    all_rows = []
+    solver = cfg["solver"]
+    all_rows = operator_growth_probe(
+        pipe.field, pipe.path, pipe.mode_initial, pr["ks"],
+        t=t, m=pr["m"], alpha=pr["alpha"],
+        sigmas=[f * rate for f in pr["sigma_factors"]], mu=pr["mu"],
+        dt_fn=lambda k: pipe.step_dt(k, t),
+        scheme=solver["scheme"], c_cfl=solver["c_cfl"])
+    nk = len(pr["ks"])
     verdicts = {}
-    for f in pr["sigma_factors"]:
-        sigma = f * rate
-        rows = operator_growth_probe(
-            pipe.field, pipe.path, pipe.mode_initial, pr["ks"],
-            t=t, m=pr["m"], alpha=pr["alpha"], sigma=sigma, mu=pr["mu"],
-            dt_fn=lambda k: auto_dt(k, pipe.field, t,
-                                    c_cfl=cfg["solver"]["c_cfl"],
-                                    min_steps=cfg["solver"]["min_steps"]))
+    for i, f in enumerate(pr["sigma_factors"]):
+        rows = all_rows[i * nk:(i + 1) * nk]
         for r in rows:
             r["sigma_factor"] = f
-        all_rows += rows
         cert = [r["rho_cert"] for r in rows]
         spec_rho = [r["rho"] for r in rows]
         if f < 1.0:

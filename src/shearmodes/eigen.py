@@ -42,7 +42,6 @@ class DispersionProblem:
     rtol: float = 1e-10
     guard: float = 1e12
     rect: tuple = (-5.0, 5.0, -5.0, -0.05)   # (re_min, re_max, im_min, im_max)
-    boundary_tol: float = 1e-10
 
     def __post_init__(self):
         if self.sign_curvature not in (-1, 1):

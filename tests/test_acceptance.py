@@ -233,7 +233,7 @@ def probe_rows(gauss_field, gauss_path, gauss_scaled, gauss_prof, y_grid):
 
     return operator_growth_probe(
         gauss_field, gauss_path, make_initial, [32, 64, 128, 256, 512],
-        t=0.1, m=2, alpha=1.0, sigma=2.0 * rate, mu=0.25,
+        t=0.1, m=2, alpha=1.0, sigmas=[2.0 * rate], mu=0.25,
         dt_fn=lambda k: auto_dt(k, gauss_field, 0.1, min_steps=240))
 
 

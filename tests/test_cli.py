@@ -17,6 +17,48 @@ def _write_cfg(tmp_path, extra):
     return str(path)
 
 
+def test_unread_config_keys_are_reported(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "eigen": {"scan_n": [11, 8]}, "bogus": 1,
+        "profile": {"params": {"U0": 1.0, "A": 1.0, "B": 3.0}},
+        "growth": {"families": [{"family": "gaussian-bump",
+                                 "params": {"U0": 1.0}, "extra": 1}]}})
+    rc = main(["heat", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    # params and list entries are not walked, so B and extra pass unnamed
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config: keys that nothing reads: eigen.scan_n, bogus"]
+    load_config(_write_cfg(tmp_path, {}))
+    assert capsys.readouterr().err == ""
+
+
+def _probe_rows(tmp_path, name, extra):
+    cfg = _write_cfg(tmp_path, extra)
+    rc = main(["illposedness-probe", "--config", cfg,
+               "--out", str(tmp_path / name)])
+    assert rc in (0, 4)
+    path = tmp_path / name / "illposedness-probe" / "probe_report.json"
+    return json.loads(path.read_text())["rows"]
+
+
+def test_probe_honours_solver_scheme(tmp_path):
+    probe = {"probe": {"ks": [32, 64], "sigma_factors": [2.0]}}
+    cn = _probe_rows(tmp_path, "cn", probe)
+    inv = _probe_rows(tmp_path, "inv",
+                      dict(probe, solver={"scheme": "inviscid"}))
+    for a, b in zip(cn, inv):
+        assert abs(a["log_final_norm"] - b["log_final_norm"]) > 1e-6
+
+
+def test_probe_honours_solver_c_cfl(tmp_path):
+    # at these k the step is CFL-limited, so the stepper must check it
+    # against the same c_cfl that chose it
+    rows = _probe_rows(tmp_path, "o", {
+        "probe": {"ks": [4096, 8192], "sigma_factors": [2.0]},
+        "solver": {"c_cfl": 0.8}})
+    assert [r["k"] for r in rows] == [4096, 8192]
+
+
 def test_default_config_is_valid():
     cfg = load_config(None)
     assert cfg["profile"]["family"] == "gaussian-bump"

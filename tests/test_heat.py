@@ -71,6 +71,50 @@ def test_wall_value_exactly_zero(gauss_field):
     assert np.all(gauss_field.us[:, 0] == 0.0)
 
 
+def _dense_derivs(flow, t, y, orders):
+    """Every y against every node, one explicit Hermite polynomial per
+    order: the unwindowed kernel sum, kept here as the oracle."""
+    hermite = (lambda x: np.ones_like(x), lambda x: 2 * x,
+               lambda x: 4 * x * x - 2, lambda x: 8 * x**3 - 12 * x,
+               lambda x: 16 * x**4 - 48 * x * x + 12)
+    ramp = flow._ramp_derivs(t, y, max(orders))
+    nodes, wts = flow._nodes(t, float(y.min()), float(y.max()))
+    f = flow._remainder(nodes) * wts
+    c = 1.0 / np.sqrt(4.0 * t)
+    xm = c * (y[:, None] - nodes[None, :])
+    xp = c * (y[:, None] + nodes[None, :])
+    km = np.exp(-xm**2) * (c / np.sqrt(np.pi))
+    kp = np.exp(-xp**2) * (c / np.sqrt(np.pi))
+    return [ramp[j] + (-c) ** j * ((km * hermite[j](xm)) @ f
+                                   - (kp * hermite[j](xp)) @ f)
+            for j in orders]
+
+
+@pytest.mark.parametrize("t", [1e-4, 1.25e-3, 0.03, 0.15])
+def test_windowed_kernel_matches_dense_sum(gauss_prof, alg4_prof, t):
+    # unsorted, crossing the wall's image reach, 203 points (not a multiple
+    # of the 64-point chunk), and one lone point
+    y_many = np.random.default_rng(1).permutation(np.linspace(0.0, 8.0, 203))
+    orders = (0, 1, 2, 3, 4)
+    # relative to max(1, the order's sup); order 4 carries a c^4 ~ 6e6
+    # factor at t = 1e-4, where the two sums round differently
+    tol = (1e-13, 1e-13, 1e-12, 1e-11, 1e-9)
+    for prof in (gauss_prof, alg4_prof):
+        flow = HeatFlow(prof)
+        for y in (y_many, np.array([0.37])):
+            got = flow.derivs(t, y, orders)
+            ref = _dense_derivs(flow, t, y, orders)
+            for j, g, r, tl in zip(orders, got, ref, tol):
+                assert g.shape == y.shape
+                scale = max(1.0, float(np.max(np.abs(r))))
+                assert np.max(np.abs(g - r)) <= tl * scale, (prof.family, j)
+
+
+def test_wall_value_exactly_zero_at_small_time(gauss_prof):
+    y = np.linspace(0.0, 30.0, 601)
+    assert HeatFlow(gauss_prof).derivs(1e-4, y, orders=(0,))[0][0] == 0.0
+
+
 def test_far_field_and_max_principle(gauss_field):
     assert np.max(np.abs(gauss_field.us[:, -1] - 1.0)) < 1e-3
     assert gauss_field.max_principle_gap() < 1e-9
