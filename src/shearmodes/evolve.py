@@ -18,13 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import CflViolation, NonFiniteState
 from .heat import HeatFlowField
 from .norms import weighted_sup
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+
+# Pade-13 scaling threshold of scaling and squaring (Higham 2005)
+_THETA13 = 5.371920351148152
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -83,27 +87,38 @@ def _advection(u, y, k, us_row, dyus_row):
     return -1j * k * us_row * u - v * dyus_row
 
 
-def _cn_matrix(y: np.ndarray, dt: float):
-    """Banded (I - dt/2 D2) for the interior nodes, Dirichlet both ends."""
+def _cn_factors(y: np.ndarray, dt: float) -> tuple:
+    """LU factors (LAPACK gttrf) of the tridiagonal (I - dt/2 D2) on the
+    interior nodes, Dirichlet both ends; zgttrs(*factors, b) solves."""
     n = y.size - 2
+    if n < 3:
+        raise ValueError("the Crank-Nicolson solve needs at least 5 grid "
+                         f"points, got {y.size}")
     h = y[1] - y[0]
     r = dt / (2 * h * h)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = -r
-    ab[1, :] = 1 + 2 * r
-    ab[2, :-1] = -r
-    return ab, r
+    off = np.full(n - 1, -r, dtype=complex)
+    dl, d, du, du2, ipiv, _ = zgttrf(off, np.full(n, 1 + 2 * r, dtype=complex),
+                                     off)
+    return dl, d, du, du2, ipiv
 
 
 def step(state: FourierModeState, field: HeatFlowField,
-         config: SolverConfig) -> FourierModeState:
-    """One IMEX step (predictor-corrector on the explicit terms)."""
-    _check_cfl(state, field, config)
+         config: SolverConfig, *, coefs=None, lu=None) -> FourierModeState:
+    """One IMEX step (predictor-corrector on the explicit terms).
+
+    evolve passes what stays fixed or carries over across its steps, having
+    checked the CFL condition once: coefs, the (u_s, d_y u_s) rows at the
+    step's start and end times, and lu, the _cn_factors for config.dt.
+    Called without coefs, step checks the CFL condition and interpolates
+    both rows itself; without lu, it factors the Crank-Nicolson matrix.
+    """
     y, dt, k = state.y, config.dt, state.k
     u = state.u_hat
     t0, t1 = state.t, state.t + dt
-    us0, dyus0 = field.slice_interp(t0)
-    us1, dyus1 = field.slice_interp(t1)
+    if coefs is None:
+        _check_cfl(state, field, config)
+        coefs = field.slice_interp(t0), field.slice_interp(t1)
+    (us0, dyus0), (us1, dyus1) = coefs
 
     if config.scheme == "inviscid":
         n0 = _advection(u, y, k, us0, dyus0)
@@ -113,17 +128,18 @@ def step(state: FourierModeState, field: HeatFlowField,
         un = u + 0.5 * dt * (n0 + n1)
         un[0] = 0.0
     else:
-        ab, r = _cn_matrix(y, dt)
+        if lu is None:
+            lu = _cn_factors(y, dt)
         lap = np.zeros_like(u)
         lap[1:-1] = u[2:] - 2 * u[1:-1] + u[:-2]
         h = y[1] - y[0]
         base = u[1:-1] + (dt / (2 * h * h)) * lap[1:-1]
         n0 = _advection(u, y, k, us0, dyus0)
         up = np.zeros_like(u)
-        up[1:-1] = solve_banded((1, 1), ab, base + dt * n0[1:-1])
+        up[1:-1] = zgttrs(*lu, base + dt * n0[1:-1])[0]
         n1 = _advection(up, y, k, us1, dyus1)
         un = np.zeros_like(u)
-        un[1:-1] = solve_banded((1, 1), ab, base + 0.5 * dt * (n0 + n1)[1:-1])
+        un[1:-1] = zgttrs(*lu, base + 0.5 * dt * (n0 + n1)[1:-1])[0]
 
     out = FourierModeState(k=k, t=t1, y=y, u_hat=un)
     out.check()
@@ -150,9 +166,14 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
     ts = [state0.t]
     logn = [np.log(weighted_sup(state0.u_hat, state0.y, 0.0))]
     log_scale = 0.0
+    _check_cfl(state0, field, cfg)
+    lu = _cn_factors(state0.y, cfg.dt) if cfg.scheme == "imex-cn" else None
+    coef0 = field.slice_interp(state0.t)
     s = state0
     for _ in range(nsteps):
-        s = step(s, field, cfg)
+        coef1 = field.slice_interp(s.t + cfg.dt)
+        s = step(s, field, cfg, coefs=(coef0, coef1), lu=lu)
+        coef0 = coef1
         nrm = weighted_sup(s.u_hat, s.y, 0.0)
         if nrm == 0.0:
             raise NonFiniteState("mode collapsed to zero; nothing to record")
@@ -226,7 +247,9 @@ def dirichlet_heat_kernel(u0, y_grid, t: float, *, halfwidth: float = 9.0,
 
 
 def path_kappa_integral(path, t_samples) -> np.ndarray:
-    """int_0^t kappa(s) ds on the sample times (composite Simpson per gap)."""
+    """int_0^t kappa(s) ds on the sample times, accumulated gap by gap, each
+    gap between consecutive times by the trapezoid rule on 9 equispaced
+    points."""
     t = np.asarray(t_samples, dtype=float)
     out = np.zeros_like(t)
     acc = 0.0
@@ -315,10 +338,31 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
     high-frequency growth is a transient (pseudospectral) amplification
     whose rate approaches the dispersion prediction from below as k grows.
     This is the ground-truth certificate for the evolved-dynamics tests.
+
+    Scaling and squaring (Higham 2005): s is the least power with
+    ||tA||_1 / 2^s <= theta_13, scipy's expm takes e^{tA/2^s} (no squaring
+    happens inside it at that norm), and the s squarings are done here.  The
+    heat-kernel part of e^{tA} falls off like e^{-(dy)^2/4t}, so the squares
+    hold thousands of subnormal entries, and a product with subnormal
+    operands runs several times slower than an ordinary one.  Before each
+    product the real and imaginary parts below sqrt(tiny) max(1, max|E|)
+    are therefore set to 0: every product of the parts that remain is a
+    normal number, and the dropped part has 2-norm below
+    2n 1.5e-154 max(1, max|E|), far below one ulp of any result not itself
+    near underflow.
     """
     from scipy.linalg import expm
     A, _ = frozen_mode_operator(profile, k, y_max=y_max, ny=ny)
-    return float(np.linalg.norm(expm(t * A), 2))
+    tA = t * A
+    norm1 = float(np.abs(tA).sum(axis=0).max())
+    s = int(np.ceil(np.log2(norm1 / _THETA13))) if norm1 > _THETA13 else 0
+    E = expm(tA / 2.0**s)
+    for _ in range(s):
+        parts = E.view(float)
+        mag = np.abs(parts)
+        parts[mag < _SQRT_TINY * max(1.0, mag.max())] = 0.0
+        E = E @ E
+    return float(np.linalg.norm(E, 2))
 
 
 def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,

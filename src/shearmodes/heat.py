@@ -116,10 +116,14 @@ class HeatFlow:
             prof = self.profile.derivs(y)
             return [prof[j] for j in orders]
         ramp = self._ramp_derivs(t, y, max_order)
-        nodes, wts = self._nodes(t, float(y.min()), float(y.max()))
-        fvals = self._remainder(nodes) * wts
+        y_lo, y_hi = float(y.min()), float(y.max())
+        nodes, wts = self._nodes(t, y_lo, y_hi)
         c = 1.0 / np.sqrt(4.0 * t)
         reach = self.kernel_halfwidth / c
+        # the span of nodes that the chunk windows below reach
+        span = slice(*np.searchsorted(nodes, (y_lo - reach, y_hi + reach)))
+        nodes = nodes[span]
+        fvals = self._remainder(nodes) * wts[span]
         sums = np.empty((len(orders), y.size))
         perm = np.argsort(y, kind="stable")
         for start in range(0, y.size, _CHUNK):

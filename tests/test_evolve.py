@@ -113,6 +113,28 @@ def test_cfl_guard(gauss_field, y_grid):
         step(s0, gauss_field, SolverConfig(dt=0.05))
 
 
+@pytest.mark.parametrize("scheme", ["imex-cn", "inviscid"])
+def test_evolve_matches_standalone_steps(gauss_field, y_grid, scheme):
+    # evolve checks the CFL condition and factors the Crank-Nicolson matrix
+    # once and carries each step's end-time coefficients over; a standalone
+    # step redoes all three
+    cfg = SolverConfig(dt=2.0**-11, scheme=scheme)
+    s = FourierModeState(k=24, t=0.0, y=y_grid,
+                         u_hat=_blob(y_grid).astype(complex))
+    tr = evolve(s, gauss_field, cfg, 10 * cfg.dt)
+    for _ in range(10):
+        s = step(s, gauss_field, cfg)
+    assert np.array_equal(tr.final.u_hat, s.u_hat)
+
+
+def test_step_rejects_grid_below_five_points(gauss_prof):
+    y = np.linspace(0.0, 1.0, 4)
+    ff = frozen_field(gauss_prof, y, np.linspace(0.0, 0.3, 4))
+    s0 = FourierModeState(k=1, t=0.0, y=y, u_hat=np.ones(4, complex))
+    with pytest.raises(ValueError, match="at least 5 grid points"):
+        step(s0, ff, SolverConfig(dt=1e-3))
+
+
 def test_non_finite_guard(y_grid):
     bad = np.full(y_grid.size, np.inf, complex)
     with pytest.raises(NonFiniteState):
@@ -130,6 +152,17 @@ def test_transient_amplification_known_value(gauss_prof):
     # exponential); regression anchor for the growth experiments
     amp = transient_amplification(gauss_prof, 64, 0.05, ny=700)
     assert amp == pytest.approx(1.131, rel=0.02)
+
+
+@pytest.mark.parametrize("k, t", [(64, 0.05), (256, 0.05), (64, 1e-4)])
+def test_transient_amplification_matches_scipy_expm(gauss_prof, k, t):
+    # reference: scipy's expm squaring its own Pade approximant; the first
+    # two cases take 4 squarings here, (64, 1e-4) none
+    from scipy.linalg import expm
+    A, _ = frozen_mode_operator(gauss_prof, k, ny=300)
+    ref = np.linalg.norm(expm(t * A), 2)
+    amp = transient_amplification(gauss_prof, k, t, ny=300)
+    assert abs(amp - ref) <= 1e-13 * ref
 
 
 def test_frozen_mode_operator_matches_loop_reference(gauss_prof):
