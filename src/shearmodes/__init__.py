@@ -25,6 +25,5 @@ from .modes import (BumpCorrector, ModeField, ModeParams, ResidualField,
 from .evolve import (FourierModeState, SolverConfig, Trajectory, auto_dt,
                      dirichlet_heat_kernel, evolve, growth_row,
                      inviscid_exact, operator_growth_probe, step)
-from .norms import (FitResult, GrowthReport, NormSpec, TailClass, fit_power_law,
-                    fit_rate, mode_sobolev, tail_class, weighted_sup,
-                    weighted_sup_wm)
+from .norms import (FitResult, TailClass, fit_power_law, fit_rate, mode_sobolev,
+                    tail_class, weighted_sup)

@@ -146,9 +146,12 @@ def write_manifest(out: Path, cfg: dict, command: str):
 
 
 class Pipeline:
-    """Shared profile -> heat -> path -> eigen -> scaling context."""
+    """Shared profile -> heat -> path -> eigen -> scaling context.
 
-    def __init__(self, cfg: dict):
+    A given pair is used instead of solving the dispersion problem, which
+    does not depend on the profile."""
+
+    def __init__(self, cfg: dict, pair: Eigenpair | None = None):
         self.cfg = cfg
         g = cfg["grid"]
         self.y = np.linspace(0.0, g["y_max"], g["ny"])
@@ -157,7 +160,7 @@ class Pipeline:
                                     cfg["profile"]["params"])
         self._field = None
         self._path = None
-        self._pair = None
+        self._pair = pair
 
     @property
     def field(self):
@@ -376,19 +379,14 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     ok = True
     shared_pair = None
     for fam in families:
-        run_cfg = deep_merge(cfg, {"profile": fam})
-        pipe = Pipeline(run_cfg)
-        if shared_pair is None:
-            shared_pair = pipe.pair          # profile-independent problem
-        else:
-            pipe._pair = shared_pair
+        pipe = Pipeline(deep_merge(cfg, {"profile": fam}), pair=shared_pair)
+        shared_pair = pipe.pair          # profile-independent problem
         t_final = min(g["t_final"], pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)
+        amps = mode_amplitude_series([pipe.mode_params(n) for n in g["n_list"]],
+                                     pipe.field, pipe.path, pipe.scaled, ts)
         fits = []
-        for n in g["n_list"]:
-            params = pipe.mode_params(n)
-            amp = mode_amplitude_series(params, pipe.field, pipe.path,
-                                        pipe.scaled, ts)
+        for n, amp in zip(g["n_list"], amps):
             row = growth_row(n, amp["t"], amp["log_sl"], pipe.path,
                              window=tuple(g["window"]))
             fits.append(row)

@@ -352,6 +352,7 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
     near underflow.
     """
     from scipy.linalg import expm
+    from scipy.sparse.linalg import svds
     A, _ = frozen_mode_operator(profile, k, y_max=y_max, ny=ny)
     tA = t * A
     norm1 = float(np.abs(tA).sum(axis=0).max())
@@ -362,7 +363,8 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
         mag = np.abs(parts)
         parts[mag < _SQRT_TINY * max(1.0, mag.max())] = 0.0
         E = E @ E
-    return float(np.linalg.norm(E, 2))
+    return float(svds(E, k=1, return_singular_vectors=False,
+                      v0=np.ones(E.shape[0], complex))[0])
 
 
 def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,

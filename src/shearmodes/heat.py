@@ -191,8 +191,10 @@ class HeatFlowField:
         i = int(np.clip(np.searchsorted(tg, t) - 1, 1, tg.size - 3))
         idx = [i - 1, i, i + 1, i + 2]
         ts = tg[idx]
-        w = np.array([np.prod([(t - ts[m]) / (ts[j] - ts[m])
-                               for m in range(4) if m != j]) for j in range(4)])
+        # Lagrange factors (t - ts[m]) / (ts[j] - ts[m]), 1 where m == j
+        f = (t - ts) / (ts[:, None] - ts + np.eye(4))
+        np.fill_diagonal(f, 1.0)
+        w = f.prod(axis=1)
         return w @ self.us[idx], w @ self.dy_us[idx]
 
     def max_principle_gap(self) -> float:

@@ -6,7 +6,7 @@ to confirm refinement stability for anything they assert at a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,51 +16,11 @@ TAIL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class NormSpec:
-    """Norm parameters: exponential weight alpha, Sobolev index m, loss index mu."""
-
-    alpha: float = 0.0
-    m: int = 0
-    mu: float = 0.0
-    flavor: str = "weighted-sup"  # or "mode-Hm"
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
-        if not 0 <= self.mu < 0.5:
-            raise ValueError("mu must lie in [0, 1/2)")
-        if self.flavor not in ("weighted-sup", "mode-Hm"):
-            raise ValueError(f"unknown norm flavor {self.flavor!r}")
-
-
-@dataclass(frozen=True)
 class FitResult:
     rate: float
     residual: float
     window: tuple[float, float]
     n_samples: int
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Fitted growth rates per wavenumber plus the power-law summary."""
-
-    rows: tuple[dict, ...]
-    power_law_exponent: float | None
-    power_law_residual: float | None
-    measured_sigma0: float
-    notes: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "power_law_exponent": self.power_law_exponent,
-            "power_law_residual": self.power_law_residual,
-            "measured_sigma0": self.measured_sigma0,
-            "notes": dict(self.notes),
-        }
 
 
 def weighted_sup(f, y, alpha: float = 0.0) -> float:
@@ -72,11 +32,6 @@ def weighted_sup(f, y, alpha: float = 0.0) -> float:
     if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(y)):
         raise ValueError("non-finite input")
     return float(np.max(np.exp(alpha * y) * np.abs(f)))
-
-
-def weighted_sup_wm(profiles, y, alpha: float = 0.0) -> float:
-    """Weighted sup over a function and its listed derivatives (W_alpha^{m,inf})."""
-    return max(weighted_sup(p, y, alpha) for p in profiles)
 
 
 def mode_sobolev(f, y, k: int, m: int = 0, alpha: float = 0.0) -> float:

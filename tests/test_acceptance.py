@@ -141,11 +141,12 @@ def test_criterion_4_growth_rate_scaling(
             ("algebraic-bump", alg4_field, alg4_path, alg4_scaled)):
         prof = field.flow.profile
         target = float(np.abs(np.imag(scaled.tau_phys(0.0))))
-        fits = []
-        for n in (32, 64, 128, 256):
-            params = default_params(prof, n, f_width=2.0)
-            amp = mode_amplitude_series(params, field, path, scaled, ts)
-            fits.append(growth_row(n, amp["t"], amp["log_sl"], path))
+        ns = (32, 64, 128, 256)
+        amps = mode_amplitude_series(
+            [default_params(prof, n, f_width=2.0) for n in ns],
+            field, path, scaled, ts)
+        fits = [growth_row(n, amp["t"], amp["log_sl"], path)
+                for n, amp in zip(ns, amps)]
         rels = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]
         p, _ = fit_power_law([r["k"] for r in fits],
                              [r["sigma"] for r in fits])

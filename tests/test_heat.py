@@ -146,6 +146,22 @@ def test_slice_interp_matches_direct_evaluation(gauss_field, y_grid):
     assert np.max(np.abs(dy_i - dy_d)) < 2e-5
 
 
+def test_slice_interp_weights_match_nested_products(gauss_field):
+    # reference: each Lagrange weight as the product of its three factors
+    tg = gauss_field.t_grid
+    ts_probe = np.concatenate([tg, np.random.default_rng(0).uniform(
+        tg[0], tg[-1], 200)])
+    for t in ts_probe:
+        i = int(np.clip(np.searchsorted(tg, t) - 1, 1, tg.size - 3))
+        idx = [i - 1, i, i + 1, i + 2]
+        ts = tg[idx]
+        w = np.array([np.prod([(t - ts[m]) / (ts[j] - ts[m])
+                               for m in range(4) if m != j]) for j in range(4)])
+        us, dy = gauss_field.slice_interp(t)
+        assert np.array_equal(us, w @ gauss_field.us[idx])
+        assert np.array_equal(dy, w @ gauss_field.dy_us[idx])
+
+
 def test_frozen_field_slices_are_static(gauss_prof, y_grid):
     ff = frozen_field(gauss_prof, y_grid, np.linspace(0, 0.3, 4))
     assert np.array_equal(ff.us[0], ff.us[-1])

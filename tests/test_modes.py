@@ -6,8 +6,8 @@ import shearmodes as sm
 from shearmodes.errors import ZeroMass
 from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_frozen,
                               assemble_mode, corrector, default_params,
-                              initial_tangential_norm, old_frozen_tangential,
-                              residual)
+                              initial_tangential_norm, mode_amplitude_series,
+                              old_frozen_tangential, residual)
 from shearmodes.norms import weighted_sup
 
 
@@ -281,3 +281,50 @@ def test_weighted_residual_bound_single_mode(mode64, y_grid, gauss_scaled):
         bound = np.exp(sigma0 * mode.t / np.sqrt(params.eps))
         assert np.isfinite(val)
         assert val < 1e4 * bound
+
+
+# ---------------------------------------------------------------- series
+
+
+def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
+                                                 gauss_scaled, gauss_prof):
+    # unsorted times, and a gap (0.01 -> 0.045) wider than one phase panel
+    ts = np.array([0.045, 0.004, 0.08, 0.01])
+    params = [default_params(gauss_prof, n, f_width=2.0)
+              for n in (32, 64, 128, 256)]
+    amps = mode_amplitude_series(params, gauss_field, gauss_path,
+                                 gauss_scaled, ts)
+    assert len(amps) == len(params)
+    for p, amp in zip(params, amps):
+        for i, t in enumerate(ts):
+            mode = assemble_mode(p, gauss_field, gauss_path, gauss_scaled, t)
+            a = mode.scalars.a
+            y_loc = np.linspace(max(0.0, a - p.phi_outer), a + p.phi_outer,
+                                1601)
+            loc = assemble_mode(p, gauss_field, gauss_path, gauss_scaled, t,
+                                y_grid=y_loc)
+            log_full = np.log(np.max(np.abs(mode.U)))
+            log_sl = np.log(abs(loc.E) * t
+                            * np.max(np.abs(loc.components["dy_vsl"])))
+            assert abs(amp["log_full"][i] - log_full) <= 1e-9, (p.n, t)
+            assert abs(amp["log_sl"][i] - log_sl) <= 1e-9, (p.n, t)
+
+
+def test_amplitude_series_kernel_calls_independent_of_n(
+        monkeypatch, gauss_field, gauss_path, gauss_scaled, gauss_prof):
+    calls = []
+    derivs = sm.HeatFlow.derivs
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return derivs(self, *args, **kwargs)
+
+    monkeypatch.setattr(sm.HeatFlow, "derivs", counted)
+    ts = np.linspace(0.03 / 24, 0.03, 6)
+    counts = []
+    for ns in ((64,), (32, 64, 128, 256)):
+        calls.clear()
+        mode_amplitude_series([default_params(gauss_prof, n) for n in ns],
+                              gauss_field, gauss_path, gauss_scaled, ts)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
