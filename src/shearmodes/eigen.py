@@ -8,13 +8,19 @@ Since W = const solves the equation, G = W' satisfies the second-order
     i q G'' + 6 i s z G' + (q^2 + 6 i s) G = 0,      q = tau + s z^2,
 
 whose solutions behave like exp(s1 z^2 / 2) z^{sm1} at |z| -> inf with
-s1^2 = i s.  Both tails are integrated inward on the decaying branch and
-matched at z_match; the eigenvalue condition is the vanishing Wronskian of
-G across the matching point, found by complex Newton on the logarithmic-
-derivative mismatch (holomorphic in tau) seeded from the closed form
+s1^2 = i s.  The eigenpair is explicit (Gerard-Varet & Dormy, JAMS 2010):
 tau^2 = -i s, Im tau < 0 (tau = -e^{i pi/4} for s = -1; s = +1 follows by
-W -> conj(W), tau -> -conj(tau)).  At the closed form the shooting defect is
-already below the Newton tolerance, so the shooting confirms the value.
+W -> conj(W), tau -> -conj(tau)), with G = E / (N q^2), E = exp(s1 z^2 / 2),
+and W an erfc plus an elementary term (WVEvaluator).  The profile is built
+from these formulas.
+
+The shooting is the check and the oracle.  Both tails are integrated inward
+on the decaying branch and matched at z_match; the eigenvalue condition is
+the vanishing Wronskian of G across the matching point, found by complex
+Newton on the logarithmic-derivative mismatch (holomorphic in tau) seeded
+from the closed form.  At the closed form the shooting defect is already
+below the Newton tolerance, so one shot confirms the value.  The Chebyshev
+collocation in matrix_eigenvalues is the second, independent oracle.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.special import erfc
 
 from .errors import NoRootFound, TailBlowup
 from .path import CriticalPath
@@ -129,25 +135,19 @@ def shoot_tails(tau: complex, problem: DispersionProblem, *,
     return left, right
 
 
-def _log_derivative_defect(tau: complex, problem: DispersionProblem) -> complex:
-    """(G'/G)_right - (G'/G)_left at z_match; holomorphic in tau, zero
-    exactly at eigenvalues (Wronskian zero with G != 0)."""
-    left, right = shoot_tails(tau, problem)
+def _log_mismatch(left: TailSolution, right: TailSolution) -> complex:
     _, GL, GLp = left.at_match
     _, GR, GRp = right.at_match
     return GRp / GR - GLp / GL
 
 
-def matching_defect(tau: complex, problem: DispersionProblem, *,
-                    rtol: float | None = None) -> np.ndarray:
-    """Mismatch of (W, W', W'') at z_match as a complex 2-vector.
+def _log_derivative_defect(tau: complex, problem: DispersionProblem) -> complex:
+    """(G'/G)_right - (G'/G)_left at z_match; holomorphic in tau, zero
+    exactly at eigenvalues (Wronskian zero with G != 0)."""
+    return _log_mismatch(*shoot_tails(tau, problem))
 
-    The free constants A (left) and B (right) are fixed by constrained least
-    squares: the W components (including the far-field 1) are matched
-    exactly, and the returned vector is the remaining (W', W'') mismatch.
-    Zero defect iff tau is an eigenvalue.
-    """
-    left, right = shoot_tails(tau, problem, rtol=rtol)
+
+def _tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
     WL, GL, GLp = left.at_match
     OmR, GR, GRp = right.at_match
     # constraint A*WL - B*OmR = 1; minimize |A*GL - B*GR|^2 + |A*GLp - B*GRp|^2
@@ -162,15 +162,30 @@ def matching_defect(tau: complex, problem: DispersionProblem, *,
     return r0 + c * rv
 
 
+def matching_defect(tau: complex, problem: DispersionProblem, *,
+                    rtol: float | None = None) -> np.ndarray:
+    """Mismatch of (W, W', W'') at z_match as a complex 2-vector.
+
+    The free constants A (left) and B (right) are fixed by constrained least
+    squares: the W components (including the far-field 1) are matched
+    exactly, and the returned vector is the remaining (W', W'') mismatch.
+    Zero defect iff tau is an eigenvalue.
+    """
+    return _tails_defect(*shoot_tails(tau, problem, rtol=rtol))
+
+
 def _newton_polish(tau: complex, problem: DispersionProblem,
-                   tol: float = 1e-11, max_iter: int = 40) -> complex | None:
+                   tol: float = 1e-11, max_iter: int = 40
+                   ) -> tuple[complex, tuple[TailSolution, TailSolution]] | None:
+    """The root and the tails shot at it, or None."""
     for _ in range(max_iter):
         try:
-            d = _log_derivative_defect(tau, problem)
+            tails = shoot_tails(tau, problem)
         except TailBlowup:
             return None
+        d = _log_mismatch(*tails)
         if abs(d) < tol:
-            return tau
+            return tau, tails
         h = 1e-7 * (1.0 + abs(tau))
         try:
             dp = (_log_derivative_defect(tau + h, problem)
@@ -187,38 +202,55 @@ def _newton_polish(tau: complex, problem: DispersionProblem,
 
 
 class WVEvaluator:
-    """Smooth evaluator of W, W', W'' (splined) and the shear-layer profile
-    V and derivatives up to third order (algebraic in W, W', W'')."""
+    """W, W', W'' of the closed-form eigenprofile and the shear-layer profile
+    V with derivatives up to third order (algebraic in W, W', W'').
 
-    def __init__(self, tau: complex, s: int, z: np.ndarray, W: np.ndarray,
-                 W1: np.ndarray, W2: np.ndarray):
+    With q = tau + s z^2, E = exp(s1 z^2 / 2), alpha = 1/(tau - s s1 tau^2),
+    beta = -s s1 alpha, r = sqrt(-s1/2) and N = beta sqrt(pi)/r:
+
+        W' = E / (N q^2),   W'' = (s1 z / q^2 - 4 s z / q^3) E / N,
+        W  = alpha z E / (N q) + erfc(-r z) / 2          (z <= 0),
+
+    where erfc's coefficient beta sqrt(pi)/(2 r N) is 1/2, and W - 1 = -W(-z)
+    for z > 0 because W' is even.  The reflection keeps W - 1 free of
+    cancellation, so V decays to the underflow limit instead of stopping at
+    rounding level.
+    """
+
+    def __init__(self, tau: complex, s: int):
         self.tau = tau
         self.s = s
-        self.Z = float(z[-1])
-        self._sp = [CubicSpline(z, arr.real) for arr in (W, W1, W2)]
-        self._sp_im = [CubicSpline(z, arr.imag) for arr in (W, W1, W2)]
+        self._s1 = -np.exp(1j * s * np.pi / 4)
+        alpha = 1.0 / (tau - s * self._s1 * tau**2)
+        beta = -s * self._s1 * alpha
+        self._r = np.sqrt(-self._s1 / 2)
+        norm = beta * np.sqrt(np.pi) / self._r
+        self._cw = alpha / norm
+        self._c1 = 1.0 / norm
+
+    def _profile(self, z):
+        """(W - 1_{z >= 0}, W', W'') at z."""
+        zn = -np.abs(z)                       # W is evaluated on z <= 0 only
+        q = self.tau + self.s * zn * zn
+        E = np.exp(self._s1 * zn * zn / 2)
+        Wn = 0.5 * erfc(-self._r * zn) + self._cw * zn * E / q
+        W1 = self._c1 * E / q**2
+        W2 = self._c1 * (self._s1 / q**2 - 4 * self.s / q**3) * z * E
+        return np.where(z >= 0, -Wn, Wn), W1, W2
 
     def w_derivs(self, z):
         z = np.asarray(z, dtype=float)
-        inside = np.abs(z) <= self.Z
-        zc = np.clip(z, -self.Z, self.Z)
-        vals = [sp(zc) + 1j * spi(zc)
-                for sp, spi in zip(self._sp, self._sp_im)]
-        W = np.where(inside, vals[0], np.where(z > 0, 1.0, 0.0))
-        W1 = np.where(inside, vals[1], 0.0)
-        W2 = np.where(inside, vals[2], 0.0)
-        return W, W1, W2
+        Wm, W1, W2 = self._profile(z)
+        return Wm + (z >= 0), W1, W2
 
     def v_derivs(self, z):
-        """V, V', V'', V''' with the indicator subtraction on z > 0.
+        """V, V', V'', V''' with the indicator subtraction on z >= 0.
 
-        V''' = i q^2 W' exactly (the ODE removes the third spline derivative).
+        V''' = i q^2 W' exactly (the ODE removes the third derivative of W).
         """
         z = np.asarray(z, dtype=float)
-        W, W1, W2 = self.w_derivs(z)
+        Wm, W1, W2 = self._profile(z)
         q = self.tau + self.s * z * z
-        pos = z >= 0
-        Wm = np.where(pos, W - 1.0, W)
         V = q * Wm
         V1 = q * W1 + 2 * self.s * z * Wm
         V2 = q * W2 + 4 * self.s * z * W1 + 2 * self.s * Wm
@@ -241,7 +273,6 @@ class Eigenpair:
     boundary_err: float
     match_defect: float
     v_jumps: dict
-    all_roots: tuple
     evaluator: WVEvaluator = field(repr=False)
 
     def to_jsonable(self) -> dict:
@@ -251,7 +282,6 @@ class Eigenpair:
             "residual_norm": self.residual_norm,
             "boundary_err": self.boundary_err,
             "match_defect": self.match_defect,
-            "all_roots": [[r.real, r.imag] for r in self.all_roots],
             "v_jumps": {k: [v.real, v.imag] for k, v in self.v_jumps.items()},
             "z_grid": self.z_grid.tolist(),
             "W_re": self.W.real.tolist(),
@@ -263,9 +293,9 @@ class Eigenpair:
 
 def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
     """ODE residual with the third derivative re-differenced from W'' samples
-    (4th-order central stencil); everything else comes from the integrator.
-    The stencil strides over several grid steps so the dense-output
-    interpolation noise (~rtol) is not amplified by the difference."""
+    (4th-order central stencil on every stride-th grid point); W' and W'' are
+    the samples themselves.  It measures the sampled profile independently of
+    its formulas; what remains is the stencil's truncation and rounding."""
     z, W, W1, W2 = z[::stride], W[::stride], W1[::stride], W2[::stride]
     h = z[1] - z[0]
     W3 = np.full_like(W2, np.nan)
@@ -279,11 +309,14 @@ def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
 def find_tau(problem: DispersionProblem, *,
              seed_tau: complex | None = None) -> Eigenpair:
     """Complex Newton on the shooting defect, seeded from the closed form
-    tau^2 = -i s, Im tau < 0; returns the root and the assembled eigenprofile.
+    tau^2 = -i s, Im tau < 0; returns the root and the eigenprofile.
 
-    Unseeded, the closed-form value must lie in problem.rect.  seed_tau
-    replaces the closed-form seed (refinement re-solves around a known
-    root)."""
+    Unseeded, the closed-form value must lie in problem.rect, and one shot
+    confirms it.  seed_tau replaces the closed-form seed (refinement
+    re-solves around a known root).  match_defect is matching_defect at the
+    root, taken from the Newton check's own shot.  W, W', W'' and V are the
+    closed form of WVEvaluator at the root, sampled with step dz from -Z and
+    from +Z to z_match."""
     s = problem.sign_curvature
     if seed_tau is None:
         seed = s * np.exp(-1j * s * np.pi / 4)
@@ -293,59 +326,38 @@ def find_tau(problem: DispersionProblem, *,
                               f"lies outside the rectangle {problem.rect}")
     else:
         seed = complex(seed_tau)
-    tau = _newton_polish(seed, problem)
-    if tau is None or tau.imag >= 0:
+    root = _newton_polish(seed, problem)
+    if root is None or root[0].imag >= 0:
         raise NoRootFound(f"Newton from {seed:.6g} found no eigenvalue "
                           "with Im tau < 0")
+    tau, tails = root
 
-    # assembly pass at tighter tolerance: the dense-output samples feed the
-    # finite-difference residual measure, which amplifies interpolant noise
-    rtol_dense = max(problem.rtol * 1e-2, 1e-13)
-    left, right = shoot_tails(tau, problem, dense=True, rtol=rtol_dense)
-    WL, GL, GLp = left.at_match
-    OmR, GR, GRp = right.at_match
-    # A * Y_L = e1 + B * Y_R from the (W, W') components
-    M = np.array([[WL, -OmR], [GL, -GR]])
-    A, B = np.linalg.solve(M, np.array([1.0, 0.0], dtype=complex))
-
-    zl, yl = left.z, A * left.y
-    zr, yr = right.z, B * right.y
-    yr[0] += 1.0                      # right first slot was W - 1
+    Z, zm, dz = problem.Z, problem.z_match, problem.dz
+    zl = np.linspace(-Z, zm, int(round(abs(zm + Z) / dz)) + 1)
+    zr = np.linspace(Z, zm, int(round(abs(Z - zm) / dz)) + 1)
     z = np.concatenate([zl, zr[::-1][1:]])
-    Y = np.concatenate([yl.T, yr.T[::-1][1:]]).T
-    W, W1, W2 = Y
-
-    boundary_err = float(max(abs(W[0]), abs(W[-1] - 1.0)))
-    match_defect = float(np.max(np.abs(matching_defect(tau, problem))))
-    residual_norm = _fd_ode_residual(z, W, W1, W2, tau, s)
-
-    evaluator = WVEvaluator(tau, s, z, W, W1, W2)
+    evaluator = WVEvaluator(tau, s)
+    W, W1, W2 = evaluator.w_derivs(z)
     V = evaluator.v_derivs(z)[0]
 
-    # one-sided V data at 0 from the matched solution
-    q0 = tau
-    G0l, Gp0l = A * left.y[1, -1], A * left.y[2, -1]
-    Wr0 = 1.0 + B * right.y[0, -1]
-    G0r, Gp0r = B * right.y[1, -1], B * right.y[2, -1]
-    Wm_l = A * left.y[0, -1]
-    Wm_r = Wr0 - 1.0
-    V0_l = q0 * Wm_l
-    V0_r = q0 * Wm_r
-    V1_l = q0 * G0l
-    V1_r = q0 * G0r
-    V2_l = q0 * Gp0l + 2 * s * Wm_l
-    V2_r = q0 * Gp0r + 2 * s * Wm_r
-    v_jumps = {
-        "V_left": V0_l, "V_right": V0_r, "jump_V": V0_r - V0_l,
-        "V1_left": V1_l, "V1_right": V1_r, "jump_V1": V1_r - V1_l,
-        "V2_left": V2_l, "V2_right": V2_r, "jump_V2": V2_r - V2_l,
-    }
+    boundary_err = float(max(abs(W[0]), abs(W[-1] - 1.0)))
+    match_defect = float(np.max(np.abs(_tails_defect(*tails))))
+    residual_norm = _fd_ode_residual(z, W, W1, W2, tau, s)
+
+    # one-sided V, V', V'' at 0 from V = q (W - 1_{z>0})
+    W0, G0, Gp0 = (complex(v[0]) for v in evaluator.w_derivs(np.zeros(1)))
+    sides = zip(("V", "V1", "V2"),
+                (tau * W0, tau * G0, tau * Gp0 + 2 * s * W0),
+                (tau * (W0 - 1.0), tau * G0, tau * Gp0 + 2 * s * (W0 - 1.0)))
+    v_jumps = {}
+    for name, left, right in sides:
+        v_jumps.update({f"{name}_left": left, f"{name}_right": right,
+                        f"jump_{name}": right - left})
 
     return Eigenpair(
         tau=tau, problem=problem, z_grid=z, W=W, W1=W1, W2=W2, V=V,
         residual_norm=residual_norm, boundary_err=boundary_err,
-        match_defect=match_defect, v_jumps=v_jumps,
-        all_roots=(tau,), evaluator=evaluator,
+        match_defect=match_defect, v_jumps=v_jumps, evaluator=evaluator,
     )
 
 

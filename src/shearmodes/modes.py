@@ -223,9 +223,12 @@ def _path_point(path: CriticalPath, t: float) -> dict:
     if t > path.t0 + 1e-12:
         raise HorizonExceeded(f"t={t} beyond path horizon {path.t0}")
     a = float(path.a(t))
-    return dict(t=t, a=a, lam=float(path.lam(t)),
-                adot=float(path.a_dot(t)[0]), lamdot=float(path.lam_dot(t)[0]),
-                us_a=float(path.flow.derivs(t, np.array([a]), orders=(0,))[0][0]))
+    # one kernel call for u_s and the path ODEs: a' = -d3/d2, lam' = d4 + d3 a'
+    d0, d2, d3, d4 = (float(d[0]) for d in
+                      path.flow.derivs(t, np.array([a]), orders=(0, 2, 3, 4)))
+    adot = -d3 / d2
+    return dict(t=t, a=a, lam=float(path.lam(t)), adot=adot,
+                lamdot=d4 + d3 * adot, us_a=d0)
 
 
 def _scalars_frozen(profile: ShearProfile, pair: Eigenpair, eps: float,

@@ -52,24 +52,6 @@ class CriticalPath:
     def lam(self, t):
         return self._hermite_eval(t, self.lam_nodes, self.lamdot_nodes)
 
-    def a_dot(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.array([self._rhs(float(tv), float(self.a(tv))) for tv in t])
-
-    def lam_dot(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = []
-        for tv in t:
-            av = float(self.a(tv))
-            d2, d3, d4 = self.flow.derivs(tv, np.array([av]), orders=(2, 3, 4))
-            adot = -d3[0] / d2[0]
-            out.append(d4[0] + d3[0] * adot)
-        return np.array(out)
-
-    def _rhs(self, t: float, a: float) -> float:
-        d2, d3 = self.flow.derivs(t, np.array([a]), orders=(2, 3))
-        return -d3[0] / d2[0]
-
     def kappa(self, t):
         """|lambda(t)/2|^{1/2}, the curvature scale along the path."""
         return np.sqrt(np.abs(self.lam(t)) / 2.0)

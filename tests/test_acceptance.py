@@ -252,6 +252,7 @@ def _leading_eigenpair(A):
     return lam, phi
 
 
+@pytest.mark.slow
 def test_criterion_7a_illposedness_certificate_as_stated(gauss_prof,
                                                           gauss_scaled):
     """sigma = 0.5 rate, mu = 0.25, t = 0.1: rho_cert strictly increases over

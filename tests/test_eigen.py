@@ -16,8 +16,9 @@ def test_eigenvalue_in_lower_half_plane(pair):
 
 def test_eigenvalue_known_value(pair):
     # closed form tau^2 = i, Im tau < 0: tau = -exp(i pi/4).  find_tau
-    # seeds Newton there, so this checks that the shooting defect confirms
-    # the value; the collocation oracle checks it independently below
+    # seeds Newton there and builds the closed-form profile at the root, so
+    # this checks that the one shooting shot confirms the value; the
+    # collocation oracle checks it independently below
     assert abs(pair.tau - (-np.exp(1j * np.pi / 4))) < 1e-9
 
 
@@ -184,3 +185,57 @@ def test_eigenpair_artifact_schema(pair):
         assert key in art
     assert art["tau_im"] < 0
     assert len(art["W_re"]) == len(art["z_grid"])
+
+
+def _shooting_profile(tau, problem, rtol):
+    """W, W', W'' assembled from the dense shot: the tails scaled so that W
+    and W' match at z_match, the right tail's first slot shifted by 1."""
+    left, right = shoot_tails(tau, problem, dense=True, rtol=rtol)
+    WL, GL, _ = left.at_match
+    OmR, GR, _ = right.at_match
+    A, B = np.linalg.solve(np.array([[WL, -OmR], [GL, -GR]]),
+                           np.array([1.0, 0.0], dtype=complex))
+    yl, yr = A * left.y, B * right.y
+    yr[0] += 1.0
+    z = np.concatenate([left.z, right.z[::-1][1:]])
+    return z, np.concatenate([yl.T, yr.T[::-1][1:]]).T
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_closed_form_profile_matches_shooting(s):
+    # the shooting stays the oracle of the closed form; at rtol 1e-12 the
+    # shot's own error in W'' is 1.05e-12, at 1e-13 it is 1.0e-13
+    prob = DispersionProblem(sign_curvature=s)
+    p = find_tau(prob)
+    z, (W, W1, W2) = _shooting_profile(p.tau, prob, rtol=1e-13)
+    assert np.array_equal(z, p.z_grid)
+    assert np.max(np.abs(W - p.W)) < 1e-12
+    assert np.max(np.abs(W1 - p.W1)) < 1e-12
+    assert np.max(np.abs(W2 - p.W2)) < 1e-12
+
+
+def test_unseeded_solve_shoots_once(monkeypatch):
+    calls = []
+    shoot = eigen.shoot_tails
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return shoot(*args, **kwargs)
+    monkeypatch.setattr(eigen, "shoot_tails", counting)
+    prob = DispersionProblem()
+    p = find_tau(prob)
+    assert len(calls) == 1
+    assert p.match_defect == np.max(np.abs(matching_defect(p.tau, prob)))
+
+
+def test_v_samples_match_evaluator_and_decay(pair):
+    # V = q (W - 1) on z > 0 is taken without forming W - 1, so its tail
+    # falls far below the 1e-16 * q that the subtraction would leave, and it
+    # mirrors the z < 0 side to full relative precision
+    z, V = pair.z_grid, pair.V
+    assert np.array_equal(pair.evaluator.v_derivs(z)[0], V)
+    assert z[-1] == pair.problem.Z
+    assert abs(V[-1]) < 1e-20
+    pos = z > 0
+    assert np.array_equal(-z[::-1][pos], z[pos])
+    assert np.max(np.abs(V[pos] + V[::-1][pos]) / np.abs(V[pos])) < 1e-12
