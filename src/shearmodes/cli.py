@@ -21,8 +21,8 @@ from . import __version__
 from .errors import ShearmodesError
 from .eigen import (DispersionProblem, Eigenpair, find_tau, matrix_eigenvalues,
                     scale_eigendata)
-from .evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
-                     growth_row, operator_growth_probe)
+from .evolve import (SolverConfig, auto_dt, evolve_grouped, growth_row,
+                     operator_growth_probe)
 from .heat import heat_residual_probe, solve_heat
 from .modes import (assemble_mode, default_params, initial_tangential_norm,
                     old_frozen_tangential, residual)
@@ -385,19 +385,17 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         ts = np.linspace(t_final / 24, t_final, 24)
         amps = mode_amplitude_series([pipe.mode_params(n) for n in g["n_list"]],
                                      pipe.field, pipe.path, pipe.scaled, ts)
+        # evolved reference trajectories from the corrector initial data
+        trajs = evolve_grouped(
+            pipe.field, g["n_list"], [pipe.mode_initial(n) for n in g["n_list"]],
+            [pipe.solver_config(n, t_final) for n in g["n_list"]], t_final)
         fits = []
-        for n, amp in zip(g["n_list"], amps):
+        for n, amp, traj in zip(g["n_list"], amps, trajs):
             row = growth_row(n, amp["t"], amp["log_sl"], pipe.path,
                              window=tuple(g["window"]))
             fits.append(row)
             label = f"{fam['family']} k={n}"
             series.append((amp["t"], np.exp(amp["log_sl"]), label))
-            # evolved reference trajectory from the corrector initial data
-            u0 = pipe.mode_initial(n)
-            s0 = FourierModeState(k=n, t=0.0, y=pipe.y,
-                                  u_hat=u0.astype(complex))
-            traj = evolve(s0, pipe.field, pipe.solver_config(n, t_final),
-                          t_final, renormalize=True)
             rows = ["t,log_mode_sl,log_mode_full,log_evolved,evolved_slope_est"]
             ev = np.interp(amp["t"], traj.t, traj.lognorm)
             slope = np.gradient(ev, amp["t"])

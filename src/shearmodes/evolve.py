@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import CflViolation, NonFiniteState
+from .errors import CflViolation, NonFiniteState, WindowTooShort
 from .heat import HeatFlowField
 from .norms import weighted_sup
 
@@ -33,17 +33,26 @@ _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class FourierModeState:
-    k: int
+    """One mode, or a batch of modes on one grid and at one time.
+
+    One mode: k an int and u_hat of shape (ny,).  A batch: k a tuple of m
+    ints and u_hat of shape (m, ny), row i the mode of wavenumber k[i].
+    Everything acts along the last axis, so each row of a batch gets exactly
+    the arithmetic it would get alone.
+    """
+    k: int | tuple[int, ...]
     t: float
     y: np.ndarray
     u_hat: np.ndarray
 
     @property
     def v_hat(self) -> np.ndarray:
-        return -1j * self.k * cumulative_trapezoid(self.u_hat, self.y)
+        return -1j * _k_column(self.k) * cumulative_trapezoid(self.u_hat,
+                                                              self.y)
 
     def check(self):
-        if not np.all(np.isfinite(self.u_hat.real)):
+        # isfinite of a complex number is False if either part is inf or nan
+        if not np.all(np.isfinite(self.u_hat)):
             raise NonFiniteState("u_hat left the floating-point range")
 
 
@@ -59,11 +68,19 @@ class SolverConfig:
 
 
 def cumulative_trapezoid(f, y):
+    """int_{y[0]}^{y} f by the trapezoid rule along the last axis of f."""
     f = np.asarray(f)
     y = np.asarray(y, dtype=float)
-    inc = 0.5 * np.diff(y) * (f[1:] + f[:-1])
-    return np.concatenate([[0.0 + 0.0j] if np.iscomplexobj(f) else [0.0],
-                           np.cumsum(inc)])
+    inc = 0.5 * np.diff(y) * (f[..., 1:] + f[..., :-1])
+    out = np.zeros(f.shape, dtype=inc.dtype)
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _k_column(k) -> np.ndarray:
+    """k as a column that broadcasts against u_hat: shape (1,) for an int,
+    (m, 1) for a tuple of m."""
+    return np.asarray(k)[..., None]
 
 
 def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
@@ -75,11 +92,13 @@ def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
 
 def _check_cfl(state: FourierModeState, field: HeatFlowField,
                config: SolverConfig):
+    """The advective step bound; in a batch the largest k binds."""
     umax = float(np.max(np.abs(field.us)))
-    if state.k > 0 and config.dt > config.c_cfl / (state.k * max(umax, 1e-12)):
+    k = int(np.max(state.k))
+    if k > 0 and config.dt > config.c_cfl / (k * max(umax, 1e-12)):
         raise CflViolation(
             f"dt={config.dt:g} exceeds c_cfl/(k sup|u_s|)="
-            f"{config.c_cfl / (state.k * umax):g}")
+            f"{config.c_cfl / (k * umax):g} at k={k}")
 
 
 def _advection(u, y, k, us_row, dyus_row):
@@ -89,7 +108,7 @@ def _advection(u, y, k, us_row, dyus_row):
 
 def _cn_factors(y: np.ndarray, dt: float) -> tuple:
     """LU factors (LAPACK gttrf) of the tridiagonal (I - dt/2 D2) on the
-    interior nodes, Dirichlet both ends; zgttrs(*factors, b) solves."""
+    interior nodes, Dirichlet both ends; _cn_solve applies the inverse."""
     n = y.size - 2
     if n < 3:
         raise ValueError("the Crank-Nicolson solve needs at least 5 grid "
@@ -102,6 +121,12 @@ def _cn_factors(y: np.ndarray, dt: float) -> tuple:
     return dl, d, du, du2, ipiv
 
 
+def _cn_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
+    """(I - dt/2 D2)^{-1} b along the last axis of b: every row of a batch
+    is one right-hand side of a single gttrs call."""
+    return zgttrs(*lu, b.T)[0].T
+
+
 def step(state: FourierModeState, field: HeatFlowField,
          config: SolverConfig, *, coefs=None, lu=None) -> FourierModeState:
     """One IMEX step (predictor-corrector on the explicit terms).
@@ -112,7 +137,7 @@ def step(state: FourierModeState, field: HeatFlowField,
     Called without coefs, step checks the CFL condition and interpolates
     both rows itself; without lu, it factors the Crank-Nicolson matrix.
     """
-    y, dt, k = state.y, config.dt, state.k
+    y, dt, k = state.y, config.dt, _k_column(state.k)
     u = state.u_hat
     t0, t1 = state.t, state.t + dt
     if coefs is None:
@@ -123,49 +148,74 @@ def step(state: FourierModeState, field: HeatFlowField,
     if config.scheme == "inviscid":
         n0 = _advection(u, y, k, us0, dyus0)
         up = u + dt * n0
-        up[0] = 0.0
+        up[..., 0] = 0.0
         n1 = _advection(up, y, k, us1, dyus1)
         un = u + 0.5 * dt * (n0 + n1)
-        un[0] = 0.0
+        un[..., 0] = 0.0
     else:
         if lu is None:
             lu = _cn_factors(y, dt)
-        lap = np.zeros_like(u)
-        lap[1:-1] = u[2:] - 2 * u[1:-1] + u[:-2]
         h = y[1] - y[0]
-        base = u[1:-1] + (dt / (2 * h * h)) * lap[1:-1]
+        lap = u[..., 2:] - 2 * u[..., 1:-1] + u[..., :-2]
+        base = u[..., 1:-1] + (dt / (2 * h * h)) * lap
         n0 = _advection(u, y, k, us0, dyus0)
         up = np.zeros_like(u)
-        up[1:-1] = zgttrs(*lu, base + dt * n0[1:-1])[0]
+        up[..., 1:-1] = _cn_solve(lu, base + dt * n0[..., 1:-1])
         n1 = _advection(up, y, k, us1, dyus1)
         un = np.zeros_like(u)
-        un[1:-1] = zgttrs(*lu, base + 0.5 * dt * (n0 + n1)[1:-1])[0]
+        un[..., 1:-1] = _cn_solve(lu, base + 0.5 * dt * (n0 + n1)[..., 1:-1])
 
-    out = FourierModeState(k=k, t=t1, y=y, u_hat=un)
+    out = FourierModeState(k=state.k, t=t1, y=y, u_hat=un)
     out.check()
     return out
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Norm record of an evolve run.  lognorm is the log of the sup norm
+    (the weighted sup norm at alpha = 0) at each time of t; log_scale is
+    the accumulated renormalisation log-factor.  For a batch both carry a
+    leading row axis, shapes (m, len(t)) and (m,), row i that of final's
+    row i; for one mode they are (len(t),) and a scalar."""
     t: np.ndarray
-    lognorm: np.ndarray          # log of the weighted sup norm (alpha = 0)
+    lognorm: np.ndarray
     final: FourierModeState
-    log_scale: float             # accumulated renormalization log-factor
+    log_scale: float | np.ndarray
+
+    def row(self, i: int) -> Trajectory:
+        """The one-mode trajectory of row i of a batch."""
+        f = self.final
+        return Trajectory(t=self.t, lognorm=self.lognorm[i],
+                          final=FourierModeState(k=f.k[i], t=f.t, y=f.y,
+                                                 u_hat=f.u_hat[i]),
+                          log_scale=self.log_scale[i])
+
+
+def _row_sup(u: np.ndarray):
+    """max |u| along the last axis, the sup norm of each row."""
+    return np.max(np.abs(u), axis=-1)
 
 
 def evolve(state0: FourierModeState, field: HeatFlowField,
            config: SolverConfig, t_final: float, *,
            renormalize: bool = False) -> Trajectory:
     """Repeated stepping with norm recording; optional per-step rescaling to
-    unit sup norm with an exact log bookkeeping of the factors."""
+    unit sup norm with an exact log bookkeeping of the factors.
+
+    state0 may be one mode or a batch (see FourierModeState): a batch
+    shares one dt, the steps' coefficient rows, one Crank-Nicolson LU and
+    one multi-right-hand-side solve per stage, and each row is recorded and
+    renormalised by its own norm.  evolve_grouped forms the batches of a
+    probe or scan, one per dt.
+    """
     if t_final > field.horizon + 1e-12:
         raise ValueError(f"t_final={t_final} beyond field horizon {field.horizon}")
     nsteps = int(np.ceil((t_final - state0.t) / config.dt))
     cfg = replace(config, dt=(t_final - state0.t) / nsteps)
+    state0.check()
     ts = [state0.t]
-    logn = [np.log(weighted_sup(state0.u_hat, state0.y, 0.0))]
-    log_scale = 0.0
+    logn = [np.log(_row_sup(state0.u_hat))]
+    log_scale = np.zeros(np.shape(logn[0]))[()]    # a scalar for one mode
     _check_cfl(state0, field, cfg)
     lu = _cn_factors(state0.y, cfg.dt) if cfg.scheme == "imex-cn" else None
     coef0 = field.slice_interp(state0.t)
@@ -174,16 +224,38 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
         coef1 = field.slice_interp(s.t + cfg.dt)
         s = step(s, field, cfg, coefs=(coef0, coef1), lu=lu)
         coef0 = coef1
-        nrm = weighted_sup(s.u_hat, s.y, 0.0)
-        if nrm == 0.0:
+        nrm = _row_sup(s.u_hat)
+        if np.any(nrm == 0.0):
             raise NonFiniteState("mode collapsed to zero; nothing to record")
+        log_nrm = np.log(nrm)
         ts.append(s.t)
-        logn.append(np.log(nrm) + log_scale)
+        logn.append(log_nrm + log_scale)
         if renormalize:
-            log_scale += np.log(nrm)
-            s = FourierModeState(k=s.k, t=s.t, y=s.y, u_hat=s.u_hat / nrm)
-    return Trajectory(t=np.array(ts), lognorm=np.array(logn), final=s,
-                      log_scale=log_scale)
+            log_scale = log_scale + log_nrm
+            s = replace(s, u_hat=s.u_hat / nrm[..., None])
+    return Trajectory(t=np.array(ts), lognorm=np.stack(logn, axis=-1),
+                      final=s, log_scale=log_scale)
+
+
+def evolve_grouped(field: HeatFlowField, ks, u0s, configs, t_final: float, *,
+                   renormalize: bool = True) -> list[Trajectory]:
+    """Evolve the mode u0s[i] of wavenumber ks[i] from t = 0 under
+    configs[i], as one evolve batch per distinct config (in practice, per
+    dt), each batch holding its ks in their given order.  Returns the
+    one-mode trajectories in the order of ks."""
+    groups = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config, []).append(i)
+    out = [None] * len(ks)
+    for config, rows in groups.items():
+        s0 = FourierModeState(k=tuple(int(ks[i]) for i in rows), t=0.0,
+                              y=field.y_grid,
+                              u_hat=np.stack([np.asarray(u0s[i], dtype=complex)
+                                              for i in rows]))
+        traj = evolve(s0, field, config, t_final, renormalize=renormalize)
+        for j, i in enumerate(rows):
+            out[i] = traj.row(j)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +369,7 @@ def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9),
     try:
         fit_model = fit_regressor_rate(X, comp, window_mask=mask)
         im_tau_hat, model_resid = fit_model.rate, fit_model.residual
-    except Exception:
+    except WindowTooShort:
         im_tau_hat, model_resid = float("nan"), float("nan")
     return {
         "k": int(k),
@@ -388,18 +460,17 @@ def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,
               true rate).
 
     Each k steps with dt_fn(k) (default auto_dt at c_cfl) under the given
-    scheme and c_cfl, the settings of SolverConfig.
+    scheme and c_cfl, the settings of SolverConfig; the ks that share a dt
+    are evolved as one batch (evolve_grouped).
     """
-    evolved = []
-    for k in ks:
-        u0 = make_initial(k)
-        s0 = FourierModeState(k=int(k), t=0.0, y=field.y_grid,
-                              u_hat=u0.astype(complex))
-        dt = dt_fn(k) if dt_fn else auto_dt(k, field, t, c_cfl=c_cfl)
-        config = SolverConfig(dt=dt, scheme=scheme, c_cfl=c_cfl)
-        traj = evolve(s0, field, config, t, renormalize=renormalize)
-        evolved.append((k, weighted_sup(u0, field.y_grid, alpha),
-                        traj.lognorm[-1]))
+    u0s = [make_initial(k) for k in ks]
+    configs = [SolverConfig(dt=dt_fn(k) if dt_fn
+                            else auto_dt(k, field, t, c_cfl=c_cfl),
+                            scheme=scheme, c_cfl=c_cfl) for k in ks]
+    trajs = evolve_grouped(field, ks, u0s, configs, t,
+                           renormalize=renormalize)
+    evolved = [(k, weighted_sup(u0, field.y_grid, alpha), traj.lognorm[-1])
+               for k, u0, traj in zip(ks, u0s, trajs)]
     rows = []
     for sigma in sigmas:
         for k, n0_alpha, log_nt in evolved:

@@ -29,7 +29,7 @@ def weighted_sup(f, y, alpha: float = 0.0) -> float:
     y = np.asarray(y, dtype=float)
     if f.shape != y.shape:
         raise ValueError("profile and grid shapes differ")
-    if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(f)) or not np.all(np.isfinite(y)):
         raise ValueError("non-finite input")
     return float(np.max(np.exp(alpha * y) * np.abs(f)))
 

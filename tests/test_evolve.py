@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ import shearmodes as sm
 from shearmodes.errors import CflViolation, NonFiniteState
 from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt,
                                dirichlet_heat_kernel, evolve,
-                               frozen_mode_operator, inviscid_exact, step,
+                               frozen_mode_operator, growth_row,
+                               inviscid_exact, operator_growth_probe, step,
                                transient_amplification)
-from shearmodes.heat import frozen_field
+from shearmodes.heat import HeatFlowField, frozen_field
 from shearmodes.modes import default_params
 
 
@@ -139,6 +142,130 @@ def test_non_finite_guard(y_grid):
     bad = np.full(y_grid.size, np.inf, complex)
     with pytest.raises(NonFiniteState):
         FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad).check()
+
+
+def test_non_finite_guard_sees_imaginary_part(y_grid):
+    bad = np.ones(y_grid.size, complex)
+    bad[7] = complex(1.0, np.nan)    # 1 + 1j * nan would make both parts nan
+    with pytest.raises(NonFiniteState):
+        FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad).check()
+
+
+def _batch_data(y):
+    return np.stack([_blob(y), np.sin(y) * np.exp(-0.5 * (y - 5) ** 2),
+                     (1 + 2j) * _blob(y) ** 2, np.exp(-((y - 2) ** 2))]
+                    ).astype(complex)
+
+
+@pytest.mark.parametrize("scheme", ["imex-cn", "inviscid"])
+def test_batch_rows_equal_one_row_evolves_exactly(gauss_field, y_grid,
+                                                  scheme):
+    ks = (8, 16, 24, 32)
+    u0 = _batch_data(y_grid)
+    cfg = SolverConfig(dt=2.0**-11, scheme=scheme)
+    batch = evolve(FourierModeState(k=ks, t=0.0, y=y_grid, u_hat=u0),
+                   gauss_field, cfg, 0.02, renormalize=True)
+    assert batch.lognorm.shape == (4, batch.t.size)
+    assert batch.log_scale.shape == (4,)
+    for i, k in enumerate(ks):
+        one = evolve(FourierModeState(k=k, t=0.0, y=y_grid, u_hat=u0[i]),
+                     gauss_field, cfg, 0.02, renormalize=True)
+        assert np.array_equal(batch.t, one.t)
+        assert np.array_equal(batch.lognorm[i], one.lognorm)
+        assert batch.log_scale[i] == one.log_scale
+        assert np.array_equal(batch.final.u_hat[i], one.final.u_hat)
+
+
+def test_probe_groups_ks_by_dt_and_matches_per_k_rows(monkeypatch,
+                                                      gauss_field, y_grid):
+    # the package attribute shearmodes.evolve is the function, not the module
+    ev = importlib.import_module("shearmodes.evolve")
+    batches = []
+    evolve_orig = ev.evolve
+
+    def counted(state0, *args, **kwargs):
+        batches.append(state0.k)
+        return evolve_orig(state0, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "evolve", counted)
+    data = dict(zip((8, 12, 16, 20), _batch_data(y_grid)))
+    kw = dict(t=0.01, m=1, alpha=0.5, sigmas=[0.3, 1.2],
+              make_initial=data.__getitem__,
+              dt_fn=lambda k: 2.0**-12 if k % 8 == 0 else 2.0**-13)
+    rows = operator_growth_probe(gauss_field, None, ks=[8, 12, 16, 20], **kw)
+    assert batches == [(8, 16), (12, 20)]
+    per_k = {k: operator_growth_probe(gauss_field, None, ks=[k], **kw)
+             for k in data}
+    # rows are sigma-major: sigma index j, k index i
+    assert rows == [per_k[k][j] for j in range(2) for k in (8, 12, 16, 20)]
+
+
+def test_probe_interpolates_coefficients_once_per_step_for_all_ks(
+        monkeypatch, gauss_field, y_grid):
+    calls = []
+    slice_interp = HeatFlowField.slice_interp
+
+    def counted(self, t):
+        calls.append(t)
+        return slice_interp(self, t)
+
+    monkeypatch.setattr(HeatFlowField, "slice_interp", counted)
+    u0 = _blob(y_grid)
+    nsteps = 40
+    counts = []
+    for ks in ([64], [16, 32, 64, 128, 256]):
+        calls.clear()
+        operator_growth_probe(gauss_field, None, lambda k: u0, ks, t=0.01,
+                              m=1, alpha=0.0, sigmas=[1.0],
+                              dt_fn=lambda k: 0.01 / nsteps)
+        counts.append(len(calls))
+    assert counts == [nsteps + 1, nsteps + 1]
+
+
+def test_batch_cfl_guard_reads_largest_k(gauss_field, y_grid):
+    u0 = np.stack([_blob(y_grid)] * 3).astype(complex)
+    cfg = SolverConfig(dt=0.05)
+    step(FourierModeState(k=(1, 2), t=0.0, y=y_grid, u_hat=u0[:2]),
+         gauss_field, cfg)
+    with pytest.raises(CflViolation, match="k=512"):
+        evolve(FourierModeState(k=(1, 2, 512), t=0.0, y=y_grid, u_hat=u0),
+               gauss_field, cfg, 0.1)
+
+
+def test_batch_with_a_zero_row_raises(gauss_field, y_grid):
+    u0 = _batch_data(y_grid)[:3]
+    u0[1] = 0.0
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteState,
+                                                     match="collapsed"):
+        evolve(FourierModeState(k=(8, 16, 24), t=0.0, y=y_grid, u_hat=u0),
+               gauss_field, SolverConfig(dt=1e-3), 0.01)
+
+
+class _UnitKappaPath:
+    @staticmethod
+    def kappa(t):
+        return np.ones_like(np.asarray(t, dtype=float))
+
+
+def test_growth_row_short_regressor_window_gives_nan():
+    # 8 samples in the window (0, 1): fit_rate takes all of them, the
+    # regressor fit drops t = 0 and is left with 7 < 8
+    t = np.linspace(0.0, 1.0, 8)
+    row = growth_row(16, t, 2.0 * t, _UnitKappaPath(), window=(0.0, 1.0))
+    assert row["n_samples"] == 8
+    assert np.isnan(row["im_tau_hat"]) and np.isnan(row["model_fit_residual"])
+
+
+def test_growth_row_propagates_unexpected_errors(monkeypatch):
+    import shearmodes.norms as norms
+
+    def broken(*args, **kwargs):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(norms, "fit_regressor_rate", broken)
+    t = np.linspace(0.0, 1.0, 40)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        growth_row(16, t, 2.0 * t, _UnitKappaPath())
 
 
 def test_auto_dt_respects_cfl(gauss_field):

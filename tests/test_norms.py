@@ -11,6 +11,14 @@ def test_weighted_sup_zero_function():
     assert weighted_sup(np.zeros_like(y), y, 1.0) == 0.0
 
 
+def test_weighted_sup_rejects_imaginary_inf():
+    y = np.linspace(0, 10, 101)
+    f = np.exp(-y).astype(complex)
+    f[3] = complex(0.5, np.inf)      # finite real part
+    with pytest.raises(ValueError, match="non-finite"):
+        weighted_sup(f, y, 0.0)
+
+
 def test_weighted_sup_exponential_closed_form():
     y = np.linspace(0, 20, 4001)
     # e^{alpha y} e^{-2y} peaks at the wall for alpha < 2
