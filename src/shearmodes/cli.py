@@ -22,13 +22,13 @@ from .errors import ShearmodesError
 from .eigen import (DispersionProblem, Eigenpair, find_tau, matrix_eigenvalues,
                     scale_eigendata)
 from .evolve import (SolverConfig, auto_dt, evolve_grouped, growth_row,
-                     operator_growth_probe)
+                     operator_growth_probe, transient_amplification)
 from .heat import heat_residual_probe, solve_heat
 from .modes import (assemble_mode, default_params, initial_tangential_norm,
-                    old_frozen_tangential, residual)
+                    mode_amplitude_series, old_frozen_tangential, residual)
 from .norms import fit_power_law, weighted_sup
 from .path import track_critical_point
-from .profiles import make_profile
+from .profiles import family_names, make_profile
 from .svg import svg_plot
 
 DEFAULT_CONFIG = {
@@ -106,7 +106,6 @@ def _unread_keys(user: dict, base: dict, prefix: str = "") -> list[str]:
 
 
 def _validate(cfg: dict):
-    from .profiles import family_names
     named = [cfg["profile"]] + list(cfg["growth"].get("families") or [])
     if "profile" in cfg["residual_scan"]:
         named.append(cfg["residual_scan"]["profile"])
@@ -368,9 +367,6 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     the mode family itself, whose envelope integrates the heat solve, the
     critical path, the eigenvalue, and the phase quadrature.
     """
-    from .evolve import transient_amplification
-    from .modes import mode_amplitude_series
-
     g = cfg["growth"]
     families = g.get("families") or [cfg["profile"]]
     report = {"families": [], "p_band": g["p_band"],

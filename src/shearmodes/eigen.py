@@ -21,6 +21,7 @@ Newton on the logarithmic-derivative mismatch (holomorphic in tau) seeded
 from the closed form.  At the closed form the shooting defect is already
 below the Newton tolerance, so one shot confirms the value.  The Chebyshev
 collocation in matrix_eigenvalues is the second, independent oracle.
+scipy.integrate loads at the first shot, not with this module.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import erfc
 
 from .errors import NoRootFound, TailBlowup
@@ -93,6 +93,7 @@ class TailSolution:
 def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
                     swap_branch: bool = False, dense: bool = False,
                     rtol: float | None = None) -> TailSolution:
+    from scipy.integrate import solve_ivp  # loaded on first use
     s = problem.sign_curvature
     z0 = -problem.Z if side == "left" else problem.Z
     y0 = _tail_seed(z0, tau, problem, swap_branch=swap_branch)

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import CflViolation, NonFiniteState, WindowTooShort
 from .heat import HeatFlowField
-from .norms import weighted_sup
+from .norms import fit_rate, fit_regressor_rate, weighted_sup
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 
@@ -109,6 +108,7 @@ def _advection(u, y, k, us_row, dyus_row):
 def _cn_factors(y: np.ndarray, dt: float) -> tuple:
     """LU factors (LAPACK gttrf) of the tridiagonal (I - dt/2 D2) on the
     interior nodes, Dirichlet both ends; _cn_solve applies the inverse."""
+    from scipy.linalg.lapack import zgttrf  # loaded on first use
     n = y.size - 2
     if n < 3:
         raise ValueError("the Crank-Nicolson solve needs at least 5 grid "
@@ -124,6 +124,7 @@ def _cn_factors(y: np.ndarray, dt: float) -> tuple:
 def _cn_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
     """(I - dt/2 D2)^{-1} b along the last axis of b: every row of a batch
     is one right-hand side of a single gttrs call."""
+    from scipy.linalg.lapack import zgttrs  # loaded on first use
     return zgttrs(*lu, b.T)[0].T
 
 
@@ -206,19 +207,23 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
     shares one dt, the steps' coefficient rows, one Crank-Nicolson LU and
     one multi-right-hand-side solve per stage, and each row is recorded and
     renormalised by its own norm.  evolve_grouped forms the batches of a
-    probe or scan, one per dt.
+    probe or scan, one per dt.  t_final equal to the start time gives the
+    one-sample trajectory; an earlier t_final raises ValueError.
     """
     if t_final > field.horizon + 1e-12:
         raise ValueError(f"t_final={t_final} beyond field horizon {field.horizon}")
-    nsteps = int(np.ceil((t_final - state0.t) / config.dt))
-    cfg = replace(config, dt=(t_final - state0.t) / nsteps)
+    if t_final < state0.t:
+        raise ValueError(f"t_final={t_final} before the start time {state0.t}")
     state0.check()
     ts = [state0.t]
     logn = [np.log(_row_sup(state0.u_hat))]
     log_scale = np.zeros(np.shape(logn[0]))[()]    # a scalar for one mode
-    _check_cfl(state0, field, cfg)
-    lu = _cn_factors(state0.y, cfg.dt) if cfg.scheme == "imex-cn" else None
-    coef0 = field.slice_interp(state0.t)
+    nsteps = int(np.ceil((t_final - state0.t) / config.dt))
+    if nsteps:
+        cfg = replace(config, dt=(t_final - state0.t) / nsteps)
+        _check_cfl(state0, field, cfg)
+        lu = _cn_factors(state0.y, cfg.dt) if cfg.scheme == "imex-cn" else None
+        coef0 = field.slice_interp(state0.t)
     s = state0
     for _ in range(nsteps):
         coef1 = field.slice_interp(s.t + cfg.dt)
@@ -353,7 +358,6 @@ def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9),
     fit against sqrt(k) K(t), which estimates |Im tau| itself, is reported
     as a cross-check.
     """
-    from .norms import fit_rate, fit_regressor_rate
     t = np.asarray(t, dtype=float)
     ln = np.asarray(lognorm, dtype=float)
     t_final = t[-1]
@@ -423,8 +427,8 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
     2n 1.5e-154 max(1, max|E|), far below one ulp of any result not itself
     near underflow.
     """
-    from scipy.linalg import expm
-    from scipy.sparse.linalg import svds
+    from scipy.linalg import expm  # loaded on first use
+    from scipy.sparse.linalg import svds  # loaded on first use
     A, _ = frozen_mode_operator(profile, k, y_max=y_max, ny=ny)
     tA = t * A
     norm1 = float(np.abs(tA).sum(axis=0).max())

@@ -31,6 +31,7 @@ from numpy.polynomial import Polynomial
 from .eigen import Eigenpair, ScaledEigendata
 from .errors import HorizonExceeded, ZeroMass
 from .heat import HeatFlowField
+from .norms import weighted_sup
 from .path import CriticalPath
 from .profiles import ShearProfile
 
@@ -102,7 +103,7 @@ def corrector(f_callable, y_grid, *, mass_tol: float = 1e-12):
     Returns (vtilde values, mass).  Raises ZeroMass when int f vanishes.
     Cumulative Simpson on the (assumed uniform) grid.
     """
-    from scipy.integrate import cumulative_simpson
+    from scipy.integrate import cumulative_simpson  # loaded on first use
     y = np.asarray(y_grid, dtype=float)
     f = np.asarray(f_callable(y) if callable(f_callable) else f_callable,
                    dtype=float)
@@ -555,7 +556,6 @@ def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
 
 def initial_tangential_norm(params: ModeParams, y_grid, alpha: float) -> float:
     """|| U(0, .) ||_{W_alpha^{2,inf}} = eps * max_j sup e^{alpha y} |vtilde^(1+j)|."""
-    from .norms import weighted_sup
     y = np.asarray(y_grid, dtype=float)
     b = params.bump()
     return params.eps * max(weighted_sup(b.v1(y), y, alpha),

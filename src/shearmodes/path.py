@@ -88,9 +88,13 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
     cut = None
     for i, t in enumerate(t_nodes):
         d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
-        # Newton correction keeps the node on the root of d_y u_s
-        a = a - d1[0] / d2[0]
-        d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
+        # Newton correction keeps the node on the root of d_y u_s; where it
+        # leaves a unchanged (a0 at t = 0 is exact to the last bit), so are
+        # the derivatives
+        a_new = a - d1[0] / d2[0]
+        if a_new != a:
+            a = a_new
+            d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
         lam = d2[0]
         adot = -d3[0] / d2[0]
         a_list.append(a)

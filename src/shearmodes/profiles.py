@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 from scipy.special import erf
 
 from .errors import DegenerateCritical, NoCriticalPoint
@@ -140,19 +139,28 @@ def build_family(family: str, params: dict | None = None) -> ShearProfile:
 
 def critical_points(profile: ShearProfile, y_max: float = 20.0,
                     n_scan: int = 4001) -> list[tuple[float, float]]:
-    """All interior roots of U' on (0, y_max) by dense scan + brentq polish.
+    """All interior roots of U' on (0, y_max): a dense scan for sign changes,
+    then one bisection of all brackets at once down to adjacent floats,
+    keeping the endpoint with the smaller |U'|.
 
     Returns (location, curvature) pairs sorted by location.
     """
     ys = np.linspace(1e-6, y_max, n_scan)
     d1 = profile.derivs(ys)[1]
-    out = []
-    sign = np.sign(d1)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        a = brentq(lambda y: profile.derivs(np.array([y]))[1][0],
-                   ys[i], ys[i + 1], xtol=1e-13, rtol=8.9e-16)
-        out.append((float(a), float(profile.derivs(np.array([a]))[2][0])))
-    return out
+    i = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0)
+    lo, hi, f_lo, f_hi = ys[i], ys[i + 1], d1[i], d1[i + 1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        f = profile.derivs(mid)[1]
+        up = live & (np.sign(f) == np.sign(f_lo))      # root in [mid, hi]
+        down = live & ~up
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f, f_lo)
+        hi, f_hi = np.where(down, mid, hi), np.where(down, f, f_hi)
+    a = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    return [(float(r), float(c)) for r, c in zip(a, profile.derivs(a)[2])]
 
 
 def make_profile(family: str, params: dict | None = None, *,

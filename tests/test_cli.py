@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shearmodes
 from shearmodes.cli import Pipeline, deep_merge, load_config, main
 
 FAST = {
@@ -30,6 +35,34 @@ def test_unread_config_keys_are_reported(tmp_path, capsys):
     assert err == ["config: keys that nothing reads: eigen.scan_n, bogus"]
     load_config(_write_cfg(tmp_path, {}))
     assert capsys.readouterr().err == ""
+
+
+def _heavy_scipy_loaded(code, tmp_path):
+    """The heavy scipy subpackages in sys.modules after code runs in a
+    fresh interpreter."""
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
+             "scipy.linalg"]
+    script = (f"import json, sys\n{code}\n"
+              f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+    src = str(Path(shearmodes.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_config_load_no_heavy_scipy(tmp_path):
+    code = "import shearmodes.cli\nshearmodes.cli.load_config(None)"
+    assert _heavy_scipy_loaded(code, tmp_path) == []
+
+
+def test_heat_command_loads_neither_integrate_nor_optimize(tmp_path):
+    cfg = _write_cfg(tmp_path, {})
+    code = ("from shearmodes.cli import main\n"
+            f"assert main(['heat', '--config', {cfg!r}, '--out', 'o']) == 0")
+    loaded = _heavy_scipy_loaded(code, tmp_path)
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded
 
 
 def _probe_rows(tmp_path, name, extra):

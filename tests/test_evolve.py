@@ -130,6 +130,34 @@ def test_evolve_matches_standalone_steps(gauss_field, y_grid, scheme):
     assert np.array_equal(tr.final.u_hat, s.u_hat)
 
 
+@pytest.mark.parametrize("k", [24, (8, 16)])
+def test_evolve_to_its_start_time_records_one_sample(monkeypatch, gauss_field,
+                                                     y_grid, k):
+    ev = importlib.import_module("shearmodes.evolve")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a zero-length evolve steps or factors")
+
+    monkeypatch.setattr(ev, "step", never)
+    monkeypatch.setattr(ev, "_cn_factors", never)
+    u0 = _batch_data(y_grid)[:2] if isinstance(k, tuple) else _blob(y_grid)
+    s0 = FourierModeState(k=k, t=0.02, y=y_grid, u_hat=u0.astype(complex))
+    tr = evolve(s0, gauss_field, SolverConfig(dt=1e-3), 0.02,
+                renormalize=True)
+    assert np.array_equal(tr.t, [0.02])
+    assert np.array_equal(tr.lognorm[..., 0],
+                          np.log(np.max(np.abs(u0), axis=-1)))
+    assert tr.final is s0
+    assert np.array_equal(tr.log_scale, np.zeros(np.shape(u0)[:-1]))
+
+
+def test_evolve_rejects_a_final_time_before_the_start(gauss_field, y_grid):
+    s0 = FourierModeState(k=24, t=0.02, y=y_grid,
+                          u_hat=_blob(y_grid).astype(complex))
+    with pytest.raises(ValueError, match="before the start time"):
+        evolve(s0, gauss_field, SolverConfig(dt=1e-3), 0.01)
+
+
 def test_step_rejects_grid_below_five_points(gauss_prof):
     y = np.linspace(0.0, 1.0, 4)
     ff = frozen_field(gauss_prof, y, np.linspace(0.0, 0.3, 4))
@@ -257,12 +285,12 @@ def test_growth_row_short_regressor_window_gives_nan():
 
 
 def test_growth_row_propagates_unexpected_errors(monkeypatch):
-    import shearmodes.norms as norms
+    ev = importlib.import_module("shearmodes.evolve")
 
     def broken(*args, **kwargs):
         raise ValueError("shape mismatch")
 
-    monkeypatch.setattr(norms, "fit_regressor_rate", broken)
+    monkeypatch.setattr(ev, "fit_regressor_rate", broken)
     t = np.linspace(0.0, 1.0, 40)
     with pytest.raises(ValueError, match="shape mismatch"):
         growth_row(16, t, 2.0 * t, _UnitKappaPath())

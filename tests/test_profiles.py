@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from shearmodes.errors import DegenerateCritical, NoCriticalPoint
 from shearmodes.norms import tail_class
@@ -99,3 +100,28 @@ def test_family_registry():
     assert set(family_names()) == {"gaussian-bump", "algebraic-bump", "monotone"}
     with pytest.raises(ValueError):
         build_family("nope")
+
+
+@pytest.mark.parametrize("family,A,n_roots", [
+    ("gaussian-bump", 1.0, 2),
+    ("gaussian-bump", 0.62, 2),
+    ("algebraic-bump", 1.0, 1),
+    ("algebraic-bump", 4.0, 1),
+])
+def test_critical_point_bisection_matches_brentq(family, A, n_roots):
+    prof = build_family(family, {"U0": 1.0, "A": A})
+    cps = critical_points(prof)
+    assert len(cps) == n_roots
+
+    def slope(y):
+        return prof.derivs(np.array([y]))[1][0]
+
+    for a0, _ in cps:
+        ref = brentq(slope, a0 - 0.01, a0 + 0.01, xtol=1e-15, rtol=8.9e-16)
+        assert abs(a0 - ref) <= 1e-13
+        # U' changes sign within one ulp of a0
+        near = np.array([np.nextafter(a0, 0.0), a0, np.nextafter(a0, 30.0)])
+        signs = np.sign(prof.derivs(near)[1])
+        assert signs.min() <= 0.0 <= signs.max()
+    if family == "algebraic-bump" and A == 1.0:
+        assert abs(cps[0][0] - (1 + np.sqrt(2))) <= 1e-13
