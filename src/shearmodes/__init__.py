@@ -9,15 +9,16 @@ __version__ = "0.1.0"
 
 from .errors import (CflViolation, CurvatureVanished, DegenerateCritical,
                      HorizonExceeded, InsufficientData, NoCriticalPoint,
-                     NonFiniteState, NoRootFound, QuadratureFailure,
+                     NonFiniteState, NoRootFound, NotConverged,
+                     QuadratureFailure,
                      ShearmodesError, TailBlowup, WindowTooShort, ZeroMass)
 from .profiles import (DecayClass, ShearProfile, build_family,
                        critical_points, family_names, make_profile)
 from .heat import HeatFlow, HeatFlowField, heat_residual_probe, solve_heat
 from .path import CriticalPath, track_critical_point
-from .eigen import (DispersionProblem, Eigenpair, ScaledEigendata, find_tau,
-                    matching_defect, matrix_eigenvalues, scale_eigendata,
-                    shoot_tails)
+from .eigen import (DispersionProblem, Eigenpair, ScaledEigendata, find_root,
+                    find_tau, matching_defect, matrix_eigenvalues,
+                    scale_eigendata, shoot_tails)
 from .modes import (BumpCorrector, ModeField, ModeParams, ResidualField,
                     Smoothstep, assemble_frozen, assemble_mode, corrector,
                     default_params, initial_tangential_norm,

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ShearmodesError
-from .eigen import (DispersionProblem, Eigenpair, find_tau, matrix_eigenvalues,
-                    scale_eigendata)
+from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
+                    matrix_eigenvalues, scale_eigendata)
 from .evolve import (SolverConfig, auto_dt, evolve_grouped, growth_row,
                      operator_growth_probe, transient_amplification)
 from .heat import heat_residual_probe, solve_heat
@@ -105,7 +105,34 @@ def _unread_keys(user: dict, base: dict, prefix: str = "") -> list[str]:
     return out
 
 
+def _check_types(value, default, name: str):
+    """Raise ValueError where value's type differs from default's: objects
+    and lists as in the defaults (list entries against the first default
+    entry), integers where the default is one, numbers where it is a float,
+    strings where it is a string; a bool is not a number.  A profile's
+    params and keys absent from the defaults are not checked."""
+    if isinstance(default, (dict, list, str)):
+        ok = isinstance(value, type(default))
+    elif isinstance(value, bool):
+        ok = False
+    elif isinstance(default, int):
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, (int, float))
+    if not ok:
+        raise ValueError(f"config {name} must be of type "
+                         f"{type(default).__name__}, got {value!r}")
+    if isinstance(default, dict):
+        for k, v in value.items():
+            if k in default and k != "params":
+                _check_types(v, default[k], f"{name}.{k}" if name else k)
+    elif isinstance(default, list) and default:
+        for i, v in enumerate(value):
+            _check_types(v, default[0], f"{name}[{i}]")
+
+
 def _validate(cfg: dict):
+    _check_types(cfg, DEFAULT_CONFIG, "")
     named = [cfg["profile"]] + list(cfg["growth"].get("families") or [])
     if "profile" in cfg["residual_scan"]:
         named.append(cfg["residual_scan"]["profile"])
@@ -113,7 +140,7 @@ def _validate(cfg: dict):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
     for n in cfg["growth"]["n_list"] + cfg["probe"]["ks"] + [cfg["mode"]["n"]]:
-        if int(n) != n or n < 1:
+        if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
     if cfg["solver"]["scheme"] not in ("imex-cn", "inviscid"):
         raise ValueError(f"unknown scheme {cfg['solver']['scheme']!r}")
@@ -225,12 +252,11 @@ class Pipeline:
 def cmd_eigen(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     prob, pair = pipe.problem, pipe.pair
-    refined = find_tau(
+    refined, _ = find_root(
         dataclasses.replace(prob, Z=1.5 * prob.Z, rtol=prob.rtol / 100),
         seed_tau=pair.tau)
-    drift = abs(refined.tau - pair.tau)
-    ev = matrix_eigenvalues(prob)
-    oracle_gap = float(np.min(np.abs(ev - pair.tau)))
+    drift = abs(refined - pair.tau)
+    oracle_gap = abs(matrix_eigenvalues(prob, pair.tau) - pair.tau)
     artifact = pair.to_jsonable()
     artifact["refinement_drift"] = drift
     artifact["matrix_oracle_gap"] = oracle_gap

@@ -19,9 +19,13 @@ on the decaying branch and matched at z_match; the eigenvalue condition is
 the vanishing Wronskian of G across the matching point, found by complex
 Newton on the logarithmic-derivative mismatch (holomorphic in tau) seeded
 from the closed form.  At the closed form the shooting defect is already
-below the Newton tolerance, so one shot confirms the value.  The Chebyshev
-collocation in matrix_eigenvalues is the second, independent oracle.
-scipy.integrate loads at the first shot, not with this module.
+below the Newton tolerance, so one shot confirms the value.  find_root is
+that Newton step alone; find_tau adds the sampled profile.  The Chebyshev
+collocation in matrix_eigenvalues is the second, independent oracle: it
+returns the collocation eigenvalue nearest a given tau by shift-invert
+iteration, checked by its residual on the collocation matrix itself.
+scipy.integrate loads at the first shot and scipy.linalg at the first
+oracle call, not with this module.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .errors import NoRootFound, TailBlowup
+from .errors import NoRootFound, NotConverged, TailBlowup
 from .path import CriticalPath
 
 
@@ -307,17 +311,14 @@ def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
     return float(np.max(np.abs(r)))
 
 
-def find_tau(problem: DispersionProblem, *,
-             seed_tau: complex | None = None) -> Eigenpair:
-    """Complex Newton on the shooting defect, seeded from the closed form
-    tau^2 = -i s, Im tau < 0; returns the root and the eigenprofile.
+def find_root(problem: DispersionProblem, *, seed_tau: complex | None = None
+              ) -> tuple[complex, tuple[TailSolution, TailSolution]]:
+    """The eigenvalue tau and the tails shot at it, by complex Newton on the
+    shooting defect seeded from the closed form tau^2 = -i s, Im tau < 0.
 
     Unseeded, the closed-form value must lie in problem.rect, and one shot
     confirms it.  seed_tau replaces the closed-form seed (refinement
-    re-solves around a known root).  match_defect is matching_defect at the
-    root, taken from the Newton check's own shot.  W, W', W'' and V are the
-    closed form of WVEvaluator at the root, sampled with step dz from -Z and
-    from +Z to z_match."""
+    re-solves around a known root)."""
     s = problem.sign_curvature
     if seed_tau is None:
         seed = s * np.exp(-1j * s * np.pi / 4)
@@ -331,7 +332,17 @@ def find_tau(problem: DispersionProblem, *,
     if root is None or root[0].imag >= 0:
         raise NoRootFound(f"Newton from {seed:.6g} found no eigenvalue "
                           "with Im tau < 0")
-    tau, tails = root
+    return root
+
+
+def find_tau(problem: DispersionProblem) -> Eigenpair:
+    """The unseeded root of find_root and the eigenprofile there.
+
+    match_defect is matching_defect at the root, taken from the Newton
+    check's own shot.  W, W', W'' and V are the closed form of WVEvaluator
+    at the root, sampled with step dz from -Z and from +Z to z_match."""
+    s = problem.sign_curvature
+    tau, tails = find_root(problem)
 
     Z, zm, dz = problem.Z, problem.z_match, problem.dz
     zl = np.linspace(-Z, zm, int(round(abs(zm + Z) / dz)) + 1)
@@ -362,15 +373,13 @@ def find_tau(problem: DispersionProblem, *,
     )
 
 
-def matrix_eigenvalues(problem: DispersionProblem, *, n_cheb: int = 240,
-                       z_max: float = 8.0) -> np.ndarray:
-    """Independent oracle: Chebyshev collocation of the G equation as a
-    quadratic eigenproblem in tau, companion-linearized to a standard one.
+def _collocation_matrix(s: int, n_cheb: int, z_max: float) -> np.ndarray:
+    """Companion matrix C of the Chebyshev collocation of the G equation,
+    a quadratic eigenproblem in tau linearized to C x = tau x:
 
     tau^2 G + tau (i D2 + 2 s z^2) G
             + (i s z^2 D2 + 6 i s z D1 + z^4 + 6 i s) G = 0,  G(+-z_max) = 0.
     """
-    s = problem.sign_curvature
     N = n_cheb
     j = np.arange(N + 1)
     x = np.cos(np.pi * j / N)
@@ -384,15 +393,45 @@ def matrix_eigenvalues(problem: DispersionProblem, *, n_cheb: int = 240,
     D2 = D1 @ D1
     inner = slice(1, N)
     zi = z[inner]
+    zc = zi[:, None]                         # diag(z) as a row scaling
     D1i = D1[inner, inner]
     D2i = D2[inner, inner]
     n = N - 1
-    I = np.eye(n)
-    C1 = 1j * D2i + 2 * s * np.diag(zi**2)
-    C0 = (1j * s * np.diag(zi**2) @ D2i + 6j * s * np.diag(zi) @ D1i
-          + np.diag(zi**4) + 6j * s * I)
-    big = np.block([[np.zeros((n, n)), I], [-C0, -C1]])
-    return np.linalg.eigvals(big)
+    C1 = 1j * D2i + np.diag(2 * s * zi**2)
+    C0 = (1j * s * zc**2 * D2i + 6j * s * zc * D1i
+          + np.diag(zi**4 + 6j * s))
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-C0, -C1]])
+
+
+def matrix_eigenvalues(problem: DispersionProblem, near: complex, *,
+                       n_cheb: int = 240, z_max: float = 8.0) -> complex:
+    """Independent oracle: the eigenvalue nearest `near` of the Chebyshev
+    collocation matrix C of _collocation_matrix.
+
+    Shift-invert: C - near I is LU-factored once, and inverse iteration
+    runs until the pair (lam, x), lam = near + 1 / (x^H (C - near I)^{-1} x)
+    for unit x, has ||C x - lam x|| <= 1e-9 |lam|.  The residual is taken on
+    C itself, so a converged pair is an eigenpair of C whatever the solves
+    did; if no iterate passes within 200 steps, NotConverged is raised.
+    Inverse iteration converges to the eigenvalue nearest the shift, at the
+    rate of the ratio of its distance to the next one's; a pair that ends on
+    another eigenvalue lies farther from `near`, so an oracle gap read from
+    it can only come out larger.
+    """
+    from scipy.linalg import lu_factor, lu_solve  # loaded on first use
+    C = _collocation_matrix(problem.sign_curvature, n_cheb, z_max)
+    n = C.shape[0]
+    near = complex(near)
+    lu = lu_factor(C - near * np.eye(n))
+    v = np.ones(n, dtype=complex) / np.sqrt(n)
+    for _ in range(200):
+        w = lu_solve(lu, v)
+        lam = near + 1.0 / np.vdot(v, w)
+        if np.linalg.norm(C @ v - lam * v) <= 1e-9 * abs(lam):
+            return complex(lam)
+        v = w / np.linalg.norm(w)
+    raise NotConverged(f"inverse iteration at {near:.6g} did not reach an "
+                       "eigen-residual of 1e-9 in 200 steps")
 
 
 @dataclass(frozen=True)

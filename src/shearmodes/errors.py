@@ -30,6 +30,10 @@ class NoRootFound(ShearmodesError):
     search rectangle, or Newton from the given seed did not converge."""
 
 
+class NotConverged(ShearmodesError):
+    """An iterative solve did not reach its stated residual bound."""
+
+
 class ZeroMass(ShearmodesError):
     """Corrector seed integrates to zero; the normalized antiderivative is undefined."""
 

@@ -357,24 +357,12 @@ def _us_provider_frozen(profile: ShearProfile):
     return prov
 
 
-def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
-              us_rows, us_provider, phase: complex) -> ModeField:
-    """us_rows are u_s and its first three y-derivatives on y at sc.t."""
-    eps, t, tau = sc.eps, sc.t, sc.tau
-    seps = np.sqrt(eps)
-    bump = params.bump()
-    cut = params.cutoff()
-
-    us, dyus, d2yus, d3yus = us_rows
-
-    H = (y >= sc.a).astype(float)
-    us_a = seps * sc.kappa * tau - sc.w_eps      # u_s(t, a(t)) by definition of w_eps
-    g = us - us_a + seps * sc.kappa * tau
-    v_reg = H * g
-    dy_vreg = H * dyus
-    d2y_vreg = H * d2yus
-    d3y_vreg = H * d3yus
-
+def _shear_layer(cut: Smoothstep, pair: Eigenpair, sc: _Scalars,
+                 y: np.ndarray) -> dict:
+    """v_sl = phi(y - a) sqrt(eps) kappa V((y - a) / ell) on y at sc.t, with
+    its y-derivatives to third order and d_t d_y v_sl, by the chain rule
+    through the cutoff phi and (a, kappa, ell)(t).  It reads no u_s."""
+    seps = np.sqrt(sc.eps)
     r = y - sc.a
     zeta = r / sc.ell
     phi, p1, p2, p3 = cut.derivs(r)
@@ -396,16 +384,38 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
     d3y_vsl = p3 * Vf + 3 * p2 * dyVf + 3 * p1 * d2yVf + phi * d3yVf
     dtdy_vsl = (-sc.adot * p2 * Vf + p1 * dtVf
                 - sc.adot * p1 * dyVf + phi * dtdyVf)
+    return {"v_sl": v_sl, "dy_vsl": dy_vsl, "d2y_vsl": d2y_vsl,
+            "d3y_vsl": d3y_vsl, "dtdy_vsl": dtdy_vsl, "phi": phi}
+
+
+def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
+              us_rows, us_provider, phase: complex) -> ModeField:
+    """us_rows are u_s and its first three y-derivatives on y at sc.t."""
+    eps, t, tau = sc.eps, sc.t, sc.tau
+    seps = np.sqrt(eps)
+    bump = params.bump()
+
+    us, dyus, d2yus, d3yus = us_rows
+
+    H = (y >= sc.a).astype(float)
+    us_a = seps * sc.kappa * tau - sc.w_eps      # u_s(t, a(t)) by definition of w_eps
+    g = us - us_a + seps * sc.kappa * tau
+    v_reg = H * g
+    dy_vreg = H * dyus
+    d2y_vreg = H * d2yus
+    d3y_vreg = H * d3yus
+
+    sl = _shear_layer(params.cutoff(), pair, sc, y)
 
     vt = bump.vtilde(y)
     vt1 = bump.v1(y)
     vt2 = bump.v2(y)
     vt3 = bump.v3(y)
 
-    S = v_reg + v_sl
-    dyS = dy_vreg + dy_vsl
-    d2yS = d2y_vreg + d2y_vsl
-    d3yS = d3y_vreg + d3y_vsl
+    S = v_reg + sl["v_sl"]
+    dyS = dy_vreg + sl["dy_vsl"]
+    d2yS = d2y_vreg + sl["d2y_vsl"]
+    d3yS = d3y_vreg + sl["d3y_vsl"]
 
     E = np.exp(1j * phase / eps)
     U = E * (eps * vt1 + 1j * t * dyS)
@@ -415,13 +425,11 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
     dyV_big = E * (-1j * vt1 + (t / eps) * dyS)
 
     comps = {
-        "v_reg": v_reg, "v_sl": v_sl, "S": S,
-        "dy_vreg": dy_vreg, "dy_vsl": dy_vsl, "dyS": dyS,
+        "v_reg": v_reg, "S": S, "dy_vreg": dy_vreg, "dyS": dyS,
         "d2yS": d2yS, "d3yS": d3yS,
-        "d2y_vsl": d2y_vsl, "d3y_vsl": d3y_vsl, "dtdy_vsl": dtdy_vsl,
         "vtilde": vt, "vt1": vt1, "vt2": vt2, "vt3": vt3,
         "us": us, "dyus": dyus, "d2yus": d2yus, "d3yus": d3yus,
-        "phi": phi, "us_provider": us_provider,
+        "us_provider": us_provider, **sl,
     }
     return ModeField(t=t, y=y, eps=eps, U=U, dyU=dyU, d2yU=d2yU,
                      V=V_big, dyV=dyV_big, w_eps=sc.w_eps, phase=phase,
@@ -512,43 +520,47 @@ def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
     """Amplitude trajectories of the assembled mode family, one per params.
 
     Each dict holds arrays over the sample times: log of the growing-component
-    amplitude (t * |E| * sup |d_y S|, the shear-layer-plus-regular part of
-    U divided by nothing -- the t prefactor stays in), and log of the full
-    sup norm of U.  The growing component carries the pure
-    exp(|Im tau| sqrt(k) int kappa) envelope that the rate fits target.
+    amplitude (t * |E| * sup |d_y v_sl| on a fine grid across the layer, the
+    t prefactor kept), and log of the full sup norm of U on the field grid.
+    The growing component carries the pure exp(|Im tau| sqrt(k) int kappa)
+    envelope that the rate fits target.
 
-    Everything that does not depend on n is computed once per sample time:
-    the path scalars, the kernel rows of u_s on the field grid and on each
-    distinct layer grid, and the two phase integrals, accumulated over the
-    gaps between the sorted times.  Each series agrees with the one built
-    from assemble_mode at each t to the accuracy of the phase quadrature.
+    Only what these two logs read is computed.  Per sample time: the path
+    scalars, one kernel row of d_y u_s on the field grid (U reads no other
+    order of u_s), and the two phase integrals, accumulated over the gaps
+    between the sorted times.  The layer sup reads v_sl alone, which needs
+    no kernel row.  Each params' cutoff and corrector profile are built once.
+    Both logs equal those of assemble_mode at each t to the accuracy of the
+    phase quadrature.
     """
     ts = np.asarray(ts, dtype=float)
     pair = scaled.pair
-    prov = _us_provider_path(path)
     y = np.asarray(field_.y_grid, dtype=float)
     adv, kap = _phase_parts(path, ts)
     phases = [adv + np.sqrt(p.eps) * kap * pair.tau for p in params]
+    cuts = [p.cutoff() for p in params]
+    vt1 = [p.bump().v1(y) for p in params]
     log_full = np.empty((len(params), ts.size))
     log_sl = np.empty((len(params), ts.size))
     for i, t in enumerate(ts):
         t = float(t)
         point = _path_point(path, t)
-        rows = prov(t, y, (0, 1, 2, 3))
+        (dyus,) = path.flow.derivs(t, y, orders=(1,))
+        dy_vreg = (y >= point["a"]).astype(float) * dyus
         # layer sup on a fine local grid so the argmax is not quantized by
         # the field grid (the fit noise budget is ~1e-4 in log amplitude)
-        layer = {}
-        for h in {p.phi_outer for p in params}:
-            y_loc = np.linspace(max(0.0, point["a"] - h), point["a"] + h, 1601)
-            layer[h] = y_loc, prov(t, y_loc, (0, 1, 2, 3))
+        layer = {h: np.linspace(max(0.0, point["a"] - h), point["a"] + h, 1601)
+                 for h in {p.phi_outer for p in params}}
         for j, p in enumerate(params):
             sc = _Scalars(**point, eps=p.eps, tau=pair.tau)
-            mode = _assemble(p, pair, sc, y, rows, prov, phases[j][i])
-            log_full[j, i] = np.log(float(np.max(np.abs(mode.U))))
-            loc = _assemble(p, pair, sc, *layer[p.phi_outer], prov,
-                            phases[j][i])
-            sl_sup = float(np.max(np.abs(loc.components["dy_vsl"])))
-            amp_sl = abs(loc.E) * t * sl_sup
+            E = np.exp(1j * phases[j][i] / p.eps)
+            # U = E (eps vtilde' + i t d_y S), as _assemble forms it
+            dyS = dy_vreg + _shear_layer(cuts[j], pair, sc, y)["dy_vsl"]
+            U = E * (p.eps * vt1[j] + 1j * t * dyS)
+            log_full[j, i] = np.log(float(np.max(np.abs(U))))
+            dy_vsl = _shear_layer(cuts[j], pair, sc,
+                                  layer[p.phi_outer])["dy_vsl"]
+            amp_sl = abs(complex(E)) * t * float(np.max(np.abs(dy_vsl)))
             log_sl[j, i] = np.log(amp_sl) if amp_sl > 0 else -np.inf
     return [{"t": ts, "log_sl": sl, "log_full": full}
             for sl, full in zip(log_sl, log_full)]

@@ -103,6 +103,19 @@ def test_unknown_family_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("extra", [{"grid": {"ny": "x"}},
+                                   {"probe": {"ks": 5}},
+                                   {"probe": {"ks": [32, True]}}],
+                         ids=["ny-str", "ks-int", "ks-bool"])
+def test_wrong_value_type_is_config_error(tmp_path, capsys, extra):
+    cfg = _write_cfg(tmp_path, extra)
+    rc = main(["heat", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_json_is_config_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")

@@ -4,9 +4,9 @@ import pytest
 import shearmodes as sm
 from shearmodes import eigen
 from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
-                              find_tau, matching_defect, matrix_eigenvalues,
-                              scale_eigendata, shoot_tails)
-from shearmodes.errors import NoRootFound, TailBlowup
+                              find_root, find_tau, matching_defect,
+                              matrix_eigenvalues, scale_eigendata, shoot_tails)
+from shearmodes.errors import NoRootFound, NotConverged, TailBlowup
 from shearmodes.path import CriticalPath
 
 
@@ -45,8 +45,32 @@ def test_profile_solves_ode_in_closed_form(pair):
 
 
 def test_matrix_collocation_oracle(pair):
-    ev = matrix_eigenvalues(pair.problem)
-    assert np.min(np.abs(ev - pair.tau)) < 1e-4
+    ev = matrix_eigenvalues(pair.problem, pair.tau)
+    assert abs(ev - pair.tau) < 1e-4
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_shift_invert_oracle_matches_dense_nearest(s):
+    # dense eigvals of the same collocation matrix is the reference; at
+    # s = -1 the shift -1 - 2i lies off the spectrum, 1.33 from tau and
+    # 2.23 from the next eigenvalue, so the iteration must travel to tau
+    prob = DispersionProblem(sign_curvature=s)
+    tau = s * np.exp(-1j * s * np.pi / 4)
+    ev = np.linalg.eigvals(eigen._collocation_matrix(s, 240, 8.0))
+    shifts = [tau, -1.0 - 2.0j] if s == -1 else [tau]
+    for near in shifts:
+        dist = np.sort(np.abs(ev - near))
+        assert dist[0] < 0.7 * dist[1]
+        ref = ev[np.argmin(np.abs(ev - near))]
+        assert abs(matrix_eigenvalues(prob, near) - ref) < 1e-9, near
+    assert abs(matrix_eigenvalues(prob, tau) - tau) < 1e-13
+
+
+def test_shift_invert_oracle_raises_without_a_nearest_eigenvalue():
+    # at s = +1 the two eigenvalues nearest -1 - 2i lie 2.00005 and 2.00011
+    # away: inverse iteration cannot separate them within its step budget
+    with pytest.raises(NotConverged):
+        matrix_eigenvalues(DispersionProblem(sign_curvature=1), -1.0 - 2.0j)
 
 
 def test_v_jump_identities(pair):
@@ -106,10 +130,10 @@ def test_tail_boundary_values_on_decaying_branch(pair):
 def test_refinement_drift(pair):
     base = pair.tau
     prob_z = DispersionProblem(Z=18.0)
-    tau_z = find_tau(prob_z, seed_tau=base).tau
+    tau_z, _ = find_root(prob_z, seed_tau=base)
     assert abs(tau_z - base) < 1e-6
     prob_tol = DispersionProblem(rtol=1e-12)
-    tau_tol = find_tau(prob_tol, seed_tau=base).tau
+    tau_tol, _ = find_root(prob_tol, seed_tau=base)
     assert abs(tau_tol - base) < 1e-6
 
 
@@ -125,7 +149,7 @@ def test_positive_curvature_root_by_conjugation():
     prob = DispersionProblem(sign_curvature=1)
     p1 = find_tau(prob)
     assert abs(p1.tau - np.exp(-1j * np.pi / 4)) < 1e-10
-    assert np.min(np.abs(matrix_eigenvalues(prob) - p1.tau)) < 1e-9
+    assert abs(matrix_eigenvalues(prob, p1.tau) - p1.tau) < 1e-9
     assert p1.residual_norm < 1e-8
 
 

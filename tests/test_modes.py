@@ -328,3 +328,27 @@ def test_amplitude_series_kernel_calls_independent_of_n(
                               gauss_field, gauss_path, gauss_scaled, ts)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_amplitude_series_takes_one_field_row_of_dyus_per_time(
+        monkeypatch, gauss_field, gauss_path, gauss_scaled, gauss_prof):
+    # the path scalars and the phase take single-point kernel calls; the
+    # only multi-point call per sample time is d_y u_s on the field grid,
+    # because U reads no other order and the layer sup reads no u_s
+    calls = []
+    derivs = sm.HeatFlow.derivs
+
+    def counted(self, t, y, orders=(0, 1, 2, 3, 4)):
+        calls.append((t, np.atleast_1d(y), tuple(orders)))
+        return derivs(self, t, y, orders)
+
+    monkeypatch.setattr(sm.HeatFlow, "derivs", counted)
+    ts = np.linspace(0.03 / 24, 0.03, 6)
+    mode_amplitude_series([default_params(gauss_prof, n)
+                           for n in (32, 64, 128, 256)],
+                          gauss_field, gauss_path, gauss_scaled, ts)
+    rows = [c for c in calls if c[1].size > 1]
+    assert [c[0] for c in rows] == list(ts)
+    for _, y, orders in rows:
+        assert np.array_equal(y, gauss_field.y_grid)
+        assert orders == (1,)
