@@ -10,21 +10,17 @@ __version__ = "0.1.0"
 from .errors import (CflViolation, CurvatureVanished, DegenerateCritical,
                      HorizonExceeded, InsufficientData, NoCriticalPoint,
                      NonFiniteState, NoRootFound, NotConverged,
-                     QuadratureFailure,
-                     ShearmodesError, TailBlowup, WindowTooShort, ZeroMass)
+                     QuadratureFailure, ShearmodesError, TailBlowup,
+                     WindowTooShort)
 from .profiles import (DecayClass, ShearProfile, build_family,
                        critical_points, family_names, make_profile)
 from .heat import HeatFlow, HeatFlowField, heat_residual_probe, solve_heat
 from .path import CriticalPath, track_critical_point
 from .eigen import (DispersionProblem, Eigenpair, ScaledEigendata, find_root,
-                    find_tau, matching_defect, matrix_eigenvalues,
-                    scale_eigendata, shoot_tails)
+                    find_tau, matrix_eigenvalues, scale_eigendata, shoot_tails)
 from .modes import (BumpCorrector, ModeField, ModeParams, ResidualField,
-                    Smoothstep, assemble_frozen, assemble_mode, corrector,
-                    default_params, initial_tangential_norm,
-                    old_frozen_tangential, residual)
+                    Smoothstep, assemble_mode, default_params,
+                    initial_tangential_norm, old_frozen_tangential, residual)
 from .evolve import (FourierModeState, SolverConfig, Trajectory, auto_dt,
-                     dirichlet_heat_kernel, evolve, growth_row,
-                     inviscid_exact, operator_growth_probe, step)
-from .norms import (FitResult, TailClass, fit_power_law, fit_rate, mode_sobolev,
-                    tail_class, weighted_sup)
+                     evolve, growth_row, operator_growth_probe, step)
+from .norms import FitResult, TailClass, fit_power_law, fit_rate, weighted_sup

@@ -34,10 +34,6 @@ class NotConverged(ShearmodesError):
     """An iterative solve did not reach its stated residual bound."""
 
 
-class ZeroMass(ShearmodesError):
-    """Corrector seed integrates to zero; the normalized antiderivative is undefined."""
-
-
 class HorizonExceeded(ShearmodesError):
     """Requested time is beyond the validity horizon of the critical path."""
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import CflViolation, NonFiniteState, WindowTooShort
 from .heat import HeatFlowField
-from .norms import fit_rate, fit_regressor_rate, weighted_sup
-
-_GL8 = np.polynomial.legendre.leggauss(8)
+from .norms import fit_rate, weighted_sup
+from .path import time_integral
 
 # Pade-13 scaling threshold of scaling and squaring (Higham 2005)
 _THETA13 = 5.371920351148152
@@ -242,12 +241,12 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
                       final=s, log_scale=log_scale)
 
 
-def evolve_grouped(field: HeatFlowField, ks, u0s, configs, t_final: float, *,
-                   renormalize: bool = True) -> list[Trajectory]:
+def evolve_grouped(field: HeatFlowField, ks, u0s, configs,
+                   t_final: float) -> list[Trajectory]:
     """Evolve the mode u0s[i] of wavenumber ks[i] from t = 0 under
-    configs[i], as one evolve batch per distinct config (in practice, per
-    dt), each batch holding its ks in their given order.  Returns the
-    one-mode trajectories in the order of ks."""
+    configs[i], renormalised, as one evolve batch per distinct config (in
+    practice, per dt), each batch holding its ks in their given order.
+    Returns the one-mode trajectories in the order of ks."""
     groups = {}
     for i, config in enumerate(configs):
         groups.setdefault(config, []).append(i)
@@ -257,100 +256,26 @@ def evolve_grouped(field: HeatFlowField, ks, u0s, configs, t_final: float, *,
                               y=field.y_grid,
                               u_hat=np.stack([np.asarray(u0s[i], dtype=complex)
                                               for i in rows]))
-        traj = evolve(s0, field, config, t_final, renormalize=renormalize)
+        traj = evolve(s0, field, config, t_final, renormalize=True)
         for j, i in enumerate(rows):
             out[i] = traj.row(j)
     return out
 
 
 # ---------------------------------------------------------------------------
-# exact inviscid transport oracle
-
-
-def inviscid_exact(u0, U, Uprime, k: int, t: float, y_grid) -> tuple:
-    """Exact mode solution of the inviscid linearized problem around frozen U:
-
-        u_hat(t,y) = e^{-i k U(y) t} u0(y)
-                     + t U'(y) * i k * int_0^y e^{-i k U(z) t} u0(z) dz,
-
-    with the matching v_hat.  u0, U, Uprime are callables; cumulative
-    integrals by per-cell 8-point Gauss-Legendre on the output grid.
-    """
-    y = np.asarray(y_grid, dtype=float)
-    gx, gw = _GL8
-    mids = 0.5 * (y[1:] + y[:-1])
-    halves = 0.5 * np.diff(y)
-    nodes = (mids[:, None] + halves[:, None] * gx[None, :])
-    wts = halves[:, None] * gw[None, :]
-    fz = np.exp(-1j * k * U(nodes) * t) * u0(nodes)
-    I_cells = np.sum(wts * fz, axis=1)
-    J_cells = np.sum(wts * U(nodes) * fz, axis=1)
-    I = np.concatenate([[0.0 + 0.0j], np.cumsum(I_cells)])
-    J = np.concatenate([[0.0 + 0.0j], np.cumsum(J_cells)])
-    Uy = U(y)
-    u_hat = np.exp(-1j * k * Uy * t) * u0(y) + t * Uprime(y) * 1j * k * I
-    v_hat = -1j * k * I + t * k * k * (Uy * I - J)
-    return u_hat, v_hat
-
-
-def dirichlet_heat_kernel(u0, y_grid, t: float, *, halfwidth: float = 9.0,
-                          nodes_per_panel: int = 12,
-                          panel_factor: float = 0.7) -> np.ndarray:
-    """Kernel solution of the pure heat equation on the half line with
-    u(t,0)=0 (odd extension); u0 is a callable on y >= 0.  Oracle for the
-    k = 0 reduction of the stepper."""
-    y = np.asarray(y_grid, dtype=float)
-    if t == 0.0:
-        return u0(y).astype(complex)
-    width = np.sqrt(4.0 * t)
-    h = min(panel_factor * width, 0.5)
-    hi = y[-1] + halfwidth * width
-    npan = int(np.ceil(hi / h))
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = np.linspace(0.0, npan * h, npan + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * h
-    nodes = (mid[:, None] + half * gx[None, :]).ravel()
-    wts = np.broadcast_to(half * gw[None, :], (npan, gx.size)).ravel()
-    f = u0(nodes) * wts
-    c = 1.0 / width
-    km = np.exp(-(c * (y[:, None] - nodes[None, :])) ** 2)
-    kp = np.exp(-(c * (y[:, None] + nodes[None, :])) ** 2)
-    return (km - kp) @ f * (c / np.sqrt(np.pi))
-
-
-# ---------------------------------------------------------------------------
 # growth measurement and the ill-posedness probe
 
 
-def path_kappa_integral(path, t_samples) -> np.ndarray:
-    """int_0^t kappa(s) ds on the sample times, accumulated gap by gap, each
-    gap between consecutive times by the trapezoid rule on 9 equispaced
-    points."""
-    t = np.asarray(t_samples, dtype=float)
-    out = np.zeros_like(t)
-    acc = 0.0
-    prev = 0.0
-    for i, tv in enumerate(t):
-        if tv > prev:
-            mids = np.linspace(prev, tv, 9)
-            vals = path.kappa(mids)
-            acc += float(np.trapezoid(vals, mids))
-        out[i] = acc
-        prev = tv
-    return out
-
-
-def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9),
-               t_prefactor: bool = True, kappa_power: float = 1.5) -> dict:
+def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9)) -> dict:
     """Fit the growth rate of one log-amplitude trajectory.
 
     The growing-component amplitude model is
 
         a(t) = const * t * kappa(t)^{3/2} * exp(|Im tau| sqrt(k) K(t)),
 
-    K(t) = int_0^t kappa: the t and kappa^{3/2} prefactors are known
-    structure of the assembly, so they are subtracted before fitting.
+    K(t) = int_0^t kappa by time_integral (path.kappa is all this reads of
+    path): the t and kappa^{3/2} prefactors are known structure of the
+    assembly, so they are subtracted before fitting.
     sigma(k) is the least-squares slope of the compensated log amplitude
     against t over the window (so it averages the instantaneous rate
     |Im tau| sqrt(k) kappa(t) across the window; the curvature decay of the
@@ -362,16 +287,13 @@ def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9),
     ln = np.asarray(lognorm, dtype=float)
     t_final = t[-1]
     lo, hi = window[0] * t_final, window[1] * t_final
-    mask = (t >= lo) & (t <= hi) & (t > 0)
-    comp = ln.copy()
-    if t_prefactor:
-        comp = comp - np.log(np.maximum(t, 1e-300))
-    if kappa_power:
-        comp = comp - kappa_power * np.log(np.asarray(path.kappa(t), dtype=float))
-    fit_plain = fit_rate(t, comp, window=(lo, hi))
-    X = np.sqrt(k) * path_kappa_integral(path, t)
+    comp = (ln - np.log(np.maximum(t, 1e-300))
+            - 1.5 * np.log(np.asarray(path.kappa(t), dtype=float)))
+    in_window = (t >= lo) & (t <= hi)
+    fit_plain = fit_rate(t, comp, in_window)
+    X = np.sqrt(k) * time_integral(path.kappa, t)
     try:
-        fit_model = fit_regressor_rate(X, comp, window_mask=mask)
+        fit_model = fit_rate(X, comp, in_window & (t > 0))
         im_tau_hat, model_resid = fit_model.rate, fit_model.residual
     except WindowTooShort:
         im_tau_hat, model_resid = float("nan"), float("nan")
@@ -446,8 +368,8 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
 def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,
                           t: float, m: int, alpha: float, sigmas,
                           mu: float = 0.25, dt_fn=None,
-                          scheme: str = "imex-cn", c_cfl: float = 0.5,
-                          renormalize: bool = True) -> list[dict]:
+                          scheme: str = "imex-cn",
+                          c_cfl: float = 0.5) -> list[dict]:
     """Evolve per-k mode initial data and report amplification ratios, one
     row per (sigma, k), sigma-major.  sigma enters only the damping, so each
     k is evolved once for all sigmas.
@@ -471,8 +393,7 @@ def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,
     configs = [SolverConfig(dt=dt_fn(k) if dt_fn
                             else auto_dt(k, field, t, c_cfl=c_cfl),
                             scheme=scheme, c_cfl=c_cfl) for k in ks]
-    trajs = evolve_grouped(field, ks, u0s, configs, t,
-                           renormalize=renormalize)
+    trajs = evolve_grouped(field, ks, u0s, configs, t)
     evolved = [(k, weighted_sup(u0, field.y_grid, alpha), traj.lognorm[-1])
                for k, u0, traj in zip(ks, u0s, trajs)]
     rows = []

@@ -19,6 +19,7 @@ for chunks that close to the wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,22 @@ SQRT_PI = np.sqrt(np.pi)
 
 # y points summed together against one window of quadrature nodes
 _CHUNK = 64
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gl_panels(mid, half, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, shape (panels, n), of the n-point Gauss-Legendre
+    rule on each panel [mid - half, mid + half]; half is one width for all
+    panels or one per panel."""
+    gx, gw = gauss_legendre(n)
+    mid = np.asarray(mid, dtype=float)
+    half = np.broadcast_to(np.asarray(half, dtype=float), mid.shape)[:, None]
+    return mid[:, None] + half * gx, half * gw
 
 
 def _gauss_hermite(x: np.ndarray, orders: Sequence[int]) -> list:
@@ -61,7 +78,6 @@ class HeatFlow:
         self.nodes_per_panel = nodes_per_panel
         self.kernel_halfwidth = kernel_halfwidth
         self.max_nodes = max_nodes
-        self._gl = np.polynomial.legendre.leggauss(nodes_per_panel)
 
     # ---- pieces -----------------------------------------------------------
 
@@ -97,12 +113,9 @@ class HeatFlow:
                 f"t={t:g} needs {npan * self.nodes_per_panel} quadrature nodes "
                 f"(> {self.max_nodes}); grid too fine for this solver")
         edges = np.linspace(0.0, npan * h, npan + 1)
-        gx, gw = self._gl
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * h
-        nodes = (mid[:, None] + half * gx[None, :]).ravel()
-        wts = np.broadcast_to(half * gw[None, :], (npan, gx.size)).ravel().copy()
-        return nodes, wts
+        nodes, wts = gl_panels(0.5 * (edges[1:] + edges[:-1]), 0.5 * h,
+                               self.nodes_per_panel)
+        return nodes.ravel(), wts.ravel()
 
     # ---- public -----------------------------------------------------------
 
@@ -141,9 +154,6 @@ class HeatFlow:
         return [ramp[j] + (-c) ** j * (c / SQRT_PI) * sums[i]
                 for i, j in enumerate(orders)]
 
-    def value(self, t: float, y, order: int = 0) -> np.ndarray:
-        return self.derivs(t, y, orders=(order,))[0]
-
     def quadrature_gap(self, t: float, y) -> float:
         """Self-check: re-evaluate with doubled panel density and compare."""
         ref = self.derivs(t, y, orders=(0, 2))
@@ -168,7 +178,6 @@ class HeatFlowField:
     dy_us: np.ndarray
     d2y_us: np.ndarray
     d3y_us: np.ndarray
-    d4y_us: np.ndarray
     dt_us: np.ndarray     # equals d2y_us by construction
     flow: HeatFlow
 
@@ -220,12 +229,8 @@ def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
     if y[0] != 0.0:
         raise ValueError("y_grid must start at the wall y=0")
     flow = HeatFlow(profile)
-    rows = [flow.derivs(float(tv), y) for tv in t]
-    us = np.array([r[0] for r in rows])
-    d1 = np.array([r[1] for r in rows])
-    d2 = np.array([r[2] for r in rows])
-    d3 = np.array([r[3] for r in rows])
-    d4 = np.array([r[4] for r in rows])
+    rows = [flow.derivs(float(tv), y, orders=(0, 1, 2, 3)) for tv in t]
+    us, d1, d2, d3 = (np.array([r[j] for r in rows]) for j in range(4))
     if check and t[-1] > 0:
         probe_t = float(t[len(t) // 2] if t[len(t) // 2] > 0 else t[-1])
         probe_y = y[:: max(1, y.size // 24)]
@@ -234,25 +239,13 @@ def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
             raise QuadratureFailure(
                 f"panel-doubling disagreement {gap:.2e} > {quad_tol:.2e}")
     return HeatFlowField(y_grid=y, t_grid=t, us=us, dy_us=d1, d2y_us=d2,
-                         d3y_us=d3, d4y_us=d4, dt_us=d2.copy(), flow=flow)
+                         d3y_us=d3, dt_us=d2.copy(), flow=flow)
 
 
-def frozen_field(profile: ShearProfile, y_grid, t_grid) -> HeatFlowField:
-    """A field whose every time slice is the initial layer itself; companion
-    to the frozen-coefficient mode construction and the inviscid oracle."""
-    y = np.asarray(y_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    d = profile.derivs(y)
-    tile = lambda row: np.tile(row, (t.size, 1))
-    return HeatFlowField(y_grid=y, t_grid=t, us=tile(d[0]), dy_us=tile(d[1]),
-                         d2y_us=tile(d[2]), d3y_us=tile(d[3]), d4y_us=tile(d[4]),
-                         dt_us=tile(np.zeros_like(d[0])), flow=HeatFlow(profile))
-
-
-def heat_residual_probe(flow: HeatFlow, t: float, y, dt: float = 1e-4) -> float:
+def heat_residual_probe(flow: HeatFlow, t: float, y) -> float:
     """sup | d_t u_s - d_y^2 u_s | with d_t from Richardson-extrapolated
-    central differences of fresh kernel evaluations (independent of the
-    field's stored d_t, which is d_y^2 by definition)."""
+    central differences of fresh kernel evaluations at steps 1e-4 and 5e-5
+    (independent of the field's stored d_t, which is d_y^2 by definition)."""
     y = np.asarray(y, dtype=float)
     d2 = flow.derivs(t, y, orders=(2,))[0]
 
@@ -261,7 +254,7 @@ def heat_residual_probe(flow: HeatFlow, t: float, y, dt: float = 1e-4) -> float:
         dn = flow.derivs(max(t - h, 0.0), y, orders=(0,))[0]
         return (up - dn) / ((t + h) - max(t - h, 0.0))
 
-    r1 = central(dt)
-    r2 = central(dt / 2)
+    r1 = central(1e-4)
+    r2 = central(1e-4 / 2)
     dt_rich = (4.0 * r2 - r1) / 3.0
     return float(np.max(np.abs(dt_rich - d2)))

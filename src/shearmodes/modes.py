@@ -29,13 +29,11 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .eigen import Eigenpair, ScaledEigendata
-from .errors import HorizonExceeded, ZeroMass
+from .errors import HorizonExceeded
 from .heat import HeatFlowField
 from .norms import weighted_sup
-from .path import CriticalPath
+from .path import CriticalPath, time_integral
 from .profiles import ShearProfile
-
-_GL8 = np.polynomial.legendre.leggauss(8)
 
 
 # ---------------------------------------------------------------------------
@@ -97,23 +95,6 @@ class BumpCorrector:
         return self.f2(y)
 
 
-def corrector(f_callable, y_grid, *, mass_tol: float = 1e-12):
-    """Normalized antiderivative of an arbitrary seed f on a grid.
-
-    Returns (vtilde values, mass).  Raises ZeroMass when int f vanishes.
-    Cumulative Simpson on the (assumed uniform) grid.
-    """
-    from scipy.integrate import cumulative_simpson  # loaded on first use
-    y = np.asarray(y_grid, dtype=float)
-    f = np.asarray(f_callable(y) if callable(f_callable) else f_callable,
-                   dtype=float)
-    cum = cumulative_simpson(f, x=y, initial=0.0)
-    mass = cum[-1]
-    if abs(mass) < mass_tol:
-        raise ZeroMass(f"integral of f is {mass:.2e}; corrector undefined")
-    return cum / mass, mass
-
-
 # ---------------------------------------------------------------------------
 # smooth truncation
 
@@ -137,7 +118,6 @@ class Smoothstep:
             self._S = Polynomial([0, 0, 0, 10, -15, 6])
         else:
             raise ValueError("order must be 5 or 7")
-        self.order = order
         self._S1 = self._S.deriv()
         self._S2 = self._S1.deriv()
         self._S3 = self._S2.deriv()
@@ -169,7 +149,6 @@ class ModeParams:
     f_lo: float
     f_hi: float
     phi_order: int = 7
-    frozen: bool = False
 
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
@@ -186,8 +165,8 @@ class ModeParams:
         return BumpCorrector(self.f_lo, self.f_hi)
 
 
-def default_params(profile: ShearProfile, n: int, *, frozen: bool = False,
-                   f_width: float = 2.0, phi_order: int = 7) -> ModeParams:
+def default_params(profile: ShearProfile, n: int, *, f_width: float = 2.0,
+                   phi_order: int = 7) -> ModeParams:
     """Cutoff shells at (0.5, 1.0) * min(a0, 1); bump just beyond the outer
     shell.  f_width widens the bump (lower peak) so the growing part
     overtakes the corrector earlier in the smallest-k runs."""
@@ -197,8 +176,7 @@ def default_params(profile: ShearProfile, n: int, *, frozen: bool = False,
     d2 = 1.0 * scale
     lo = profile.a0 + d2 + 0.5
     return ModeParams(n=n, phi_inner=0.5 * scale, phi_outer=d2,
-                      f_lo=lo, f_hi=lo + f_width, phi_order=phi_order,
-                      frozen=frozen)
+                      f_lo=lo, f_hi=lo + f_width, phi_order=phi_order)
 
 
 class _Scalars:
@@ -242,27 +220,13 @@ def _scalars_frozen(profile: ShearProfile, pair: Eigenpair, eps: float,
 
 
 def _phase_parts(path: CriticalPath, ts) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^t -u_s(s, a(s)) ds and int_0^t kappa(s) ds at each t in ts.
-
-    Both are accumulated gap by gap over the sorted times, each gap by
-    composite 8-point Gauss-Legendre panels of width at most 0.02.
-    """
-    ts = np.asarray(ts, dtype=float)
-    adv, kap = np.empty(ts.size), np.empty(ts.size)
-    gx, gw = _GL8
-    acc_adv = acc_kap = lo = 0.0
-    for i in np.argsort(ts, kind="stable"):
-        hi = float(ts[i])
-        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / 0.02)) + 1)
-        for p0, p1 in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (p1 - p0)
-            sv = 0.5 * (p0 + p1) + half * gx
-            us_a = [path.flow.derivs(s, np.array([a]), orders=(0,))[0][0]
-                    for s, a in zip(sv, path.a(sv))]
-            acc_adv -= half * float(gw @ np.array(us_a))
-            acc_kap += half * float(gw @ path.kappa(sv))
-        adv[i], kap[i], lo = acc_adv, acc_kap, hi
-    return adv, kap
+    """int_0^t -u_s(s, a(s)) ds and int_0^t kappa(s) ds at each t in ts, by
+    time_integral; u_s(s, a(s)) is one kernel call per node."""
+    def us_a(s):
+        return np.array([path.flow.derivs(sv, np.array([a]), orders=(0,))[0][0]
+                         for sv, a in zip(s.ravel(), path.a(s).ravel())]
+                        ).reshape(s.shape)
+    return -time_integral(us_a, ts), time_integral(path.kappa, ts)
 
 
 def phase_integral(path: CriticalPath, pair: Eigenpair, eps: float,

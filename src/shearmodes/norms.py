@@ -1,4 +1,4 @@
-"""Weighted norms, per-mode Sobolev norms, rate fitting, and tail classification.
+"""Weighted norms, rate fitting, and tail classification.
 
 Grid suprema stand in for essential suprema throughout; callers are expected
 to confirm refinement stability for anything they assert at a tolerance.
@@ -13,13 +13,14 @@ import numpy as np
 from .errors import InsufficientData, WindowTooShort
 
 TAIL_FLOOR = 1e-14
+# fewest samples a rate fit accepts
+MIN_SAMPLES = 8
 
 
 @dataclass(frozen=True)
 class FitResult:
     rate: float
     residual: float
-    window: tuple[float, float]
     n_samples: int
 
 
@@ -34,51 +35,29 @@ def weighted_sup(f, y, alpha: float = 0.0) -> float:
     return float(np.max(np.exp(alpha * y) * np.abs(f)))
 
 
-def mode_sobolev(f, y, k: int, m: int = 0, alpha: float = 0.0) -> float:
-    """(1 + k^2)^{m/2} * weighted_sup: the single-mode restriction of the
-    mixed H^m-in-x / weighted-sup-in-y norm."""
-    return (1.0 + k * k) ** (m / 2.0) * weighted_sup(f, y, alpha)
+def _line_fit(x: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line v ~ slope x + intercept: (slope, intercept, rms
+    residual)."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+    resid = float(np.sqrt(np.mean((A @ coef - v) ** 2)))
+    return float(coef[0]), float(coef[1]), resid
 
 
-def fit_rate(t, lognorm, window: tuple[float, float] | None = None,
-             min_samples: int = 8) -> FitResult:
-    """Least-squares slope of log-norm against t over the window."""
-    t = np.asarray(t, dtype=float)
-    lognorm = np.asarray(lognorm, dtype=float)
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
-    lo, hi = window
-    mask = (t >= lo) & (t <= hi) & np.isfinite(lognorm)
-    if int(mask.sum()) < min_samples:
-        raise WindowTooShort(
-            f"{int(mask.sum())} samples in window [{lo}, {hi}], need {min_samples}")
-    tt, ll = t[mask], lognorm[mask]
-    A = np.vstack([tt, np.ones_like(tt)]).T
-    coef, *_ = np.linalg.lstsq(A, ll, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - ll) ** 2)))
-    return FitResult(rate=float(coef[0]), residual=resid,
-                     window=(float(lo), float(hi)), n_samples=int(mask.sum()))
-
-
-def fit_regressor_rate(x, lognorm, window_mask=None, min_samples: int = 8) -> FitResult:
-    """Least-squares slope of log-norm against an arbitrary known regressor x.
-
-    Used by growth scans to fit against the path-integrated curvature instead
-    of raw t, which removes the secular drift of the instability rate.
-    """
+def fit_rate(x, lognorm, mask=None) -> FitResult:
+    """Least-squares slope of log-norm against the regressor x (time, or a
+    known function of it such as the path-integrated curvature) over the
+    samples where mask holds and the log-norm is finite."""
     x = np.asarray(x, dtype=float)
     lognorm = np.asarray(lognorm, dtype=float)
-    mask = np.isfinite(lognorm)
-    if window_mask is not None:
-        mask &= np.asarray(window_mask, dtype=bool)
-    if int(mask.sum()) < min_samples:
-        raise WindowTooShort(f"{int(mask.sum())} samples, need {min_samples}")
-    xx, ll = x[mask], lognorm[mask]
-    A = np.vstack([xx, np.ones_like(xx)]).T
-    coef, *_ = np.linalg.lstsq(A, ll, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - ll) ** 2)))
-    return FitResult(rate=float(coef[0]), residual=resid,
-                     window=(float(xx[0]), float(xx[-1])), n_samples=int(mask.sum()))
+    keep = np.isfinite(lognorm)
+    if mask is not None:
+        keep &= np.asarray(mask, dtype=bool)
+    n = int(keep.sum())
+    if n < MIN_SAMPLES:
+        raise WindowTooShort(f"{n} samples, need {MIN_SAMPLES}")
+    rate, _, resid = _line_fit(x[keep], lognorm[keep])
+    return FitResult(rate=rate, residual=resid, n_samples=n)
 
 
 def fit_power_law(ks, sigmas) -> tuple[float, float]:
@@ -89,11 +68,8 @@ def fit_power_law(ks, sigmas) -> tuple[float, float]:
         raise InsufficientData("need at least 4 distinct k values")
     if np.any(sigmas <= 0):
         raise InsufficientData("nonpositive rate in power-law fit")
-    lk, ls = np.log(ks), np.log(sigmas)
-    A = np.vstack([lk, np.ones_like(lk)]).T
-    coef, *_ = np.linalg.lstsq(A, ls, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - ls) ** 2)))
-    return float(coef[0]), resid
+    p, _, resid = _line_fit(np.log(ks), np.log(sigmas))
+    return p, resid
 
 
 @dataclass(frozen=True)
@@ -103,36 +79,23 @@ class TailClass:
     residual: float
 
 
-def tail_class(f, y, floor: float = TAIL_FLOOR) -> TailClass:
+def tail_class(f, y) -> TailClass:
     """Classify the far-field decay of |f| on the far half of the grid.
 
     Regresses log|f| against y (exponential model) and against log y
     (algebraic model) and keeps whichever fits better.  Everything below
-    the floor counts as decaying faster than either model resolves.
+    TAIL_FLOOR counts as decaying faster than either model resolves.
     """
     f = np.asarray(f)
     y = np.asarray(y, dtype=float)
-    n = y.size
-    sel = slice(n // 2, n)
-    yy = y[sel]
-    av = np.abs(f[sel])
-    if np.all(av < floor):
-        return TailClass(kind="faster", rate=None, residual=0.0)
-    good = av > floor
+    sel = slice(y.size // 2, y.size)
+    yy, av = y[sel], np.abs(f[sel])
+    good = av > TAIL_FLOOR
     if int(good.sum()) < 4:
         return TailClass(kind="faster", rate=None, residual=0.0)
-    yy, av = yy[good], av[good]
-    lf = np.log(av)
-
-    A_exp = np.vstack([yy, np.ones_like(yy)]).T
-    c_exp, *_ = np.linalg.lstsq(A_exp, lf, rcond=None)
-    r_exp = float(np.sqrt(np.mean((A_exp @ c_exp - lf) ** 2)))
-
-    ly = np.log(yy)
-    A_alg = np.vstack([ly, np.ones_like(ly)]).T
-    c_alg, *_ = np.linalg.lstsq(A_alg, lf, rcond=None)
-    r_alg = float(np.sqrt(np.mean((A_alg @ c_alg - lf) ** 2)))
-
+    yy, lf = yy[good], np.log(av[good])
+    s_exp, _, r_exp = _line_fit(yy, lf)
+    s_alg, _, r_alg = _line_fit(np.log(yy), lf)
     if r_exp <= r_alg:
-        return TailClass(kind="exponential", rate=float(-c_exp[0]), residual=r_exp)
-    return TailClass(kind="algebraic", rate=float(-c_alg[0]), residual=r_alg)
+        return TailClass(kind="exponential", rate=-s_exp, residual=r_exp)
+    return TailClass(kind="algebraic", rate=-s_alg, residual=r_alg)

@@ -49,9 +49,6 @@ class ShearProfile:
     def __call__(self, y):
         return self.derivs(np.asarray(y, dtype=float))[0]
 
-    def deriv(self, y, order: int):
-        return self.derivs(np.asarray(y, dtype=float))[order]
-
 
 def _gaussian_bump(U0: float, A: float):
     def derivs(y):
@@ -137,15 +134,15 @@ def build_family(family: str, params: dict | None = None) -> ShearProfile:
     )
 
 
-def critical_points(profile: ShearProfile, y_max: float = 20.0,
-                    n_scan: int = 4001) -> list[tuple[float, float]]:
-    """All interior roots of U' on (0, y_max): a dense scan for sign changes,
-    then one bisection of all brackets at once down to adjacent floats,
-    keeping the endpoint with the smaller |U'|.
+def critical_points(profile: ShearProfile,
+                    y_max: float = 20.0) -> list[tuple[float, float]]:
+    """All interior roots of U' on (0, y_max): a scan of 4001 points for
+    sign changes, then one bisection of all brackets at once down to
+    adjacent floats, keeping the endpoint with the smaller |U'|.
 
     Returns (location, curvature) pairs sorted by location.
     """
-    ys = np.linspace(1e-6, y_max, n_scan)
+    ys = np.linspace(1e-6, y_max, 4001)
     d1 = profile.derivs(ys)[1]
     i = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0)
     lo, hi, f_lo, f_hi = ys[i], ys[i + 1], d1[i], d1[i + 1]
@@ -186,26 +183,3 @@ def make_profile(family: str, params: dict | None = None, *,
         decay_class=prof.decay_class, derivs=prof.derivs,
         a0=a0, curvature=curv,
     )
-
-
-def check_profile_invariants(profile: ShearProfile, y_grid, tol: float = 1e-6) -> dict:
-    """Sampled checks of the standing hypotheses; returns a report dict."""
-    y = np.asarray(y_grid, dtype=float)
-    d = profile.derivs(y)
-    rep = {
-        "wall_value": float(abs(profile(np.array([0.0]))[0])),
-        "far_field_gap": float(abs(d[0][-1] - profile.U0)),
-        "w4inf_bound": float(max(np.max(np.abs(d[0] - profile.U0)),
-                                 *(np.max(np.abs(d[j])) for j in range(1, 5)))),
-    }
-    if profile.a0 is not None:
-        da = profile.derivs(np.array([profile.a0]))
-        rep["slope_at_a0"] = float(abs(da[1][0]))
-        rep["curvature_at_a0"] = float(da[2][0])
-    if profile.decay_class.kind == "algebraic":
-        p = profile.decay_class.rate
-        far = y[y.size // 2:]
-        scaled = np.abs(profile.derivs(far)[1]) * far ** p
-        rep["algebraic_tail_bounds"] = (float(scaled.min()), float(scaled.max()))
-    rep["ok"] = rep["wall_value"] < tol and rep["far_field_gap"] < 1e-3
-    return rep

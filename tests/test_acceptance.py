@@ -27,9 +27,9 @@ import shearmodes as sm
 from shearmodes.eigen import (DispersionProblem, find_root, find_tau,
                               matrix_eigenvalues)
 from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
-                               frozen_mode_operator, growth_row, inviscid_exact,
+                               frozen_mode_operator, growth_row,
                                operator_growth_probe, transient_amplification)
-from shearmodes.heat import frozen_field, heat_residual_probe
+from shearmodes.heat import heat_residual_probe
 from shearmodes.modes import (assemble_mode, default_params,
                               initial_tangential_norm, mode_amplitude_series,
                               old_frozen_tangential, residual)
@@ -37,6 +37,8 @@ from shearmodes.norms import fit_power_law, tail_class, weighted_sup
 from scipy.linalg import eigvals, lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.special import erf
+
+from oracles import frozen_field, inviscid_exact
 
 
 def _report(num, ok, detail):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -72,6 +73,40 @@ def _probe_rows(tmp_path, name, extra):
     assert rc in (0, 4)
     path = tmp_path / name / "illposedness-probe" / "probe_report.json"
     return json.loads(path.read_text())["rows"]
+
+
+ORACLES = ("inviscid_exact", "dirichlet_heat_kernel", "frozen_field")
+
+
+def _surface_faults(src: Path) -> list[str]:
+    """Names that shearmodes/__init__.py re-exports but no module of src
+    reads outside the name's own definition, and test oracles defined in
+    src."""
+    trees = {p.name: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    faults = [f"oracle {n} defined in src" for n in ORACLES if n in defined]
+    exported = [a.asname or a.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    for name in exported:
+        inside_def, reads = set(), 0
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name == name):
+                    inside_def |= {id(n) for n in ast.walk(node)}
+            reads += sum(1 for node in ast.walk(tree)
+                         if id(node) not in inside_def
+                         and name in (getattr(node, "id", None),
+                                      getattr(node, "attr", None)))
+        if not reads:
+            faults.append(f"{name} has no reader in src")
+    return faults
+
+
+def test_public_surface_is_read_and_holds_no_oracle():
+    src = Path(shearmodes.__file__).resolve().parent
+    assert _surface_faults(src) == []
 
 
 def test_probe_honours_solver_scheme(tmp_path):

@@ -5,13 +5,14 @@ import pytest
 
 import shearmodes as sm
 from shearmodes.errors import CflViolation, NonFiniteState
-from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt,
-                               dirichlet_heat_kernel, evolve,
+from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
                                frozen_mode_operator, growth_row,
-                               inviscid_exact, operator_growth_probe, step,
+                               operator_growth_probe, step,
                                transient_amplification)
-from shearmodes.heat import HeatFlowField, frozen_field
+from shearmodes.heat import HeatFlowField
 from shearmodes.modes import default_params
+
+from oracles import dirichlet_heat_kernel, frozen_field, inviscid_exact
 
 
 def _blob(y):
@@ -286,14 +287,38 @@ def test_growth_row_short_regressor_window_gives_nan():
 
 def test_growth_row_propagates_unexpected_errors(monkeypatch):
     ev = importlib.import_module("shearmodes.evolve")
+    fit_rate = ev.fit_rate
+    regressors = []
 
-    def broken(*args, **kwargs):
-        raise ValueError("shape mismatch")
+    def regressor_fit_breaks(x, lognorm, mask):
+        # the first fit is against t itself, the second against sqrt(k) K(t)
+        regressors.append(x)
+        if len(regressors) == 2:
+            raise ValueError("shape mismatch")
+        return fit_rate(x, lognorm, mask)
 
-    monkeypatch.setattr(ev, "fit_regressor_rate", broken)
+    monkeypatch.setattr(ev, "fit_rate", regressor_fit_breaks)
     t = np.linspace(0.0, 1.0, 40)
     with pytest.raises(ValueError, match="shape mismatch"):
         growth_row(16, t, 2.0 * t, _UnitKappaPath())
+    assert np.array_equal(regressors[0], t)
+
+
+def test_growth_row_recovers_im_tau_from_the_model_amplitude(gauss_path):
+    # the amplitude model of growth_row, with int_0^t kappa by adaptive
+    # quadrature between the path's Hermite knots and the sample times
+    from scipy.integrate import quad
+    k, c, t_final = 64, 0.7071067811865476, 0.03
+    ts = np.linspace(t_final / 24, t_final, 24)
+    breaks = np.union1d(gauss_path.t_nodes[gauss_path.t_nodes < t_final], ts)
+    pieces = [quad(lambda s: float(gauss_path.kappa(s)), a, b,
+                   epsabs=1e-15, epsrel=1e-14)[0]
+              for a, b in zip(breaks[:-1], breaks[1:])]
+    K = np.concatenate([[0.0], np.cumsum(pieces)])[np.searchsorted(breaks, ts)]
+    ln = c * np.sqrt(k) * K + np.log(ts) + 1.5 * np.log(gauss_path.kappa(ts))
+    row = growth_row(k, ts, ln, gauss_path)
+    assert abs(row["im_tau_hat"] - c) <= 1e-10
+    assert row["model_fit_residual"] < 1e-12
 
 
 def test_auto_dt_respects_cfl(gauss_field):

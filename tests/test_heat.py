@@ -5,8 +5,10 @@ from scipy.special import erf
 
 import shearmodes as sm
 from shearmodes.errors import QuadratureFailure
-from shearmodes.heat import HeatFlow, frozen_field, heat_residual_probe, solve_heat
+from shearmodes.heat import HeatFlow, gl_panels, heat_residual_probe, solve_heat
 from shearmodes.profiles import build_family
+
+from oracles import frozen_field
 
 
 def test_erf_layer_is_self_similar_exact():
@@ -160,6 +162,17 @@ def test_slice_interp_weights_match_nested_products(gauss_field):
         us, dy = gauss_field.slice_interp(t)
         assert np.array_equal(us, w @ gauss_field.us[idx])
         assert np.array_equal(dy, w @ gauss_field.dy_us[idx])
+
+
+def test_gl_panels_integrate_degree_15_exactly():
+    rng = np.random.default_rng(5)
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 9))])
+    p = np.polynomial.Polynomial(rng.standard_normal(16))
+    exact = p.integ()(edges[-1]) - p.integ()(edges[0])
+    nodes, wts = gl_panels(0.5 * (edges[1:] + edges[:-1]),
+                           0.5 * np.diff(edges), 8)
+    assert nodes.shape == wts.shape == (9, 8)
+    assert abs(np.sum(wts * p(nodes)) - exact) <= 1e-13 * abs(exact)
 
 
 def test_frozen_field_slices_are_static(gauss_prof, y_grid):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
 
 import shearmodes as sm
-from shearmodes.errors import ZeroMass
 from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_frozen,
-                              assemble_mode, corrector, default_params,
+                              assemble_mode, default_params,
                               initial_tangential_norm, mode_amplitude_series,
                               old_frozen_tangential, residual)
 from shearmodes.norms import weighted_sup
@@ -38,17 +37,10 @@ def test_bump_unit_mass():
     assert ref == pytest.approx(1.0, abs=1e-12)
 
 
-def test_corrector_rejects_zero_mass():
-    y = np.linspace(0, 4, 2001)
-    odd = np.sin(2 * np.pi * y)    # integrates to ~0 over [0, 4]
-    with pytest.raises(ZeroMass):
-        corrector(odd, y)
-
-
 def test_corrector_grid_antiderivative():
     y = np.linspace(0, 6, 6001)
     b = BumpCorrector(1.0, 3.0)
-    v, mass = corrector(lambda yy: b.f(yy), y)
+    v = cumulative_simpson(b.f(y), x=y, initial=0.0)
     assert np.max(np.abs(v - b.vtilde(y))) < 1e-10
 
 

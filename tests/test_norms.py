@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from shearmodes.errors import InsufficientData, WindowTooShort
-from shearmodes.norms import (fit_power_law, fit_rate, mode_sobolev,
-                              tail_class, weighted_sup)
+from shearmodes.norms import fit_power_law, fit_rate, tail_class, weighted_sup
 
 
 def test_weighted_sup_zero_function():
@@ -60,21 +59,6 @@ def test_weighted_sup_refinement_stable():
     assert abs(v1 - v2) / v2 < 0.01
 
 
-def test_mode_sobolev_reductions():
-    y = np.linspace(0, 10, 201)
-    f = np.exp(-y)
-    assert mode_sobolev(f, y, k=5, m=0, alpha=0.3) == pytest.approx(
-        weighted_sup(f, y, 0.3))
-    assert mode_sobolev(f, y, k=0, m=3) == pytest.approx(weighted_sup(f, y))
-
-
-def test_mode_sobolev_arithmetic():
-    y = np.linspace(0, 5, 101)
-    f = 2.0 * np.ones_like(y)
-    # (1 + 9)^{2/2} * 2 = 20
-    assert mode_sobolev(f, y, k=3, m=2) == pytest.approx(20.0)
-
-
 def test_fit_rate_exact_linear():
     t = np.linspace(0, 2, 41)
     fit = fit_rate(t, 3.0 * t + 1.0)
@@ -85,8 +69,8 @@ def test_fit_rate_exact_linear():
 def test_fit_rate_t_exponential_envelope_late_window():
     t = np.linspace(0.05, 100, 4001)
     ln = np.log(t) + 3 * t
-    early = fit_rate(t, ln, window=(0.1, 1.0)).rate
-    late = fit_rate(t, ln, window=(80.0, 100.0)).rate
+    early = fit_rate(t, ln, (t >= 0.1) & (t <= 1.0)).rate
+    late = fit_rate(t, ln, (t >= 80.0) & (t <= 100.0)).rate
     assert abs(late - 3.0) < 0.02
     assert abs(late - 3.0) < abs(early - 3.0)
 
@@ -101,7 +85,7 @@ def test_fit_rate_noisy():
 def test_fit_rate_window_too_short():
     t = np.linspace(0, 1, 30)
     with pytest.raises(WindowTooShort):
-        fit_rate(t, t, window=(0.9, 0.95))
+        fit_rate(t, t, (t >= 0.9) & (t <= 0.95))
 
 
 def test_fit_power_law_exact():

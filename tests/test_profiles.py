@@ -4,8 +4,8 @@ from scipy.optimize import brentq
 
 from shearmodes.errors import DegenerateCritical, NoCriticalPoint
 from shearmodes.norms import tail_class
-from shearmodes.profiles import (build_family, check_profile_invariants,
-                                 critical_points, family_names, make_profile)
+from shearmodes.profiles import (build_family, critical_points, family_names,
+                                 make_profile)
 
 
 def _fd_derivative(f, y, order, h=1e-3):
@@ -89,11 +89,14 @@ def test_critical_points_scan_finds_both_extrema():
 
 
 def test_profile_invariants_sampled(gauss_prof):
+    # the standing hypotheses on a grid: U(0) = 0, U -> U0 in the far field,
+    # a finite W^{4,inf} jet, and U'(a0) = 0
     y = np.linspace(0, 30, 601)
-    rep = check_profile_invariants(gauss_prof, y)
-    assert rep["ok"]
-    assert rep["slope_at_a0"] < 1e-10
-    assert np.isfinite(rep["w4inf_bound"])
+    d = gauss_prof.derivs(y)
+    assert abs(d[0][0]) < 1e-6
+    assert abs(d[0][-1] - gauss_prof.U0) < 1e-3
+    assert np.all(np.isfinite(d))
+    assert abs(gauss_prof.derivs(np.array([gauss_prof.a0]))[1][0]) < 1e-10
 
 
 def test_family_registry():
