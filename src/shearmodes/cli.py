@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ShearmodesError
 from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
-                    matrix_eigenvalues, scale_eigendata)
+                    matrix_eigenvalues, scale_eigendata, tails_defect)
 from .evolve import (SolverConfig, auto_dt, evolve_grouped, growth_row,
                      operator_growth_probe, transient_amplification)
 from .heat import heat_residual_probe, solve_heat
@@ -252,12 +252,14 @@ class Pipeline:
 def cmd_eigen(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     prob, pair = pipe.problem, pipe.pair
-    refined, _ = find_root(
+    # the one shot: Newton on the refined problem, seeded at the closed form
+    refined, tails = find_root(
         dataclasses.replace(prob, Z=1.5 * prob.Z, rtol=prob.rtol / 100),
         seed_tau=pair.tau)
     drift = abs(refined - pair.tau)
     oracle_gap = abs(matrix_eigenvalues(prob, pair.tau) - pair.tau)
     artifact = pair.to_jsonable()
+    artifact["match_defect"] = float(np.max(np.abs(tails_defect(*tails))))
     artifact["refinement_drift"] = drift
     artifact["matrix_oracle_gap"] = oracle_gap
     write_json(out / "eigenpair.json", artifact)

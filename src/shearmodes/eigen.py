@@ -14,18 +14,19 @@ W -> conj(W), tau -> -conj(tau)), with G = E / (N q^2), E = exp(s1 z^2 / 2),
 and W an erfc plus an elementary term (WVEvaluator).  The profile is built
 from these formulas.
 
-The shooting is the check and the oracle.  Both tails are integrated inward
-on the decaying branch and matched at z_match; the eigenvalue condition is
-the vanishing Wronskian of G across the matching point, found by complex
-Newton on the logarithmic-derivative mismatch (holomorphic in tau) seeded
-from the closed form.  At the closed form the shooting defect is already
-below the Newton tolerance, so one shot confirms the value.  find_root is
-that Newton step alone; find_tau adds the sampled profile.  The Chebyshev
-collocation in matrix_eigenvalues is the second, independent oracle: it
-returns the collocation eigenvalue nearest a given tau by shift-invert
-iteration, checked by its residual on the collocation matrix itself.
-scipy.integrate loads at the first shot and scipy.linalg at the first
-oracle call, not with this module.
+The production pair is the closed form alone: find_tau gates it by
+problem.rect and samples the profile, with no shot.  The shooting is an
+oracle.  Both tails are integrated inward on the decaying branch and matched
+at z_match; the eigenvalue condition is the vanishing Wronskian of G across
+the matching point, found by complex Newton on the logarithmic-derivative
+mismatch (holomorphic in tau).  find_root is that Newton step from a given
+seed; seeded at the closed form, its first shot already has a defect below
+the Newton tolerance.  The Chebyshev collocation in matrix_eigenvalues is
+the second, independent oracle: it returns the collocation eigenvalue
+nearest a given tau by shift-invert iteration, checked by its residual on
+the collocation matrix itself.  scipy.integrate loads at the first shot,
+not with this module, so of the CLI commands only `eigen` loads it;
+scipy.linalg loads at the first collocation call.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -49,6 +50,7 @@ class DispersionProblem:
     Z: float = 12.0
     z_match: float = 0.0
     dz: float = 1e-3
+    # rtol and guard are read by the shot only
     rtol: float = 1e-10
     guard: float = 1e12
     rect: tuple = (-5.0, 5.0, -5.0, -0.05)   # (re_min, re_max, im_min, im_max)
@@ -152,7 +154,7 @@ def _log_derivative_defect(tau: complex, problem: DispersionProblem) -> complex:
     return _log_mismatch(*shoot_tails(tau, problem))
 
 
-def _tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
+def tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
     WL, GL, GLp = left.at_match
     OmR, GR, GRp = right.at_match
     # constraint A*WL - B*OmR = 1; minimize |A*GL - B*GR|^2 + |A*GLp - B*GRp|^2
@@ -176,7 +178,7 @@ def matching_defect(tau: complex, problem: DispersionProblem, *,
     exactly, and the returned vector is the remaining (W', W'') mismatch.
     Zero defect iff tau is an eigenvalue.
     """
-    return _tails_defect(*shoot_tails(tau, problem, rtol=rtol))
+    return tails_defect(*shoot_tails(tau, problem, rtol=rtol))
 
 
 def _newton_polish(tau: complex, problem: DispersionProblem,
@@ -276,7 +278,6 @@ class Eigenpair:
     V: np.ndarray
     residual_norm: float
     boundary_err: float
-    match_defect: float
     v_jumps: dict
     evaluator: WVEvaluator = field(repr=False)
 
@@ -286,7 +287,6 @@ class Eigenpair:
             "tau_im": self.tau.imag,
             "residual_norm": self.residual_norm,
             "boundary_err": self.boundary_err,
-            "match_defect": self.match_defect,
             "v_jumps": {k: [v.real, v.imag] for k, v in self.v_jumps.items()},
             "z_grid": self.z_grid.tolist(),
             "W_re": self.W.real.tolist(),
@@ -311,23 +311,11 @@ def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
     return float(np.max(np.abs(r)))
 
 
-def find_root(problem: DispersionProblem, *, seed_tau: complex | None = None
+def find_root(problem: DispersionProblem, *, seed_tau: complex
               ) -> tuple[complex, tuple[TailSolution, TailSolution]]:
-    """The eigenvalue tau and the tails shot at it, by complex Newton on the
-    shooting defect seeded from the closed form tau^2 = -i s, Im tau < 0.
-
-    Unseeded, the closed-form value must lie in problem.rect, and one shot
-    confirms it.  seed_tau replaces the closed-form seed (refinement
-    re-solves around a known root)."""
-    s = problem.sign_curvature
-    if seed_tau is None:
-        seed = s * np.exp(-1j * s * np.pi / 4)
-        re0, re1, im0, im1 = problem.rect
-        if not (re0 <= seed.real <= re1 and im0 <= seed.imag <= im1):
-            raise NoRootFound(f"the eigenvalue {seed:.6g} with Im tau < 0 "
-                              f"lies outside the rectangle {problem.rect}")
-    else:
-        seed = complex(seed_tau)
+    """The shooting oracle: the eigenvalue tau near seed_tau and the tails
+    shot at it, by complex Newton on the shooting defect."""
+    seed = complex(seed_tau)
     root = _newton_polish(seed, problem)
     if root is None or root[0].imag >= 0:
         raise NoRootFound(f"Newton from {seed:.6g} found no eigenvalue "
@@ -336,13 +324,18 @@ def find_root(problem: DispersionProblem, *, seed_tau: complex | None = None
 
 
 def find_tau(problem: DispersionProblem) -> Eigenpair:
-    """The unseeded root of find_root and the eigenprofile there.
+    """The closed-form eigenvalue tau^2 = -i s, Im tau < 0, and the
+    eigenprofile there; no shot.
 
-    match_defect is matching_defect at the root, taken from the Newton
-    check's own shot.  W, W', W'' and V are the closed form of WVEvaluator
-    at the root, sampled with step dz from -Z and from +Z to z_match."""
+    tau must lie in problem.rect, else NoRootFound.  W, W', W'' and V are
+    the closed form of WVEvaluator at tau, sampled with step dz from -Z and
+    from +Z to z_match."""
     s = problem.sign_curvature
-    tau, tails = find_root(problem)
+    tau = s * np.exp(-1j * s * np.pi / 4)
+    re0, re1, im0, im1 = problem.rect
+    if not (re0 <= tau.real <= re1 and im0 <= tau.imag <= im1):
+        raise NoRootFound(f"the eigenvalue {tau:.6g} with Im tau < 0 "
+                          f"lies outside the rectangle {problem.rect}")
 
     Z, zm, dz = problem.Z, problem.z_match, problem.dz
     zl = np.linspace(-Z, zm, int(round(abs(zm + Z) / dz)) + 1)
@@ -353,7 +346,6 @@ def find_tau(problem: DispersionProblem) -> Eigenpair:
     V = evaluator.v_derivs(z)[0]
 
     boundary_err = float(max(abs(W[0]), abs(W[-1] - 1.0)))
-    match_defect = float(np.max(np.abs(_tails_defect(*tails))))
     residual_norm = _fd_ode_residual(z, W, W1, W2, tau, s)
 
     # one-sided V, V', V'' at 0 from V = q (W - 1_{z>0})
@@ -369,7 +361,7 @@ def find_tau(problem: DispersionProblem) -> Eigenpair:
     return Eigenpair(
         tau=tau, problem=problem, z_grid=z, W=W, W1=W1, W2=W2, V=V,
         residual_norm=residual_norm, boundary_err=boundary_err,
-        match_defect=match_defect, v_jumps=v_jumps, evaluator=evaluator,
+        v_jumps=v_jumps, evaluator=evaluator,
     )
 
 

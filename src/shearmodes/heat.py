@@ -178,7 +178,6 @@ class HeatFlowField:
     dy_us: np.ndarray
     d2y_us: np.ndarray
     d3y_us: np.ndarray
-    dt_us: np.ndarray     # equals d2y_us by construction
     flow: HeatFlow
 
     @property
@@ -239,13 +238,13 @@ def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
             raise QuadratureFailure(
                 f"panel-doubling disagreement {gap:.2e} > {quad_tol:.2e}")
     return HeatFlowField(y_grid=y, t_grid=t, us=us, dy_us=d1, d2y_us=d2,
-                         d3y_us=d3, dt_us=d2.copy(), flow=flow)
+                         d3y_us=d3, flow=flow)
 
 
 def heat_residual_probe(flow: HeatFlow, t: float, y) -> float:
     """sup | d_t u_s - d_y^2 u_s | with d_t from Richardson-extrapolated
-    central differences of fresh kernel evaluations at steps 1e-4 and 5e-5
-    (independent of the field's stored d_t, which is d_y^2 by definition)."""
+    central differences of fresh kernel evaluations at steps 1e-4 and 5e-5,
+    independent of the kernel's d_y^2 u_s."""
     y = np.asarray(y, dtype=float)
     d2 = flow.derivs(t, y, orders=(2,))[0]
 

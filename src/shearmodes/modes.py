@@ -403,14 +403,23 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
 def assemble_mode(params: ModeParams, field_: HeatFlowField, path: CriticalPath,
                   scaled: ScaledEigendata, t: float,
                   y_grid=None) -> ModeField:
-    """Time-dependent mode per the evolving shear flow (the main object)."""
+    """Time-dependent mode per the evolving shear flow (the main object).
+
+    On the field's own y grid at a time of its t grid, the u_s rows are the
+    field's: solve_heat made the same kernel call there."""
     pair = scaled.pair
     y = np.asarray(field_.y_grid if y_grid is None else y_grid, dtype=float)
     sc = _Scalars(**_path_point(path, t), eps=params.eps, tau=pair.tau)
     phase = phase_integral(path, pair, params.eps, t)
     prov = _us_provider_path(path)
-    return _assemble(params, pair, sc, y, prov(t, y, (0, 1, 2, 3)), prov,
-                     phase)
+    hit = np.flatnonzero(field_.t_grid == t) if y_grid is None else ()
+    if len(hit):
+        i = hit[0]
+        rows = (field_.us[i], field_.dy_us[i], field_.d2y_us[i],
+                field_.d3y_us[i])
+    else:
+        rows = prov(t, y, (0, 1, 2, 3))
+    return _assemble(params, pair, sc, y, rows, prov, phase)
 
 
 def assemble_frozen(params: ModeParams, profile: ShearProfile, pair: Eigenpair,

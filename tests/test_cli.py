@@ -66,6 +66,25 @@ def test_heat_command_loads_neither_integrate_nor_optimize(tmp_path):
     assert "scipy.optimize" not in loaded
 
 
+def test_mode_command_loads_no_heavy_scipy(tmp_path):
+    # the production eigenpair is the closed form: no shot, no oracle
+    cfg = _write_cfg(tmp_path, {})
+    code = ("from shearmodes.cli import main\n"
+            f"assert main(['mode', '--config', {cfg!r}, '--out', 'o']) == 0")
+    assert _heavy_scipy_loaded(code, tmp_path) == []
+
+
+def test_probe_command_loads_neither_integrate_nor_optimize(tmp_path):
+    # the stepper needs scipy.linalg's LAPACK, not the shooting's solve_ivp
+    cfg = _write_cfg(tmp_path, {"probe": {"ks": [32, 64]}})
+    code = ("from shearmodes.cli import main\n"
+            f"assert main(['illposedness-probe', '--config', {cfg!r}, "
+            "'--out', 'o']) in (0, 4)")
+    loaded = _heavy_scipy_loaded(code, tmp_path)
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded
+
+
 def _probe_rows(tmp_path, name, extra):
     cfg = _write_cfg(tmp_path, extra)
     rc = main(["illposedness-probe", "--config", cfg,

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import shearmodes as sm
 from shearmodes import eigen
+from shearmodes.cli import main
 from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
                               find_root, find_tau, matching_defect,
                               matrix_eigenvalues, scale_eigendata, shoot_tails)
@@ -16,9 +19,8 @@ def test_eigenvalue_in_lower_half_plane(pair):
 
 def test_eigenvalue_known_value(pair):
     # closed form tau^2 = i, Im tau < 0: tau = -exp(i pi/4).  find_tau
-    # seeds Newton there and builds the closed-form profile at the root, so
-    # this checks that the one shooting shot confirms the value; the
-    # collocation oracle checks it independently below
+    # builds the pair from it with no shot; the shooting and the
+    # collocation oracle check it independently below
     assert abs(pair.tau - (-np.exp(1j * np.pi / 4))) < 1e-9
 
 
@@ -153,7 +155,7 @@ def test_positive_curvature_root_by_conjugation():
     assert p1.residual_norm < 1e-8
 
 
-def test_unseeded_solve_makes_no_scan(monkeypatch):
+def _count_shots(monkeypatch):
     calls = []
     shoot = eigen.shoot_tails
 
@@ -161,8 +163,15 @@ def test_unseeded_solve_makes_no_scan(monkeypatch):
         calls.append(1)
         return shoot(*args, **kwargs)
     monkeypatch.setattr(eigen, "shoot_tails", counting)
+    return calls
+
+
+def test_unseeded_solve_makes_no_scan(monkeypatch):
+    # the production pair is the closed form: no shot at all
+    calls = _count_shots(monkeypatch)
     find_tau(DispersionProblem())
-    assert 0 < len(calls) <= 5
+    find_tau(DispersionProblem(sign_curvature=1))
+    assert len(calls) == 0
 
 
 def test_shooting_defect_separates_the_root():
@@ -238,18 +247,19 @@ def test_closed_form_profile_matches_shooting(s):
     assert np.max(np.abs(W2 - p.W2)) < 1e-12
 
 
-def test_unseeded_solve_shoots_once(monkeypatch):
-    calls = []
-    shoot = eigen.shoot_tails
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return shoot(*args, **kwargs)
-    monkeypatch.setattr(eigen, "shoot_tails", counting)
-    prob = DispersionProblem()
-    p = find_tau(prob)
+def test_eigen_command_shoots_once(monkeypatch, tmp_path):
+    # eigen's one shot is Newton on the refined problem at the closed form;
+    # it gives both the drift and the matching defect
+    calls = _count_shots(monkeypatch)
+    assert main(["eigen", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
-    assert p.match_defect == np.max(np.abs(matching_defect(p.tau, prob)))
+    art = json.loads((tmp_path / "eigen" / "eigenpair.json").read_text())
+    prob = DispersionProblem()
+    refined = DispersionProblem(Z=1.5 * prob.Z, rtol=prob.rtol / 100)
+    tau = complex(art["tau_re"], art["tau_im"])
+    assert art["refinement_drift"] == 0.0
+    assert art["match_defect"] == np.max(np.abs(matching_defect(tau,
+                                                                refined)))
 
 
 def test_v_samples_match_evaluator_and_decay(pair):

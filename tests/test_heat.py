@@ -122,10 +122,6 @@ def test_far_field_and_max_principle(gauss_field):
     assert gauss_field.max_principle_gap() < 1e-9
 
 
-def test_dt_equals_d2y_by_construction(gauss_field):
-    assert np.array_equal(gauss_field.dt_us, gauss_field.d2y_us)
-
-
 def test_quadrature_guard_trips_on_tiny_time(gauss_prof, y_grid):
     flow = HeatFlow(gauss_prof, max_nodes=4000)
     with pytest.raises(QuadratureFailure):

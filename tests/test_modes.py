@@ -121,6 +121,25 @@ def mode64(gauss_field, gauss_path, gauss_scaled, gauss_prof):
                                  gauss_scaled, 0.05)
 
 
+def test_grid_time_mode_reads_the_field_rows(mode64, gauss_field, gauss_path,
+                                             gauss_scaled):
+    # t = 0.05 is a node of the field's t grid: the mode takes the u_s rows
+    # solve_heat computed there, and equals a fresh kernel evaluation on
+    # the same y grid bit for bit
+    params, mode = mode64
+    assert gauss_field.t_grid[5] == 0.05
+    assert np.shares_memory(mode.components["us"], gauss_field.us)
+    fresh = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, 0.05,
+                          y_grid=gauss_field.y_grid)
+    assert not np.shares_memory(fresh.components["us"], gauss_field.us)
+    for name in ("U", "dyU", "d2yU", "V", "dyV"):
+        assert np.array_equal(getattr(mode, name), getattr(fresh, name)), name
+    for name in ("us", "dyus", "d2yus", "d3yus"):
+        assert np.array_equal(mode.components[name], fresh.components[name])
+    assert np.array_equal(residual(params, mode).Rbar,
+                          residual(params, fresh).Rbar)
+
+
 def test_no_slip_exact(mode64):
     _, mode = mode64
     assert mode.U[0] == 0.0
