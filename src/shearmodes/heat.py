@@ -5,15 +5,17 @@ The solve is not a time stepper.  The initial layer splits as
     U_s(y) = U0 erf(y/2) + rem(y),
 
 the ramp evolves in closed form (U0 erf(y / (2 sqrt(1+t)))), and the
-remainder evolves by odd extension and exact Gaussian-kernel convolution,
-so the wall condition is exact and u_s stays mutually consistent with its
-first four y-derivatives at any (t, y).  d_t u_s is d_y^2 u_s by
-construction, which is what the mode-residual evaluation needs.
+remainder, from the profile's value alone (no derivatives), evolves by odd
+extension and exact Gaussian-kernel convolution, so the wall condition is
+exact and u_s stays mutually consistent with its first four y-derivatives at
+any (t, y).  d_t u_s is d_y^2 u_s by construction, which is what the
+mode-residual evaluation needs.
 
 The kernel sums are windowed: y is taken sorted in chunks, and each chunk is
 summed only against the quadrature nodes within kernel_halfwidth kernel
 widths of it (terms beyond are below e^-81), with the wall image term only
-for chunks that close to the wall.
+for chunks that close to the wall.  erf is special.erf, the C library's
+erf applied elementwise, so the heat flow loads no scipy.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import QuadratureFailure
 from .profiles import ShearProfile
+from .special import erf
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -99,7 +101,7 @@ class HeatFlow:
     def _remainder(self, eta: np.ndarray) -> np.ndarray:
         """Odd extension of U_s - U0 erf(y/2)."""
         a = np.abs(eta)
-        rem = self.profile.derivs(a)[0] - self.U0 * erf(a / 2.0)
+        rem = self.profile.value(a) - self.U0 * erf(a / 2.0)
         return np.sign(eta) * rem
 
     def _nodes(self, t: float, y_min: float, y_max: float):

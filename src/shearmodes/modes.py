@@ -214,7 +214,7 @@ def _scalars_frozen(profile: ShearProfile, pair: Eigenpair, eps: float,
                     t: float) -> _Scalars:
     a = profile.a0
     lam = profile.curvature
-    us_a = float(profile.derivs(np.array([a]))[0][0])
+    us_a = float(profile(a))
     return _Scalars(t=t, a=a, lam=lam, adot=0.0, lamdot=0.0,
                     us_a=us_a, eps=eps, tau=pair.tau)
 

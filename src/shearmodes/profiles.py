@@ -6,20 +6,22 @@ Three built-in families:
   algebraic-bump  (U0 y^2 + A y) / (1 + y^2)            (U' ~ y^-2 tail)
   monotone        U0 erf(y/2)                           (no critical point)
 
-Every family exposes the profile and its first four y-derivatives in closed
-form; nothing downstream ever differences a profile numerically.
+Every family exposes the profile alone and with its first four
+y-derivatives, in closed form; nothing downstream ever differences a profile
+numerically.  erf is the package's own (special.py), so a profile loads no
+scipy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import erf
 
 from .errors import DegenerateCritical, NoCriticalPoint
+from .special import erf
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -34,34 +36,40 @@ class DecayClass:
 class ShearProfile:
     """An initial shear layer U_s with closed-form derivatives.
 
-    derivs(y) returns (U, U', U'', U''', U'''') as arrays matching y.
-    a0/curvature are None for profiles without a located critical point.
+    value(y) returns U, and derivs(y) returns (U, U', U'', U''', U''''), as
+    arrays matching y; derivs takes its U from value, so the two agree bit
+    for bit.  a0/curvature are None for profiles without a located critical
+    point.
     """
 
     family: str
     params: dict
     U0: float
     decay_class: DecayClass
+    value: Callable[[np.ndarray], np.ndarray]
     derivs: Callable[[np.ndarray], tuple]
     a0: float | None = None
     curvature: float | None = None
 
     def __call__(self, y):
-        return self.derivs(np.asarray(y, dtype=float))[0]
+        return self.value(np.asarray(y, dtype=float))
 
 
 def _gaussian_bump(U0: float, A: float):
+    def value(y):
+        y = np.asarray(y, dtype=float)
+        return U0 * (1 - np.exp(-y)) + A * y**2 * np.exp(-y * y)
+
     def derivs(y):
         y = np.asarray(y, dtype=float)
         ey = np.exp(-y)
         g = np.exp(-y * y)
-        U = U0 * (1 - ey) + A * y**2 * g
         U1 = U0 * ey + A * (2 * y - 2 * y**3) * g
         U2 = -U0 * ey + A * (2 - 10 * y**2 + 4 * y**4) * g
         U3 = U0 * ey + A * (-24 * y + 36 * y**3 - 8 * y**5) * g
         U4 = -U0 * ey + A * (-24 + 156 * y**2 - 112 * y**4 + 16 * y**6) * g
-        return U, U1, U2, U3, U4
-    return derivs
+        return value(y), U1, U2, U3, U4
+    return value, derivs
 
 
 def _algebraic_bump(U0: float, A: float):
@@ -74,25 +82,32 @@ def _algebraic_bump(U0: float, A: float):
         nums.append(pk.deriv() * q - 2 * k * Polynomial([0.0, 1.0]) * pk)
         powers.append(k + 1)
 
+    def value(y):
+        y = np.asarray(y, dtype=float)
+        return p(y) / (1.0 + y * y)
+
     def derivs(y):
         y = np.asarray(y, dtype=float)
         qv = 1.0 + y * y
-        return tuple(nums[d](y) / qv ** powers[d] for d in range(5))
-    return derivs
+        return (value(y),) + tuple(nums[d](y) / qv ** powers[d]
+                                   for d in range(1, 5))
+    return value, derivs
 
 
 def _monotone(U0: float):
+    def value(y):
+        return U0 * erf(0.5 * np.asarray(y, dtype=float))
+
     def derivs(y):
         y = np.asarray(y, dtype=float)
         x = 0.5 * y
         g = np.exp(-x * x) / SQRT_PI
-        U = U0 * erf(x)
         U1 = U0 * g
         U2 = -U0 * x * g
         U3 = U0 * (x * x - 0.5) * g
         U4 = U0 * (1.5 * x - x**3) * g
-        return U, U1, U2, U3, U4
-    return derivs
+        return value(y), U1, U2, U3, U4
+    return value, derivs
 
 
 _FAMILIES = {
@@ -125,12 +140,14 @@ def build_family(family: str, params: dict | None = None) -> ShearProfile:
     entry = _FAMILIES[family]
     merged = dict(entry["defaults"])
     merged.update(params or {})
+    value, derivs = entry["build"](merged)
     return ShearProfile(
         family=family,
         params=merged,
         U0=float(merged.get("U0", 1.0)),
         decay_class=entry["decay"](merged),
-        derivs=entry["build"](merged),
+        value=value,
+        derivs=derivs,
     )
 
 
@@ -178,8 +195,4 @@ def make_profile(family: str, params: dict | None = None, *,
     if abs(curv) < curvature_tol:
         raise DegenerateCritical(
             f"critical point at y={a0:.6f} has |U''|={abs(curv):.2e} < {curvature_tol}")
-    return ShearProfile(
-        family=prof.family, params=prof.params, U0=prof.U0,
-        decay_class=prof.decay_class, derivs=prof.derivs,
-        a0=a0, curvature=curv,
-    )
+    return replace(prof, a0=a0, curvature=curv)

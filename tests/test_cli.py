@@ -38,13 +38,12 @@ def test_unread_config_keys_are_reported(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _heavy_scipy_loaded(code, tmp_path):
-    """The heavy scipy subpackages in sys.modules after code runs in a
-    fresh interpreter."""
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
-             "scipy.linalg"]
+def _scipy_loaded(code, tmp_path):
+    """Every scipy module in sys.modules after code runs in a fresh
+    interpreter."""
     script = (f"import json, sys\n{code}\n"
-              f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith('scipy'))))")
     src = str(Path(shearmodes.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src),
@@ -52,37 +51,47 @@ def _heavy_scipy_loaded(code, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _command_scipy_loaded(tmp_path, command, extra=None, codes=(0,)):
+    cfg = _write_cfg(tmp_path, extra or {})
+    code = ("from shearmodes.cli import main\n"
+            f"assert main([{command!r}, '--config', {cfg!r}, '--out', 'o']) "
+            f"in {codes!r}")
+    return _scipy_loaded(code, tmp_path)
+
+
 def test_import_and_config_load_no_heavy_scipy(tmp_path):
+    # erf and erfc are the package's own: start-up loads no scipy at all
     code = "import shearmodes.cli\nshearmodes.cli.load_config(None)"
-    assert _heavy_scipy_loaded(code, tmp_path) == []
+    assert _scipy_loaded(code, tmp_path) == []
 
 
 def test_heat_command_loads_neither_integrate_nor_optimize(tmp_path):
-    cfg = _write_cfg(tmp_path, {})
-    code = ("from shearmodes.cli import main\n"
-            f"assert main(['heat', '--config', {cfg!r}, '--out', 'o']) == 0")
-    loaded = _heavy_scipy_loaded(code, tmp_path)
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
+    assert _command_scipy_loaded(tmp_path, "heat") == []
 
 
 def test_mode_command_loads_no_heavy_scipy(tmp_path):
     # the production eigenpair is the closed form: no shot, no oracle
-    cfg = _write_cfg(tmp_path, {})
-    code = ("from shearmodes.cli import main\n"
-            f"assert main(['mode', '--config', {cfg!r}, '--out', 'o']) == 0")
-    assert _heavy_scipy_loaded(code, tmp_path) == []
+    assert _command_scipy_loaded(tmp_path, "mode") == []
+
+
+def test_residual_scan_loads_no_scipy(tmp_path):
+    assert _command_scipy_loaded(tmp_path, "residual-scan") == []
 
 
 def test_probe_command_loads_neither_integrate_nor_optimize(tmp_path):
     # the stepper needs scipy.linalg's LAPACK, not the shooting's solve_ivp
-    cfg = _write_cfg(tmp_path, {"probe": {"ks": [32, 64]}})
-    code = ("from shearmodes.cli import main\n"
-            f"assert main(['illposedness-probe', '--config', {cfg!r}, "
-            "'--out', 'o']) in (0, 4)")
-    loaded = _heavy_scipy_loaded(code, tmp_path)
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
+    loaded = _command_scipy_loaded(tmp_path, "illposedness-probe",
+                                   {"probe": {"ks": [32, 64]}}, codes=(0, 4))
+    for name in ("scipy.special", "scipy.integrate", "scipy.optimize"):
+        assert name not in loaded
+
+
+def test_only_eigen_loads_scipy_special(tmp_path):
+    # through scipy.integrate, for the one oracle shot; the other commands'
+    # guards above check that they load no scipy.special
+    loaded = _command_scipy_loaded(tmp_path, "eigen")
+    assert "scipy.integrate" in loaded
+    assert "scipy.special" in loaded
 
 
 def _probe_rows(tmp_path, name, extra):

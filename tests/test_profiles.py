@@ -37,6 +37,16 @@ def test_closed_form_derivatives_match_finite_differences(family, params):
         assert np.max(np.abs(exact - fd)) / scale < 5e-6, (family, order)
 
 
+@pytest.mark.parametrize("family", ["gaussian-bump", "algebraic-bump",
+                                    "monotone"])
+def test_value_is_bitwise_the_first_derivative_entry(family):
+    # the heat kernel's remainder reads U alone; it must be derivs' U
+    prof = build_family(family)
+    y = np.linspace(0.0, 30.0, 601)
+    assert np.array_equal(prof(y), prof.derivs(y)[0])
+    assert prof(1.5) == prof.derivs(np.array([1.5]))[0][0]
+
+
 def test_gaussian_bump_profile_shape():
     prof = make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0})
     assert prof(np.array([0.0]))[0] == 0.0
