@@ -20,14 +20,16 @@ problem.rect and samples the profile, with no shot.  The shooting is an
 oracle.  Both tails are integrated inward on the decaying branch and matched
 at z_match; the eigenvalue condition is the vanishing Wronskian of G across
 the matching point, found by complex Newton on the logarithmic-derivative
-mismatch (holomorphic in tau).  find_root is that Newton step from a given
-seed; seeded at the closed form, its first shot already has a defect below
-the Newton tolerance.  The Chebyshev collocation in matrix_eigenvalues is
-the second, independent oracle: it returns the collocation eigenvalue
-nearest a given tau by shift-invert iteration, checked by its residual on
-the collocation matrix itself.  scipy.integrate loads at the first shot,
-not with this module, so of the CLI commands only `eigen` loads it (and
-with it scipy.special); scipy.linalg loads at the first collocation call.
+mismatch (holomorphic in tau).  The tails are integrated by Taylor series
+(_integrate_tail): the G equation has polynomial coefficients, so the
+series about any point follows from a short exact recurrence, and the
+dense shot meets the closed form to about 7e-16.  find_root is that Newton
+step from a given seed; seeded at the closed form, its first shot already
+has a defect below the Newton tolerance.  The Chebyshev collocation in
+matrix_eigenvalues is the second, independent oracle: it returns the
+collocation eigenvalue nearest a given tau by shift-invert iteration,
+checked by its residual on the collocation matrix itself.  Both oracles
+are numpy alone, so no command loads scipy for the eigenpair or its checks.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -44,6 +46,10 @@ from .errors import NoRootFound, NotConverged, TailBlowup
 from .path import CriticalPath
 from .special import erfc
 
+# degree of the Taylor polynomials of the tail shot, and its step budget
+TAYLOR_ORDER = 30
+_MAX_STEPS = 20_000
+
 
 @dataclass(frozen=True)
 class DispersionProblem:
@@ -51,7 +57,8 @@ class DispersionProblem:
     Z: float = 12.0
     z_match: float = 0.0
     dz: float = 1e-3
-    # rtol and guard are read by the shot only
+    # rtol and guard are read by the Taylor shot only: rtol sets its step
+    # size, guard bounds |(W, G, G')| along each tail
     rtol: float = 1e-10
     guard: float = 1e12
     rect: tuple = (-5.0, 5.0, -5.0, -0.05)   # (re_min, re_max, im_min, im_max)
@@ -70,13 +77,6 @@ class DispersionProblem:
         return -np.exp(1j * self.sign_curvature * np.pi / 4)
 
 
-def _rhs(z, y, tau, s):
-    W, G, Gp = y
-    q = tau + s * z * z
-    Gpp = (-6.0 * s * z * Gp + (1j * q * q - 6.0 * s) * G) / q
-    return [G, Gp, Gpp]
-
-
 def _tail_seed(z0: float, tau: complex, problem: DispersionProblem,
                swap_branch: bool = False):
     """Two-term asymptotic seed (W-like, G, G') on the decaying branch."""
@@ -87,6 +87,46 @@ def _tail_seed(z0: float, tau: complex, problem: DispersionProblem,
     Spp = s1 - sm1 / (z0 * z0)
     Wlike = (G / Sp) * (1.0 + Spp / Sp**2)
     return np.array([Wlike, G, Sp * G], dtype=complex)
+
+
+def _taylor_series(z0: float, y: np.ndarray, tau: complex, s: int
+                   ) -> np.ndarray:
+    """Coefficients c, shape (3, TAYLOR_ORDER + 1), of the Taylor polynomials
+    of (W, G, G') about z0, so that y(z0 + x) = sum_n c[:, n] x^n.
+
+    With q = q0 + q1 x + q2 x^2 and P = i q^2 - 6 s = sum_{m<=4} P_m x^m,
+    the G equation q G'' + 6 s z G' - P G = 0 gives
+
+        q0 (n+2)(n+1) g_{n+2} = -(q1 n + 6 s z0)(n+1) g_{n+1}
+                                - (q2 n(n-1) + 6 s n) g_n + sum_m P_m g_{n-m},
+
+    and W' = G gives w_{n+1} = g_n / (n + 1)."""
+    N = TAYLOR_ORDER
+    q0, q1, q2 = tau + s * z0 * z0, 2.0 * s * z0, float(s)
+    P0, P1, P2, P3, P4 = (1j * q0 * q0 - 6.0 * s, 2j * q0 * q1,
+                          1j * (q1 * q1 + 2.0 * q0 * q2), 2j * q1 * q2,
+                          1j * q2 * q2)
+    sz, s6 = 6.0 * s * z0, 6.0 * s
+    # g with four leading zeros, so that g[n + 4] is g_n
+    g = [0.0, 0.0, 0.0, 0.0, complex(y[1]), complex(y[2])]
+    for n in range(N):
+        k = n + 4
+        acc = (P0 * g[k] + P1 * g[k - 1] + P2 * g[k - 2] + P3 * g[k - 3]
+               + P4 * g[k - 4] - (q1 * n + sz) * (n + 1) * g[k + 1]
+               - (q2 * n * (n - 1) + s6 * n) * g[k])
+        g.append(acc / (q0 * (n + 2) * (n + 1)))
+    n = np.arange(N + 1)
+    g = np.array(g[4:])
+    w = np.empty(N + 1, dtype=complex)
+    w[0] = y[0]
+    w[1:] = g[:N] / n[1:]
+    return np.array([w, g[:N + 1], (n + 1) * g[1:]])
+
+
+def _evaluate(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n c[:, n] x^n, shape (3, len(x))."""
+    powers = np.vander(x, c.shape[1], increasing=True)
+    return (c[:, None, :] * powers).sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -100,32 +140,50 @@ class TailSolution:
 def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
                     swap_branch: bool = False, dense: bool = False,
                     rtol: float | None = None) -> TailSolution:
-    from scipy.integrate import solve_ivp  # loaded on first use
+    """One tail from its asymptotic seed at -Z or +Z inward to z_match by
+    Taylor series of degree TAYLOR_ORDER (Jorba & Zou, Exp. Math. 14, 2005).
+
+    Each step takes h = 1/2 min_n (rtol max|y| / |c_n|)^{1/n} over the last
+    two coefficients c_n of the state's series, and the last step lands on
+    z_match exactly.  The guard is checked on the seed and after every step
+    (TailBlowup).  Dense output evaluates each step's polynomial at the
+    points of np.linspace(z0, z_match) that the step covers."""
     s = problem.sign_curvature
     z0 = -problem.Z if side == "left" else problem.Z
-    y0 = _tail_seed(z0, tau, problem, swap_branch=swap_branch)
-    atol = float(np.abs(y0[1])) * 1e-6 + 1e-290
-    guard = problem.guard
-
-    def blowup(z, y, *args):
-        return guard - float(np.max(np.abs(y)))
-    blowup.terminal = True
-
-    t_eval = None
+    zm, guard, rtol = problem.z_match, problem.guard, rtol or problem.rtol
+    direction = 1.0 if zm > z0 else -1.0
+    y = _tail_seed(z0, tau, problem, swap_branch=swap_branch)
     if dense:
-        n = int(round(abs(problem.z_match - z0) / problem.dz)) + 1
-        t_eval = np.linspace(z0, problem.z_match, n)
-    sol = solve_ivp(_rhs, [z0, problem.z_match], y0, args=(tau, s),
-                    method="DOP853", rtol=rtol or problem.rtol, atol=atol,
-                    events=blowup, t_eval=t_eval)
-    if sol.status == 1 or float(np.max(np.abs(sol.y[:, -1]))) > guard:
-        raise TailBlowup(
-            f"{side} tail exceeded the magnitude guard {guard:g}; "
-            "wrong branch or tau too far from the spectrum")
-    if not sol.success:
-        raise TailBlowup(f"{side} tail integration failed: {sol.message}")
-    return TailSolution(side=side, at_match=sol.y[:, -1],
-                        z=sol.t if dense else None, y=sol.y if dense else None)
+        z_out = np.linspace(z0, zm, int(round(abs(zm - z0) / problem.dz)) + 1)
+        y_out = np.empty((3, z_out.size), dtype=complex)
+        ahead = direction * z_out          # increasing along the integration
+        done = 0
+    z = z0
+    for _ in range(_MAX_STEPS):
+        size = float(np.max(np.abs(y)))
+        if not size <= guard:
+            raise TailBlowup(
+                f"{side} tail exceeded the magnitude guard {guard:g}; "
+                "wrong branch or tau too far from the spectrum")
+        if z == zm:
+            break
+        c = _taylor_series(z, y, tau, s)
+        h = 0.5 * min((rtol * size / float(np.max(np.abs(c[:, n]))))
+                      ** (1.0 / n) for n in (TAYLOR_ORDER - 1, TAYLOR_ORDER))
+        z_new = zm if h >= abs(zm - z) else z + direction * h
+        if dense:
+            stop = int(np.searchsorted(ahead, direction * z_new))
+            y_out[:, done:stop] = _evaluate(c, z_out[done:stop] - z)
+            done = stop
+        y = _evaluate(c, np.array([z_new - z]))[:, 0]
+        z = z_new
+    else:
+        raise TailBlowup(f"{side} tail did not reach z_match in "
+                         f"{_MAX_STEPS} Taylor steps")
+    if not dense:
+        return TailSolution(side=side, at_match=y)
+    y_out[:, -1] = y
+    return TailSolution(side=side, at_match=y, z=z_out, y=y_out)
 
 
 def shoot_tails(tau: complex, problem: DispersionProblem, *,
@@ -302,10 +360,10 @@ def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
     (4th-order central stencil on every stride-th grid point); W' and W'' are
     the samples themselves, and W is not read.  It measures the sampled
     profile independently of its formulas.  Its floor, about 2e-9 on the
-    default problem (h = 2e-3 after the stride), is the stencil's truncation
-    and rounding, not a profile error: the closed-form profile agrees with a
-    dense shot at rtol 1e-13 to 1e-13, so the measure cannot see a profile
-    error below about 1e-9."""
+    default problem (h = 2e-3 after the stride), is all the stencil's
+    truncation and rounding, not a profile error: the closed-form profile
+    agrees with a dense Taylor shot at rtol 1e-13 to about 7e-16, so the
+    measure cannot see a profile error below about 1e-9."""
     z, W, W1, W2 = z[::stride], W[::stride], W1[::stride], W2[::stride]
     h = z[1] - z[0]
     W3 = np.full_like(W2, np.nan)
@@ -405,24 +463,24 @@ def matrix_eigenvalues(problem: DispersionProblem, near: complex, *,
     """Independent oracle: the eigenvalue nearest `near` of the Chebyshev
     collocation matrix C of _collocation_matrix.
 
-    Shift-invert: C - near I is LU-factored once, and inverse iteration
-    runs until the pair (lam, x), lam = near + 1 / (x^H (C - near I)^{-1} x)
-    for unit x, has ||C x - lam x|| <= 1e-9 |lam|.  The residual is taken on
-    C itself, so a converged pair is an eigenpair of C whatever the solves
-    did; if no iterate passes within 200 steps, NotConverged is raised.
+    Shift-invert: C - near I is inverted once, by numpy (no scipy), and
+    inverse iteration w = (C - near I)^{-1} v runs until the pair (lam, v),
+    lam = near + 1 / (v^H w) for unit v, has ||C v - lam v|| <= 1e-9 |lam|.
+    The residual is taken on C itself, so a converged pair is an eigenpair
+    of C whatever the inverse did; if no iterate passes within 200 steps,
+    NotConverged is raised.
     Inverse iteration converges to the eigenvalue nearest the shift, at the
     rate of the ratio of its distance to the next one's; a pair that ends on
     another eigenvalue lies farther from `near`, so an oracle gap read from
     it can only come out larger.
     """
-    from scipy.linalg import lu_factor, lu_solve  # loaded on first use
     C = _collocation_matrix(problem.sign_curvature, n_cheb, z_max)
     n = C.shape[0]
     near = complex(near)
-    lu = lu_factor(C - near * np.eye(n))
+    inv = np.linalg.inv(C - near * np.eye(n))
     v = np.ones(n, dtype=complex) / np.sqrt(n)
     for _ in range(200):
-        w = lu_solve(lu, v)
+        w = inv @ v
         lam = near + 1.0 / np.vdot(v, w)
         if np.linalg.norm(C @ v - lam * v) <= 1e-9 * abs(lam):
             return complex(lam)

@@ -1,13 +1,18 @@
-"""Independent oracles of the stepper: exact solutions it is checked against.
+"""Independent oracles: exact solutions the stepper is checked against, and
+a general-purpose integrator for the dispersion shot.
 
-They share only the Gauss-Legendre panel builder with the package, and
-nothing of the heat or stepper code they check.
+The stepper's oracles share only the Gauss-Legendre panel builder with the
+package, and nothing of the heat or stepper code they check.  The DOP853
+shot shares only the tails' asymptotic seed and TailSolution with the
+Taylor-series shot it checks.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
+from shearmodes.eigen import TailSolution, _tail_seed
 from shearmodes.heat import gl_panels
 
 
@@ -64,3 +69,31 @@ def frozen_field(profile, y_grid, t_grid) -> SimpleNamespace:
     return SimpleNamespace(y_grid=y, us=us, dy_us=dy_us,
                            horizon=float(t_grid[-1]),
                            slice_interp=lambda t: (us[0], dy_us[0]))
+
+
+def _rhs(z, y, tau, s):
+    W, G, Gp = y
+    q = tau + s * z * z
+    Gpp = (-6.0 * s * z * Gp + (1j * q * q - 6.0 * s) * G) / q
+    return [G, Gp, Gpp]
+
+
+def dop853_tail(tau: complex, problem, side: str, *, dense: bool = False,
+                rtol: float | None = None) -> TailSolution:
+    """One tail of the dispersion shot by scipy's DOP853, from the same seed
+    as eigen._integrate_tail to z_match; atol is 1e-6 of the seed's |G|.
+    Dense output is taken on the same np.linspace as the Taylor shot's."""
+    z0 = -problem.Z if side == "left" else problem.Z
+    y0 = _tail_seed(z0, complex(tau), problem)
+    atol = float(np.abs(y0[1])) * 1e-6 + 1e-290
+    t_eval = None
+    if dense:
+        n = int(round(abs(problem.z_match - z0) / problem.dz)) + 1
+        t_eval = np.linspace(z0, problem.z_match, n)
+    sol = solve_ivp(_rhs, [z0, problem.z_match], y0,
+                    args=(complex(tau), problem.sign_curvature),
+                    method="DOP853", rtol=rtol or problem.rtol, atol=atol,
+                    t_eval=t_eval)
+    assert sol.success, sol.message
+    return TailSolution(side=side, at_match=sol.y[:, -1],
+                        z=sol.t if dense else None, y=sol.y if dense else None)

@@ -79,19 +79,25 @@ def test_residual_scan_loads_no_scipy(tmp_path):
 
 
 def test_probe_command_loads_neither_integrate_nor_optimize(tmp_path):
-    # the stepper needs scipy.linalg's LAPACK, not the shooting's solve_ivp
+    # the stepper needs scipy.linalg's LAPACK and nothing else of scipy
     loaded = _command_scipy_loaded(tmp_path, "illposedness-probe",
                                    {"probe": {"ks": [32, 64]}}, codes=(0, 4))
     for name in ("scipy.special", "scipy.integrate", "scipy.optimize"):
         assert name not in loaded
 
 
-def test_only_eigen_loads_scipy_special(tmp_path):
-    # through scipy.integrate, for the one oracle shot; the other commands'
-    # guards above check that they load no scipy.special
-    loaded = _command_scipy_loaded(tmp_path, "eigen")
-    assert "scipy.integrate" in loaded
-    assert "scipy.special" in loaded
+def test_eigen_loads_no_scipy(tmp_path):
+    # the shot is a Taylor series and the collocation oracle numpy's inverse
+    assert _command_scipy_loaded(tmp_path, "eigen") == []
+
+
+def test_growth_scan_loads_neither_special_integrate_nor_optimize(tmp_path):
+    # the scan needs scipy.linalg's expm and scipy.sparse's svds only
+    loaded = _command_scipy_loaded(
+        tmp_path, "growth-scan",
+        {"growth": {"n_list": [16, 32], "transient_ks": [16]}}, codes=(0, 4))
+    for name in ("scipy.special", "scipy.integrate", "scipy.optimize"):
+        assert name not in loaded
 
 
 def _probe_rows(tmp_path, name, extra):

@@ -12,6 +12,8 @@ from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
 from shearmodes.errors import NoRootFound, NotConverged, TailBlowup
 from shearmodes.path import CriticalPath
 
+from oracles import dop853_tail
+
 
 def test_eigenvalue_in_lower_half_plane(pair):
     assert pair.tau.imag < 0
@@ -123,6 +125,14 @@ def test_swapped_branch_blows_up(pair):
         shoot_tails(-1j, pair.problem, swap_branch=True)
 
 
+def test_taylor_shot_raises_when_its_step_budget_runs_out(monkeypatch, pair):
+    # the budget bounds the loop when the steps cannot reach z_match, as
+    # with rtol = 0; the default shot takes 37 steps per tail
+    monkeypatch.setattr(eigen, "_MAX_STEPS", 10)
+    with pytest.raises(TailBlowup, match="Taylor steps"):
+        shoot_tails(pair.tau, pair.problem)
+
+
 def test_tail_boundary_values_on_decaying_branch(pair):
     left, right = shoot_tails(-1j, pair.problem, dense=True)
     assert abs(left.y[0, 0]) < 1e-10          # W at -Z
@@ -220,10 +230,9 @@ def test_eigenpair_artifact_schema(pair):
     assert len(art["W_re"]) == len(art["z_grid"])
 
 
-def _shooting_profile(tau, problem, rtol):
-    """W, W', W'' assembled from the dense shot: the tails scaled so that W
+def _joined_profile(left, right):
+    """W, W', W'' assembled from dense tails: the tails scaled so that W
     and W' match at z_match, the right tail's first slot shifted by 1."""
-    left, right = shoot_tails(tau, problem, dense=True, rtol=rtol)
     WL, GL, _ = left.at_match
     OmR, GR, _ = right.at_match
     A, B = np.linalg.solve(np.array([[WL, -OmR], [GL, -GR]]),
@@ -234,10 +243,15 @@ def _shooting_profile(tau, problem, rtol):
     return z, np.concatenate([yl.T, yr.T[::-1][1:]]).T
 
 
+def _shooting_profile(tau, problem, rtol):
+    """W, W', W'' from the dense shot."""
+    return _joined_profile(*shoot_tails(tau, problem, dense=True, rtol=rtol))
+
+
 @pytest.mark.parametrize("s", [-1, 1])
 def test_closed_form_profile_matches_shooting(s):
-    # the shooting stays the oracle of the closed form; at rtol 1e-12 the
-    # shot's own error in W'' is 1.05e-12, at 1e-13 it is 1.0e-13
+    # the shooting stays the oracle of the closed form; the Taylor shot at
+    # rtol 1e-13 agrees with it to 7e-16 (pinned below), far inside 1e-12
     prob = DispersionProblem(sign_curvature=s)
     p = find_tau(prob)
     z, (W, W1, W2) = _shooting_profile(p.tau, prob, rtol=1e-13)
@@ -245,6 +259,41 @@ def test_closed_form_profile_matches_shooting(s):
     assert np.max(np.abs(W - p.W)) < 1e-12
     assert np.max(np.abs(W1 - p.W1)) < 1e-12
     assert np.max(np.abs(W2 - p.W2)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_taylor_shot_matches_closed_form_to_rounding(s):
+    # the Taylor shot is a sharp oracle: its dense profile meets the closed
+    # form's W, W', W'' to rounding level (6.8e-16 measured), and its last
+    # dense sample is the state it hands to the matching
+    prob = DispersionProblem(sign_curvature=s)
+    p = find_tau(prob)
+    tails = shoot_tails(p.tau, prob, dense=True, rtol=1e-13)
+    for tail in tails:
+        assert np.array_equal(tail.y[:, -1], tail.at_match)
+    z, (W, W1, W2) = _joined_profile(*tails)
+    assert np.array_equal(z, p.z_grid)
+    assert np.max(np.abs(W - p.W)) <= 1e-14
+    assert np.max(np.abs(W1 - p.W1)) <= 1e-14
+    assert np.max(np.abs(W2 - p.W2)) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_taylor_shot_matches_dop853(s):
+    # scipy's DOP853 is the independent integrator of the same seeds
+    prob = DispersionProblem(sign_curvature=s)
+    tau = s * np.exp(-1j * s * np.pi / 4)
+    taylor = shoot_tails(tau, prob, dense=True, rtol=1e-13)
+    dop = tuple(dop853_tail(tau, prob, side, dense=True, rtol=1e-13)
+                for side in ("left", "right"))
+    for a, b in zip(taylor, dop):
+        _, G, Gp = a.at_match
+        _, Gd, Gpd = b.at_match
+        assert abs(Gp / G - Gpd / Gd) <= 1e-12
+    z, y = _joined_profile(*taylor)
+    zd, yd = _joined_profile(*dop)
+    assert np.array_equal(z, zd)
+    assert np.max(np.abs(y - yd)) <= 1e-12
 
 
 def test_eigen_command_shoots_once(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ from scipy.linalg import solve_banded
 from scipy.special import erf
 
 import shearmodes as sm
+from shearmodes.cli import Pipeline, deep_merge, load_config
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow, gl_panels, heat_residual_probe, solve_heat
 from shearmodes.profiles import build_family
@@ -158,6 +159,38 @@ def test_slice_interp_weights_match_nested_products(gauss_field):
         us, dy = gauss_field.slice_interp(t)
         assert np.array_equal(us, w @ gauss_field.us[idx])
         assert np.array_equal(dy, w @ gauss_field.dy_us[idx])
+
+
+def test_stepper_coefficients_at_probe_step_times():
+    # the stepper reads (u_s, d_y u_s) from slice_interp, cubic in t on the
+    # 16 slices; HeatFlow.derivs is the exact kernel solution.  Measured at
+    # the default probe's 241 step times: 4.0e-4 and 2.09e-2 overall, both
+    # in the sqrt(t) wall corner layer at t < 3e-3, and 1.37e-5 and 1.65e-4
+    # for t >= 0.02.  The bounds add a 25 % margin; at nt = 6 the errors
+    # are 1.4e-3 and 3.9e-2 overall, 6.3e-4 and 1.3e-2 for t >= 0.02
+    cfg = load_config(None)
+    pipe = Pipeline(cfg)
+    t = min(cfg["probe"]["t"], pipe.path.t0)
+    steps = {int(np.ceil(t / pipe.step_dt(k, t))) for k in cfg["probe"]["ks"]}
+    times = np.unique(np.concatenate([np.linspace(0.0, t, n + 1)
+                                      for n in steps]))
+    ref = [pipe.field.flow.derivs(float(tv), pipe.y, orders=(0, 1))
+           for tv in times]
+    late = times >= 0.02
+    bounds = np.array([5e-4, 2.6e-2]), np.array([1.7e-5, 2.1e-4])
+
+    def within(field):
+        # sup over y of |slice_interp - derivs|, one row per step time
+        err = np.array([[np.max(np.abs(a - b))
+                         for a, b in zip(field.slice_interp(float(tv)), r)]
+                        for tv, r in zip(times, ref)])
+        return (np.all(err.max(axis=0) <= bounds[0])
+                and np.all(err[late].max(axis=0) <= bounds[1]))
+
+    assert pipe.field.t_grid.size == 16
+    assert within(pipe.field)
+    coarse = Pipeline(deep_merge(cfg, {"grid": {"nt": 6}})).field
+    assert not within(coarse)
 
 
 def test_gl_panels_integrate_degree_15_exactly():
