@@ -16,8 +16,8 @@ from .profiles import (DecayClass, ShearProfile, build_family,
                        critical_points, family_names, make_profile)
 from .heat import HeatFlow, HeatFlowField, heat_residual_probe, solve_heat
 from .path import CriticalPath, track_critical_point
-from .eigen import (DispersionProblem, Eigenpair, ScaledEigendata, find_root,
-                    find_tau, matrix_eigenvalues, scale_eigendata, shoot_tails)
+from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
+                    matrix_eigenvalues, sample_profile, shoot_tails)
 from .modes import (BumpCorrector, ModeField, ModeParams, ResidualField,
                     Smoothstep, assemble_mode, default_params,
                     initial_tangential_norm, old_frozen_tangential, residual)

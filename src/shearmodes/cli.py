@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ShearmodesError
 from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
-                    matrix_eigenvalues, scale_eigendata, tails_defect)
+                    matrix_eigenvalues, sample_profile, tails_defect)
 from .evolve import (SolverConfig, auto_dt, evolve_grouped, growth_row,
                      operator_growth_probe, transient_amplification)
 from .heat import heat_residual_probe, solve_heat
@@ -37,7 +37,7 @@ DEFAULT_CONFIG = {
     "eigen": {"Z": 12.0, "dz": 1e-3, "rtol": 1e-10,
               "rect": [-5.0, 5.0, -5.0, -0.05]},
     "path": {"dt": 2e-3, "floor_frac": 0.1},
-    "mode": {"n": 64, "f_width": 2.0, "phi_order": 7, "t_snapshot": 0.05},
+    "mode": {"n": 64, "f_width": 2.0, "t_snapshot": 0.05},
     "solver": {"scheme": "imex-cn", "c_cfl": 0.5, "min_steps": 240},
     "growth": {
         # the algebraic family runs with a deeper jet (A=4) so its curvature
@@ -133,10 +133,8 @@ def _check_types(value, default, name: str):
 
 def _validate(cfg: dict):
     _check_types(cfg, DEFAULT_CONFIG, "")
-    named = [cfg["profile"]] + list(cfg["growth"].get("families") or [])
-    if "profile" in cfg["residual_scan"]:
-        named.append(cfg["residual_scan"]["profile"])
-    for prof in named:
+    for prof in ([cfg["profile"]] + cfg["growth"]["families"]
+                 + [cfg["residual_scan"]["profile"]]):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
     for n in cfg["growth"]["n_list"] + cfg["probe"]["ks"] + [cfg["mode"]["n"]]:
@@ -172,12 +170,9 @@ def write_manifest(out: Path, cfg: dict, command: str):
 
 
 class Pipeline:
-    """Shared profile -> heat -> path -> eigen -> scaling context.
+    """Shared profile -> heat -> path -> eigen context."""
 
-    A given pair is used instead of solving the dispersion problem, which
-    does not depend on the profile."""
-
-    def __init__(self, cfg: dict, pair: Eigenpair | None = None):
+    def __init__(self, cfg: dict):
         self.cfg = cfg
         g = cfg["grid"]
         self.y = np.linspace(0.0, g["y_max"], g["ny"])
@@ -186,7 +181,7 @@ class Pipeline:
                                     cfg["profile"]["params"])
         self._field = None
         self._path = None
-        self._pair = pair
+        self._pair = None
 
     @property
     def field(self):
@@ -215,30 +210,24 @@ class Pipeline:
             self._pair = find_tau(self.problem)
         return self._pair
 
-    @property
-    def scaled(self):
-        return scale_eigendata(self.pair, self.path)
-
     def sigma0(self) -> float:
-        """Measured growth constant: safety * sup_t |Im tau_phys(t)|."""
-        return self.cfg["sigma0_safety"] * self.scaled.im_tau_phys_sup()
+        """Measured growth constant: safety * sup_t |Im tau_phys(t)|, with
+        tau_phys(t) = kappa(t) tau, over 101 times in [0, t0]."""
+        ts = np.linspace(0.0, self.path.t0, 101)
+        return self.cfg["sigma0_safety"] * (
+            abs(self.pair.tau.imag) * float(np.max(self.path.kappa(ts))))
 
     def mode_params(self, n: int):
-        m = self.cfg["mode"]
-        return default_params(self.profile, n, f_width=m["f_width"],
-                              phi_order=m["phi_order"])
-
-    def step_dt(self, k: int, t_final: float) -> float:
-        """auto_dt's step for wavenumber k at cfg["solver"]'s settings."""
-        s = self.cfg["solver"]
-        return auto_dt(k, self.field, t_final, c_cfl=s["c_cfl"],
-                       min_steps=s["min_steps"])
+        return default_params(self.profile, n,
+                              f_width=self.cfg["mode"]["f_width"])
 
     def solver_config(self, k: int, t_final: float) -> SolverConfig:
-        """The stepper settings of cfg["solver"] for wavenumber k."""
+        """The stepper settings of cfg["solver"] for wavenumber k, with
+        auto_dt's step."""
         s = self.cfg["solver"]
-        return SolverConfig(dt=self.step_dt(k, t_final), scheme=s["scheme"],
-                            c_cfl=s["c_cfl"])
+        dt = auto_dt(k, self.field, t_final, c_cfl=s["c_cfl"],
+                     min_steps=s["min_steps"])
+        return SolverConfig(dt=dt, scheme=s["scheme"], c_cfl=s["c_cfl"])
 
     def mode_initial(self, n: int) -> np.ndarray:
         params = self.mode_params(n)
@@ -252,22 +241,24 @@ class Pipeline:
 def cmd_eigen(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     prob, pair = pipe.problem, pipe.pair
+    samples = sample_profile(pair, prob)
     # the one shot: Newton on the refined problem, seeded at the closed form
     refined, tails = find_root(
         dataclasses.replace(prob, Z=1.5 * prob.Z, rtol=prob.rtol / 100),
         seed_tau=pair.tau)
     drift = abs(refined - pair.tau)
     oracle_gap = abs(matrix_eigenvalues(prob, pair.tau) - pair.tau)
-    artifact = pair.to_jsonable()
+    artifact = samples.to_jsonable()
     artifact["match_defect"] = float(np.max(np.abs(tails_defect(*tails))))
     artifact["refinement_drift"] = drift
     artifact["matrix_oracle_gap"] = oracle_gap
     write_json(out / "eigenpair.json", artifact)
     rows = ["z,V_re,V_im"]
     rows += [f"{z:.9g},{v.real:.12g},{v.imag:.12g}"
-             for z, v in zip(pair.z_grid[::10], pair.V[::10])]
+             for z, v in zip(samples.z_grid[::10], samples.V[::10])]
     write_text(out / "V_profile.csv", "\n".join(rows) + "\n")
-    print(f"eigen: tau = {pair.tau:.12f}  residual = {pair.residual_norm:.2e}  "
+    print(f"eigen: tau = {pair.tau:.12f}  "
+          f"residual = {samples.residual_norm:.2e}  "
           f"oracle gap = {oracle_gap:.2e}  drift = {drift:.2e}")
     return 0
 
@@ -296,7 +287,7 @@ def cmd_mode(cfg: dict, out: Path) -> int:
     n = cfg["mode"]["n"]
     t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
     params = pipe.mode_params(n)
-    mode = assemble_mode(params, pipe.field, pipe.path, pipe.scaled, t)
+    mode = assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
     res = residual(params, mode)
     jumps = mode.jump_report(pipe.pair)
     rows = ["y,U_re,U_im,V_re,V_im,vreg_re,vreg_im,vsl_re,vsl_im,corrector"]
@@ -329,10 +320,7 @@ def cmd_mode(cfg: dict, out: Path) -> int:
 
 def cmd_residual_scan(cfg: dict, out: Path) -> int:
     sc = cfg["residual_scan"]
-    run_cfg = cfg
-    if "profile" in sc:
-        run_cfg = deep_merge(cfg, {"profile": sc["profile"]})
-    pipe = Pipeline(run_cfg)
+    pipe = Pipeline(deep_merge(cfg, {"profile": sc["profile"]}))
     sigma0 = pipe.sigma0()
     rows = []
     for n in sc["n_list"]:
@@ -340,7 +328,7 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
         for t in sc["t_list"]:
             if t > pipe.path.t0:
                 continue
-            mode = assemble_mode(params, pipe.field, pipe.path, pipe.scaled, t)
+            mode = assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
             res = residual(params, mode)
             for alpha in sc["alphas"]:
                 nrm = weighted_sup(res.R, pipe.y, alpha)
@@ -396,19 +384,17 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     critical path, the eigenvalue, and the phase quadrature.
     """
     g = cfg["growth"]
-    families = g.get("families") or [cfg["profile"]]
+    families = g["families"] or [cfg["profile"]]
     report = {"families": [], "p_band": g["p_band"],
               "sigma_rel_tol": g["sigma_rel_tol"]}
     series = []
     ok = True
-    shared_pair = None
     for fam in families:
-        pipe = Pipeline(deep_merge(cfg, {"profile": fam}), pair=shared_pair)
-        shared_pair = pipe.pair          # profile-independent problem
+        pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
         t_final = min(g["t_final"], pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)
         amps = mode_amplitude_series([pipe.mode_params(n) for n in g["n_list"]],
-                                     pipe.field, pipe.path, pipe.scaled, ts)
+                                     pipe.field, pipe.path, pipe.pair, ts)
         # evolved reference trajectories from the corrector initial data
         trajs = evolve_grouped(
             pipe.field, g["n_list"], [pipe.mode_initial(n) for n in g["n_list"]],
@@ -434,11 +420,11 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
             p, p_res = fit_power_law(ks, sigmas)
         except ShearmodesError:
             p, p_res = None, None
-        target = float(np.abs(np.imag(pipe.scaled.tau_phys(0.0))))
+        target = abs(pipe.pair.tau.imag) * float(pipe.path.kappa(0.0))
         rel_errs = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]
         transient = []
-        t_tr = g.get("transient_t", 0.05)
-        for k in g.get("transient_ks", []):
+        t_tr = g["transient_t"]
+        for k in g["transient_ks"]:
             amp_tr = transient_amplification(pipe.profile, int(k), t_tr)
             rate = float(np.log(amp_tr) / t_tr)
             transient.append({"k": int(k), "t": t_tr,
@@ -469,13 +455,11 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     pr = cfg["probe"]
     t = min(pr["t"], pipe.path.t0)
     rate = pipe.sigma0()
-    solver = cfg["solver"]
     all_rows = operator_growth_probe(
-        pipe.field, pipe.path, pipe.mode_initial, pr["ks"],
+        pipe.field, pr["ks"], [pipe.mode_initial(k) for k in pr["ks"]],
+        [pipe.solver_config(k, t) for k in pr["ks"]],
         t=t, m=pr["m"], alpha=pr["alpha"],
-        sigmas=[f * rate for f in pr["sigma_factors"]], mu=pr["mu"],
-        dt_fn=lambda k: pipe.step_dt(k, t),
-        scheme=solver["scheme"], c_cfl=solver["c_cfl"])
+        sigmas=[f * rate for f in pr["sigma_factors"]], mu=pr["mu"])
     nk = len(pr["ks"])
     verdicts = {}
     for i, f in enumerate(pr["sigma_factors"]):

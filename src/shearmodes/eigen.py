@@ -11,25 +11,27 @@ whose solutions behave like exp(s1 z^2 / 2) z^{sm1} at |z| -> inf with
 s1^2 = i s.  The eigenpair is explicit (Gerard-Varet & Dormy, JAMS 2010):
 tau^2 = -i s, Im tau < 0 (tau = -e^{i pi/4} for s = -1; s = +1 follows by
 W -> conj(W), tau -> -conj(tau)), with G = E / (N q^2), E = exp(s1 z^2 / 2),
-and W an erfc plus an elementary term (WVEvaluator).  The profile is built
-from these formulas; erfc is special.erfc, Weideman's rational series for
-the Faddeeva function, so the closed-form pair loads no scipy.
+and W an erfc plus an elementary term.  Eigenpair is these formulas;
+erfc is special.erfc, Weideman's rational series for the Faddeeva function,
+so the closed-form pair loads no scipy.
 
 The production pair is the closed form alone: find_tau gates it by
-problem.rect and samples the profile, with no shot.  The shooting is an
-oracle.  Both tails are integrated inward on the decaying branch and matched
-at z_match; the eigenvalue condition is the vanishing Wronskian of G across
-the matching point, found by complex Newton on the logarithmic-derivative
-mismatch (holomorphic in tau).  The tails are integrated by Taylor series
-(_integrate_tail): the G equation has polynomial coefficients, so the
-series about any point follows from a short exact recurrence, and the
-dense shot meets the closed form to about 7e-16.  find_root is that Newton
-step from a given seed; seeded at the closed form, its first shot already
-has a defect below the Newton tolerance.  The Chebyshev collocation in
-matrix_eigenvalues is the second, independent oracle: it returns the
-collocation eigenvalue nearest a given tau by shift-invert iteration,
-checked by its residual on the collocation matrix itself.  Both oracles
-are numpy alone, so no command loads scipy for the eigenpair or its checks.
+problem.rect and returns it, with no shot and no samples; sample_profile
+samples it on the shot's z grid for the eigen command and its checks.  The
+shooting is an oracle.  Both tails are integrated inward on the decaying
+branch and matched at z_match; the eigenvalue condition is the vanishing
+Wronskian of G across the matching point, found by complex Newton on the
+logarithmic-derivative mismatch (holomorphic in tau).  The tails are
+integrated by Taylor series (_integrate_tail): the G equation has polynomial
+coefficients, so the series about any point follows from a short exact
+recurrence, and the dense shot meets the closed form to about 7e-16.
+find_root is that Newton step from a given seed; seeded at the closed form,
+its first shot already has a defect below the Newton tolerance.  The
+Chebyshev collocation in matrix_eigenvalues is the second, independent
+oracle: it returns the collocation eigenvalue nearest a given tau by
+shift-invert iteration, checked by its residual on the collocation matrix
+itself.  Both oracles are numpy alone, so no command loads scipy for the
+eigenpair or its checks.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -38,12 +40,11 @@ the construction and are measured, not imposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoRootFound, NotConverged, TailBlowup
-from .path import CriticalPath
 from .special import erfc
 
 # degree of the Taylor polynomials of the tail shot, and its step budget
@@ -267,9 +268,10 @@ def _newton_polish(tau: complex, problem: DispersionProblem,
     return None
 
 
-class WVEvaluator:
-    """W, W', W'' of the closed-form eigenprofile and the shear-layer profile
-    V with derivatives up to third order (algebraic in W, W', W'').
+class Eigenpair:
+    """The closed-form eigenpair at tau: W, W', W'' of the eigenprofile, the
+    shear-layer profile V with derivatives up to third order (algebraic in
+    W, W', W''), and the one-sided limits of V at 0.
 
     With q = tau + s z^2, E = exp(s1 z^2 / 2), alpha = 1/(tau - s s1 tau^2),
     beta = -s s1 alpha, r = sqrt(-s1/2) and N = beta sqrt(pi)/r:
@@ -281,6 +283,9 @@ class WVEvaluator:
     for z > 0 because W' is even.  The reflection keeps W - 1 free of
     cancellation, so V decays to the underflow limit instead of stopping at
     rounding level.
+
+    v_jumps holds V, V', V'' on each side of 0 and their jumps, from
+    V = q (W - 1_{z>0}) and the closed-form W, W', W'' at 0.
     """
 
     def __init__(self, tau: complex, s: int):
@@ -293,6 +298,15 @@ class WVEvaluator:
         norm = beta * np.sqrt(np.pi) / self._r
         self._cw = alpha / norm
         self._c1 = 1.0 / norm
+        W0, G0, Gp0 = (complex(v[0]) for v in self.w_derivs(np.zeros(1)))
+        sides = zip(("V", "V1", "V2"),
+                    (tau * W0, tau * G0, tau * Gp0 + 2 * s * W0),
+                    (tau * (W0 - 1.0), tau * G0,
+                     tau * Gp0 + 2 * s * (W0 - 1.0)))
+        self.v_jumps = {}
+        for name, left, right in sides:
+            self.v_jumps.update({f"{name}_left": left, f"{name}_right": right,
+                                 f"jump_{name}": right - left})
 
     def _profile(self, z):
         """(W - 1_{z >= 0}, W', W'') at z."""
@@ -325,11 +339,10 @@ class WVEvaluator:
 
 
 @dataclass(frozen=True)
-class Eigenpair:
-    """Eigenvalue tau (Im tau < 0), profile samples, and quality measures."""
+class ProfileSamples:
+    """The eigenprofile of pair sampled on z_grid, and its quality measures."""
 
-    tau: complex
-    problem: DispersionProblem
+    pair: Eigenpair
     z_grid: np.ndarray
     W: np.ndarray
     W1: np.ndarray
@@ -337,16 +350,16 @@ class Eigenpair:
     V: np.ndarray
     residual_norm: float
     boundary_err: float
-    v_jumps: dict
-    evaluator: WVEvaluator = field(repr=False)
 
     def to_jsonable(self) -> dict:
+        tau = self.pair.tau
         return {
-            "tau_re": self.tau.real,
-            "tau_im": self.tau.imag,
+            "tau_re": tau.real,
+            "tau_im": tau.imag,
             "residual_norm": self.residual_norm,
             "boundary_err": self.boundary_err,
-            "v_jumps": {k: [v.real, v.imag] for k, v in self.v_jumps.items()},
+            "v_jumps": {k: [v.real, v.imag]
+                        for k, v in self.pair.v_jumps.items()},
             "z_grid": self.z_grid.tolist(),
             "W_re": self.W.real.tolist(),
             "W_im": self.W.imag.tolist(),
@@ -387,45 +400,31 @@ def find_root(problem: DispersionProblem, *, seed_tau: complex
 
 
 def find_tau(problem: DispersionProblem) -> Eigenpair:
-    """The closed-form eigenvalue tau^2 = -i s, Im tau < 0, and the
-    eigenprofile there; no shot.
-
-    tau must lie in problem.rect, else NoRootFound.  W, W', W'' and V are
-    the closed form of WVEvaluator at tau, sampled with step dz from -Z and
-    from +Z to z_match."""
+    """The closed-form eigenpair, tau^2 = -i s with Im tau < 0; no shot and
+    no samples.  tau must lie in problem.rect, else NoRootFound."""
     s = problem.sign_curvature
     tau = s * np.exp(-1j * s * np.pi / 4)
     re0, re1, im0, im1 = problem.rect
     if not (re0 <= tau.real <= re1 and im0 <= tau.imag <= im1):
         raise NoRootFound(f"the eigenvalue {tau:.6g} with Im tau < 0 "
                           f"lies outside the rectangle {problem.rect}")
+    return Eigenpair(tau, s)
 
+
+def sample_profile(pair: Eigenpair, problem: DispersionProblem
+                   ) -> ProfileSamples:
+    """W, W', W'' and V of pair sampled with step dz from -Z and from +Z to
+    z_match (the grid of the dense shot), with the boundary error
+    max(|W(-Z)|, |W(Z) - 1|) and the finite-difference ODE residual."""
     Z, zm, dz = problem.Z, problem.z_match, problem.dz
     zl = np.linspace(-Z, zm, int(round(abs(zm + Z) / dz)) + 1)
     zr = np.linspace(Z, zm, int(round(abs(Z - zm) / dz)) + 1)
     z = np.concatenate([zl, zr[::-1][1:]])
-    evaluator = WVEvaluator(tau, s)
-    W, W1, W2 = evaluator.w_derivs(z)
-    V = evaluator.v_derivs(z)[0]
-
-    boundary_err = float(max(abs(W[0]), abs(W[-1] - 1.0)))
-    residual_norm = _fd_ode_residual(z, W, W1, W2, tau, s)
-
-    # one-sided V, V', V'' at 0 from V = q (W - 1_{z>0})
-    W0, G0, Gp0 = (complex(v[0]) for v in evaluator.w_derivs(np.zeros(1)))
-    sides = zip(("V", "V1", "V2"),
-                (tau * W0, tau * G0, tau * Gp0 + 2 * s * W0),
-                (tau * (W0 - 1.0), tau * G0, tau * Gp0 + 2 * s * (W0 - 1.0)))
-    v_jumps = {}
-    for name, left, right in sides:
-        v_jumps.update({f"{name}_left": left, f"{name}_right": right,
-                        f"jump_{name}": right - left})
-
-    return Eigenpair(
-        tau=tau, problem=problem, z_grid=z, W=W, W1=W1, W2=W2, V=V,
-        residual_norm=residual_norm, boundary_err=boundary_err,
-        v_jumps=v_jumps, evaluator=evaluator,
-    )
+    W, W1, W2 = pair.w_derivs(z)
+    return ProfileSamples(
+        pair=pair, z_grid=z, W=W, W1=W1, W2=W2, V=pair.v_derivs(z)[0],
+        residual_norm=_fd_ode_residual(z, W, W1, W2, pair.tau, pair.s),
+        boundary_err=float(max(abs(W[0]), abs(W[-1] - 1.0))))
 
 
 def _collocation_matrix(s: int, n_cheb: int, z_max: float) -> np.ndarray:
@@ -487,29 +486,3 @@ def matrix_eigenvalues(problem: DispersionProblem, near: complex, *,
         v = w / np.linalg.norm(w)
     raise NotConverged(f"inverse iteration at {near:.6g} did not reach an "
                        "eigen-residual of 1e-9 in 200 steps")
-
-
-@dataclass(frozen=True)
-class ScaledEigendata:
-    """tau and the shear-layer width scaled by the curvature along the path."""
-
-    pair: Eigenpair
-    path: CriticalPath
-
-    def tau_phys(self, t):
-        return np.sqrt(np.abs(self.path.lam(t)) / 2.0) * self.pair.tau
-
-    def ell(self, t):
-        """Length scale of the layer before the eps^{1/4} factor."""
-        return np.abs(self.path.lam(t) / 2.0) ** -0.25
-
-    def im_tau_phys_sup(self, n_samples: int = 101) -> float:
-        ts = np.linspace(0.0, self.path.t0, n_samples)
-        return float(np.max(np.abs(np.imag(self.tau_phys(ts)))))
-
-
-def scale_eigendata(pair: Eigenpair, path: CriticalPath) -> ScaledEigendata:
-    lam = path.lam_nodes
-    if np.any(lam >= 0):
-        raise ValueError("path carries nonnegative curvature; scaling undefined")
-    return ScaledEigendata(pair=pair, path=path)

@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CflViolation, NonFiniteState, WindowTooShort
+from .errors import CflViolation, NonFiniteState
 from .heat import HeatFlowField
 from .norms import fit_rate, weighted_sup
-from .path import time_integral
 
 # Pade-13 scaling threshold of scaling and squaring (Higham 2005)
 _THETA13 = 5.371920351148152
@@ -273,15 +272,13 @@ def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9)) -> dict:
 
         a(t) = const * t * kappa(t)^{3/2} * exp(|Im tau| sqrt(k) K(t)),
 
-    K(t) = int_0^t kappa by time_integral (path.kappa is all this reads of
-    path): the t and kappa^{3/2} prefactors are known structure of the
-    assembly, so they are subtracted before fitting.
+    K(t) = int_0^t kappa (path.kappa is all this reads of path): the t and
+    kappa^{3/2} prefactors are known structure of the assembly, so they are
+    subtracted before fitting.
     sigma(k) is the least-squares slope of the compensated log amplitude
     against t over the window (so it averages the instantaneous rate
     |Im tau| sqrt(k) kappa(t) across the window; the curvature decay of the
-    background makes it sit a few percent below the t=0 rate).  A regressor
-    fit against sqrt(k) K(t), which estimates |Im tau| itself, is reported
-    as a cross-check.
+    background makes it sit a few percent below the t=0 rate).
     """
     t = np.asarray(t, dtype=float)
     ln = np.asarray(lognorm, dtype=float)
@@ -291,19 +288,11 @@ def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9)) -> dict:
             - 1.5 * np.log(np.asarray(path.kappa(t), dtype=float)))
     in_window = (t >= lo) & (t <= hi)
     fit_plain = fit_rate(t, comp, in_window)
-    X = np.sqrt(k) * time_integral(path.kappa, t)
-    try:
-        fit_model = fit_rate(X, comp, in_window & (t > 0))
-        im_tau_hat, model_resid = fit_model.rate, fit_model.residual
-    except WindowTooShort:
-        im_tau_hat, model_resid = float("nan"), float("nan")
     return {
         "k": int(k),
         "sigma": float(fit_plain.rate),
         "sigma_over_sqrt_k": float(fit_plain.rate / np.sqrt(k)),
         "fit_residual": float(fit_plain.residual),
-        "im_tau_hat": float(im_tau_hat),
-        "model_fit_residual": float(model_resid),
         "window": [float(lo), float(hi)],
         "n_samples": fit_plain.n_samples,
         "t_final": float(t_final),
@@ -365,14 +354,13 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
                       v0=np.ones(E.shape[0], complex))[0])
 
 
-def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,
+def operator_growth_probe(field: HeatFlowField, ks, u0s, configs, *,
                           t: float, m: int, alpha: float, sigmas,
-                          mu: float = 0.25, dt_fn=None,
-                          scheme: str = "imex-cn",
-                          c_cfl: float = 0.5) -> list[dict]:
-    """Evolve per-k mode initial data and report amplification ratios, one
-    row per (sigma, k), sigma-major.  sigma enters only the damping, so each
-    k is evolved once for all sigmas.
+                          mu: float) -> list[dict]:
+    """Evolve the initial data u0s[i] of wavenumber ks[i] under configs[i]
+    to t and report amplification ratios, one row per (sigma, k),
+    sigma-major.  sigma enters only the damping, so each k is evolved once
+    for all sigmas.
 
     rho:      e^{-sigma sqrt(k) t} ||u(t)||_{W0} / ((1+k^2)^{m/2} ||u(0)||_{W_alpha})
               (the literal mode-Sobolev ratio, an H^m_alpha -> W_0 ratio
@@ -385,14 +373,8 @@ def operator_growth_probe(field: HeatFlowField, path, make_initial, ks, *,
               with loss mu < 1/2, divergent in k when sigma is below the
               true rate).
 
-    Each k steps with dt_fn(k) (default auto_dt at c_cfl) under the given
-    scheme and c_cfl, the settings of SolverConfig; the ks that share a dt
-    are evolved as one batch (evolve_grouped).
+    The ks that share a config are evolved as one batch (evolve_grouped).
     """
-    u0s = [make_initial(k) for k in ks]
-    configs = [SolverConfig(dt=dt_fn(k) if dt_fn
-                            else auto_dt(k, field, t, c_cfl=c_cfl),
-                            scheme=scheme, c_cfl=c_cfl) for k in ks]
     trajs = evolve_grouped(field, ks, u0s, configs, t)
     evolved = [(k, weighted_sup(u0, field.y_grid, alpha), traj.lognorm[-1])
                for k, u0, traj in zip(ks, u0s, trajs)]

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .eigen import Eigenpair, ScaledEigendata
+from .eigen import Eigenpair
 from .errors import HorizonExceeded
 from .heat import HeatFlowField
 from .norms import weighted_sup
@@ -102,22 +102,17 @@ class BumpCorrector:
 class Smoothstep:
     """Even cutoff: 1 on |r| <= inner, 0 on |r| >= outer, polynomial blend.
 
-    order 7 gives a C^3 junction (third derivative continuous), which keeps
-    the pointwise residual fields continuous across the cutoff shells;
-    order 5 (C^2) is available for comparison.
+    The septic blend gives a C^3 junction (third derivative continuous),
+    which keeps the pointwise residual fields continuous across the cutoff
+    shells.
     """
 
-    def __init__(self, inner: float, outer: float, order: int = 7):
+    def __init__(self, inner: float, outer: float):
         if not 0 < inner < outer:
             raise ValueError("need 0 < inner < outer")
         self.inner, self.outer = float(inner), float(outer)
         self.width = self.outer - self.inner
-        if order == 7:
-            self._S = Polynomial([0, 0, 0, 0, 35, -84, 70, -20])
-        elif order == 5:
-            self._S = Polynomial([0, 0, 0, 10, -15, 6])
-        else:
-            raise ValueError("order must be 5 or 7")
+        self._S = Polynomial([0, 0, 0, 0, 35, -84, 70, -20])
         self._S1 = self._S.deriv()
         self._S2 = self._S1.deriv()
         self._S3 = self._S2.deriv()
@@ -148,7 +143,6 @@ class ModeParams:
     phi_outer: float
     f_lo: float
     f_hi: float
-    phi_order: int = 7
 
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
@@ -159,14 +153,14 @@ class ModeParams:
         return 1.0 / self.n
 
     def cutoff(self) -> Smoothstep:
-        return Smoothstep(self.phi_inner, self.phi_outer, self.phi_order)
+        return Smoothstep(self.phi_inner, self.phi_outer)
 
     def bump(self) -> BumpCorrector:
         return BumpCorrector(self.f_lo, self.f_hi)
 
 
-def default_params(profile: ShearProfile, n: int, *, f_width: float = 2.0,
-                   phi_order: int = 7) -> ModeParams:
+def default_params(profile: ShearProfile, n: int, *,
+                   f_width: float = 2.0) -> ModeParams:
     """Cutoff shells at (0.5, 1.0) * min(a0, 1); bump just beyond the outer
     shell.  f_width widens the bump (lower peak) so the growing part
     overtakes the corrector earlier in the smallest-k runs."""
@@ -176,15 +170,17 @@ def default_params(profile: ShearProfile, n: int, *, f_width: float = 2.0,
     d2 = 1.0 * scale
     lo = profile.a0 + d2 + 0.5
     return ModeParams(n=n, phi_inner=0.5 * scale, phi_outer=d2,
-                      f_lo=lo, f_hi=lo + f_width, phi_order=phi_order)
+                      f_lo=lo, f_hi=lo + f_width)
 
 
 class _Scalars:
-    """Per-time scalar bundle: critical point, curvature, scalings, phase."""
+    """Per-time scalar bundle: critical point, curvature, scalings, phase.
+    us_a and dyus_a are u_s and d_y u_s at (t, a)."""
 
-    def __init__(self, *, t, a, lam, adot, lamdot, us_a, eps, tau):
+    def __init__(self, *, t, a, lam, adot, lamdot, us_a, dyus_a, eps, tau):
         self.t = t
         self.a = a
+        self.dyus_a = dyus_a
         self.lam = lam
         self.adot = adot
         self.lamdot = lamdot
@@ -202,12 +198,13 @@ def _path_point(path: CriticalPath, t: float) -> dict:
     if t > path.t0 + 1e-12:
         raise HorizonExceeded(f"t={t} beyond path horizon {path.t0}")
     a = float(path.a(t))
-    # one kernel call for u_s and the path ODEs: a' = -d3/d2, lam' = d4 + d3 a'
-    d0, d2, d3, d4 = (float(d[0]) for d in
-                      path.flow.derivs(t, np.array([a]), orders=(0, 2, 3, 4)))
+    # one kernel call for u_s, d_y u_s and the path ODEs: a' = -d3/d2,
+    # lam' = d4 + d3 a'
+    d0, d1, d2, d3, d4 = (float(d[0]) for d in path.flow.derivs(
+        t, np.array([a]), orders=(0, 1, 2, 3, 4)))
     adot = -d3 / d2
     return dict(t=t, a=a, lam=float(path.lam(t)), adot=adot,
-                lamdot=d4 + d3 * adot, us_a=d0)
+                lamdot=d4 + d3 * adot, us_a=d0, dyus_a=d1)
 
 
 def _scalars_frozen(profile: ShearProfile, pair: Eigenpair, eps: float,
@@ -215,8 +212,9 @@ def _scalars_frozen(profile: ShearProfile, pair: Eigenpair, eps: float,
     a = profile.a0
     lam = profile.curvature
     us_a = float(profile(a))
-    return _Scalars(t=t, a=a, lam=lam, adot=0.0, lamdot=0.0,
-                    us_a=us_a, eps=eps, tau=pair.tau)
+    dyus_a = float(profile.derivs(np.array([a]))[1][0])
+    return _Scalars(t=t, a=a, lam=lam, adot=0.0, lamdot=0.0, us_a=us_a,
+                    dyus_a=dyus_a, eps=eps, tau=pair.tau)
 
 
 def _phase_parts(path: CriticalPath, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +269,7 @@ class ModeField:
         S_r = seps * kap * sc.tau + seps * kap * j["V_right"]
         S_l = 0.0 + seps * kap * j["V_left"]
         # d_y S: reg side jump is d_y u_s(t,a) = 0 on the root; sl side [V']=0
-        dyS_r = self._dyus_at_a() + seps * kap * j["V1_right"] / ell
+        dyS_r = sc.dyus_a + seps * kap * j["V1_right"] / ell
         dyS_l = seps * kap * j["V1_left"] / ell
         d2yS_r = sc.lam + seps * kap * j["V2_right"] / ell**2
         d2yS_l = seps * kap * j["V2_left"] / ell**2
@@ -282,11 +280,6 @@ class ModeField:
             "d2yV": abs(E * (t / eps) * (d2yS_r - d2yS_l)),
             "part_jump_V": abs(E * (t / eps) * S_r),
         }
-
-    def _dyus_at_a(self) -> float:
-        sc = self.scalars
-        src = self.components["us_provider"]
-        return float(src(sc.t, np.array([sc.a]), orders=(1,))[0][0])
 
 
 @dataclass(frozen=True)
@@ -310,17 +303,6 @@ class ResidualField:
 # assembly
 
 
-def _us_provider_path(path: CriticalPath):
-    return lambda t, y, orders: path.flow.derivs(t, y, orders=orders)
-
-
-def _us_provider_frozen(profile: ShearProfile):
-    def prov(t, y, orders):
-        d = profile.derivs(y)
-        return [d[j] for j in orders]
-    return prov
-
-
 def _shear_layer(cut: Smoothstep, pair: Eigenpair, sc: _Scalars,
                  y: np.ndarray) -> dict:
     """v_sl = phi(y - a) sqrt(eps) kappa V((y - a) / ell) on y at sc.t, with
@@ -330,7 +312,7 @@ def _shear_layer(cut: Smoothstep, pair: Eigenpair, sc: _Scalars,
     r = y - sc.a
     zeta = r / sc.ell
     phi, p1, p2, p3 = cut.derivs(r)
-    V, V1, V2, V3 = pair.evaluator.v_derivs(zeta)
+    V, V1, V2, V3 = pair.v_derivs(zeta)
     amp = seps * sc.kappa
     Vf = amp * V
     dyVf = amp * V1 / sc.ell
@@ -353,7 +335,7 @@ def _shear_layer(cut: Smoothstep, pair: Eigenpair, sc: _Scalars,
 
 
 def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
-              us_rows, us_provider, phase: complex) -> ModeField:
+              us_rows, phase: complex) -> ModeField:
     """us_rows are u_s and its first three y-derivatives on y at sc.t."""
     eps, t, tau = sc.eps, sc.t, sc.tau
     seps = np.sqrt(eps)
@@ -392,8 +374,7 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
         "v_reg": v_reg, "S": S, "dy_vreg": dy_vreg, "dyS": dyS,
         "d2yS": d2yS, "d3yS": d3yS,
         "vtilde": vt, "vt1": vt1, "vt2": vt2, "vt3": vt3,
-        "us": us, "dyus": dyus, "d2yus": d2yus, "d3yus": d3yus,
-        "us_provider": us_provider, **sl,
+        "us": us, "dyus": dyus, "d2yus": d2yus, "d3yus": d3yus, **sl,
     }
     return ModeField(t=t, y=y, eps=eps, U=U, dyU=dyU, d2yU=d2yU,
                      V=V_big, dyV=dyV_big, w_eps=sc.w_eps, phase=phase,
@@ -401,25 +382,22 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
 
 
 def assemble_mode(params: ModeParams, field_: HeatFlowField, path: CriticalPath,
-                  scaled: ScaledEigendata, t: float,
-                  y_grid=None) -> ModeField:
+                  pair: Eigenpair, t: float, y_grid=None) -> ModeField:
     """Time-dependent mode per the evolving shear flow (the main object).
 
     On the field's own y grid at a time of its t grid, the u_s rows are the
     field's: solve_heat made the same kernel call there."""
-    pair = scaled.pair
     y = np.asarray(field_.y_grid if y_grid is None else y_grid, dtype=float)
     sc = _Scalars(**_path_point(path, t), eps=params.eps, tau=pair.tau)
     phase = phase_integral(path, pair, params.eps, t)
-    prov = _us_provider_path(path)
     hit = np.flatnonzero(field_.t_grid == t) if y_grid is None else ()
     if len(hit):
         i = hit[0]
         rows = (field_.us[i], field_.dy_us[i], field_.d2y_us[i],
                 field_.d3y_us[i])
     else:
-        rows = prov(t, y, (0, 1, 2, 3))
-    return _assemble(params, pair, sc, y, rows, prov, phase)
+        rows = path.flow.derivs(t, y, orders=(0, 1, 2, 3))
+    return _assemble(params, pair, sc, y, rows, phase)
 
 
 def assemble_frozen(params: ModeParams, profile: ShearProfile, pair: Eigenpair,
@@ -428,9 +406,7 @@ def assemble_frozen(params: ModeParams, profile: ShearProfile, pair: Eigenpair,
     y = np.asarray(y_grid, dtype=float)
     sc = _scalars_frozen(profile, pair, params.eps, t)
     phase = sc.w_eps * t
-    prov = _us_provider_frozen(profile)
-    return _assemble(params, pair, sc, y, prov(t, y, (0, 1, 2, 3)), prov,
-                     phase)
+    return _assemble(params, pair, sc, y, profile.derivs(y)[:4], phase)
 
 
 def old_frozen_tangential(profile: ShearProfile, pair: Eigenpair, eps: float,
@@ -444,7 +420,7 @@ def old_frozen_tangential(profile: ShearProfile, pair: Eigenpair, eps: float,
     dyus = profile.derivs(y)[1]
     H = (y >= a).astype(float)
     zeta = (y - a) / ell
-    V1 = pair.evaluator.v_derivs(zeta)[1]
+    V1 = pair.v_derivs(zeta)[1]
     return 1j * (H * dyus + np.sqrt(eps) * kap * V1 / ell)
 
 
@@ -488,7 +464,7 @@ def residual(params: ModeParams, mode: ModeField) -> ResidualField:
 
 
 def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
-                          path: CriticalPath, scaled: ScaledEigendata,
+                          path: CriticalPath, pair: Eigenpair,
                           ts) -> list[dict]:
     """Amplitude trajectories of the assembled mode family, one per params.
 
@@ -507,7 +483,6 @@ def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
     phase quadrature.
     """
     ts = np.asarray(ts, dtype=float)
-    pair = scaled.pair
     y = np.asarray(field_.y_grid, dtype=float)
     adv, kap = _phase_parts(path, ts)
     phases = [adv + np.sqrt(p.eps) * kap * pair.tau for p in params]

@@ -68,8 +68,9 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
                          dt: float = 2e-3, floor_frac: float = 0.1,
                          allow_truncation: bool = False) -> CriticalPath:
     """Integrate the critical path to t_final; raise CurvatureVanished if the
-    curvature magnitude hits floor_frac * |lambda(0)| first (or truncate there
-    when allow_truncation is set)."""
+    curvature magnitude hits floor_frac * |lambda(0)| first (or truncate
+    before that node when allow_truncation is set and two nodes precede it).
+    Every node of a returned path has lambda < 0 and |lambda| >= floor."""
     lam0 = flow.derivs(0.0, np.array([a0]), orders=(2,))[0][0]
     if lam0 >= 0:
         raise ValueError("curvature at a0 must be negative (maximum expected)")
@@ -112,16 +113,17 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
             a = a + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     if cut is not None:
-        if not allow_truncation:
+        # a truncated path keeps the nodes before the cut, and needs two
+        if not allow_truncation or cut < 2:
             raise CurvatureVanished(
                 f"|lambda| fell to {abs(lam_list[-1]):.3e} (< floor {floor:.3e}) "
                 f"at t={t_nodes[cut]:.4f} before t_final={t_final}")
-        m = max(cut, 2)
         return CriticalPath(
-            t_nodes=t_nodes[:m], a_nodes=np.array(a_list[:m]),
-            lam_nodes=np.array(lam_list[:m]), adot_nodes=np.array(adot_list[:m]),
-            lamdot_nodes=np.array(lamdot_list[:m]),
-            t0=float(t_nodes[m - 1]), floor=floor, flow=flow)
+            t_nodes=t_nodes[:cut], a_nodes=np.array(a_list[:cut]),
+            lam_nodes=np.array(lam_list[:cut]),
+            adot_nodes=np.array(adot_list[:cut]),
+            lamdot_nodes=np.array(lamdot_list[:cut]),
+            t0=float(t_nodes[cut - 1]), floor=floor, flow=flow)
 
     return CriticalPath(
         t_nodes=t_nodes, a_nodes=np.array(a_list), lam_nodes=np.array(lam_list),

@@ -45,11 +45,6 @@ def gauss_path(gauss_flow, gauss_prof):
 
 
 @pytest.fixture(scope="session")
-def gauss_scaled(pair, gauss_path):
-    return sm.scale_eigendata(pair, gauss_path)
-
-
-@pytest.fixture(scope="session")
 def alg4_prof():
     return sm.make_profile("algebraic-bump", {"U0": 1.0, "A": 4.0})
 
@@ -62,8 +57,3 @@ def alg4_field(alg4_prof, y_grid, t_grid):
 @pytest.fixture(scope="session")
 def alg4_path(alg4_prof):
     return sm.track_critical_point(sm.HeatFlow(alg4_prof), alg4_prof.a0, T0)
-
-
-@pytest.fixture(scope="session")
-def alg4_scaled(pair, alg4_path):
-    return sm.scale_eigendata(pair, alg4_path)

@@ -25,7 +25,7 @@ import pytest
 
 import shearmodes as sm
 from shearmodes.eigen import (DispersionProblem, find_root, find_tau,
-                              matrix_eigenvalues)
+                              matrix_eigenvalues, sample_profile)
 from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
                                frozen_mode_operator, growth_row,
                                operator_growth_probe, transient_amplification)
@@ -45,10 +45,18 @@ def _report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def _im_tau_phys_sup(pair, path):
+    """sup_t |Im tau_phys(t)|, tau_phys = kappa(t) tau, over 101 times of
+    [0, t0], as the CLI's sigma0 takes it."""
+    kappa = path.kappa(np.linspace(0.0, path.t0, 101))
+    return abs(pair.tau.imag) * float(np.max(kappa))
+
+
 def test_criterion_1_eigenpair_validity():
     t0 = time.time()
     prob = DispersionProblem()
     pair = find_tau(prob)
+    resid = sample_profile(pair, prob).residual_norm
     oracle_gap = abs(matrix_eigenvalues(prob, pair.tau) - pair.tau)
     drift_z = abs(find_root(DispersionProblem(Z=2 * prob.Z, rtol=1e-12),
                             seed_tau=pair.tau)[0] - pair.tau)
@@ -58,14 +66,14 @@ def test_criterion_1_eigenpair_validity():
     jump_err = max(abs(j["jump_V"] + pair.tau), abs(j["jump_V1"]),
                    abs(j["jump_V2"] - 2.0))
     elapsed = time.time() - t0
-    ok = (pair.tau.imag < 0 and pair.residual_norm < 1e-8
+    ok = (pair.tau.imag < 0 and resid < 1e-8
           and jump_err < 1e-8 and oracle_gap < 1e-4
           and max(drift_z, drift_tol) < 1e-6 and elapsed < 60)
-    _report(1, ok, f"tau={pair.tau:.10f} resid={pair.residual_norm:.1e} "
+    _report(1, ok, f"tau={pair.tau:.10f} resid={resid:.1e} "
                    f"jumps={jump_err:.1e} oracle={oracle_gap:.1e} "
                    f"drift={max(drift_z, drift_tol):.1e} [{elapsed:.0f}s]")
     assert pair.tau.imag < 0
-    assert pair.residual_norm < 1e-8
+    assert resid < 1e-8
     assert jump_err < 1e-8
     assert oracle_gap < 1e-4
     assert max(drift_z, drift_tol) < 1e-6
@@ -131,22 +139,20 @@ def test_criterion_3_inviscid_oracle_equivalence(gauss_prof):
 
 
 def test_criterion_4_growth_rate_scaling(
-        pair, gauss_field, gauss_path, gauss_scaled,
-        alg4_field, alg4_path, alg4_scaled):
+        pair, gauss_field, gauss_path, alg4_field, alg4_path):
     t0 = time.time()
     t_final = 0.03
     ts = np.linspace(t_final / 24, t_final, 24)
     summary = []
     ok = True
-    for name, field, path, scaled in (
-            ("gaussian-bump", gauss_field, gauss_path, gauss_scaled),
-            ("algebraic-bump", alg4_field, alg4_path, alg4_scaled)):
+    for name, field, path in (("gaussian-bump", gauss_field, gauss_path),
+                              ("algebraic-bump", alg4_field, alg4_path)):
         prof = field.flow.profile
-        target = float(np.abs(np.imag(scaled.tau_phys(0.0))))
+        target = abs(pair.tau.imag) * float(path.kappa(0.0))
         ns = (32, 64, 128, 256)
         amps = mode_amplitude_series(
             [default_params(prof, n, f_width=2.0) for n in ns],
-            field, path, scaled, ts)
+            field, path, pair, ts)
         fits = [growth_row(n, amp["t"], amp["log_sl"], path)
                 for n, amp in zip(ns, amps)]
         rels = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]
@@ -162,9 +168,9 @@ def test_criterion_4_growth_rate_scaling(
 
 
 def test_criterion_5_residual_bound_uniformity(
-        alg4_prof, alg4_field, alg4_path, alg4_scaled, y_grid):
+        pair, alg4_prof, alg4_field, alg4_path, y_grid):
     t0 = time.time()
-    sigma0 = 1.1 * alg4_scaled.im_tau_phys_sup()
+    sigma0 = 1.1 * _im_tau_phys_sup(pair, alg4_path)
     ratios = {}
     for alpha in (0.0, 1.0, 2.0):
         per_eps = {}
@@ -172,8 +178,7 @@ def test_criterion_5_residual_bound_uniformity(
             params = default_params(alg4_prof, n, f_width=2.0)
             best = 0.0
             for t in (0.02, 0.05, 0.08):
-                mode = assemble_mode(params, alg4_field, alg4_path,
-                                     alg4_scaled, t)
+                mode = assemble_mode(params, alg4_field, alg4_path, pair, t)
                 res = residual(params, mode)
                 damped = (weighted_sup(res.R, y_grid, alpha)
                           * np.exp(-sigma0 * t * np.sqrt(n)))
@@ -227,17 +232,17 @@ def test_criterion_6_decay_obstruction(pair):
 
 
 @pytest.fixture(scope="module")
-def probe_rows(gauss_field, gauss_path, gauss_scaled, gauss_prof, y_grid):
-    rate = 1.1 * gauss_scaled.im_tau_phys_sup()
-
-    def make_initial(k):
+def probe_rows(pair, gauss_field, gauss_path, gauss_prof, y_grid):
+    rate = 1.1 * _im_tau_phys_sup(pair, gauss_path)
+    ks = [32, 64, 128, 256, 512]
+    u0s = []
+    for k in ks:
         params = default_params(gauss_prof, k, f_width=2.0)
-        return params.eps * params.bump().v1(y_grid)
-
-    return operator_growth_probe(
-        gauss_field, gauss_path, make_initial, [32, 64, 128, 256, 512],
-        t=0.1, m=2, alpha=1.0, sigmas=[2.0 * rate], mu=0.25,
-        dt_fn=lambda k: auto_dt(k, gauss_field, 0.1, min_steps=240))
+        u0s.append(params.eps * params.bump().v1(y_grid))
+    configs = [SolverConfig(dt=auto_dt(k, gauss_field, 0.1, min_steps=240))
+               for k in ks]
+    return operator_growth_probe(gauss_field, ks, u0s, configs, t=0.1, m=2,
+                                 alpha=1.0, sigmas=[2.0 * rate], mu=0.25)
 
 
 def _leading_eigenpair(A):
@@ -255,8 +260,8 @@ def _leading_eigenpair(A):
 
 
 @pytest.mark.slow
-def test_criterion_7a_illposedness_certificate_as_stated(gauss_prof,
-                                                          gauss_scaled):
+def test_criterion_7a_illposedness_certificate_as_stated(gauss_prof, pair,
+                                                          gauss_path):
     """sigma = 0.5 rate, mu = 0.25, t = 0.1: rho_cert strictly increases over
     k = 2^16, 2^18, 2^20 and gains at least e^{0.25 rate t (sqrt(k_max) -
     sqrt(k_min))}, the growth left over after the damping and the loss (see the
@@ -264,8 +269,8 @@ def test_criterion_7a_illposedness_certificate_as_stated(gauss_prof,
     have a relative residual <= 1e-10 and its Re lambda must agree within 1e-3
     between two grids, so an unresolved or spurious mode cannot pass."""
     t0 = time.time()
-    rate = 1.1 * gauss_scaled.im_tau_phys_sup()
-    target = float(np.abs(np.imag(gauss_scaled.tau_phys(0.0))))
+    rate = 1.1 * _im_tau_phys_sup(pair, gauss_path)
+    target = abs(pair.tau.imag) * float(gauss_path.kappa(0.0))
     sigma, mu, t = 0.5 * rate, 0.25, 0.1
     ks = [2**16, 2**18, 2**20]
     certs, ratios, resids, grid_gaps = [], [], [], []
@@ -306,13 +311,13 @@ def test_criterion_7b_regularized_operator_is_tame(probe_rows):
     assert nonincreasing
 
 
-def test_criterion_7_certificate_transient_amplification(gauss_prof,
-                                                         gauss_scaled):
+def test_criterion_7_certificate_transient_amplification(gauss_prof, pair,
+                                                         gauss_path):
     """The defensible desk-scale certificate: the best-case amplification of
     the true (frozen) mode operator grows with k and its rate approaches the
     dispersion prediction from below."""
     t0 = time.time()
-    target = float(np.abs(np.imag(gauss_scaled.tau_phys(0.0))))
+    target = abs(pair.tau.imag) * float(gauss_path.kappa(0.0))
     t_probe = 0.05
     ratios = []
     for k in (64, 128, 256):
@@ -330,7 +335,7 @@ def test_criterion_7_certificate_transient_amplification(gauss_prof,
 
 
 def test_criterion_8_initial_smallness_and_mode_structure(
-        pair, gauss_prof, gauss_field, gauss_path, gauss_scaled, y_grid):
+        pair, gauss_prof, gauss_field, gauss_path, y_grid):
     t0 = time.time()
     # eps-linearity of the initial data norm
     base = {}
@@ -341,7 +346,7 @@ def test_criterion_8_initial_smallness_and_mode_structure(
     eps_lin_spread = (max(vals) - min(vals)) / max(vals)
     # jump cancellation and divergence at a working snapshot
     params = default_params(gauss_prof, 64, f_width=2.0)
-    mode = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, 0.05)
+    mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
     rep = mode.jump_report(pair)
     jump = max(rep["V"], rep["dyV"], rep["d2yV"])
     div_analytic = float(np.max(np.abs(mode.dyV + 1j / params.eps * mode.U)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import shearmodes
+from shearmodes import cli, eigen
 from shearmodes.cli import Pipeline, deep_merge, load_config, main
 
 FAST = {
@@ -159,6 +160,29 @@ def test_probe_honours_solver_c_cfl(tmp_path):
         "probe": {"ks": [4096, 8192], "sigma_factors": [2.0]},
         "solver": {"c_cfl": 0.8}})
     assert [r["k"] for r in rows] == [4096, 8192]
+
+
+def test_only_eigen_samples_the_eigenprofile(monkeypatch, tmp_path):
+    # mode and residual-scan read the closed-form pair and never its samples
+    sample = cli.sample_profile
+    calls = []
+
+    def refuse(pair, problem):
+        raise AssertionError("the eigenprofile was sampled")
+
+    def counted(pair, problem):
+        calls.append(problem)
+        return sample(pair, problem)
+
+    for module in (cli, eigen):
+        monkeypatch.setattr(module, "sample_profile", refuse)
+    cfg = _write_cfg(tmp_path, {})
+    out = str(tmp_path / "o")
+    assert main(["mode", "--config", cfg, "--out", out]) == 0
+    assert main(["residual-scan", "--config", cfg, "--out", out]) in (0, 4)
+    monkeypatch.setattr(cli, "sample_profile", counted)
+    assert main(["eigen", "--config", cfg, "--out", out]) == 0
+    assert len(calls) == 1
 
 
 def test_default_config_is_valid():

@@ -8,11 +8,18 @@ from shearmodes import eigen
 from shearmodes.cli import main
 from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
                               find_root, find_tau, matching_defect,
-                              matrix_eigenvalues, scale_eigendata, shoot_tails)
+                              matrix_eigenvalues, sample_profile, shoot_tails)
 from shearmodes.errors import NoRootFound, NotConverged, TailBlowup
 from shearmodes.path import CriticalPath
 
 from oracles import dop853_tail
+
+PROB = DispersionProblem()
+
+
+@pytest.fixture(scope="module")
+def samples(pair):
+    return sample_profile(pair, PROB)
 
 
 def test_eigenvalue_in_lower_half_plane(pair):
@@ -26,30 +33,30 @@ def test_eigenvalue_known_value(pair):
     assert abs(pair.tau - (-np.exp(1j * np.pi / 4))) < 1e-9
 
 
-def test_ode_residual_small(pair):
-    assert pair.residual_norm < 1e-8
+def test_ode_residual_small(samples):
+    assert samples.residual_norm < 1e-8
 
 
-def test_boundary_values(pair):
-    assert pair.boundary_err < 1e-10
-    assert abs(pair.W[0]) < 1e-10
-    assert abs(pair.W[-1] - 1.0) < 1e-10
+def test_boundary_values(samples):
+    assert samples.boundary_err < 1e-10
+    assert abs(samples.W[0]) < 1e-10
+    assert abs(samples.W[-1] - 1.0) < 1e-10
 
 
-def test_profile_solves_ode_in_closed_form(pair):
+def test_profile_solves_ode_in_closed_form(pair, samples):
     # particular solution check: W' is proportional to
     # (tau - z^2)^(-2) exp(s1 z^2 / 2) with s1 = -exp(-i pi/4); direct
     # substitution shows this satisfies the equation when tau^2 = i.
-    z = pair.z_grid
+    z = samples.z_grid
     mid = np.abs(z) < 8.0
     s1 = -np.exp(-1j * np.pi / 4)
     ref = (pair.tau - z[mid] ** 2) ** -2 * np.exp(s1 * z[mid] ** 2 / 2)
-    ratio = pair.W1[mid] / ref
+    ratio = samples.W1[mid] / ref
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-7
 
 
 def test_matrix_collocation_oracle(pair):
-    ev = matrix_eigenvalues(pair.problem, pair.tau)
+    ev = matrix_eigenvalues(PROB, pair.tau)
     assert abs(ev - pair.tau) < 1e-4
 
 
@@ -84,45 +91,45 @@ def test_v_jump_identities(pair):
     assert abs(j["jump_V2"] - 2.0) < 1e-8
 
 
-def test_v_tail_decays_exponentially(pair):
-    z, V = pair.z_grid, pair.V
-    out = (z > pair.problem.Z / 3) & (np.abs(V) > 1e-300)
+def test_v_tail_decays_exponentially(samples):
+    z, V = samples.z_grid, samples.V
+    out = (z > PROB.Z / 3) & (np.abs(V) > 1e-300)
     zz, vv = z[out], np.log(np.abs(V[out]))
     slope = np.polyfit(zz, vv, 1)[0]
     assert slope < -1.0     # at least e^{-|z|}; actual decay is Gaussian-like
 
 
-def test_w_reflection_symmetry(pair):
+def test_w_reflection_symmetry(samples):
     # the equation is invariant under W -> 1 - W(-z) at the same tau, so the
     # (simple) eigenprofile satisfies W(z) + W(-z) = 1; conjugation is NOT a
     # symmetry: the conjugate of the eigenvalue is not a root (checked below)
-    W = pair.W
+    W = samples.W
     assert np.max(np.abs(W + W[::-1] - 1.0)) < 1e-8
 
 
 def test_conjugate_is_not_a_root(pair):
-    d = matching_defect(np.conj(pair.tau), pair.problem)
+    d = matching_defect(np.conj(pair.tau), PROB)
     assert np.max(np.abs(d)) > 1e-2
 
 
 def test_matching_defect_small_at_root(pair):
-    d = matching_defect(pair.tau, pair.problem)
+    d = matching_defect(pair.tau, PROB)
     assert np.max(np.abs(d)) < 1e-8
 
 
-def test_matching_defect_large_off_spectrum(pair):
-    d = matching_defect(-1.0 - 2.0j, pair.problem)
+def test_matching_defect_large_off_spectrum():
+    d = matching_defect(-1.0 - 2.0j, PROB)
     assert np.max(np.abs(d)) > 1e-2
 
 
-def test_shoot_tails_rejects_real_tau(pair):
+def test_shoot_tails_rejects_real_tau():
     with pytest.raises(ValueError):
-        shoot_tails(1.5 + 0.0j, pair.problem)
+        shoot_tails(1.5 + 0.0j, PROB)
 
 
-def test_swapped_branch_blows_up(pair):
+def test_swapped_branch_blows_up():
     with pytest.raises(TailBlowup):
-        shoot_tails(-1j, pair.problem, swap_branch=True)
+        shoot_tails(-1j, PROB, swap_branch=True)
 
 
 def test_taylor_shot_raises_when_its_step_budget_runs_out(monkeypatch, pair):
@@ -130,11 +137,11 @@ def test_taylor_shot_raises_when_its_step_budget_runs_out(monkeypatch, pair):
     # with rtol = 0; the default shot takes 37 steps per tail
     monkeypatch.setattr(eigen, "_MAX_STEPS", 10)
     with pytest.raises(TailBlowup, match="Taylor steps"):
-        shoot_tails(pair.tau, pair.problem)
+        shoot_tails(pair.tau, PROB)
 
 
-def test_tail_boundary_values_on_decaying_branch(pair):
-    left, right = shoot_tails(-1j, pair.problem, dense=True)
+def test_tail_boundary_values_on_decaying_branch():
+    left, right = shoot_tails(-1j, PROB, dense=True)
     assert abs(left.y[0, 0]) < 1e-10          # W at -Z
     assert abs(right.y[0, 0]) < 1e-10         # W - 1 at +Z
 
@@ -162,7 +169,7 @@ def test_positive_curvature_root_by_conjugation():
     p1 = find_tau(prob)
     assert abs(p1.tau - np.exp(-1j * np.pi / 4)) < 1e-10
     assert abs(matrix_eigenvalues(prob, p1.tau) - p1.tau) < 1e-9
-    assert p1.residual_norm < 1e-8
+    assert sample_profile(p1, prob).residual_norm < 1e-8
 
 
 def _count_shots(monkeypatch):
@@ -201,28 +208,28 @@ def _synthetic_path(lam_value, flow):
                         floor=0.1 * abs(lam_value), flow=flow)
 
 
+# tau scaled by the curvature along the path: tau_phys(t) = kappa(t) tau
+
+
 def test_scaled_eigendata_unit_curvature(pair, gauss_flow):
     path = _synthetic_path(-2.0, gauss_flow)
-    sc = scale_eigendata(pair, path)
-    assert complex(sc.tau_phys(0.0)) == pytest.approx(pair.tau)
-    assert float(sc.ell(0.0)) == pytest.approx(1.0)
+    assert complex(path.kappa(0.0) * pair.tau) == pytest.approx(pair.tau)
 
 
 def test_scaled_eigendata_strong_curvature(pair, gauss_flow):
     path = _synthetic_path(-8.0, gauss_flow)
-    sc = scale_eigendata(pair, path)
-    assert complex(sc.tau_phys(0.0)) == pytest.approx(2.0 * pair.tau)
+    assert complex(path.kappa(0.0) * pair.tau) == pytest.approx(2.0 * pair.tau)
 
 
-def test_scaled_eigendata_along_heat_path(gauss_scaled, gauss_path):
+def test_scaled_eigendata_along_heat_path(pair, gauss_path):
     ts = np.linspace(0, gauss_path.t0, 12)
-    im = np.imag(gauss_scaled.tau_phys(ts))
+    im = np.imag(gauss_path.kappa(ts) * pair.tau)
     assert np.all(im < 0)
     assert np.all(np.diff(np.abs(im)) < 1e-12)   # flattening curvature
 
 
-def test_eigenpair_artifact_schema(pair):
-    art = pair.to_jsonable()
+def test_eigenpair_artifact_schema(samples):
+    art = samples.to_jsonable()
     for key in ("tau_re", "tau_im", "residual_norm", "z_grid",
                 "W_re", "W_im", "V_re", "V_im"):
         assert key in art
@@ -253,8 +260,8 @@ def test_closed_form_profile_matches_shooting(s):
     # the shooting stays the oracle of the closed form; the Taylor shot at
     # rtol 1e-13 agrees with it to 7e-16 (pinned below), far inside 1e-12
     prob = DispersionProblem(sign_curvature=s)
-    p = find_tau(prob)
-    z, (W, W1, W2) = _shooting_profile(p.tau, prob, rtol=1e-13)
+    p = sample_profile(find_tau(prob), prob)
+    z, (W, W1, W2) = _shooting_profile(p.pair.tau, prob, rtol=1e-13)
     assert np.array_equal(z, p.z_grid)
     assert np.max(np.abs(W - p.W)) < 1e-12
     assert np.max(np.abs(W1 - p.W1)) < 1e-12
@@ -267,8 +274,8 @@ def test_taylor_shot_matches_closed_form_to_rounding(s):
     # form's W, W', W'' to rounding level (6.8e-16 measured), and its last
     # dense sample is the state it hands to the matching
     prob = DispersionProblem(sign_curvature=s)
-    p = find_tau(prob)
-    tails = shoot_tails(p.tau, prob, dense=True, rtol=1e-13)
+    p = sample_profile(find_tau(prob), prob)
+    tails = shoot_tails(p.pair.tau, prob, dense=True, rtol=1e-13)
     for tail in tails:
         assert np.array_equal(tail.y[:, -1], tail.at_match)
     z, (W, W1, W2) = _joined_profile(*tails)
@@ -311,13 +318,13 @@ def test_eigen_command_shoots_once(monkeypatch, tmp_path):
                                                                 refined)))
 
 
-def test_v_samples_match_evaluator_and_decay(pair):
+def test_v_samples_match_evaluator_and_decay(pair, samples):
     # V = q (W - 1) on z > 0 is taken without forming W - 1, so its tail
     # falls far below the 1e-16 * q that the subtraction would leave, and it
     # mirrors the z < 0 side to full relative precision
-    z, V = pair.z_grid, pair.V
-    assert np.array_equal(pair.evaluator.v_derivs(z)[0], V)
-    assert z[-1] == pair.problem.Z
+    z, V = samples.z_grid, samples.V
+    assert np.array_equal(pair.v_derivs(z)[0], V)
+    assert z[-1] == PROB.Z
     assert abs(V[-1]) < 1e-20
     pos = z > 0
     assert np.array_equal(-z[::-1][pos], z[pos])

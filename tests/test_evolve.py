@@ -218,12 +218,14 @@ def test_probe_groups_ks_by_dt_and_matches_per_k_rows(monkeypatch,
 
     monkeypatch.setattr(ev, "evolve", counted)
     data = dict(zip((8, 12, 16, 20), _batch_data(y_grid)))
-    kw = dict(t=0.01, m=1, alpha=0.5, sigmas=[0.3, 1.2],
-              make_initial=data.__getitem__,
-              dt_fn=lambda k: 2.0**-12 if k % 8 == 0 else 2.0**-13)
-    rows = operator_growth_probe(gauss_field, None, ks=[8, 12, 16, 20], **kw)
+    config = {k: SolverConfig(dt=2.0**-12 if k % 8 == 0 else 2.0**-13)
+              for k in data}
+    kw = dict(t=0.01, m=1, alpha=0.5, sigmas=[0.3, 1.2], mu=0.25)
+    rows = operator_growth_probe(gauss_field, list(data), list(data.values()),
+                                 list(config.values()), **kw)
     assert batches == [(8, 16), (12, 20)]
-    per_k = {k: operator_growth_probe(gauss_field, None, ks=[k], **kw)
+    per_k = {k: operator_growth_probe(gauss_field, [k], [data[k]],
+                                      [config[k]], **kw)
              for k in data}
     # rows are sigma-major: sigma index j, k index i
     assert rows == [per_k[k][j] for j in range(2) for k in (8, 12, 16, 20)]
@@ -244,9 +246,9 @@ def test_probe_interpolates_coefficients_once_per_step_for_all_ks(
     counts = []
     for ks in ([64], [16, 32, 64, 128, 256]):
         calls.clear()
-        operator_growth_probe(gauss_field, None, lambda k: u0, ks, t=0.01,
-                              m=1, alpha=0.0, sigmas=[1.0],
-                              dt_fn=lambda k: 0.01 / nsteps)
+        operator_growth_probe(gauss_field, ks, [u0] * len(ks),
+                              [SolverConfig(dt=0.01 / nsteps)] * len(ks),
+                              t=0.01, m=1, alpha=0.0, sigmas=[1.0], mu=0.25)
         counts.append(len(calls))
     assert counts == [nsteps + 1, nsteps + 1]
 
@@ -270,55 +272,22 @@ def test_batch_with_a_zero_row_raises(gauss_field, y_grid):
                gauss_field, SolverConfig(dt=1e-3), 0.01)
 
 
-class _UnitKappaPath:
+class _ConstantKappaPath:
     @staticmethod
     def kappa(t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return np.full(np.shape(t), 0.8)
 
 
-def test_growth_row_short_regressor_window_gives_nan():
-    # 8 samples in the window (0, 1): fit_rate takes all of them, the
-    # regressor fit drops t = 0 and is left with 7 < 8
-    t = np.linspace(0.0, 1.0, 8)
-    row = growth_row(16, t, 2.0 * t, _UnitKappaPath(), window=(0.0, 1.0))
-    assert row["n_samples"] == 8
-    assert np.isnan(row["im_tau_hat"]) and np.isnan(row["model_fit_residual"])
-
-
-def test_growth_row_propagates_unexpected_errors(monkeypatch):
-    ev = importlib.import_module("shearmodes.evolve")
-    fit_rate = ev.fit_rate
-    regressors = []
-
-    def regressor_fit_breaks(x, lognorm, mask):
-        # the first fit is against t itself, the second against sqrt(k) K(t)
-        regressors.append(x)
-        if len(regressors) == 2:
-            raise ValueError("shape mismatch")
-        return fit_rate(x, lognorm, mask)
-
-    monkeypatch.setattr(ev, "fit_rate", regressor_fit_breaks)
-    t = np.linspace(0.0, 1.0, 40)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        growth_row(16, t, 2.0 * t, _UnitKappaPath())
-    assert np.array_equal(regressors[0], t)
-
-
-def test_growth_row_recovers_im_tau_from_the_model_amplitude(gauss_path):
-    # the amplitude model of growth_row, with int_0^t kappa by adaptive
-    # quadrature between the path's Hermite knots and the sample times
-    from scipy.integrate import quad
-    k, c, t_final = 64, 0.7071067811865476, 0.03
-    ts = np.linspace(t_final / 24, t_final, 24)
-    breaks = np.union1d(gauss_path.t_nodes[gauss_path.t_nodes < t_final], ts)
-    pieces = [quad(lambda s: float(gauss_path.kappa(s)), a, b,
-                   epsabs=1e-15, epsrel=1e-14)[0]
-              for a, b in zip(breaks[:-1], breaks[1:])]
-    K = np.concatenate([[0.0], np.cumsum(pieces)])[np.searchsorted(breaks, ts)]
-    ln = c * np.sqrt(k) * K + np.log(ts) + 1.5 * np.log(gauss_path.kappa(ts))
-    row = growth_row(k, ts, ln, gauss_path)
-    assert abs(row["im_tau_hat"] - c) <= 1e-10
-    assert row["model_fit_residual"] < 1e-12
+def test_growth_row_fits_the_compensated_amplitude():
+    # a(t) = t kappa^{3/2} exp(c sqrt(k) kappa t): once the t and kappa^{3/2}
+    # prefactors are taken off, the slope in t is c sqrt(k) kappa
+    k, c = 64, 0.7
+    t = np.linspace(0.03 / 24, 0.03, 24)
+    ln = np.log(t) + 1.5 * np.log(0.8) + c * np.sqrt(k) * 0.8 * t
+    row = growth_row(k, t, ln, _ConstantKappaPath())
+    assert row["sigma"] == pytest.approx(c * np.sqrt(k) * 0.8, rel=1e-12)
+    assert row["sigma_over_sqrt_k"] == pytest.approx(c * 0.8, rel=1e-12)
+    assert row["fit_residual"] < 1e-12
 
 
 def test_auto_dt_respects_cfl(gauss_field):
@@ -375,7 +344,7 @@ def test_frozen_mode_operator_matches_loop_reference(gauss_prof):
 
 @pytest.mark.slow
 def test_duhamel_gap_bounded_by_propagated_residual(
-        pair, gauss_prof, gauss_field, gauss_path, gauss_scaled, y_grid):
+        pair, gauss_prof, gauss_field, gauss_path, y_grid):
     """The evolved solution deviates from the assembled mode by at most the
     time integral of the residual norm propagated with the measured
     operator amplification (frozen-operator amplification as the stand-in,
@@ -388,7 +357,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
     s0 = FourierModeState(k=n, t=0.0, y=y_grid, u_hat=u0.astype(complex))
     tr = evolve(s0, gauss_field,
                 SolverConfig(dt=auto_dt(n, gauss_field, t, min_steps=300)), t)
-    mode_t = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, t)
+    mode_t = assemble_mode(params, gauss_field, gauss_path, pair, t)
     lhs = weighted_sup(tr.final.u_hat - mode_t.U, y_grid, 0.0)
     ss = np.linspace(0, t, 5)
     integrand = []
@@ -396,7 +365,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
         lag = float(t - s)
         amp = 1.0 if lag == 0.0 else transient_amplification(
             gauss_prof, n, lag, ny=700)
-        m = assemble_mode(params, gauss_field, gauss_path, gauss_scaled,
+        m = assemble_mode(params, gauss_field, gauss_path, pair,
                           float(s))
         integrand.append(amp * weighted_sup(residual(params, m).R,
                                             y_grid, 0.0))

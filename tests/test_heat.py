@@ -171,7 +171,8 @@ def test_stepper_coefficients_at_probe_step_times():
     cfg = load_config(None)
     pipe = Pipeline(cfg)
     t = min(cfg["probe"]["t"], pipe.path.t0)
-    steps = {int(np.ceil(t / pipe.step_dt(k, t))) for k in cfg["probe"]["ks"]}
+    steps = {int(np.ceil(t / pipe.solver_config(k, t).dt))
+             for k in cfg["probe"]["ks"]}
     times = np.unique(np.concatenate([np.linspace(0.0, t, n + 1)
                                       for n in steps]))
     ref = [pipe.field.flow.derivs(float(tv), pipe.y, orders=(0, 1))

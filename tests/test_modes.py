@@ -48,7 +48,7 @@ def test_corrector_grid_antiderivative():
 
 
 def test_smoothstep_plateaus():
-    cut = Smoothstep(0.5, 1.0, order=7)
+    cut = Smoothstep(0.5, 1.0)
     r = np.linspace(-1.5, 1.5, 301)
     phi, p1, p2, p3 = cut.derivs(r)
     assert np.all(phi[np.abs(r) <= 0.5] == 1.0)
@@ -56,14 +56,14 @@ def test_smoothstep_plateaus():
     assert np.all((phi >= 0) & (phi <= 1))
 
 
-@pytest.mark.parametrize("order,smooth_orders", [(5, 2), (7, 3)])
-def test_smoothstep_junction_smoothness(order, smooth_orders):
-    cut = Smoothstep(0.5, 1.0, order=order)
+def test_smoothstep_junction_smoothness():
+    # C^3: phi and its first three derivatives are continuous at the shells
+    cut = Smoothstep(0.5, 1.0)
     eps = 1e-9
     for r0 in (0.5, 1.0, -0.5, -1.0):
         a = cut.derivs(np.array([r0 - eps]))
         b = cut.derivs(np.array([r0 + eps]))
-        for j in range(smooth_orders + 1):
+        for j in range(4):
             assert abs(a[j][0] - b[j][0]) < 1e-4, (r0, j)
 
 
@@ -115,21 +115,21 @@ def test_old_ansatz_tail_proportional_to_gradient(pair):
 
 
 @pytest.fixture(scope="module")
-def mode64(gauss_field, gauss_path, gauss_scaled, gauss_prof):
+def mode64(gauss_field, gauss_path, pair, gauss_prof):
     params = default_params(gauss_prof, 64)
     return params, assemble_mode(params, gauss_field, gauss_path,
-                                 gauss_scaled, 0.05)
+                                 pair, 0.05)
 
 
 def test_grid_time_mode_reads_the_field_rows(mode64, gauss_field, gauss_path,
-                                             gauss_scaled):
+                                             pair):
     # t = 0.05 is a node of the field's t grid: the mode takes the u_s rows
     # solve_heat computed there, and equals a fresh kernel evaluation on
     # the same y grid bit for bit
     params, mode = mode64
     assert gauss_field.t_grid[5] == 0.05
     assert np.shares_memory(mode.components["us"], gauss_field.us)
-    fresh = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, 0.05,
+    fresh = assemble_mode(params, gauss_field, gauss_path, pair, 0.05,
                           y_grid=gauss_field.y_grid)
     assert not np.shares_memory(fresh.components["us"], gauss_field.us)
     for name in ("U", "dyU", "d2yU", "V", "dyV"):
@@ -197,16 +197,16 @@ def test_residual_far_field_exact_zeros(mode64, y_grid, gauss_path):
 
 
 def test_residual_against_finite_difference_operator(
-        gauss_field, gauss_path, gauss_scaled, gauss_prof, y_grid):
+        gauss_field, gauss_path, pair, gauss_prof, y_grid):
     """The independent check: apply the linearized operator to the assembled
     mode with d_t by central differences (fresh assemblies) and d_y^2 from
     the analytic profile; compare to the assembled residual field."""
     params = default_params(gauss_prof, 64)
     t, delta = 0.05, 1e-5
-    mode = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, t)
+    mode = assemble_mode(params, gauss_field, gauss_path, pair, t)
     res = residual(params, mode)
-    mp = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, t + delta)
-    mm = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, t - delta)
+    mp = assemble_mode(params, gauss_field, gauss_path, pair, t + delta)
+    mm = assemble_mode(params, gauss_field, gauss_path, pair, t - delta)
     dtU = (mp.U - mm.U) / (2 * delta)
     us, dyus = gauss_field.flow.derivs(t, y_grid, orders=(0, 1))
     k = params.n
@@ -216,7 +216,7 @@ def test_residual_against_finite_difference_operator(
 
 
 def test_residual_fd_second_derivative_converges(
-        gauss_prof, gauss_path, gauss_scaled, pair, t_grid):
+        gauss_prof, gauss_path, pair, t_grid):
     """Full finite differencing (including d_y^2 of the mode) converges to
     the assembled residual at second order in the grid step."""
     params = default_params(gauss_prof, 64)
@@ -226,10 +226,10 @@ def test_residual_fd_second_derivative_converges(
     for ny in (601, 2401):
         y = np.linspace(0.0, 30.0, ny)
         field = sm.solve_heat(gauss_prof, y, t_grid, check=False)
-        mode = assemble_mode(params, field, gauss_path, gauss_scaled, t)
+        mode = assemble_mode(params, field, gauss_path, pair, t)
         res = residual(params, mode)
-        mp = assemble_mode(params, field, gauss_path, gauss_scaled, t + delta)
-        mm = assemble_mode(params, field, gauss_path, gauss_scaled, t - delta)
+        mp = assemble_mode(params, field, gauss_path, pair, t + delta)
+        mm = assemble_mode(params, field, gauss_path, pair, t - delta)
         dtU = (mp.U - mm.U) / (2 * delta)
         us, dyus = field.flow.derivs(t, y, orders=(0, 1))
         h = y[1] - y[0]
@@ -254,39 +254,47 @@ def test_residual_fd_second_derivative_converges(
 
 
 def test_residual_taylor_split_matches_exact_form_at_small_eps(
-        gauss_field, gauss_path, gauss_scaled, gauss_prof):
+        gauss_field, gauss_path, pair, gauss_prof):
     """The Taylor-defect form of the shear-layer residual differs from the
     exact assembly only by cutoff commutators, which shrink as eps does."""
     rest = {}
     for n in (64, 1024):
         params = default_params(gauss_prof, n)
-        mode = assemble_mode(params, gauss_field, gauss_path, gauss_scaled, 0.05)
+        mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
         res = residual(params, mode)
         rest[n] = np.max(np.abs(res.cutoff_rest)) / np.max(np.abs(res.Rtilde))
     assert rest[1024] < rest[64]
 
 
-def test_sup_norm_growth_bound_sweep(gauss_field, gauss_path, gauss_scaled,
+def _im_tau_phys_sup(pair, path):
+    """sup_t |Im tau_phys(t)|, tau_phys = kappa(t) tau, over 101 times of
+    [0, t0], as the CLI's sigma0 takes it."""
+    kappa = path.kappa(np.linspace(0.0, path.t0, 101))
+    return abs(pair.tau.imag) * float(np.max(kappa))
+
+
+def test_sup_norm_growth_bound_sweep(gauss_field, gauss_path, pair,
                                      gauss_prof, y_grid):
     """|| U(t) ||_{W_0^{2,inf}} <= C0 e^{sigma0 t sqrt(n)} across a (t, n)
     sweep, with sigma0 = 1.1 sup_t |Im tau_phys| and C0 = 0.25 frozen from a
     measured 0.211 (the damped norm actually decreases along t)."""
-    sigma0 = 1.1 * gauss_scaled.im_tau_phys_sup()
+    sigma0 = 1.1 * _im_tau_phys_sup(pair, gauss_path)
     for n in (64, 256):
         params = default_params(gauss_prof, n, f_width=2.0)
         for t in (0.0, 0.02, 0.05, 0.08, 0.12):
             mode = assemble_mode(params, gauss_field, gauss_path,
-                                 gauss_scaled, t)
+                                 pair, t)
             w2 = max(weighted_sup(mode.U, y_grid, 0.0),
                      weighted_sup(mode.dyU, y_grid, 0.0),
                      weighted_sup(mode.d2yU, y_grid, 0.0))
             assert w2 <= 0.25 * np.exp(sigma0 * t * np.sqrt(n)), (n, t)
 
 
-def test_weighted_residual_bound_single_mode(mode64, y_grid, gauss_scaled):
+def test_weighted_residual_bound_single_mode(mode64, y_grid, pair,
+                                             gauss_path):
     params, mode = mode64
     res = residual(params, mode)
-    sigma0 = 1.1 * gauss_scaled.im_tau_phys_sup()
+    sigma0 = 1.1 * _im_tau_phys_sup(pair, gauss_path)
     for alpha in (0.0, 1.0, 2.0):
         val = weighted_sup(res.R, y_grid, alpha)
         bound = np.exp(sigma0 * mode.t / np.sqrt(params.eps))
@@ -298,21 +306,21 @@ def test_weighted_residual_bound_single_mode(mode64, y_grid, gauss_scaled):
 
 
 def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
-                                                 gauss_scaled, gauss_prof):
+                                                 pair, gauss_prof):
     # unsorted times, and a gap (0.01 -> 0.045) wider than one phase panel
     ts = np.array([0.045, 0.004, 0.08, 0.01])
     params = [default_params(gauss_prof, n, f_width=2.0)
               for n in (32, 64, 128, 256)]
     amps = mode_amplitude_series(params, gauss_field, gauss_path,
-                                 gauss_scaled, ts)
+                                 pair, ts)
     assert len(amps) == len(params)
     for p, amp in zip(params, amps):
         for i, t in enumerate(ts):
-            mode = assemble_mode(p, gauss_field, gauss_path, gauss_scaled, t)
+            mode = assemble_mode(p, gauss_field, gauss_path, pair, t)
             a = mode.scalars.a
             y_loc = np.linspace(max(0.0, a - p.phi_outer), a + p.phi_outer,
                                 1601)
-            loc = assemble_mode(p, gauss_field, gauss_path, gauss_scaled, t,
+            loc = assemble_mode(p, gauss_field, gauss_path, pair, t,
                                 y_grid=y_loc)
             log_full = np.log(np.max(np.abs(mode.U)))
             log_sl = np.log(abs(loc.E) * t
@@ -322,7 +330,7 @@ def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
 
 
 def test_amplitude_series_kernel_calls_independent_of_n(
-        monkeypatch, gauss_field, gauss_path, gauss_scaled, gauss_prof):
+        monkeypatch, gauss_field, gauss_path, pair, gauss_prof):
     calls = []
     derivs = sm.HeatFlow.derivs
 
@@ -336,13 +344,13 @@ def test_amplitude_series_kernel_calls_independent_of_n(
     for ns in ((64,), (32, 64, 128, 256)):
         calls.clear()
         mode_amplitude_series([default_params(gauss_prof, n) for n in ns],
-                              gauss_field, gauss_path, gauss_scaled, ts)
+                              gauss_field, gauss_path, pair, ts)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
 
 def test_amplitude_series_takes_one_field_row_of_dyus_per_time(
-        monkeypatch, gauss_field, gauss_path, gauss_scaled, gauss_prof):
+        monkeypatch, gauss_field, gauss_path, pair, gauss_prof):
     # the path scalars and the phase take single-point kernel calls; the
     # only multi-point call per sample time is d_y u_s on the field grid,
     # because U reads no other order and the layer sup reads no u_s
@@ -357,7 +365,7 @@ def test_amplitude_series_takes_one_field_row_of_dyus_per_time(
     ts = np.linspace(0.03 / 24, 0.03, 6)
     mode_amplitude_series([default_params(gauss_prof, n)
                            for n in (32, 64, 128, 256)],
-                          gauss_field, gauss_path, gauss_scaled, ts)
+                          gauss_field, gauss_path, pair, ts)
     rows = [c for c in calls if c[1].size > 1]
     assert [c[0] for c in rows] == list(ts)
     for _, y, orders in rows:

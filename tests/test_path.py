@@ -59,6 +59,21 @@ def test_shallow_bump_loses_curvature():
     assert abs(lam_end) <= 0.2 * abs(prof.curvature)
 
 
+def test_truncation_keeps_only_nodes_above_the_floor(gauss_flow, gauss_prof):
+    # at dt = 0.05, |lambda| falls from 1.122 at node 0 to 0.639 at node 1
+    # and lower at node 2: a floor of 0.5 |lambda(0)| cuts at node 2 and
+    # keeps nodes 0 and 1; a floor of 0.999 |lambda(0)| cuts at node 1,
+    # which leaves one node, too few for a path
+    kw = dict(dt=0.05, allow_truncation=True)
+    path = track_critical_point(gauss_flow, gauss_prof.a0, 0.15,
+                                floor_frac=0.5, **kw)
+    assert path.lam_nodes.size == 2
+    assert np.all(path.lam_nodes <= -path.floor)
+    with pytest.raises(CurvatureVanished):
+        track_critical_point(gauss_flow, gauss_prof.a0, 0.15,
+                             floor_frac=0.999, **kw)
+
+
 def test_kappa_definition(gauss_path):
     t = 0.05
     assert float(gauss_path.kappa(t)) == pytest.approx(

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from shearmodes import eigen
-from shearmodes.eigen import WVEvaluator
+from shearmodes.eigen import Eigenpair
 from shearmodes.special import erf, erfc
 
 
@@ -30,7 +30,7 @@ def test_erf_zero_and_odd_symmetry():
 
 @pytest.mark.parametrize("s", [-1, 1])
 def test_erfc_matches_scipy_on_the_eigenprofile_rays(s):
-    # WVEvaluator takes erfc on r |z| with r = e^{i s pi/8} / sqrt(2)
+    # Eigenpair takes erfc on r |z| with r = e^{i s pi/8} / sqrt(2)
     w = np.linspace(0.0, 30.0, 300_001) * np.exp(1j * s * np.pi / 8)
     ours, ref = erfc(w), scipy.special.erfc(w)
     gap = np.abs(ours - ref)
@@ -45,7 +45,7 @@ def test_erfc_rejects_the_left_half_plane():
 
 @pytest.mark.parametrize("s", [-1, 1])
 def test_eigenprofile_matches_scipy_erfc(s, monkeypatch):
-    ev = WVEvaluator(s * np.exp(-1j * s * np.pi / 4), s)
+    ev = Eigenpair(s * np.exp(-1j * s * np.pi / 4), s)
     z = np.linspace(-18.0, 18.0, 36_001)
     ours = ev.w_derivs(z)
     monkeypatch.setattr(eigen, "erfc", scipy.special.erfc)
