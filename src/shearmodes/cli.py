@@ -34,8 +34,7 @@ from .svg import svg_plot
 DEFAULT_CONFIG = {
     "profile": {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
     "grid": {"y_max": 30.0, "ny": 601, "t0": 0.15, "nt": 16},
-    "eigen": {"Z": 12.0, "dz": 1e-3, "rtol": 1e-10,
-              "rect": [-5.0, 5.0, -5.0, -0.05]},
+    "eigen": {"Z": 12.0, "dz": 1e-3, "rtol": 1e-10},
     "path": {"dt": 2e-3, "floor_frac": 0.1},
     "mode": {"n": 64, "f_width": 2.0, "t_snapshot": 0.05},
     "solver": {"scheme": "imex-cn", "c_cfl": 0.5, "min_steps": 240},
@@ -140,6 +139,9 @@ def _validate(cfg: dict):
     for n in cfg["growth"]["n_list"] + cfg["probe"]["ks"] + [cfg["mode"]["n"]]:
         if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
+    if cfg["grid"]["nt"] < 4:
+        # the stepper interpolates u_s cubically in t between field slices
+        raise ValueError(f"grid.nt must be at least 4, got {cfg['grid']['nt']}")
     if cfg["solver"]["scheme"] not in ("imex-cn", "inviscid"):
         raise ValueError(f"unknown scheme {cfg['solver']['scheme']!r}")
 
@@ -201,8 +203,7 @@ class Pipeline:
     @property
     def problem(self) -> DispersionProblem:
         e = self.cfg["eigen"]
-        return DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"],
-                                 rect=tuple(e["rect"]))
+        return DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"])
 
     @property
     def pair(self) -> Eigenpair:
@@ -231,7 +232,7 @@ class Pipeline:
 
     def mode_initial(self, n: int) -> np.ndarray:
         params = self.mode_params(n)
-        return params.eps * params.bump().v1(self.y)
+        return params.eps * params.bump().f(self.y)
 
 
 # ---------------------------------------------------------------------------

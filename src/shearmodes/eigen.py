@@ -15,9 +15,9 @@ and W an erfc plus an elementary term.  Eigenpair is these formulas;
 erfc is special.erfc, Weideman's rational series for the Faddeeva function,
 so the closed-form pair loads no scipy.
 
-The production pair is the closed form alone: find_tau gates it by
-problem.rect and returns it, with no shot and no samples; sample_profile
-samples it on the shot's z grid for the eigen command and its checks.  The
+The production pair is the closed form alone: find_tau returns it, with
+no shot and no samples; sample_profile samples it on the shot's z grid for
+the eigen command and its checks.  The
 shooting is an oracle.  Both tails are integrated inward on the decaying
 branch and matched at z_match; the eigenvalue condition is the vanishing
 Wronskian of G across the matching point, found by complex Newton on the
@@ -62,7 +62,6 @@ class DispersionProblem:
     # size, guard bounds |(W, G, G')| along each tail
     rtol: float = 1e-10
     guard: float = 1e12
-    rect: tuple = (-5.0, 5.0, -5.0, -0.05)   # (re_min, re_max, im_min, im_max)
 
     def __post_init__(self):
         if self.sign_curvature not in (-1, 1):
@@ -215,6 +214,14 @@ def _log_derivative_defect(tau: complex, problem: DispersionProblem) -> complex:
 
 
 def tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
+    """Mismatch of (W, W', W'') of the two tails at z_match as a complex
+    2-vector.
+
+    The free constants A (left) and B (right) are fixed by constrained least
+    squares: the W components (including the far-field 1) are matched
+    exactly, and the returned vector is the remaining (W', W'') mismatch.
+    Zero defect iff the tails were shot at an eigenvalue.
+    """
     WL, GL, GLp = left.at_match
     OmR, GR, GRp = right.at_match
     # constraint A*WL - B*OmR = 1; minimize |A*GL - B*GR|^2 + |A*GLp - B*GRp|^2
@@ -227,18 +234,6 @@ def tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
     denom = np.vdot(rv, rv)
     c = -np.vdot(rv, r0) / denom if abs(denom) > 0 else 0.0
     return r0 + c * rv
-
-
-def matching_defect(tau: complex, problem: DispersionProblem, *,
-                    rtol: float | None = None) -> np.ndarray:
-    """Mismatch of (W, W', W'') at z_match as a complex 2-vector.
-
-    The free constants A (left) and B (right) are fixed by constrained least
-    squares: the W components (including the far-field 1) are matched
-    exactly, and the returned vector is the remaining (W', W'') mismatch.
-    Zero defect iff tau is an eigenvalue.
-    """
-    return tails_defect(*shoot_tails(tau, problem, rtol=rtol))
 
 
 def _newton_polish(tau: complex, problem: DispersionProblem,
@@ -401,14 +396,9 @@ def find_root(problem: DispersionProblem, *, seed_tau: complex
 
 def find_tau(problem: DispersionProblem) -> Eigenpair:
     """The closed-form eigenpair, tau^2 = -i s with Im tau < 0; no shot and
-    no samples.  tau must lie in problem.rect, else NoRootFound."""
+    no samples."""
     s = problem.sign_curvature
-    tau = s * np.exp(-1j * s * np.pi / 4)
-    re0, re1, im0, im1 = problem.rect
-    if not (re0 <= tau.real <= re1 and im0 <= tau.imag <= im1):
-        raise NoRootFound(f"the eigenvalue {tau:.6g} with Im tau < 0 "
-                          f"lies outside the rectangle {problem.rect}")
-    return Eigenpair(tau, s)
+    return Eigenpair(s * np.exp(-1j * s * np.pi / 4), s)
 
 
 def sample_profile(pair: Eigenpair, problem: DispersionProblem

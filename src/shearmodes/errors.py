@@ -26,8 +26,7 @@ class TailBlowup(ShearmodesError):
 
 
 class NoRootFound(ShearmodesError):
-    """No eigenvalue with Im tau < 0: the closed-form value lies outside the
-    search rectangle, or Newton from the given seed did not converge."""
+    """Newton from the given seed found no eigenvalue with Im tau < 0."""
 
 
 class NotConverged(ShearmodesError):

@@ -81,7 +81,8 @@ def _k_column(k) -> np.ndarray:
 
 
 def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
-            c_cfl: float = 0.5, min_steps: int = 200) -> float:
+            c_cfl: float, min_steps: int) -> float:
+    """The CFL step c_cfl / (k sup|u_s|), capped at t_final / min_steps."""
     umax = float(np.max(np.abs(field.us)))
     dt_cfl = c_cfl / (max(k, 1) * max(umax, 1e-12))
     return min(dt_cfl, t_final / min_steps)
@@ -126,22 +127,17 @@ def _cn_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
     return zgttrs(*lu, b.T)[0].T
 
 
-def step(state: FourierModeState, field: HeatFlowField,
-         config: SolverConfig, *, coefs=None, lu=None) -> FourierModeState:
+def step(state: FourierModeState, config: SolverConfig, *, coefs,
+         lu) -> FourierModeState:
     """One IMEX step (predictor-corrector on the explicit terms).
 
-    evolve passes what stays fixed or carries over across its steps, having
-    checked the CFL condition once: coefs, the (u_s, d_y u_s) rows at the
-    step's start and end times, and lu, the _cn_factors for config.dt.
-    Called without coefs, step checks the CFL condition and interpolates
-    both rows itself; without lu, it factors the Crank-Nicolson matrix.
+    coefs holds the (u_s, d_y u_s) rows at the step's start and end times,
+    and lu the _cn_factors for config.dt (None for the inviscid scheme).
+    evolve checks the CFL condition once, interpolates each row once and
+    factors once, and passes them to every step.
     """
     y, dt, k = state.y, config.dt, _k_column(state.k)
     u = state.u_hat
-    t0, t1 = state.t, state.t + dt
-    if coefs is None:
-        _check_cfl(state, field, config)
-        coefs = field.slice_interp(t0), field.slice_interp(t1)
     (us0, dyus0), (us1, dyus1) = coefs
 
     if config.scheme == "inviscid":
@@ -152,8 +148,6 @@ def step(state: FourierModeState, field: HeatFlowField,
         un = u + 0.5 * dt * (n0 + n1)
         un[..., 0] = 0.0
     else:
-        if lu is None:
-            lu = _cn_factors(y, dt)
         h = y[1] - y[0]
         lap = u[..., 2:] - 2 * u[..., 1:-1] + u[..., :-2]
         base = u[..., 1:-1] + (dt / (2 * h * h)) * lap
@@ -164,7 +158,7 @@ def step(state: FourierModeState, field: HeatFlowField,
         un = np.zeros_like(u)
         un[..., 1:-1] = _cn_solve(lu, base + 0.5 * dt * (n0 + n1)[..., 1:-1])
 
-    out = FourierModeState(k=state.k, t=t1, y=y, u_hat=un)
+    out = FourierModeState(k=state.k, t=state.t + dt, y=y, u_hat=un)
     out.check()
     return out
 
@@ -225,7 +219,7 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
     s = state0
     for _ in range(nsteps):
         coef1 = field.slice_interp(s.t + cfg.dt)
-        s = step(s, field, cfg, coefs=(coef0, coef1), lu=lu)
+        s = step(s, cfg, coefs=(coef0, coef1), lu=lu)
         coef0 = coef1
         nrm = _row_sup(s.u_hat)
         if np.any(nrm == 0.0):

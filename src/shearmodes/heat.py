@@ -191,13 +191,11 @@ class HeatFlowField:
         return float(self.t_grid[-1])
 
     def slice_interp(self, t: float):
-        """(u_s, d_y u_s) rows at arbitrary t by cubic interpolation in t."""
+        """(u_s, d_y u_s) rows at arbitrary t by cubic interpolation in t,
+        which needs at least four times in t_grid."""
         tg = self.t_grid
         if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
             raise ValueError(f"t={t} outside field horizon [{tg[0]}, {tg[-1]}]")
-        if tg.size < 4:
-            i = int(np.argmin(np.abs(tg - t)))
-            return self.us[i], self.dy_us[i]
         i = int(np.clip(np.searchsorted(tg, t) - 1, 1, tg.size - 3))
         idx = [i - 1, i, i + 1, i + 2]
         ts = tg[idx]

@@ -68,7 +68,8 @@ class BumpCorrector:
         return (s > 0) & (s < 1), np.clip(s, 0.0, 1.0)
 
     def f(self, y):
-        """Bump normalized to unit mass on [lo, hi]."""
+        """Bump normalized to unit mass on [lo, hi], which is vtilde'; f1 and
+        f2 are its first two derivatives."""
         ins, s = self._inside(y)
         return np.where(ins, self._f(s), 0.0) / (self._mass_s * self.width)
 
@@ -83,16 +84,6 @@ class BumpCorrector:
     def vtilde(self, y):
         s = np.clip(self._s(y), 0.0, 1.0)
         return self._F(s) / self._mass_s
-
-    # vtilde derivatives: v' = f, v'' = f', v''' = f''
-    def v1(self, y):
-        return self.f(y)
-
-    def v2(self, y):
-        return self.f1(y)
-
-    def v3(self, y):
-        return self.f2(y)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +198,6 @@ def _path_point(path: CriticalPath, t: float) -> dict:
                 lamdot=d4 + d3 * adot, us_a=d0, dyus_a=d1)
 
 
-def _scalars_frozen(profile: ShearProfile, pair: Eigenpair, eps: float,
-                    t: float) -> _Scalars:
-    a = profile.a0
-    lam = profile.curvature
-    us_a = float(profile(a))
-    dyus_a = float(profile.derivs(np.array([a]))[1][0])
-    return _Scalars(t=t, a=a, lam=lam, adot=0.0, lamdot=0.0, us_a=us_a,
-                    dyus_a=dyus_a, eps=eps, tau=pair.tau)
-
-
 def _phase_parts(path: CriticalPath, ts) -> tuple[np.ndarray, np.ndarray]:
     """int_0^t -u_s(s, a(s)) ds and int_0^t kappa(s) ds at each t in ts, by
     time_integral; u_s(s, a(s)) is one kernel call per node."""
@@ -284,15 +265,13 @@ class ModeField:
 
 @dataclass(frozen=True)
 class ResidualField:
-    """R = Rbar + t * Rtilde on the grid, plus the textbook-split diagnostic."""
+    """R = Rbar + t * Rtilde on the grid."""
 
     t: float
     y: np.ndarray
     eps: float
     Rbar: np.ndarray
     Rtilde: np.ndarray
-    taylor_form: np.ndarray = field(repr=False)   # Taylor-defect form of Rtilde
-    cutoff_rest: np.ndarray = field(repr=False)  # Rtilde - taylor_form
 
     @property
     def R(self) -> np.ndarray:
@@ -354,9 +333,9 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
     sl = _shear_layer(params.cutoff(), pair, sc, y)
 
     vt = bump.vtilde(y)
-    vt1 = bump.v1(y)
-    vt2 = bump.v2(y)
-    vt3 = bump.v3(y)
+    vt1 = bump.f(y)
+    vt2 = bump.f1(y)
+    vt3 = bump.f2(y)
 
     S = v_reg + sl["v_sl"]
     dyS = dy_vreg + sl["dy_vsl"]
@@ -400,15 +379,6 @@ def assemble_mode(params: ModeParams, field_: HeatFlowField, path: CriticalPath,
     return _assemble(params, pair, sc, y, rows, phase)
 
 
-def assemble_frozen(params: ModeParams, profile: ShearProfile, pair: Eigenpair,
-                    t: float, y_grid) -> ModeField:
-    """Frozen-coefficient mode (background held at the initial shear layer)."""
-    y = np.asarray(y_grid, dtype=float)
-    sc = _scalars_frozen(profile, pair, params.eps, t)
-    phase = sc.w_eps * t
-    return _assemble(params, pair, sc, y, profile.derivs(y)[:4], phase)
-
-
 def old_frozen_tangential(profile: ShearProfile, pair: Eigenpair, eps: float,
                           y_grid) -> np.ndarray:
     """Tangential profile i v' of the untruncated classic ansatz, whose tail
@@ -429,10 +399,7 @@ def residual(params: ModeParams, mode: ModeField) -> ResidualField:
 
     Rbar carries the corrector/regular terms; Rtilde is the shear-layer
     part (the regular part of the t-coefficient vanishes identically through
-    the heat equation and the exact advection cancellation).  taylor_form is
-    the Taylor-defect form of Rtilde; cutoff_rest collects the truncation
-    commutators that the asymptotic argument hides in the exponentially
-    small remainder.
+    the heat equation and the exact advection cancellation).
     """
     c = mode.components
     sc = mode.scalars
@@ -450,17 +417,7 @@ def residual(params: ModeParams, mode: ModeField) -> ResidualField:
                   + 1j * c["dtdy_vsl"]
                   - 1j * c["d3y_vsl"])
 
-    r = mode.y - sc.a
-    us_a = np.sqrt(eps) * sc.kappa * sc.tau - w   # u_s(t, a(t))
-    taylor0 = c["us"] - us_a - sc.lam * r * r / 2.0
-    taylor1 = c["dyus"] - sc.lam * r
-    taylor_form = E * (-(taylor0 / eps) * c["dy_vsl"]
-                      + (taylor1 / eps) * c["v_sl"]
-                      + 1j * c["dtdy_vsl"])
-
-    return ResidualField(t=t, y=mode.y, eps=eps, Rbar=Rbar, Rtilde=Rtilde,
-                         taylor_form=taylor_form,
-                         cutoff_rest=Rtilde - taylor_form)
+    return ResidualField(t=t, y=mode.y, eps=eps, Rbar=Rbar, Rtilde=Rtilde)
 
 
 def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
@@ -487,7 +444,7 @@ def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
     adv, kap = _phase_parts(path, ts)
     phases = [adv + np.sqrt(p.eps) * kap * pair.tau for p in params]
     cuts = [p.cutoff() for p in params]
-    vt1 = [p.bump().v1(y) for p in params]
+    vt1 = [p.bump().f(y) for p in params]
     log_full = np.empty((len(params), ts.size))
     log_sl = np.empty((len(params), ts.size))
     for i, t in enumerate(ts):
@@ -518,6 +475,6 @@ def initial_tangential_norm(params: ModeParams, y_grid, alpha: float) -> float:
     """|| U(0, .) ||_{W_alpha^{2,inf}} = eps * max_j sup e^{alpha y} |vtilde^(1+j)|."""
     y = np.asarray(y_grid, dtype=float)
     b = params.bump()
-    return params.eps * max(weighted_sup(b.v1(y), y, alpha),
-                            weighted_sup(b.v2(y), y, alpha),
-                            weighted_sup(b.v3(y), y, alpha))
+    return params.eps * max(weighted_sup(b.f(y), y, alpha),
+                            weighted_sup(b.f1(y), y, alpha),
+                            weighted_sup(b.f2(y), y, alpha))

@@ -26,8 +26,7 @@ class CriticalPath:
     lam_nodes: np.ndarray
     adot_nodes: np.ndarray
     lamdot_nodes: np.ndarray
-    t0: float                  # validity horizon actually covered
-    floor: float               # curvature floor used
+    t0: float                  # validity horizon
     flow: HeatFlow
 
     def _hermite_eval(self, t, values, slopes):
@@ -65,12 +64,11 @@ class CriticalPath:
 
 
 def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
-                         dt: float = 2e-3, floor_frac: float = 0.1,
-                         allow_truncation: bool = False) -> CriticalPath:
+                         dt: float = 2e-3, floor_frac: float = 0.1
+                         ) -> CriticalPath:
     """Integrate the critical path to t_final; raise CurvatureVanished if the
-    curvature magnitude hits floor_frac * |lambda(0)| first (or truncate
-    before that node when allow_truncation is set and two nodes precede it).
-    Every node of a returned path has lambda < 0 and |lambda| >= floor."""
+    curvature magnitude hits floor_frac * |lambda(0)| first.  Every node of
+    a returned path has lambda < 0 and |lambda| >= floor_frac |lambda(0)|."""
     lam0 = flow.derivs(0.0, np.array([a0]), orders=(2,))[0][0]
     if lam0 >= 0:
         raise ValueError("curvature at a0 must be negative (maximum expected)")
@@ -86,7 +84,6 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
 
     a_list, lam_list, adot_list, lamdot_list = [], [], [], []
     a = float(a0)
-    cut = None
     for i, t in enumerate(t_nodes):
         d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
         # Newton correction keeps the node on the root of d_y u_s; where it
@@ -97,14 +94,15 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
             a = a_new
             d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
         lam = d2[0]
+        if abs(lam) < floor or lam >= 0:
+            raise CurvatureVanished(
+                f"|lambda| fell to {abs(lam):.3e} (< floor {floor:.3e}) "
+                f"at t={t:.4f} before t_final={t_final}")
         adot = -d3[0] / d2[0]
         a_list.append(a)
         lam_list.append(lam)
         adot_list.append(adot)
         lamdot_list.append(d4[0] + d3[0] * adot)
-        if abs(lam) < floor or lam >= 0:
-            cut = i
-            break
         if i + 1 < n:
             k1, *_ = rhs(t, a)
             k2, *_ = rhs(t + h / 2, a + h * k1 / 2)
@@ -112,23 +110,10 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
             k4, *_ = rhs(t + h, a + h * k3)
             a = a + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    if cut is not None:
-        # a truncated path keeps the nodes before the cut, and needs two
-        if not allow_truncation or cut < 2:
-            raise CurvatureVanished(
-                f"|lambda| fell to {abs(lam_list[-1]):.3e} (< floor {floor:.3e}) "
-                f"at t={t_nodes[cut]:.4f} before t_final={t_final}")
-        return CriticalPath(
-            t_nodes=t_nodes[:cut], a_nodes=np.array(a_list[:cut]),
-            lam_nodes=np.array(lam_list[:cut]),
-            adot_nodes=np.array(adot_list[:cut]),
-            lamdot_nodes=np.array(lamdot_list[:cut]),
-            t0=float(t_nodes[cut - 1]), floor=floor, flow=flow)
-
     return CriticalPath(
         t_nodes=t_nodes, a_nodes=np.array(a_list), lam_nodes=np.array(lam_list),
         adot_nodes=np.array(adot_list), lamdot_nodes=np.array(lamdot_list),
-        t0=float(t_final), floor=floor, flow=flow)
+        t0=float(t_final), flow=flow)
 
 
 def time_integral(f, ts) -> np.ndarray:

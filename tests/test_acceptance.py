@@ -238,8 +238,9 @@ def probe_rows(pair, gauss_field, gauss_path, gauss_prof, y_grid):
     u0s = []
     for k in ks:
         params = default_params(gauss_prof, k, f_width=2.0)
-        u0s.append(params.eps * params.bump().v1(y_grid))
-    configs = [SolverConfig(dt=auto_dt(k, gauss_field, 0.1, min_steps=240))
+        u0s.append(params.eps * params.bump().f(y_grid))
+    configs = [SolverConfig(dt=auto_dt(k, gauss_field, 0.1, c_cfl=0.5,
+                                       min_steps=240))
                for k in ks]
     return operator_growth_probe(gauss_field, ks, u0s, configs, t=0.1, m=2,
                                  alpha=1.0, sigmas=[2.0 * rate], mu=0.25)

@@ -209,6 +209,17 @@ def test_wrong_value_type_is_config_error(tmp_path, capsys, extra):
     assert not (tmp_path / "o").exists()
 
 
+def test_fewer_than_four_field_times_is_config_error(tmp_path, capsys):
+    # the stepper interpolates u_s cubically in t between the field's slices
+    cfg = _write_cfg(tmp_path, {"grid": {"nt": 3}})
+    rc = main(["heat", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": "grid.nt must be at least 4, got 3"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_json_is_config_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
@@ -240,12 +251,16 @@ def test_heat_report_contents(tmp_path):
     assert "config_sha256" in man and "package_version" in man
 
 
-def test_eigen_command_no_root_in_upper_rectangle(tmp_path):
-    cfg = _write_cfg(tmp_path, {"eigen": {"rect": [-5.0, 5.0, 0.05, 5.0]}})
-    rc = main(["eigen", "--config", cfg, "--out", str(tmp_path / "o")])
+def test_mode_command_on_a_vanishing_curvature_exits_3(tmp_path):
+    # the shallow bump's curvature falls below the floor at t = 0.046, inside
+    # the grid's t0 = 0.06
+    cfg = _write_cfg(tmp_path, {"profile": {"family": "gaussian-bump",
+                                            "params": {"U0": 1.0, "A": 0.62}}})
+    rc = main(["mode", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
-    err = json.loads((tmp_path / "o" / "eigen" / "error.json").read_text())
-    assert err["error"] == "NoRootFound"
+    err = json.loads((tmp_path / "o" / "mode" / "error.json").read_text())
+    assert err["error"] == "CurvatureVanished"
+    assert "at t=0.0460" in err["message"]
 
 
 @pytest.mark.slow

@@ -7,8 +7,8 @@ import shearmodes as sm
 from shearmodes import eigen
 from shearmodes.cli import main
 from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
-                              find_root, find_tau, matching_defect,
-                              matrix_eigenvalues, sample_profile, shoot_tails)
+                              find_root, find_tau, matrix_eigenvalues,
+                              sample_profile, shoot_tails, tails_defect)
 from shearmodes.errors import NoRootFound, NotConverged, TailBlowup
 from shearmodes.path import CriticalPath
 
@@ -107,18 +107,22 @@ def test_w_reflection_symmetry(samples):
     assert np.max(np.abs(W + W[::-1] - 1.0)) < 1e-8
 
 
+def _matching_defect(tau, problem):
+    return tails_defect(*shoot_tails(tau, problem))
+
+
 def test_conjugate_is_not_a_root(pair):
-    d = matching_defect(np.conj(pair.tau), PROB)
+    d = _matching_defect(np.conj(pair.tau), PROB)
     assert np.max(np.abs(d)) > 1e-2
 
 
 def test_matching_defect_small_at_root(pair):
-    d = matching_defect(pair.tau, PROB)
+    d = _matching_defect(pair.tau, PROB)
     assert np.max(np.abs(d)) < 1e-8
 
 
 def test_matching_defect_large_off_spectrum():
-    d = matching_defect(-1.0 - 2.0j, PROB)
+    d = _matching_defect(-1.0 - 2.0j, PROB)
     assert np.max(np.abs(d)) > 1e-2
 
 
@@ -156,10 +160,11 @@ def test_refinement_drift(pair):
     assert abs(tau_tol - base) < 1e-6
 
 
-def test_upper_half_rectangle_has_no_admissible_root():
-    prob = DispersionProblem(rect=(-5.0, 5.0, 0.05, 5.0))
-    with pytest.raises(NoRootFound):
-        find_tau(prob)
+def test_find_root_rejects_a_root_in_the_upper_half_plane():
+    # Newton from 2i converges to the root near 3 e^{i pi/4}, which has
+    # Im tau > 0 and so is no admissible eigenvalue
+    with pytest.raises(NoRootFound, match="Im tau < 0"):
+        find_root(PROB, seed_tau=2j)
 
 
 def test_positive_curvature_root_by_conjugation():
@@ -204,8 +209,7 @@ def _synthetic_path(lam_value, flow):
     t = np.linspace(0.0, 1.0, 5)
     z = np.zeros_like(t)
     return CriticalPath(t_nodes=t, a_nodes=1.0 + z, lam_nodes=lam_value + z,
-                        adot_nodes=z, lamdot_nodes=z, t0=1.0,
-                        floor=0.1 * abs(lam_value), flow=flow)
+                        adot_nodes=z, lamdot_nodes=z, t0=1.0, flow=flow)
 
 
 # tau scaled by the curvature along the path: tau_phys(t) = kappa(t) tau
@@ -314,8 +318,8 @@ def test_eigen_command_shoots_once(monkeypatch, tmp_path):
     refined = DispersionProblem(Z=1.5 * prob.Z, rtol=prob.rtol / 100)
     tau = complex(art["tau_re"], art["tau_im"])
     assert art["refinement_drift"] == 0.0
-    assert art["match_defect"] == np.max(np.abs(matching_defect(tau,
-                                                                refined)))
+    assert art["match_defect"] == np.max(np.abs(_matching_defect(tau,
+                                                                 refined)))
 
 
 def test_v_samples_match_evaluator_and_decay(pair, samples):

@@ -5,9 +5,9 @@ import pytest
 
 import shearmodes as sm
 from shearmodes.errors import CflViolation, NonFiniteState
-from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
-                               frozen_mode_operator, growth_row,
-                               operator_growth_probe, step,
+from shearmodes.evolve import (FourierModeState, SolverConfig, _cn_factors,
+                               auto_dt, evolve, frozen_mode_operator,
+                               growth_row, operator_growth_probe, step,
                                transient_amplification)
 from shearmodes.heat import HeatFlowField
 from shearmodes.modes import default_params
@@ -19,10 +19,18 @@ def _blob(y):
     return np.exp(-((y - 3.0) / 1.0) ** 2) * y**2 / 9.0
 
 
+def _step_coefs(field, s, dt):
+    """What evolve passes step: the coefficient rows at the step's ends."""
+    return field.slice_interp(s.t), field.slice_interp(s.t + dt)
+
+
 def test_zero_data_stays_zero(gauss_field, y_grid):
+    # evolve cannot take zero data (it records log norms), so step it alone
     s0 = FourierModeState(k=16, t=0.0, y=y_grid,
                           u_hat=np.zeros(y_grid.size, complex))
-    s1 = step(s0, gauss_field, SolverConfig(dt=1e-3))
+    s1 = step(s0, SolverConfig(dt=1e-3),
+              coefs=_step_coefs(gauss_field, s0, 1e-3),
+              lu=_cn_factors(y_grid, 1e-3))
     assert np.all(s1.u_hat == 0.0)
 
 
@@ -114,20 +122,20 @@ def test_cfl_guard(gauss_field, y_grid):
     s0 = FourierModeState(k=512, t=0.0, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
     with pytest.raises(CflViolation):
-        step(s0, gauss_field, SolverConfig(dt=0.05))
+        evolve(s0, gauss_field, SolverConfig(dt=0.05), 0.05)
 
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "inviscid"])
 def test_evolve_matches_standalone_steps(gauss_field, y_grid, scheme):
-    # evolve checks the CFL condition and factors the Crank-Nicolson matrix
-    # once and carries each step's end-time coefficients over; a standalone
-    # step redoes all three
+    # evolve factors the Crank-Nicolson matrix once and carries each step's
+    # end-time coefficients over; here every step gets fresh ones
     cfg = SolverConfig(dt=2.0**-11, scheme=scheme)
     s = FourierModeState(k=24, t=0.0, y=y_grid,
                          u_hat=_blob(y_grid).astype(complex))
     tr = evolve(s, gauss_field, cfg, 10 * cfg.dt)
     for _ in range(10):
-        s = step(s, gauss_field, cfg)
+        lu = _cn_factors(y_grid, cfg.dt) if scheme == "imex-cn" else None
+        s = step(s, cfg, coefs=_step_coefs(gauss_field, s, cfg.dt), lu=lu)
     assert np.array_equal(tr.final.u_hat, s.u_hat)
 
 
@@ -164,7 +172,7 @@ def test_step_rejects_grid_below_five_points(gauss_prof):
     ff = frozen_field(gauss_prof, y, np.linspace(0.0, 0.3, 4))
     s0 = FourierModeState(k=1, t=0.0, y=y, u_hat=np.ones(4, complex))
     with pytest.raises(ValueError, match="at least 5 grid points"):
-        step(s0, ff, SolverConfig(dt=1e-3))
+        evolve(s0, ff, SolverConfig(dt=1e-3), 1e-3)
 
 
 def test_non_finite_guard(y_grid):
@@ -256,8 +264,8 @@ def test_probe_interpolates_coefficients_once_per_step_for_all_ks(
 def test_batch_cfl_guard_reads_largest_k(gauss_field, y_grid):
     u0 = np.stack([_blob(y_grid)] * 3).astype(complex)
     cfg = SolverConfig(dt=0.05)
-    step(FourierModeState(k=(1, 2), t=0.0, y=y_grid, u_hat=u0[:2]),
-         gauss_field, cfg)
+    evolve(FourierModeState(k=(1, 2), t=0.0, y=y_grid, u_hat=u0[:2]),
+           gauss_field, cfg, 0.05)
     with pytest.raises(CflViolation, match="k=512"):
         evolve(FourierModeState(k=(1, 2, 512), t=0.0, y=y_grid, u_hat=u0),
                gauss_field, cfg, 0.1)
@@ -291,7 +299,7 @@ def test_growth_row_fits_the_compensated_amplitude():
 
 
 def test_auto_dt_respects_cfl(gauss_field):
-    dt = auto_dt(256, gauss_field, 0.1)
+    dt = auto_dt(256, gauss_field, 0.1, c_cfl=0.5, min_steps=240)
     umax = float(np.max(np.abs(gauss_field.us)))
     assert dt <= 0.5 / (256 * umax) + 1e-15
 
@@ -353,10 +361,11 @@ def test_duhamel_gap_bounded_by_propagated_residual(
     from shearmodes.norms import weighted_sup
     n, t = 64, 0.05
     params = default_params(gauss_prof, n, f_width=2.0)
-    u0 = params.eps * params.bump().v1(y_grid)
+    u0 = params.eps * params.bump().f(y_grid)
     s0 = FourierModeState(k=n, t=0.0, y=y_grid, u_hat=u0.astype(complex))
     tr = evolve(s0, gauss_field,
-                SolverConfig(dt=auto_dt(n, gauss_field, t, min_steps=300)), t)
+                SolverConfig(dt=auto_dt(n, gauss_field, t, c_cfl=0.5,
+                                        min_steps=300)), t)
     mode_t = assemble_mode(params, gauss_field, gauss_path, pair, t)
     lhs = weighted_sup(tr.final.u_hat - mode_t.U, y_grid, 0.0)
     ss = np.linspace(0, t, 5)

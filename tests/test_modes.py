@@ -3,11 +3,13 @@ import pytest
 from scipy.integrate import cumulative_simpson, quad
 
 import shearmodes as sm
-from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_frozen,
-                              assemble_mode, default_params,
-                              initial_tangential_norm, mode_amplitude_series,
-                              old_frozen_tangential, residual)
-from shearmodes.norms import weighted_sup
+from shearmodes.evolve import growth_row
+from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_mode,
+                              default_params, initial_tangential_norm,
+                              mode_amplitude_series, old_frozen_tangential,
+                              residual)
+from shearmodes.norms import fit_power_law, weighted_sup
+from shearmodes.path import time_integral
 
 
 # ---------------------------------------------------------------- corrector
@@ -67,39 +69,33 @@ def test_smoothstep_junction_smoothness():
             assert abs(a[j][0] - b[j][0]) < 1e-4, (r0, j)
 
 
-# ---------------------------------------------------------------- frozen
+# ---------------------------------------------------------------- tangential
 
 
-def test_frozen_initial_tangential_is_scaled_bump(gauss_prof, pair, y_grid):
+def test_initial_tangential_is_scaled_bump(gauss_prof, gauss_field,
+                                           gauss_path, pair, y_grid):
+    # at t = 0 the phase vanishes, so E = 1 and U = eps vtilde'
     params = default_params(gauss_prof, 64)
-    mode = assemble_frozen(params, gauss_prof, pair, 0.0, y_grid)
-    expected = params.eps * params.bump().v1(y_grid)
+    mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.0)
+    assert mode.E == 1.0
+    expected = params.eps * params.bump().f(y_grid)
     assert np.max(np.abs(mode.U - expected)) < 1e-14
     assert np.all(mode.U[y_grid > params.f_hi] == 0.0)
 
 
-def test_frozen_tangential_tail_tracks_shear_gradient(pair):
+def test_tangential_tail_tracks_shear_gradient(pair):
+    # beyond the layer and the corrector, U = E i t d_y u_s(t, y)
     prof = sm.make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     y = np.linspace(0, 60, 2401)
+    t = 0.05
+    field = sm.solve_heat(prof, y, np.array([0.0, t]))
+    path = sm.track_critical_point(field.flow, prof.a0, t)
     params = default_params(prof, 64)
-    mode = assemble_frozen(params, prof, pair, 0.05, y)
+    mode = assemble_mode(params, field, path, pair, t)
     far = y > 30
-    dyus = prof.derivs(y)[1]
+    dyus = field.flow.derivs(t, y, orders=(1,))[0]
     ratio = np.abs(mode.U[far]) / np.abs(dyus[far])
-    assert ratio.max() / ratio.min() < 1.01
-
-
-def test_frozen_shear_layer_amplitude_growth(gauss_prof, pair, y_grid):
-    params = default_params(gauss_prof, 144)
-    t_ref, t = 0.02, 0.06
-    m_ref = assemble_frozen(params, gauss_prof, pair, t_ref, y_grid)
-    m = assemble_frozen(params, gauss_prof, pair, t, y_grid)
-    kappa = np.sqrt(abs(gauss_prof.curvature) / 2)
-    rate = abs(pair.tau.imag) * kappa * np.sqrt(144)
-    a_ref = np.max(np.abs(t_ref * m_ref.E * m_ref.components["dy_vsl"]))
-    a = np.max(np.abs(t * m.E * m.components["dy_vsl"]))
-    predicted = np.exp(rate * (t - t_ref)) * (t / t_ref)
-    assert a / a_ref == pytest.approx(predicted, rel=1e-10)
+    assert ratio.max() / ratio.min() < 1 + 1e-12
 
 
 def test_old_ansatz_tail_proportional_to_gradient(pair):
@@ -255,14 +251,24 @@ def test_residual_fd_second_derivative_converges(
 
 def test_residual_taylor_split_matches_exact_form_at_small_eps(
         gauss_field, gauss_path, pair, gauss_prof):
-    """The Taylor-defect form of the shear-layer residual differs from the
-    exact assembly only by cutoff commutators, which shrink as eps does."""
+    """The Taylor-defect form of the shear-layer residual, with u_s replaced
+    by its quadratic Taylor polynomial at a(t), differs from the exact
+    assembly only by cutoff commutators, which shrink as eps does."""
     rest = {}
     for n in (64, 1024):
         params = default_params(gauss_prof, n)
         mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
         res = residual(params, mode)
-        rest[n] = np.max(np.abs(res.cutoff_rest)) / np.max(np.abs(res.Rtilde))
+        c, sc = mode.components, mode.scalars
+        r = mode.y - sc.a
+        us_a = np.sqrt(sc.eps) * sc.kappa * sc.tau - sc.w_eps
+        taylor0 = c["us"] - us_a - sc.lam * r * r / 2.0
+        taylor1 = c["dyus"] - sc.lam * r
+        taylor_form = mode.E * (-(taylor0 / sc.eps) * c["dy_vsl"]
+                                + (taylor1 / sc.eps) * c["v_sl"]
+                                + 1j * c["dtdy_vsl"])
+        rest[n] = (np.max(np.abs(res.Rtilde - taylor_form))
+                   / np.max(np.abs(res.Rtilde)))
     assert rest[1024] < rest[64]
 
 
@@ -327,6 +333,33 @@ def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
                             * np.max(np.abs(loc.components["dy_vsl"])))
             assert abs(amp["log_full"][i] - log_full) <= 1e-9, (p.n, t)
             assert abs(amp["log_sl"][i] - log_sl) <= 1e-9, (p.n, t)
+
+
+@pytest.mark.parametrize("family", ["gauss", "alg4"])
+def test_amplitude_series_is_its_envelope(request, pair, family):
+    """log_sl is log t + 1.5 log kappa(t) + |Im tau| sqrt(k) int_0^t kappa
+    - 1/4 log k + log|V'(0)|: the cutoff is 1 where |V'| peaks, at the
+    midpoint of the layer grid.  So growth_row's sigma/sqrt(k) is one number
+    for every k, and the power-law exponent is 1/2 by construction."""
+    prof = request.getfixturevalue(f"{family}_prof")
+    field = request.getfixturevalue(f"{family}_field")
+    path = request.getfixturevalue(f"{family}_path")
+    ns = [32, 64, 128, 256]
+    ts = np.linspace(0.03 / 24, 0.03, 24)
+    amps = mode_amplitude_series([default_params(prof, n) for n in ns],
+                                 field, path, pair, ts)
+    envelope = (np.log(ts) + 1.5 * np.log(path.kappa(ts))
+                + np.log(abs(pair.v_derivs(np.zeros(1))[1][0])))
+    growth = abs(pair.tau.imag) * time_integral(path.kappa, ts)
+    for n, amp in zip(ns, amps):
+        predicted = envelope + np.sqrt(n) * growth - 0.25 * np.log(n)
+        assert np.max(np.abs(amp["log_sl"] - predicted)) <= 1e-13, n
+    rows = [growth_row(n, amp["t"], amp["log_sl"], path)
+            for n, amp in zip(ns, amps)]
+    ratios = [r["sigma_over_sqrt_k"] for r in rows]
+    assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
+    p, _ = fit_power_law(ns, [r["sigma"] for r in rows])
+    assert abs(p - 0.5) <= 1e-12
 
 
 def test_amplitude_series_kernel_calls_independent_of_n(

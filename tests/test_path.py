@@ -46,32 +46,27 @@ def test_horizon_guard(gauss_path):
 def test_shallow_bump_loses_curvature():
     prof = sm.make_profile("gaussian-bump", {"U0": 1.0, "A": 0.62})
     flow = HeatFlow(prof)
-    with pytest.raises(CurvatureVanished):
+    with pytest.raises(CurvatureVanished, match="at t=0.0460 "):
         track_critical_point(flow, prof.a0, 0.15)
-    truncated = track_critical_point(flow, prof.a0, 0.15,
-                                     allow_truncation=True)
-    assert truncated.t0 < 0.15
-    # the window closes by near-annihilation of the extremum pair: the
-    # curvature has collapsed well below its initial size at the cut
-    lam_end = flow.derivs(truncated.t0,
-                          np.array([float(truncated.a(truncated.t0))]),
+    # up to the last node before the cut the path exists, and the window
+    # closes by near-annihilation of the extremum pair: the curvature there
+    # has collapsed well below its initial size
+    path = track_critical_point(flow, prof.a0, 0.044)
+    lam_end = flow.derivs(path.t0, np.array([float(path.a(path.t0))]),
                           orders=(2,))[0][0]
     assert abs(lam_end) <= 0.2 * abs(prof.curvature)
 
 
-def test_truncation_keeps_only_nodes_above_the_floor(gauss_flow, gauss_prof):
+def test_path_ends_at_the_first_node_below_the_floor(gauss_flow, gauss_prof):
     # at dt = 0.05, |lambda| falls from 1.122 at node 0 to 0.639 at node 1
-    # and lower at node 2: a floor of 0.5 |lambda(0)| cuts at node 2 and
-    # keeps nodes 0 and 1; a floor of 0.999 |lambda(0)| cuts at node 1,
-    # which leaves one node, too few for a path
-    kw = dict(dt=0.05, allow_truncation=True)
-    path = track_critical_point(gauss_flow, gauss_prof.a0, 0.15,
-                                floor_frac=0.5, **kw)
+    # and lower at node 2: a floor of 0.5 |lambda(0)| raises at node 2, and
+    # a path to node 1 keeps every node above it
+    kw = dict(dt=0.05, floor_frac=0.5)
+    with pytest.raises(CurvatureVanished, match="at t=0.1000 "):
+        track_critical_point(gauss_flow, gauss_prof.a0, 0.15, **kw)
+    path = track_critical_point(gauss_flow, gauss_prof.a0, 0.05, **kw)
     assert path.lam_nodes.size == 2
-    assert np.all(path.lam_nodes <= -path.floor)
-    with pytest.raises(CurvatureVanished):
-        track_critical_point(gauss_flow, gauss_prof.a0, 0.15,
-                             floor_frac=0.999, **kw)
+    assert np.all(path.lam_nodes <= -0.5 * abs(gauss_prof.curvature))
 
 
 def test_kappa_definition(gauss_path):
