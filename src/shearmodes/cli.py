@@ -289,7 +289,7 @@ def cmd_mode(cfg: dict, out: Path) -> int:
     t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
     params = pipe.mode_params(n)
     mode = assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
-    res = residual(params, mode)
+    res = residual(mode)
     jumps = mode.jump_report(pipe.pair)
     rows = ["y,U_re,U_im,V_re,V_im,vreg_re,vreg_im,vsl_re,vsl_im,corrector"]
     c = mode.components
@@ -330,7 +330,7 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
             if t > pipe.path.t0:
                 continue
             mode = assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
-            res = residual(params, mode)
+            res = residual(mode)
             for alpha in sc["alphas"]:
                 nrm = weighted_sup(res.R, pipe.y, alpha)
                 damp = float(np.exp(-sigma0 * t * np.sqrt(n)))

@@ -194,6 +194,9 @@ class HeatFlowField:
         """(u_s, d_y u_s) rows at arbitrary t by cubic interpolation in t,
         which needs at least four times in t_grid."""
         tg = self.t_grid
+        if tg.size < 4:
+            raise ValueError("slice_interp interpolates cubically and needs "
+                             f"at least 4 times, the field has {tg.size}")
         if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
             raise ValueError(f"t={t} outside field horizon [{tg[0]}, {tg[-1]}]")
         i = int(np.clip(np.searchsorted(tg, t) - 1, 1, tg.size - 3))

@@ -394,7 +394,7 @@ def old_frozen_tangential(profile: ShearProfile, pair: Eigenpair, eps: float,
     return 1j * (H * dyus + np.sqrt(eps) * kap * V1 / ell)
 
 
-def residual(params: ModeParams, mode: ModeField) -> ResidualField:
+def residual(mode: ModeField) -> ResidualField:
     """Rbar and Rtilde from the assembled components (analytic derivatives).
 
     Rbar carries the corrector/regular terms; Rtilde is the shear-layer

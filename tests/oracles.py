@@ -1,16 +1,19 @@
-"""Independent oracles: exact solutions the stepper is checked against, and
-a general-purpose integrator for the dispersion shot.
+"""Independent oracles: exact solutions the stepper is checked against, the
+dense frozen mode operator and its matrix exponential, and a general-purpose
+integrator for the dispersion shot.
 
 The stepper's oracles share only the Gauss-Legendre panel builder with the
-package, and nothing of the heat or stepper code they check.  The DOP853
-shot shares only the tails' asymptotic seed and TailSolution with the
-Taylor-series shot it checks.
+package, and nothing of the heat or stepper code they check.  The dense
+operator shares only the profile with the band system and contour rule of
+transient_amplification.  The DOP853 shot shares only the tails' asymptotic
+seed and TailSolution with the Taylor-series shot it checks.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from shearmodes.eigen import TailSolution, _tail_seed
 from shearmodes.heat import gl_panels
@@ -69,6 +72,31 @@ def frozen_field(profile, y_grid, t_grid) -> SimpleNamespace:
     return SimpleNamespace(y_grid=y, us=us, dy_us=dy_us,
                            horizon=float(t_grid[-1]),
                            slice_interp=lambda t: (us[0], dy_us[0]))
+
+
+def frozen_mode_operator(profile, k: int, *, y_max: float = 20.0,
+                         ny: int = 900) -> tuple[np.ndarray, np.ndarray]:
+    """Dense matrix of the frozen-coefficient mode operator on the interior
+    grid (Dirichlet ends, trapezoid integration for v_hat), and the grid."""
+    y = np.linspace(0.0, y_max, ny)
+    h = y[1] - y[0]
+    d = profile.derivs(y)
+    Ui, U1i = d[0][1:-1], d[1][1:-1]
+    n = ny - 2
+    D2 = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+          + np.diag(np.ones(n - 1), -1)) / h**2
+    # trapezoid weights of int_0^y: h below the diagonal, h/2 on it
+    T = np.tril(np.full((n, n), h), -1) + (h / 2) * np.eye(n)
+    A = -1j * k * np.diag(Ui) + 1j * k * U1i[:, None] * T + D2
+    return A, y
+
+
+def dense_transient_amplification(profile, k: int, t: float, *,
+                                  y_max: float = 20.0, ny: int = 900) -> float:
+    """The 2-norm of scipy's dense expm of t times the frozen mode operator:
+    the oracle of evolve.transient_amplification."""
+    A, _ = frozen_mode_operator(profile, k, y_max=y_max, ny=ny)
+    return float(np.linalg.norm(expm(t * A), 2))
 
 
 def _rhs(z, y, tau, s):

@@ -93,11 +93,13 @@ def test_eigen_loads_no_scipy(tmp_path):
 
 
 def test_growth_scan_loads_neither_special_integrate_nor_optimize(tmp_path):
-    # the scan needs scipy.linalg's expm and scipy.sparse's svds only
+    # the scan needs only scipy.linalg's LAPACK: the stepper's tridiagonal
+    # solves and the band solves of the transient amplification
     loaded = _command_scipy_loaded(
         tmp_path, "growth-scan",
         {"growth": {"n_list": [16, 32], "transient_ks": [16]}}, codes=(0, 4))
-    for name in ("scipy.special", "scipy.integrate", "scipy.optimize"):
+    for name in ("scipy.special", "scipy.integrate", "scipy.optimize",
+                 "scipy.sparse"):
         assert name not in loaded
 
 
@@ -110,7 +112,8 @@ def _probe_rows(tmp_path, name, extra):
     return json.loads(path.read_text())["rows"]
 
 
-ORACLES = ("inviscid_exact", "dirichlet_heat_kernel", "frozen_field")
+ORACLES = ("inviscid_exact", "dirichlet_heat_kernel", "frozen_field",
+           "frozen_mode_operator")
 
 
 def _surface_faults(src: Path) -> list[str]:

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import shearmodes as sm
-from shearmodes.errors import CflViolation, NonFiniteState
+from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
 from shearmodes.evolve import (FourierModeState, SolverConfig, _cn_factors,
-                               auto_dt, evolve, frozen_mode_operator,
-                               growth_row, operator_growth_probe, step,
+                               _ShiftedBand, auto_dt, evolve, growth_row,
+                               operator_growth_probe, step,
                                transient_amplification)
 from shearmodes.heat import HeatFlowField
 from shearmodes.modes import default_params
 
-from oracles import dirichlet_heat_kernel, frozen_field, inviscid_exact
+from oracles import (dense_transient_amplification, dirichlet_heat_kernel,
+                     frozen_field, frozen_mode_operator, inviscid_exact)
 
 
 def _blob(y):
@@ -311,22 +312,52 @@ def test_transient_amplification_known_value(gauss_prof):
     assert amp == pytest.approx(1.131, rel=0.02)
 
 
-@pytest.mark.parametrize("k, t", [(64, 0.05), (256, 0.05), (64, 1e-4)])
-def test_transient_amplification_matches_scipy_expm(gauss_prof, k, t):
-    # reference: scipy's expm squaring its own Pade approximant; the first
-    # two cases take 4 squarings here, (64, 1e-4) none
-    from scipy.linalg import expm
-    A, _ = frozen_mode_operator(gauss_prof, k, ny=300)
-    ref = np.linalg.norm(expm(t * A), 2)
-    amp = transient_amplification(gauss_prof, k, t, ny=300)
+@pytest.mark.parametrize("k, t, prof", [
+    (64, 0.05, "gauss_prof"), (256, 0.05, "gauss_prof"),
+    (64, 1e-4, "gauss_prof"),
+    pytest.param(256, 0.05, "alg4_prof", id="alg4-256-0.05")],
+    ids=["64-0.05", "256-0.05", "64-0.0001", None])
+def test_transient_amplification_matches_scipy_expm(request, k, t, prof):
+    # reference: the 2-norm of scipy's dense expm (Pade approximant and
+    # squarings); (64, 1e-4) is where the top singular values cluster
+    profile = request.getfixturevalue(prof)
+    ref = dense_transient_amplification(profile, k, t, ny=300)
+    amp = transient_amplification(profile, k, t, ny=300)
     assert abs(amp - ref) <= 1e-13 * ref
 
 
 def test_transient_amplification_repeats_exactly(gauss_prof):
-    # the largest singular value comes from an iterative solver; its fixed
-    # start vector makes the value, and so the artifacts, reproducible
+    # Golub-Kahan is iterative; its fixed all-ones start vector makes the
+    # value, and so the artifacts, reproducible
     first = transient_amplification(gauss_prof, 64, 0.05, ny=300)
     assert repr(transient_amplification(gauss_prof, 64, 0.05, ny=300)) == repr(first)
+
+
+@pytest.mark.parametrize("prof", ["gauss_prof", "alg4_prof"])
+def test_band_system_solves_match_dense_resolvent(request, prof):
+    # the x rows of the interleaved band system and of its conjugate
+    # transpose against the dense z - tA of the oracle operator
+    profile = request.getfixturevalue(prof)
+    k, t, ny, z = 128, 0.05, 300, 2.0 - 7.5j
+    A, _ = frozen_mode_operator(profile, k, ny=ny)
+    M = z * np.eye(ny - 2) - t * A
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(ny - 2) + 1j * rng.standard_normal(ny - 2)
+    band = _ShiftedBand(profile, k, t, y_max=20.0, ny=ny)
+    factors = band.factor(z)
+    for x, ref in ((band.solve(factors, b), np.linalg.solve(M, b)),
+                   (band.solve(factors, b, trans=2),
+                    np.linalg.solve(M.conj().T, b))):
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_transient_amplification_too_few_nodes_is_not_converged(
+        monkeypatch, gauss_prof):
+    # the rule at n and n + 32 nodes must agree; at 8 nodes it cannot
+    ev = importlib.import_module("shearmodes.evolve")
+    monkeypatch.setattr(ev, "_node_count", lambda half: 8)
+    with pytest.raises(NotConverged, match="nodes differs"):
+        transient_amplification(gauss_prof, 64, 0.05, ny=100)
 
 
 def test_frozen_mode_operator_matches_loop_reference(gauss_prof):
@@ -376,7 +407,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
             gauss_prof, n, lag, ny=700)
         m = assemble_mode(params, gauss_field, gauss_path, pair,
                           float(s))
-        integrand.append(amp * weighted_sup(residual(params, m).R,
+        integrand.append(amp * weighted_sup(residual(m).R,
                                             y_grid, 0.0))
     rhs = float(np.trapezoid(integrand, ss))
     assert lhs <= 3.0 * rhs

@@ -161,6 +161,14 @@ def test_slice_interp_weights_match_nested_products(gauss_field):
         assert np.array_equal(dy, w @ gauss_field.dy_us[idx])
 
 
+@pytest.mark.parametrize("ts", [[0.0, 0.05, 0.1], [0.0, 0.1]])
+def test_slice_interp_needs_four_times(gauss_prof, ts):
+    # a cubic stencil on fewer slices would wrap its index and give NaN rows
+    field = solve_heat(gauss_prof, np.linspace(0, 30, 101), ts)
+    with pytest.raises(ValueError, match="at least 4 times"):
+        field.slice_interp(0.03)
+
+
 def test_stepper_coefficients_at_probe_step_times():
     # the stepper reads (u_s, d_y u_s) from slice_interp, cubic in t on the
     # 16 slices; HeatFlow.derivs is the exact kernel solution.  Measured at

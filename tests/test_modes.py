@@ -132,8 +132,8 @@ def test_grid_time_mode_reads_the_field_rows(mode64, gauss_field, gauss_path,
         assert np.array_equal(getattr(mode, name), getattr(fresh, name)), name
     for name in ("us", "dyus", "d2yus", "d3yus"):
         assert np.array_equal(mode.components[name], fresh.components[name])
-    assert np.array_equal(residual(params, mode).Rbar,
-                          residual(params, fresh).Rbar)
+    assert np.array_equal(residual(mode).Rbar,
+                          residual(fresh).Rbar)
 
 
 def test_no_slip_exact(mode64):
@@ -178,14 +178,14 @@ def test_initial_data_weighted_norms_finite(gauss_prof, y_grid):
 
 
 def test_residual_split_identity(mode64):
-    params, mode = mode64
-    res = residual(params, mode)
+    _, mode = mode64
+    res = residual(mode)
     assert np.array_equal(res.R, res.Rbar + res.t * res.Rtilde)
 
 
 def test_residual_far_field_exact_zeros(mode64, y_grid, gauss_path):
     params, mode = mode64
-    res = residual(params, mode)
+    res = residual(mode)
     far = y_grid > max(params.f_hi, float(gauss_path.a(mode.t))
                        + params.phi_outer) + 0.05
     assert np.all(res.Rbar[far] == 0.0)
@@ -200,7 +200,7 @@ def test_residual_against_finite_difference_operator(
     params = default_params(gauss_prof, 64)
     t, delta = 0.05, 1e-5
     mode = assemble_mode(params, gauss_field, gauss_path, pair, t)
-    res = residual(params, mode)
+    res = residual(mode)
     mp = assemble_mode(params, gauss_field, gauss_path, pair, t + delta)
     mm = assemble_mode(params, gauss_field, gauss_path, pair, t - delta)
     dtU = (mp.U - mm.U) / (2 * delta)
@@ -223,7 +223,7 @@ def test_residual_fd_second_derivative_converges(
         y = np.linspace(0.0, 30.0, ny)
         field = sm.solve_heat(gauss_prof, y, t_grid, check=False)
         mode = assemble_mode(params, field, gauss_path, pair, t)
-        res = residual(params, mode)
+        res = residual(mode)
         mp = assemble_mode(params, field, gauss_path, pair, t + delta)
         mm = assemble_mode(params, field, gauss_path, pair, t - delta)
         dtU = (mp.U - mm.U) / (2 * delta)
@@ -258,7 +258,7 @@ def test_residual_taylor_split_matches_exact_form_at_small_eps(
     for n in (64, 1024):
         params = default_params(gauss_prof, n)
         mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
-        res = residual(params, mode)
+        res = residual(mode)
         c, sc = mode.components, mode.scalars
         r = mode.y - sc.a
         us_a = np.sqrt(sc.eps) * sc.kappa * sc.tau - sc.w_eps
@@ -299,7 +299,7 @@ def test_sup_norm_growth_bound_sweep(gauss_field, gauss_path, pair,
 def test_weighted_residual_bound_single_mode(mode64, y_grid, pair,
                                              gauss_path):
     params, mode = mode64
-    res = residual(params, mode)
+    res = residual(mode)
     sigma0 = 1.1 * _im_tau_phys_sup(pair, gauss_path)
     for alpha in (0.0, 1.0, 2.0):
         val = weighted_sup(res.R, y_grid, alpha)
