@@ -136,9 +136,15 @@ def _validate(cfg: dict):
                  + [cfg["residual_scan"]["profile"]]):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
-    for n in cfg["growth"]["n_list"] + cfg["probe"]["ks"] + [cfg["mode"]["n"]]:
+    g = cfg["growth"]
+    for n in (g["n_list"] + g["transient_ks"] + cfg["probe"]["ks"]
+              + [cfg["mode"]["n"]]):
         if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
+    if g["transient_t"] <= 0:
+        # the transient block reports log(amplification) / t
+        raise ValueError(
+            f"growth.transient_t must be positive, got {g['transient_t']}")
     if cfg["grid"]["nt"] < 4:
         # the stepper interpolates u_s cubically in t between field slices
         raise ValueError(f"grid.nt must be at least 4, got {cfg['grid']['nt']}")

@@ -361,8 +361,18 @@ class _ShiftedBand:
 
 def _node_count(half: float) -> int:
     """Nodes of the contour rule around a spectrum of imaginary half-width
-    half."""
-    return 128 + 8 * int(np.ceil(half))
+    half, fitted to the rule's measured convergence with a margin of at
+    least 21 nodes (see transient_amplification)."""
+    return 48 + 16 * int(np.ceil(half))
+
+
+def _contour_nodes(m: float, half: float, n_nodes: int) -> tuple:
+    """The nodes z_j and weights w_j of _ContourExp's rule."""
+    c = 10.0 + half
+    u = -np.pi + (np.arange(n_nodes) + 0.5) * (2 * np.pi / n_nodes)
+    z = _CONTOUR_A - _CONTOUR_B * u * u + 1j * (c * u + m)
+    dz = -2 * _CONTOUR_B * u + 1j * c
+    return z, np.exp(z) * dz / (1j * n_nodes)
 
 
 class _ContourExp:
@@ -380,11 +390,7 @@ class _ContourExp:
 
     def __init__(self, band: _ShiftedBand, m: float, half: float,
                  n_nodes: int):
-        c = 10.0 + half
-        u = -np.pi + (np.arange(n_nodes) + 0.5) * (2 * np.pi / n_nodes)
-        z = _CONTOUR_A - _CONTOUR_B * u * u + 1j * (c * u + m)
-        dz = -2 * _CONTOUR_B * u + 1j * c
-        self.weights = np.exp(z) * dz / (1j * n_nodes)
+        z, self.weights = _contour_nodes(m, half, n_nodes)
         self.band = band
         self.factors = [band.factor(zj) for zj in z]
 
@@ -395,6 +401,16 @@ class _ContourExp:
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         return sum(np.conj(w) * self.band.solve(f, u, trans=2)
                    for w, f in zip(self.weights, self.factors))
+
+
+def _streamed_matvec(band: _ShiftedBand, m: float, half: float,
+                     n_nodes: int, v: np.ndarray) -> np.ndarray:
+    """_ContourExp(band, m, half, n_nodes).matvec(v), bit for bit, with each
+    node factored, solved and dropped in turn: one factorisation is held at
+    a time instead of n_nodes."""
+    z, weights = _contour_nodes(m, half, n_nodes)
+    return sum(w * band.solve(band.factor(zj), v)
+               for w, zj in zip(weights, z))
 
 
 def _orthogonalize(r: np.ndarray, Q: list) -> np.ndarray:
@@ -447,31 +463,58 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
     This is the ground-truth certificate for the evolved-dynamics tests.
 
     No matrix is formed.  e^{tA} is the trapezoid rule on a parabolic
-    contour (_ContourExp) at 128 + 8 ceil(half) nodes, half the imaginary
+    contour (_ContourExp) at N = 48 + 16 ceil(half) nodes, half the imaginary
     half-width tk (max U - min U)/2 of the spectrum of tA; each node is one
-    O(n) band factorisation of z - tA (_ShiftedBand).  sigma_max comes from
-    Golub-Kahan bidiagonalisation, started from the all-ones vector so that
-    the value is reproducible, and stopped when sigma moves by at most 1e-14
-    relative (at 1e-13 it stops early at t = 1e-4, where the top singular
-    values cluster at 1.00046 and 1.00003).  The rule then checks itself:
-    its product with the converged right singular vector at 32 more nodes
-    must agree to 1e-10 relative, else NotConverged.  Against the 2-norm of
-    scipy's dense expm, on 14 cases (gaussian and algebraic A = 4 profiles,
-    k = 64, 128 and 256, t = 0.05 and 1e-4, ny = 300, 700 and 900) the
-    largest relative gap was 4.8e-14 and the self-check gap 2.2e-13.  The
-    clustered values cost steps: at k = 64 Golub-Kahan takes 19 steps at
-    t = 0.05 and ny = 900, but 93 at t = 1e-4 and ny = 300 and 198 at
-    t = 1e-4 and ny = 900.
+    O(n) band factorisation of z - tA (_ShiftedBand).  N is fitted to the
+    rule's measured convergence.  The fewest nodes at which sigma met the
+    2-norm of scipy's dense expm to 1e-13 (gaussian and algebraic A = 4
+    profiles):
+
+                            ny = 300               ny = 900
+        profile   k   t     half  fewest    N      half  fewest    N
+        gauss    64 1e-4   0.003      43   64     0.003      43   64
+        gauss    64 0.05    1.55      55   80      1.63      56   80
+        gauss   128 0.05    3.11      70  112      3.26      70  112
+        alg4     64 0.05    3.67      77  112      3.96      82  112
+        gauss   256 0.05    6.22      99  160      6.52     104  160
+        alg4    128 0.05    7.33     114  176      7.91     123  176
+        gauss   256 0.1     12.4     163  256      13.0     170  272
+        alg4    256 0.05    14.7     211  288      15.8     216  304
+        alg4    512 0.05    29.3     481  528      31.6     522  560
+        alg4    256 0.1     29.3     464  528      31.6     521  560
+
+    so N is at least 21 nodes above the fewest at every half, and at least
+    38 at half 29-32 (the tests run the rule at N - 16).  sigma_max
+    comes from Golub-Kahan bidiagonalisation, started from the all-ones
+    vector so that the value is reproducible, and stopped when sigma moves
+    by at most 1e-14 relative (at 1e-13 it stops early at t = 1e-4, where
+    the top singular values cluster at 1.00046 and 1.00003).  The rule then
+    checks itself: its product with the converged right singular vector at
+    N + 32 nodes must agree to 1e-10 relative, else NotConverged.  The
+    check's nodes are factored, solved and dropped one at a time
+    (_streamed_matvec), so at most the rule's N factorisations are held at
+    once: 80 of 0.27 MB each at k = 64, t = 0.05 and ny = 900.
+
+    Against the dense oracle, on 40 cases (both profiles; k = 64, 128 and
+    256 at t = 0.05 and 1e-4 and ny = 300, 700 and 900; and the four widest
+    rows above) the largest relative gap was 7.7e-14 and the self-check gap
+    1.0e-12.  At ny = 900 that gap is rounding, not truncation: at k = 128
+    and t = 0.05 it scatters from -4.8e-14 to 7.7e-14 between 96 and 260
+    nodes.  The clustered values cost steps: at k = 64 Golub-Kahan takes 19
+    steps at t = 0.05 and ny = 900 (0.4-0.9 s on a 2-core host), but 92 at
+    t = 1e-4 and ny = 300 (0.9-1.2 s) and 198 at t = 1e-4 and ny = 900
+    (5.0-5.4 s), where the 2-norm of the dense expm takes 0.08 s and 1.6 s.
     """
+    if t < 0:
+        raise ValueError(f"transient_amplification needs t >= 0, got {t}")
     band = _ShiftedBand(profile, k, t, y_max=y_max, ny=ny)
     # the spectrum of tA lies about the imaginary range -tk [min U, max U]
     lo, hi = float(band.U.min()), float(band.U.max())
     m, half = -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2
     n_nodes = _node_count(half)
-    rule = _ContourExp(band, m, half, n_nodes)
-    sigma, v, ev = _largest_singular(rule, ny - 2)
-    del rule  # free its factors before the check factors 32 more nodes
-    ev_check = _ContourExp(band, m, half, n_nodes + _CHECK_NODES).matvec(v)
+    sigma, v, ev = _largest_singular(_ContourExp(band, m, half, n_nodes),
+                                     ny - 2)
+    ev_check = _streamed_matvec(band, m, half, n_nodes + _CHECK_NODES, v)
     gap = float(np.linalg.norm(ev - ev_check) / np.linalg.norm(ev_check))
     if gap > _CHECK_RTOL:
         raise NotConverged(f"contour rule at {n_nodes} and "

@@ -223,6 +223,24 @@ def test_fewer_than_four_field_times_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("growth, message", [
+    ({"transient_t": 0}, "growth.transient_t must be positive, got 0"),
+    ({"transient_t": -0.01}, "growth.transient_t must be positive, got -0.01"),
+    ({"transient_ks": [-256]},
+     "wavenumbers must be positive integers, got -256")],
+    ids=["transient-t-zero", "transient-t-negative", "transient-k-negative"])
+def test_bad_transient_input_is_config_error(tmp_path, capsys, growth,
+                                             message):
+    # t = 0 would write rate = log(amplification) / 0; the contour has no
+    # rule for t < 0 or k < 1
+    cfg = _write_cfg(tmp_path, {"growth": growth})
+    rc = main(["growth-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_json_is_config_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")

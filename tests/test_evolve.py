@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import shearmodes as sm
 from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
 from shearmodes.evolve import (FourierModeState, SolverConfig, _cn_factors,
-                               _ShiftedBand, auto_dt, evolve, growth_row,
+                               _ContourExp, _ShiftedBand, _streamed_matvec,
+                               auto_dt, evolve, growth_row,
                                operator_growth_probe, step,
                                transient_amplification)
 from shearmodes.heat import HeatFlowField
@@ -315,11 +317,13 @@ def test_transient_amplification_known_value(gauss_prof):
 @pytest.mark.parametrize("k, t, prof", [
     (64, 0.05, "gauss_prof"), (256, 0.05, "gauss_prof"),
     (64, 1e-4, "gauss_prof"),
-    pytest.param(256, 0.05, "alg4_prof", id="alg4-256-0.05")],
-    ids=["64-0.05", "256-0.05", "64-0.0001", None])
+    pytest.param(256, 0.05, "alg4_prof", id="alg4-256-0.05"),
+    pytest.param(256, 0.1, "alg4_prof", id="alg4-256-0.1")],
+    ids=["64-0.05", "256-0.05", "64-0.0001", None, None])
 def test_transient_amplification_matches_scipy_expm(request, k, t, prof):
     # reference: the 2-norm of scipy's dense expm (Pade approximant and
-    # squarings); (64, 1e-4) is where the top singular values cluster
+    # squarings); (64, 1e-4) is where the top singular values cluster, and
+    # alg4 (256, 0.1) has the widest spectrum (imaginary half-width 29.3)
     profile = request.getfixturevalue(prof)
     ref = dense_transient_amplification(profile, k, t, ny=300)
     amp = transient_amplification(profile, k, t, ny=300)
@@ -358,6 +362,88 @@ def test_transient_amplification_too_few_nodes_is_not_converged(
     monkeypatch.setattr(ev, "_node_count", lambda half: 8)
     with pytest.raises(NotConverged, match="nodes differs"):
         transient_amplification(gauss_prof, 64, 0.05, ny=100)
+
+
+@pytest.mark.parametrize("k, t, prof", [
+    (64, 1e-4, "gauss_prof"), (64, 0.05, "gauss_prof"),
+    (128, 0.05, "alg4_prof"), (256, 0.05, "alg4_prof"),
+    (256, 0.1, "alg4_prof")],
+    ids=["half-0.003", "half-1.6", "half-7.3", "half-14.7", "half-29.3"])
+def test_node_count_has_a_margin(monkeypatch, request, k, t, prof):
+    # the node law keeps at least 16 nodes above the fewest that meet the
+    # dense oracle to 1e-13, from a point spectrum to the widest one tested
+    ev = importlib.import_module("shearmodes.evolve")
+    law = ev._node_count
+    monkeypatch.setattr(ev, "_node_count", lambda half: law(half) - 16)
+    profile = request.getfixturevalue(prof)
+    ref = dense_transient_amplification(profile, k, t, ny=300)
+    amp = transient_amplification(profile, k, t, ny=300)
+    assert abs(amp - ref) <= 1e-13 * ref
+
+
+def test_streamed_check_is_the_stored_rule(gauss_prof):
+    # the self-check's one-node-at-a-time sum is the stored rule's matvec,
+    # with the same weights in the same order
+    k, t, ny, n_nodes = 64, 0.05, 300, 112
+    band = _ShiftedBand(gauss_prof, k, t, y_max=20.0, ny=ny)
+    lo, hi = float(band.U.min()), float(band.U.max())
+    m, half = -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(ny - 2) + 1j * rng.standard_normal(ny - 2)
+    assert np.array_equal(_streamed_matvec(band, m, half, n_nodes, v),
+                          _ContourExp(band, m, half, n_nodes).matvec(v))
+
+
+def _count_nodes_and_factors(monkeypatch):
+    """Record _node_count's results and the number of band factorisations."""
+    ev = importlib.import_module("shearmodes.evolve")
+    law, factor = ev._node_count, _ShiftedBand.factor
+    seen = {"nodes": [], "factors": 0}
+
+    def count_nodes(half):
+        seen["nodes"].append(law(half))
+        return seen["nodes"][-1]
+
+    def count_factor(self, z):
+        seen["factors"] += 1
+        return factor(self, z)
+
+    monkeypatch.setattr(ev, "_node_count", count_nodes)
+    monkeypatch.setattr(_ShiftedBand, "factor", count_factor)
+    return seen
+
+
+def test_transient_amplification_factors_each_node_once(monkeypatch,
+                                                        gauss_prof):
+    # N nodes for the rule, N + 32 for its self-check, nothing refactored
+    seen = _count_nodes_and_factors(monkeypatch)
+    transient_amplification(gauss_prof, 64, 0.05, ny=300)
+    (n_nodes,) = seen["nodes"]
+    assert seen["factors"] == 2 * n_nodes + 32
+
+
+def test_transient_amplification_holds_one_rule_of_factors(monkeypatch,
+                                                           gauss_prof):
+    # the self-check streams its N + 32 nodes, so the traced peak is about
+    # the rule's N factorisations, not N + 32 of them
+    ny = 300
+    transient_amplification(gauss_prof, 64, 0.05, ny=ny)  # loads LAPACK
+    seen = _count_nodes_and_factors(monkeypatch)
+    band = _ShiftedBand(gauss_prof, 64, 0.05, y_max=20.0, ny=ny)
+    lu, ipiv = band.factor(1.0)
+    factor_bytes = lu.nbytes + ipiv.nbytes
+    tracemalloc.start()
+    try:
+        transient_amplification(gauss_prof, 64, 0.05, ny=ny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (seen["nodes"][-1] + 16) * factor_bytes
+
+
+def test_transient_amplification_rejects_negative_t(gauss_prof):
+    with pytest.raises(ValueError, match="t >= 0"):
+        transient_amplification(gauss_prof, 64, -0.01, ny=100)
 
 
 def test_frozen_mode_operator_matches_loop_reference(gauss_prof):
