@@ -21,8 +21,8 @@ from . import __version__
 from .errors import ShearmodesError
 from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
                     matrix_eigenvalues, sample_profile, tails_defect)
-from .evolve import (SolverConfig, auto_dt, evolve_grouped, growth_row,
-                     operator_growth_probe, transient_amplification)
+from .evolve import (SolverConfig, auto_dt, growth_row, operator_growth_probe,
+                     transient_amplification)
 from .heat import heat_residual_probe, solve_heat
 from .modes import (assemble_mode, default_params, initial_tangential_norm,
                     mode_amplitude_series, old_frozen_tangential, residual)
@@ -260,9 +260,10 @@ def cmd_eigen(cfg: dict, out: Path) -> int:
     artifact["refinement_drift"] = drift
     artifact["matrix_oracle_gap"] = oracle_gap
     write_json(out / "eigenpair.json", artifact)
-    rows = ["z,V_re,V_im"]
-    rows += [f"{z:.9g},{v.real:.12g},{v.imag:.12g}"
-             for z, v in zip(samples.z_grid[::10], samples.V[::10])]
+    rows = ["z,V_re,V_im,W_re,W_im"]
+    rows += [f"{z:.9g},{v.real:.12g},{v.imag:.12g},{w.real:.12g},{w.imag:.12g}"
+             for z, v, w in zip(samples.z_grid[::10], samples.V[::10],
+                                samples.W[::10])]
     write_text(out / "V_profile.csv", "\n".join(rows) + "\n")
     print(f"eigen: tau = {pair.tau:.12f}  "
           f"residual = {samples.residual_norm:.2e}  "
@@ -378,9 +379,9 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
 
 
 def cmd_growth_scan(cfg: dict, out: Path) -> int:
-    """Fit sigma(k) from the assembled mode-family amplitudes and record the
-    evolved-dynamics trajectories plus the frozen-operator transient
-    amplification alongside.
+    """Fit sigma(k) from the assembled mode-family amplitudes, write each
+    k's log amplitude series (t, log_mode_sl), and record the frozen-operator
+    transient amplification alongside.
 
     The evolved solution of the actual stepper does not reproduce the
     sqrt(k)-rate at small k: the frozen mode operator is spectrally stable
@@ -388,7 +389,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     approaches the dispersion prediction from below as k grows (the
     transient block quantifies this).  The sigma(k) fit therefore targets
     the mode family itself, whose envelope integrates the heat solve, the
-    critical path, the eigenvalue, and the phase quadrature.
+    critical path, the eigenvalue, and the phase quadrature.  Nothing is
+    stepped: illposedness-probe runs the stepper.
     """
     g = cfg["growth"]
     families = g["families"] or [cfg["profile"]]
@@ -401,24 +403,16 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         t_final = min(g["t_final"], pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)
         amps = mode_amplitude_series([pipe.mode_params(n) for n in g["n_list"]],
-                                     pipe.field, pipe.path, pipe.pair, ts)
-        # evolved reference trajectories from the corrector initial data
-        trajs = evolve_grouped(
-            pipe.field, g["n_list"], [pipe.mode_initial(n) for n in g["n_list"]],
-            [pipe.solver_config(n, t_final) for n in g["n_list"]], t_final)
+                                     pipe.path, pipe.pair, ts)
         fits = []
-        for n, amp, traj in zip(g["n_list"], amps, trajs):
-            row = growth_row(n, amp["t"], amp["log_sl"], pipe.path,
-                             window=tuple(g["window"]))
-            fits.append(row)
-            label = f"{fam['family']} k={n}"
-            series.append((amp["t"], np.exp(amp["log_sl"]), label))
-            rows = ["t,log_mode_sl,log_mode_full,log_evolved,evolved_slope_est"]
-            ev = np.interp(amp["t"], traj.t, traj.lognorm)
-            slope = np.gradient(ev, amp["t"])
-            for tv, a, b, cc, sl in zip(amp["t"], amp["log_sl"],
-                                        amp["log_full"], ev, slope):
-                rows.append(f"{tv:.9g},{a:.12g},{b:.12g},{cc:.12g},{sl:.12g}")
+        for n, amp in zip(g["n_list"], amps):
+            fits.append(growth_row(n, amp["t"], amp["log_sl"], pipe.path,
+                                   window=tuple(g["window"])))
+            series.append((amp["t"], np.exp(amp["log_sl"]),
+                           f"{fam['family']} k={n}"))
+            rows = ["t,log_mode_sl"]
+            rows += [f"{tv:.9g},{a:.12g}"
+                     for tv, a in zip(amp["t"], amp["log_sl"])]
             write_text(out / f"trajectory_{fam['family']}_k{n}.csv",
                        "\n".join(rows) + "\n")
         ks = [r["k"] for r in fits]

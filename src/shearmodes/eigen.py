@@ -347,6 +347,8 @@ class ProfileSamples:
     boundary_err: float
 
     def to_jsonable(self) -> dict:
+        """The scalars of the samples; the samples themselves are not
+        included (the eigen command writes them to V_profile.csv)."""
         tau = self.pair.tau
         return {
             "tau_re": tau.real,
@@ -355,11 +357,6 @@ class ProfileSamples:
             "boundary_err": self.boundary_err,
             "v_jumps": {k: [v.real, v.imag]
                         for k, v in self.pair.v_jumps.items()},
-            "z_grid": self.z_grid.tolist(),
-            "W_re": self.W.real.tolist(),
-            "W_im": self.W.imag.tolist(),
-            "V_re": self.V.real.tolist(),
-            "V_im": self.V.imag.tolist(),
         }
 
 

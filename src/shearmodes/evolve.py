@@ -194,8 +194,8 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
     state0 may be one mode or a batch (see FourierModeState): a batch
     shares one dt, the steps' coefficient rows, one Crank-Nicolson LU and
     one multi-right-hand-side solve per stage, and each row is recorded and
-    renormalised by its own norm.  evolve_grouped forms the batches of a
-    probe or scan, one per dt.  t_final equal to the start time gives the
+    renormalised by its own norm.  evolve_grouped forms the batches of the
+    probe, one per dt.  t_final equal to the start time gives the
     one-sample trajectory; an earlier t_final raises ValueError.
     """
     if t_final > field.horizon + 1e-12:

@@ -233,11 +233,9 @@ class ModeField:
     V: np.ndarray
     dyV: np.ndarray
     w_eps: complex
-    phase: complex            # int_0^t w_eps(s) ds
-    E: complex                # exp(i phase / eps)
+    E: complex                # exp(i / eps int_0^t w_eps(s) ds)
     components: dict = field(repr=False)
     scalars: object = field(repr=False)
-    params: ModeParams = field(repr=False)
 
     def jump_report(self, pair: Eigenpair) -> dict:
         """One-sided limits of V, d_y V, d_y^2 V at a(t); the Heaviside jump
@@ -356,8 +354,8 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
         "us": us, "dyus": dyus, "d2yus": d2yus, "d3yus": d3yus, **sl,
     }
     return ModeField(t=t, y=y, eps=eps, U=U, dyU=dyU, d2yU=d2yU,
-                     V=V_big, dyV=dyV_big, w_eps=sc.w_eps, phase=phase,
-                     E=complex(E), components=comps, scalars=sc, params=params)
+                     V=V_big, dyV=dyV_big, w_eps=sc.w_eps, E=complex(E),
+                     components=comps, scalars=sc)
 
 
 def assemble_mode(params: ModeParams, field_: HeatFlowField, path: CriticalPath,
@@ -420,38 +418,30 @@ def residual(mode: ModeField) -> ResidualField:
     return ResidualField(t=t, y=mode.y, eps=eps, Rbar=Rbar, Rtilde=Rtilde)
 
 
-def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
-                          path: CriticalPath, pair: Eigenpair,
-                          ts) -> list[dict]:
+def mode_amplitude_series(params: Sequence[ModeParams], path: CriticalPath,
+                          pair: Eigenpair, ts) -> list[dict]:
     """Amplitude trajectories of the assembled mode family, one per params.
 
-    Each dict holds arrays over the sample times: log of the growing-component
-    amplitude (t * |E| * sup |d_y v_sl| on a fine grid across the layer, the
-    t prefactor kept), and log of the full sup norm of U on the field grid.
-    The growing component carries the pure exp(|Im tau| sqrt(k) int kappa)
-    envelope that the rate fits target.
+    Each dict holds the sample times t and, over them, log_sl: the log of
+    the growing-component amplitude t * |E| * sup |d_y v_sl|, the sup taken
+    on a fine grid across the layer.  The growing component carries the
+    pure exp(|Im tau| sqrt(k) int kappa) envelope that the rate fits target.
 
-    Only what these two logs read is computed.  Per sample time: the path
-    scalars, one kernel row of d_y u_s on the field grid (U reads no other
-    order of u_s), and the two phase integrals, accumulated over the gaps
-    between the sorted times.  The layer sup reads v_sl alone, which needs
-    no kernel row.  Each params' cutoff and corrector profile are built once.
-    Both logs equal those of assemble_mode at each t to the accuracy of the
+    Only what log_sl reads is computed.  Per sample time: the path scalars
+    (one single-point kernel call) and the two phase integrals, accumulated
+    over the gaps between the sorted times.  v_sl reads no u_s, so no
+    kernel row is taken on a grid.  Each params' cutoff is built once.
+    log_sl equals that of assemble_mode at each t to the accuracy of the
     phase quadrature.
     """
     ts = np.asarray(ts, dtype=float)
-    y = np.asarray(field_.y_grid, dtype=float)
     adv, kap = _phase_parts(path, ts)
     phases = [adv + np.sqrt(p.eps) * kap * pair.tau for p in params]
     cuts = [p.cutoff() for p in params]
-    vt1 = [p.bump().f(y) for p in params]
-    log_full = np.empty((len(params), ts.size))
     log_sl = np.empty((len(params), ts.size))
     for i, t in enumerate(ts):
         t = float(t)
         point = _path_point(path, t)
-        (dyus,) = path.flow.derivs(t, y, orders=(1,))
-        dy_vreg = (y >= point["a"]).astype(float) * dyus
         # layer sup on a fine local grid so the argmax is not quantized by
         # the field grid (the fit noise budget is ~1e-4 in log amplitude)
         layer = {h: np.linspace(max(0.0, point["a"] - h), point["a"] + h, 1601)
@@ -459,16 +449,11 @@ def mode_amplitude_series(params: Sequence[ModeParams], field_: HeatFlowField,
         for j, p in enumerate(params):
             sc = _Scalars(**point, eps=p.eps, tau=pair.tau)
             E = np.exp(1j * phases[j][i] / p.eps)
-            # U = E (eps vtilde' + i t d_y S), as _assemble forms it
-            dyS = dy_vreg + _shear_layer(cuts[j], pair, sc, y)["dy_vsl"]
-            U = E * (p.eps * vt1[j] + 1j * t * dyS)
-            log_full[j, i] = np.log(float(np.max(np.abs(U))))
             dy_vsl = _shear_layer(cuts[j], pair, sc,
                                   layer[p.phi_outer])["dy_vsl"]
             amp_sl = abs(complex(E)) * t * float(np.max(np.abs(dy_vsl)))
             log_sl[j, i] = np.log(amp_sl) if amp_sl > 0 else -np.inf
-    return [{"t": ts, "log_sl": sl, "log_full": full}
-            for sl, full in zip(log_sl, log_full)]
+    return [{"t": ts, "log_sl": sl} for sl in log_sl]
 
 
 def initial_tangential_norm(params: ModeParams, y_grid, alpha: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureVanished, HorizonExceeded
+from .errors import CurvatureVanished, HorizonExceeded, NoCriticalPoint
 from .heat import HeatFlow, gauss_legendre, gl_panels
 
 
@@ -66,12 +66,15 @@ class CriticalPath:
 def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
                          dt: float = 2e-3, floor_frac: float = 0.1
                          ) -> CriticalPath:
-    """Integrate the critical path to t_final; raise CurvatureVanished if the
-    curvature magnitude hits floor_frac * |lambda(0)| first.  Every node of
-    a returned path has lambda < 0 and |lambda| >= floor_frac |lambda(0)|."""
+    """Integrate the critical path to t_final; raise NoCriticalPoint if a0
+    is not a maximum of u_s(0, .), and CurvatureVanished if the curvature
+    magnitude hits floor_frac * |lambda(0)| first.  Every node of a returned
+    path has lambda < 0 and |lambda| >= floor_frac |lambda(0)|."""
     lam0 = flow.derivs(0.0, np.array([a0]), orders=(2,))[0][0]
     if lam0 >= 0:
-        raise ValueError("curvature at a0 must be negative (maximum expected)")
+        raise NoCriticalPoint(
+            f"the critical point at y={a0:.6f} has U''={lam0:.3e} >= 0; "
+            "the path tracks a maximum")
     floor = floor_frac * abs(lam0)
 
     n = max(2, int(np.ceil(t_final / dt)) + 1)

@@ -152,7 +152,7 @@ def test_criterion_4_growth_rate_scaling(
         ns = (32, 64, 128, 256)
         amps = mode_amplitude_series(
             [default_params(prof, n, f_width=2.0) for n in ns],
-            field, path, pair, ts)
+            path, pair, ts)
         fits = [growth_row(n, amp["t"], amp["log_sl"], path)
                 for n, amp in zip(ns, amps)]
         rels = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -289,12 +290,53 @@ def test_eigen_command_default_artifact(tmp_path):
     cfg = _write_cfg(tmp_path, {})
     rc = main(["eigen", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
-    art = json.loads((tmp_path / "o" / "eigen" / "eigenpair.json").read_text())
+    out = tmp_path / "o" / "eigen"
+    art = json.loads((out / "eigenpair.json").read_text())
     assert art["tau_im"] < 0
     assert art["residual_norm"] < 1e-8
     assert art["matrix_oracle_gap"] < 1e-4
     assert art["refinement_drift"] < 1e-6
-    assert (tmp_path / "o" / "eigen" / "V_profile.csv").exists()
+    # eigenpair.json holds the scalars; the samples live in V_profile.csv
+    assert not [k for k, v in art.items() if isinstance(v, list)]
+    lines = (out / "V_profile.csv").read_text().splitlines()
+    assert lines[0] == "z,V_re,V_im,W_re,W_im"
+    prob = Pipeline(load_config(cfg)).problem
+    W = eigen.sample_profile(eigen.find_tau(prob), prob).W[::10]
+    assert len(lines) == 1 + W.size
+    assert [line.split(",")[3:] for line in lines[1:]] == [
+        [f"{w.real:.12g}", f"{w.imag:.12g}"] for w in W]
+
+
+def test_growth_scan_steps_nothing(monkeypatch, tmp_path):
+    # the fit reads the assembled mode family; no trajectory is evolved
+    def refuse(*args, **kwargs):
+        raise AssertionError("growth-scan called the stepper")
+
+    # the package re-exports the function evolve over its module's name
+    monkeypatch.setattr(importlib.import_module("shearmodes.evolve"), "step",
+                        refuse)
+    cfg = _write_cfg(tmp_path, {})
+    assert main(["growth-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) in (0, 4)
+    csvs = sorted((tmp_path / "o" / "growth-scan").glob("trajectory_*.csv"))
+    assert len(csvs) == 8
+    for path in csvs:
+        assert path.read_text().splitlines()[0] == "t,log_mode_sl"
+
+
+def test_profile_with_only_a_minimum_exits_3_where_the_path_is_tracked(
+        tmp_path):
+    # the algebraic bump with A = -1 has one critical point, a minimum at
+    # y = 0.414 with U'' = +2.06; heat and eigen never track the path
+    cfg = _write_cfg(tmp_path, {"profile": {"family": "algebraic-bump",
+                                            "params": {"U0": 1.0, "A": -1.0}}})
+    out = tmp_path / "o"
+    for command in ("mode", "illposedness-probe"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = json.loads((out / command / "error.json").read_text())
+        assert err["error"] == "NoCriticalPoint"
+    for command in ("heat", "eigen"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_pipeline_shares_field_and_path():
