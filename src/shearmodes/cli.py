@@ -23,7 +23,7 @@ from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
                     matrix_eigenvalues, sample_profile, tails_defect)
 from .evolve import (SolverConfig, auto_dt, growth_row, operator_growth_probe,
                      transient_amplification)
-from .heat import heat_residual_probe, solve_heat
+from .heat import HeatFlow, check_quadrature, heat_residual_probe, solve_heat
 from .modes import (assemble_mode, default_params, initial_tangential_norm,
                     mode_amplitude_series, old_frozen_tangential, residual)
 from .norms import fit_power_law, weighted_sup
@@ -187,14 +187,30 @@ class Pipeline:
         self.t_grid = np.linspace(0.0, g["t0"], g["nt"])
         self.profile = make_profile(cfg["profile"]["family"],
                                     cfg["profile"]["params"])
+        self._flow = None
         self._field = None
         self._path = None
         self._pair = None
 
     @property
+    def flow(self) -> HeatFlow:
+        """The profile's heat flow with solve_heat's quadrature check on the
+        grid: the field's own once the field is built, else a flow of its
+        own, so that the path (all growth-scan reads) samples no field."""
+        if self._flow is None:
+            if self._field is not None:
+                self._flow = self._field.flow
+            else:
+                self._flow = HeatFlow(self.profile)
+                check_quadrature(self._flow, self.y, self.t_grid)
+        return self._flow
+
+    @property
     def field(self):
         if self._field is None:
-            self._field = solve_heat(self.profile, self.y, self.t_grid)
+            # a flow built first has passed the same check
+            self._field = solve_heat(self.profile, self.y, self.t_grid,
+                                     check=self._flow is None)
         return self._field
 
     @property
@@ -202,7 +218,7 @@ class Pipeline:
         if self._path is None:
             p = self.cfg["path"]
             self._path = track_critical_point(
-                self.field.flow, self.profile.a0, self.cfg["grid"]["t0"],
+                self.flow, self.profile.a0, self.cfg["grid"]["t0"],
                 dt=p["dt"], floor_frac=p["floor_frac"])
         return self._path
 

@@ -15,6 +15,10 @@ transport formula of the inviscid problem.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,10 +104,43 @@ def _advection(u, y, k, us_row, dyus_row):
     return -1j * k * us_row * u - v * dyus_row
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded without
+    the scipy.linalg package.
+
+    scipy/linalg/__init__.py loads scipy's array-API layer, which walks
+    numpy's namespace and so imports numpy.f2py and numpy.testing too: after
+    the CLI's start-up, importing scipy.linalg.lapack added 312 modules (85
+    of scipy), 0.23-0.31 s and 22 MB on a 2-core host, all of it code that
+    nothing here calls; this loader adds 24 modules (11 of scipy), 17-24 ms
+    and 3.3 MB.  The four routines the package uses (zgttrf, zgttrs, zgbtrf,
+    zgbtrs) live in the extension, and scipy.linalg.lapack re-exports the
+    very same function objects.  So this imports the scipy package alone
+    (its platform library set-up), finds the extension on scipy's own path,
+    executes it and registers it in sys.modules under its own name.  A
+    later import of scipy.linalg reuses that module, and one that
+    scipy.linalg loaded first is reused here, so either way there is one
+    extension.  Without the file it raises ImportError naming the paths
+    searched; there is no second route through scipy.linalg.
+    """
+    if _FLAPACK not in sys.modules:
+        import scipy
+        paths = [os.path.join(p, "linalg") for p in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, paths)
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} extension in {paths}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return sys.modules[_FLAPACK]
+
+
 def _cn_factors(y: np.ndarray, dt: float) -> tuple:
     """LU factors (LAPACK gttrf) of the tridiagonal (I - dt/2 D2) on the
     interior nodes, Dirichlet both ends; _cn_solve applies the inverse."""
-    from scipy.linalg.lapack import zgttrf  # loaded on first use
     n = y.size - 2
     if n < 3:
         raise ValueError("the Crank-Nicolson solve needs at least 5 grid "
@@ -111,16 +148,15 @@ def _cn_factors(y: np.ndarray, dt: float) -> tuple:
     h = y[1] - y[0]
     r = dt / (2 * h * h)
     off = np.full(n - 1, -r, dtype=complex)
-    dl, d, du, du2, ipiv, _ = zgttrf(off, np.full(n, 1 + 2 * r, dtype=complex),
-                                     off)
+    dl, d, du, du2, ipiv, _ = _lapack().zgttrf(
+        off, np.full(n, 1 + 2 * r, dtype=complex), off)
     return dl, d, du, du2, ipiv
 
 
 def _cn_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
     """(I - dt/2 D2)^{-1} b along the last axis of b: every row of a batch
     is one right-hand side of a single gttrs call."""
-    from scipy.linalg.lapack import zgttrs  # loaded on first use
-    return zgttrs(*lu, b.T)[0].T
+    return _lapack().zgttrs(*lu, b.T)[0].T
 
 
 def step(state: FourierModeState, config: SolverConfig, *, coefs,
@@ -342,21 +378,19 @@ class _ShiftedBand:
 
     def factor(self, z: complex) -> tuple:
         """zgbtrf's (lu, ipiv) of the system at z."""
-        from scipy.linalg.lapack import zgbtrf  # loaded on first use
         ab = self.ab.copy(order="F")
         ab[_DIAG, 0::2] += z
-        lu, ipiv, info = zgbtrf(ab, _KL, _KU, overwrite_ab=1)
+        lu, ipiv, info = _lapack().zgbtrf(ab, _KL, _KU, overwrite_ab=1)
         if info > 0:
             raise NotConverged(f"z - tA is singular at the contour node {z}")
         return lu, ipiv
 
     def solve(self, factors: tuple, b: np.ndarray, trans: int = 0):
         """(z - tA)^{-1} b (trans 0) or (z - tA)^{-H} b (trans 2)."""
-        from scipy.linalg.lapack import zgbtrs  # loaded on first use
         rhs = np.zeros(self.ab.shape[1], dtype=complex)
         rhs[0::2] = b
-        return zgbtrs(factors[0], _KL, _KU, rhs, factors[1],
-                      trans=trans)[0][0::2]
+        return _lapack().zgbtrs(factors[0], _KL, _KU, rhs, factors[1],
+                                trans=trans)[0][0::2]
 
 
 def _node_count(half: float) -> int:
@@ -426,9 +460,10 @@ def _largest_singular(op: _ContourExp, n: int) -> tuple:
     """sigma_max of op, its right singular vector v and op v, by Golub-Kahan
     bidiagonalisation (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965) with
     full reorthogonalisation, from the all-ones start vector, until sigma
-    moves by at most _SIGMA_RTOL relative.  op V = U B with B upper
-    bidiagonal, so sigma_max(B) rises to sigma_max(op), and v = V y and
-    op v = sigma U x for the top singular pair (x, y) of B."""
+    moves by at most _SIGMA_RTOL relative or V spans the whole space.  op V
+    = U B with B upper bidiagonal, so sigma_max(B) rises to sigma_max(op),
+    which it equals once B is n by n; v = V y and op v = sigma U x for the
+    top singular pair (x, y) of B."""
     V = [np.full(n, 1 / np.sqrt(n), dtype=complex)]
     p = op.matvec(V[0])
     alpha = [np.linalg.norm(p)]
@@ -444,12 +479,13 @@ def _largest_singular(op: _ContourExp, n: int) -> tuple:
         U.append(p / alpha[-1])
         B = np.diag(alpha) + np.diag(beta, 1)
         x, s, yh = np.linalg.svd(B)
-        converged = abs(s[0] - sigma) <= _SIGMA_RTOL * s[0]
+        converged = (abs(s[0] - sigma) <= _SIGMA_RTOL * s[0]
+                     or len(V) == n)
         sigma = s[0]
         if converged:
             return (float(sigma), yh[0].conj() @ np.array(V),
                     sigma * (x[:, 0] @ np.array(U)))
-    raise NotConverged(f"Golub-Kahan did not settle sigma_max in {n} steps")
+    return float(sigma), V[0], p    # n = 1: V[0] spans the space
 
 
 def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,

@@ -12,6 +12,8 @@ import pytest
 import shearmodes
 from shearmodes import cli, eigen
 from shearmodes.cli import Pipeline, deep_merge, load_config, main
+from shearmodes.errors import QuadratureFailure
+from shearmodes.heat import HeatFlow
 
 FAST = {
     "grid": {"y_max": 30.0, "ny": 201, "t0": 0.06, "nt": 4},
@@ -80,10 +82,18 @@ def test_residual_scan_loads_no_scipy(tmp_path):
     assert _command_scipy_loaded(tmp_path, "residual-scan") == []
 
 
+def _lapack_alone(loaded):
+    """Whether loaded holds scipy's LAPACK extension and nothing else of the
+    scipy.linalg package, the package's own __init__ included."""
+    return [m for m in loaded if m.startswith("scipy.linalg")] == [
+        "scipy.linalg._flapack"]
+
+
 def test_probe_command_loads_neither_integrate_nor_optimize(tmp_path):
-    # the stepper needs scipy.linalg's LAPACK and nothing else of scipy
+    # the stepper's tridiagonal solves need LAPACK and nothing else of scipy
     loaded = _command_scipy_loaded(tmp_path, "illposedness-probe",
                                    {"probe": {"ks": [32, 64]}}, codes=(0, 4))
+    assert _lapack_alone(loaded)
     for name in ("scipy.special", "scipy.integrate", "scipy.optimize"):
         assert name not in loaded
 
@@ -94,14 +104,48 @@ def test_eigen_loads_no_scipy(tmp_path):
 
 
 def test_growth_scan_loads_neither_special_integrate_nor_optimize(tmp_path):
-    # the scan needs only scipy.linalg's LAPACK: the stepper's tridiagonal
-    # solves and the band solves of the transient amplification
+    # the scan needs only LAPACK, for the band solves of the transient
+    # amplification
     loaded = _command_scipy_loaded(
         tmp_path, "growth-scan",
         {"growth": {"n_list": [16, 32], "transient_ks": [16]}}, codes=(0, 4))
+    assert _lapack_alone(loaded)
     for name in ("scipy.special", "scipy.integrate", "scipy.optimize",
                  "scipy.sparse"):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("first", ["loader", "scipy.linalg"])
+def test_lapack_loader_and_scipy_linalg_share_one_extension(tmp_path, first):
+    # the tests' scipy oracles and the package must call the same LAPACK
+    # functions whichever of them loads the extension first
+    loader = "lapack = _lapack()\n"
+    package = "import scipy.linalg.lapack as sl\n"
+    code = ("import sys\nfrom shearmodes.evolve import _lapack\n"
+            + (loader + package if first == "loader" else package + loader)
+            + "ext = sys.modules['scipy.linalg._flapack']\n"
+            "for name in ('zgttrf', 'zgttrs', 'zgbtrf', 'zgbtrs'):\n"
+            "    assert getattr(lapack, name) is getattr(sl, name)\n"
+            "    assert getattr(lapack, name) is getattr(ext, name)\n"
+            "assert _lapack() is lapack is ext")
+    assert "scipy.linalg" in _scipy_loaded(code, tmp_path)
+
+
+def test_lapack_loader_names_the_paths_it_searched(tmp_path):
+    # a scipy without the extension is an ImportError, not a fall-back to
+    # the scipy.linalg package
+    code = ("import scipy\n"
+            f"scipy.__path__ = [{str(tmp_path)!r}]\n"
+            "from shearmodes.evolve import _lapack\n"
+            "try:\n"
+            "    _lapack()\n"
+            "except ImportError as exc:\n"
+            "    message = str(exc)\n"
+            "expected = "
+            f"{str(tmp_path / 'linalg')!r}\n"
+            "assert message == ('no scipy.linalg._flapack extension in '\n"
+            "                   + repr([expected])), message")
+    assert "scipy.linalg._flapack" not in _scipy_loaded(code, tmp_path)
 
 
 def _probe_rows(tmp_path, name, extra):
@@ -322,6 +366,34 @@ def test_growth_scan_steps_nothing(monkeypatch, tmp_path):
     assert len(csvs) == 8
     for path in csvs:
         assert path.read_text().splitlines()[0] == "t,log_mode_sl"
+
+
+def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
+        monkeypatch, tmp_path):
+    # the path is all growth-scan reads of the heat flow, and it gets
+    # solve_heat's panel-doubling check at solve_heat's (t, y) points
+    def refuse(*args, **kwargs):
+        raise AssertionError("growth-scan sampled a heat field")
+
+    probes = []
+
+    def wide_gap(self, t, y):
+        probes.append((t, np.asarray(y).tolist()))
+        return 1.0
+
+    solve_heat = cli.solve_heat
+    monkeypatch.setattr(cli, "solve_heat", refuse)
+    monkeypatch.setattr(HeatFlow, "quadrature_gap", wide_gap)
+    cfg = _write_cfg(tmp_path, {})
+    out = tmp_path / "o"
+    assert main(["growth-scan", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads((out / "growth-scan" / "error.json").read_text())
+    assert err == {"error": "QuadratureFailure",
+                   "message": "panel-doubling disagreement 1.00e+00 > 1.00e-08"}
+    pipe = Pipeline(load_config(cfg))
+    with pytest.raises(QuadratureFailure):
+        solve_heat(pipe.profile, pipe.y, pipe.t_grid)
+    assert len(probes) == 2 and probes[0] == probes[1]
 
 
 def test_profile_with_only_a_minimum_exits_3_where_the_path_is_tracked(

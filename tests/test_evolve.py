@@ -330,6 +330,16 @@ def test_transient_amplification_matches_scipy_expm(request, k, t, prof):
     assert abs(amp - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("ny", range(3, 12))
+def test_transient_amplification_on_a_coarse_grid(gauss_prof, ny):
+    # ny - 2 Golub-Kahan steps span the whole space, where sigma_max of the
+    # bidiagonal is exact even if it has not yet repeated (at ny = 12 it
+    # repeats first)
+    ref = dense_transient_amplification(gauss_prof, 64, 0.05, ny=ny)
+    amp = transient_amplification(gauss_prof, 64, 0.05, ny=ny)
+    assert abs(amp - ref) <= 1e-13 * ref
+
+
 def test_transient_amplification_repeats_exactly(gauss_prof):
     # Golub-Kahan is iterative; its fixed all-ones start vector makes the
     # value, and so the artifacts, reproducible
