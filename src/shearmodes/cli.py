@@ -17,19 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, eigen, evolve, heat, modes, norms, svg
+from . import path as critical_path
 from .errors import ShearmodesError
-from .eigen import (DispersionProblem, Eigenpair, find_root, find_tau,
-                    matrix_eigenvalues, sample_profile, tails_defect)
-from .evolve import (SolverConfig, auto_dt, growth_row, operator_growth_probe,
-                     transient_amplification)
-from .heat import HeatFlow, check_quadrature, heat_residual_probe, solve_heat
-from .modes import (assemble_mode, default_params, initial_tangential_norm,
-                    mode_amplitude_series, old_frozen_tangential, residual)
-from .norms import fit_power_law, weighted_sup
-from .path import track_critical_point
 from .profiles import family_names, make_profile
-from .svg import svg_plot
 
 DEFAULT_CONFIG = {
     "profile": {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
@@ -193,7 +184,7 @@ class Pipeline:
         self._pair = None
 
     @property
-    def flow(self) -> HeatFlow:
+    def flow(self) -> heat.HeatFlow:
         """The profile's heat flow with solve_heat's quadrature check on the
         grid: the field's own once the field is built, else a flow of its
         own, so that the path (all growth-scan reads) samples no field."""
@@ -201,36 +192,36 @@ class Pipeline:
             if self._field is not None:
                 self._flow = self._field.flow
             else:
-                self._flow = HeatFlow(self.profile)
-                check_quadrature(self._flow, self.y, self.t_grid)
+                self._flow = heat.HeatFlow(self.profile)
+                heat.check_quadrature(self._flow, self.y, self.t_grid)
         return self._flow
 
     @property
     def field(self):
         if self._field is None:
             # a flow built first has passed the same check
-            self._field = solve_heat(self.profile, self.y, self.t_grid,
-                                     check=self._flow is None)
+            self._field = heat.solve_heat(self.profile, self.y, self.t_grid,
+                                          check=self._flow is None)
         return self._field
 
     @property
     def path(self):
         if self._path is None:
             p = self.cfg["path"]
-            self._path = track_critical_point(
+            self._path = critical_path.track_critical_point(
                 self.flow, self.profile.a0, self.cfg["grid"]["t0"],
                 dt=p["dt"], floor_frac=p["floor_frac"])
         return self._path
 
     @property
-    def problem(self) -> DispersionProblem:
+    def problem(self) -> eigen.DispersionProblem:
         e = self.cfg["eigen"]
-        return DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"])
+        return eigen.DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"])
 
     @property
-    def pair(self) -> Eigenpair:
+    def pair(self) -> eigen.Eigenpair:
         if self._pair is None:
-            self._pair = find_tau(self.problem)
+            self._pair = eigen.find_tau(self.problem)
         return self._pair
 
     def sigma0(self) -> float:
@@ -241,16 +232,17 @@ class Pipeline:
             abs(self.pair.tau.imag) * float(np.max(self.path.kappa(ts))))
 
     def mode_params(self, n: int):
-        return default_params(self.profile, n,
-                              f_width=self.cfg["mode"]["f_width"])
+        return modes.default_params(self.profile, n,
+                                    f_width=self.cfg["mode"]["f_width"])
 
-    def solver_config(self, k: int, t_final: float) -> SolverConfig:
+    def solver_config(self, k: int, t_final: float) -> evolve.SolverConfig:
         """The stepper settings of cfg["solver"] for wavenumber k, with
         auto_dt's step."""
         s = self.cfg["solver"]
-        dt = auto_dt(k, self.field, t_final, c_cfl=s["c_cfl"],
-                     min_steps=s["min_steps"])
-        return SolverConfig(dt=dt, scheme=s["scheme"], c_cfl=s["c_cfl"])
+        dt = evolve.auto_dt(k, self.field, t_final, c_cfl=s["c_cfl"],
+                            min_steps=s["min_steps"])
+        return evolve.SolverConfig(dt=dt, scheme=s["scheme"],
+                                   c_cfl=s["c_cfl"])
 
     def mode_initial(self, n: int) -> np.ndarray:
         params = self.mode_params(n)
@@ -264,15 +256,16 @@ class Pipeline:
 def cmd_eigen(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     prob, pair = pipe.problem, pipe.pair
-    samples = sample_profile(pair, prob)
+    samples = eigen.sample_profile(pair, prob)
     # the one shot: Newton on the refined problem, seeded at the closed form
-    refined, tails = find_root(
+    refined, tails = eigen.find_root(
         dataclasses.replace(prob, Z=1.5 * prob.Z, rtol=prob.rtol / 100),
         seed_tau=pair.tau)
     drift = abs(refined - pair.tau)
-    oracle_gap = abs(matrix_eigenvalues(prob, pair.tau) - pair.tau)
+    oracle_gap = abs(eigen.matrix_eigenvalues(prob, pair.tau) - pair.tau)
     artifact = samples.to_jsonable()
-    artifact["match_defect"] = float(np.max(np.abs(tails_defect(*tails))))
+    artifact["match_defect"] = float(
+        np.max(np.abs(eigen.tails_defect(*tails))))
     artifact["refinement_drift"] = drift
     artifact["matrix_oracle_gap"] = oracle_gap
     write_json(out / "eigenpair.json", artifact)
@@ -291,10 +284,14 @@ def cmd_heat(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     field = pipe.field
     t_probe = float(pipe.t_grid[len(pipe.t_grid) // 2])
-    resid = heat_residual_probe(field.flow, max(t_probe, pipe.t_grid[1]),
-                                pipe.y[:: max(1, pipe.y.size // 48)])
+    resid = heat.heat_residual_probe(field.flow,
+                                     max(t_probe, pipe.t_grid[1]),
+                                     pipe.y[:: max(1, pipe.y.size // 48)])
+    row = ",".join(["%.12g"] * 5)
     rows = ["t,y,u_s,dy_u_s,d2y_u_s"]
-    rows += [",".join(f"{v:.12g}" for v in row) for row in field.to_rows()]
+    # one time slice's floats at a time: the whole table's would add 1 MB
+    for block in np.split(field.to_rows(), len(field.t_grid)):
+        rows += [row % tuple(r) for r in block.tolist()]
     write_text(out / "heat_field.csv", "\n".join(rows) + "\n")
     write_json(out / "heat_report.json", {
         "heat_residual_probe": resid,
@@ -311,8 +308,8 @@ def cmd_mode(cfg: dict, out: Path) -> int:
     n = cfg["mode"]["n"]
     t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
     params = pipe.mode_params(n)
-    mode = assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
-    res = residual(mode)
+    mode = modes.assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
+    res = modes.residual(mode)
     jumps = mode.jump_report(pipe.pair)
     rows = ["y,U_re,U_im,V_re,V_im,vreg_re,vreg_im,vsl_re,vsl_im,corrector"]
     c = mode.components
@@ -335,7 +332,8 @@ def cmd_mode(cfg: dict, out: Path) -> int:
         "jump_cancellation": {k: float(v) for k, v in jumps.items()},
         "residual_sup": float(np.max(np.abs(res.R))),
         "initial_norm_over_eps": {
-            str(a): initial_tangential_norm(params, pipe.y, a) / params.eps
+            str(a): (modes.initial_tangential_norm(params, pipe.y, a)
+                     / params.eps)
             for a in (0.0, 1.0, 2.0)},
     })
     print(f"mode: n={n} t={t} jumpV={jumps['V']:.2e} dyV={jumps['dyV']:.2e}")
@@ -352,10 +350,11 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
         for t in sc["t_list"]:
             if t > pipe.path.t0:
                 continue
-            mode = assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
-            res = residual(mode)
+            mode = modes.assemble_mode(params, pipe.field, pipe.path,
+                                       pipe.pair, t)
+            res = modes.residual(mode)
             for alpha in sc["alphas"]:
-                nrm = weighted_sup(res.R, pipe.y, alpha)
+                nrm = norms.weighted_sup(res.R, pipe.y, alpha)
                 damp = float(np.exp(-sigma0 * t * np.sqrt(n)))
                 rows.append({"n": int(n), "t": float(t), "alpha": float(alpha),
                              "norm": float(nrm), "damped": float(nrm * damp)})
@@ -380,10 +379,10 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     n_ref = sc["n_list"][0]
     for ymax in (15.0, 30.0, 60.0):
         yg = np.linspace(0.0, ymax, int(20 * ymax) + 1)
-        old = old_frozen_tangential(alg, pipe.pair, 1.0 / n_ref, yg)
-        old_norms[str(ymax)] = weighted_sup(old, yg, 1.0)
-        pa = default_params(alg, n_ref, f_width=cfg["mode"]["f_width"])
-        new_norms[str(ymax)] = initial_tangential_norm(pa, yg, 1.0)
+        old = modes.old_frozen_tangential(alg, pipe.pair, 1.0 / n_ref, yg)
+        old_norms[str(ymax)] = norms.weighted_sup(old, yg, 1.0)
+        pa = modes.default_params(alg, n_ref, f_width=cfg["mode"]["f_width"])
+        new_norms[str(ymax)] = modes.initial_tangential_norm(pa, yg, 1.0)
     report = {"sigma0": sigma0, "rows": rows, "verdicts": verdicts,
               "old_ansatz_weighted_norm": old_norms,
               "corrector_ansatz_weighted_norm": new_norms,
@@ -418,12 +417,14 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
         t_final = min(g["t_final"], pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)
-        amps = mode_amplitude_series([pipe.mode_params(n) for n in g["n_list"]],
-                                     pipe.path, pipe.pair, ts)
+        amps = modes.mode_amplitude_series(
+            [pipe.mode_params(n) for n in g["n_list"]], pipe.path, pipe.pair,
+            ts)
         fits = []
         for n, amp in zip(g["n_list"], amps):
-            fits.append(growth_row(n, amp["t"], amp["log_sl"], pipe.path,
-                                   window=tuple(g["window"])))
+            fits.append(evolve.growth_row(n, amp["t"], amp["log_sl"],
+                                          pipe.path,
+                                          window=tuple(g["window"])))
             series.append((amp["t"], np.exp(amp["log_sl"]),
                            f"{fam['family']} k={n}"))
             rows = ["t,log_mode_sl"]
@@ -434,7 +435,7 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         ks = [r["k"] for r in fits]
         sigmas = [r["sigma"] for r in fits]
         try:
-            p, p_res = fit_power_law(ks, sigmas)
+            p, p_res = norms.fit_power_law(ks, sigmas)
         except ShearmodesError:
             p, p_res = None, None
         target = abs(pipe.pair.tau.imag) * float(pipe.path.kappa(0.0))
@@ -442,7 +443,7 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         transient = []
         t_tr = g["transient_t"]
         for k in g["transient_ks"]:
-            amp_tr = transient_amplification(pipe.profile, int(k), t_tr)
+            amp_tr = evolve.transient_amplification(pipe.profile, int(k), t_tr)
             rate = float(np.log(amp_tr) / t_tr)
             transient.append({"k": int(k), "t": t_tr,
                               "amplification": amp_tr, "rate": rate,
@@ -460,8 +461,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     report["pass"] = bool(ok)
     write_json(out / "growth_report.json", report)
     write_text(out / "growth_curves.svg",
-               svg_plot(series, title="mode growing-component amplitude",
-                        xlabel="t", ylabel="amplitude", logy=True))
+               svg.svg_plot(series, title="mode growing-component amplitude",
+                            xlabel="t", ylabel="amplitude", logy=True))
     ps = [f["power_law_exponent"] for f in report["families"]]
     print(f"growth-scan: p={ps} pass={ok}")
     return 0 if ok else 4
@@ -472,7 +473,7 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     pr = cfg["probe"]
     t = min(pr["t"], pipe.path.t0)
     rate = pipe.sigma0()
-    all_rows = operator_growth_probe(
+    all_rows = evolve.operator_growth_probe(
         pipe.field, pr["ks"], [pipe.mode_initial(k) for k in pr["ks"]],
         [pipe.solver_config(k, t) for k in pr["ks"]],
         t=t, m=pr["m"], alpha=pr["alpha"],
@@ -513,8 +514,8 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
         series.append((np.array(ks, float), np.array([r["rho"] for r in sub]),
                        f"rho sigma={f}r"))
     write_text(out / "probe_rho.svg",
-               svg_plot(series, title="ill-posedness probe", xlabel="k",
-                        ylabel="rho", logy=True))
+               svg.svg_plot(series, title="ill-posedness probe", xlabel="k",
+                            ylabel="rho", logy=True))
     print("illposedness-probe: "
           + " ".join(f"{k}:{'PASS' if v['pass'] else 'FAIL'}"
                      for k, v in verdicts.items()))

@@ -29,9 +29,9 @@ find_root is that Newton step from a given seed; seeded at the closed form,
 its first shot already has a defect below the Newton tolerance.  The
 Chebyshev collocation in matrix_eigenvalues is the second, independent
 oracle: it returns the collocation eigenvalue nearest a given tau by
-shift-invert iteration, checked by its residual on the collocation matrix
-itself.  Both oracles are numpy alone, so no command loads scipy for the
-eigenpair or its checks.
+shift-invert iteration on the quadratic pencil, checked by its residual on
+the companion matrix applied blockwise.  Both oracles are numpy alone, so
+no command loads scipy for the eigenpair or its checks.
 
 The shear-layer profile is V = (tau + s z^2) W - 1_{z>0} (tau + s z^2); its
 jumps at 0 ([V] = -tau, [V'] = 0, [V''] = 2 for s = -1) are identities of
@@ -414,9 +414,10 @@ def sample_profile(pair: Eigenpair, problem: DispersionProblem
         boundary_err=float(max(abs(W[0]), abs(W[-1] - 1.0))))
 
 
-def _collocation_matrix(s: int, n_cheb: int, z_max: float) -> np.ndarray:
-    """Companion matrix C of the Chebyshev collocation of the G equation,
-    a quadratic eigenproblem in tau linearized to C x = tau x:
+def _collocation_pencil(s: int, n_cheb: int, z_max: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """C0 and C1 of the Chebyshev collocation of the G equation, a quadratic
+    eigenproblem (tau^2 I + tau C1 + C0) G = 0 on the interior points:
 
     tau^2 G + tau (i D2 + 2 s z^2) G
             + (i s z^2 D2 + 6 i s z D1 + z^4 + 6 i s) G = 0,  G(+-z_max) = 0.
@@ -437,38 +438,46 @@ def _collocation_matrix(s: int, n_cheb: int, z_max: float) -> np.ndarray:
     zc = zi[:, None]                         # diag(z) as a row scaling
     D1i = D1[inner, inner]
     D2i = D2[inner, inner]
-    n = N - 1
     C1 = 1j * D2i + np.diag(2 * s * zi**2)
     C0 = (1j * s * zc**2 * D2i + 6j * s * zc * D1i
           + np.diag(zi**4 + 6j * s))
-    return np.block([[np.zeros((n, n)), np.eye(n)], [-C0, -C1]])
+    return C0, C1
 
 
 def matrix_eigenvalues(problem: DispersionProblem, near: complex, *,
                        n_cheb: int = 240, z_max: float = 8.0) -> complex:
-    """Independent oracle: the eigenvalue nearest `near` of the Chebyshev
-    collocation matrix C of _collocation_matrix.
+    """Independent oracle: the eigenvalue nearest `near` of the companion
+    matrix C = [[0, I], [-C0, -C1]] of the pencil (C0, C1) of
+    _collocation_pencil, without forming C.
 
-    Shift-invert: C - near I is inverted once, by numpy (no scipy), and
-    inverse iteration w = (C - near I)^{-1} v runs until the pair (lam, v),
-    lam = near + 1 / (v^H w) for unit v, has ||C v - lam v|| <= 1e-9 |lam|.
-    The residual is taken on C itself, so a converged pair is an eigenpair
-    of C whatever the inverse did; if no iterate passes within 200 steps,
-    NotConverged is raised.
+    Shift-invert on the pencil: with Q = near^2 I + near C1 + C0, inverted
+    once by numpy (no scipy), (C - near I)^{-1} (b1, b2) is (x1, b1 + near x1)
+    with x1 = -Q^{-1} (b2 + C1 b1 + near b1).  Inverse iteration
+    w = (C - near I)^{-1} v runs until the pair (lam, v),
+    lam = near + 1 / (v^H w) for unit v, has ||C v - lam v|| <= 1e-9 |lam|,
+    with C v - lam v = (v2 - lam v1, -C0 v1 - C1 v2 - lam v2) applied
+    blockwise.  The residual is taken on C itself, so a converged pair is an
+    eigenpair of C whatever the inverse did; if no iterate passes within 200
+    steps, NotConverged is raised.
     Inverse iteration converges to the eigenvalue nearest the shift, at the
     rate of the ratio of its distance to the next one's; a pair that ends on
     another eigenvalue lies farther from `near`, so an oracle gap read from
     it can only come out larger.
     """
-    C = _collocation_matrix(problem.sign_curvature, n_cheb, z_max)
-    n = C.shape[0]
+    C0, C1 = _collocation_pencil(problem.sign_curvature, n_cheb, z_max)
+    n = C0.shape[0]
     near = complex(near)
-    inv = np.linalg.inv(C - near * np.eye(n))
-    v = np.ones(n, dtype=complex) / np.sqrt(n)
+    Q = C0 + near * C1
+    Q.flat[::n + 1] += near * near
+    Qinv = np.linalg.inv(Q)
+    v = np.ones(2 * n, dtype=complex) / np.sqrt(2 * n)
     for _ in range(200):
-        w = inv @ v
+        v1, v2 = v[:n], v[n:]
+        x1 = -(Qinv @ (v2 + C1 @ v1 + near * v1))
+        w = np.concatenate([x1, v1 + near * x1])
         lam = near + 1.0 / np.vdot(v, w)
-        if np.linalg.norm(C @ v - lam * v) <= 1e-9 * abs(lam):
+        r = np.concatenate([v2 - lam * v1, -(C0 @ v1) - C1 @ v2 - lam * v2])
+        if np.linalg.norm(r) <= 1e-9 * abs(lam):
             return complex(lam)
         v = w / np.linalg.norm(w)
     raise NotConverged(f"inverse iteration at {near:.6g} did not reach an "

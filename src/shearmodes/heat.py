@@ -215,12 +215,12 @@ class HeatFlowField:
         hi = max(self.U0, float(U.max()))
         return float(max(0.0, np.max(self.us) - hi, lo - np.min(self.us)))
 
-    def to_rows(self):
-        """(t, y, u_s, dy u_s, d2y u_s) rows for CSV export."""
-        for i, t in enumerate(self.t_grid):
-            for j, y in enumerate(self.y_grid):
-                yield (float(t), float(y), float(self.us[i, j]),
-                       float(self.dy_us[i, j]), float(self.d2y_us[i, j]))
+    def to_rows(self) -> np.ndarray:
+        """(t, y, u_s, dy u_s, d2y u_s) rows for CSV export, t outermost:
+        shape (Nt Ny, 5)."""
+        t, y = np.meshgrid(self.t_grid, self.y_grid, indexing="ij")
+        return np.column_stack([a.ravel() for a in (t, y, self.us,
+                                                    self.dy_us, self.d2y_us)])
 
 
 def check_quadrature(flow: HeatFlow, y_grid, t_grid, *,

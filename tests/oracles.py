@@ -1,12 +1,15 @@
 """Independent oracles: exact solutions the stepper is checked against, the
-dense frozen mode operator and its matrix exponential, and a general-purpose
-integrator for the dispersion shot.
+dense frozen mode operator and its matrix exponential, a general-purpose
+integrator for the dispersion shot, and the dense spectrum of the
+collocation oracle's companion matrix.
 
 The stepper's oracles share only the Gauss-Legendre panel builder with the
 package, and nothing of the heat or stepper code they check.  The dense
 operator shares only the profile with the band system and contour rule of
 transient_amplification.  The DOP853 shot shares only the tails' asymptotic
-seed and TailSolution with the Taylor-series shot it checks.
+seed and TailSolution with the Taylor-series shot it checks.  The dense
+companion spectrum shares only the collocation pencil with the shift-invert
+iteration of matrix_eigenvalues.
 """
 
 from types import SimpleNamespace
@@ -15,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from shearmodes.eigen import TailSolution, _tail_seed
+from shearmodes.eigen import TailSolution, _collocation_pencil, _tail_seed
 from shearmodes.heat import gl_panels
 
 
@@ -97,6 +100,17 @@ def dense_transient_amplification(profile, k: int, t: float, *,
     the oracle of evolve.transient_amplification."""
     A, _ = frozen_mode_operator(profile, k, y_max=y_max, ny=ny)
     return float(np.linalg.norm(expm(t * A), 2))
+
+
+def dense_collocation_eigenvalues(s: int, n_cheb: int = 240,
+                                  z_max: float = 8.0) -> np.ndarray:
+    """Every eigenvalue of the companion matrix [[0, I], [-C0, -C1]] of the
+    collocation pencil, by numpy's dense eigvals: the reference of
+    matrix_eigenvalues."""
+    C0, C1 = _collocation_pencil(s, n_cheb, z_max)
+    n = C0.shape[0]
+    return np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)],
+                                       [-C0, -C1]]))
 
 
 def _rhs(z, y, tau, s):

@@ -1,5 +1,4 @@
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 import shearmodes
-from shearmodes import cli, eigen
+from shearmodes import eigen, evolve, heat
 from shearmodes.cli import Pipeline, deep_merge, load_config, main
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow
@@ -42,12 +41,20 @@ def test_unread_config_keys_are_reported(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _scipy_loaded(code, tmp_path):
-    """Every scipy module in sys.modules after code runs in a fresh
-    interpreter."""
-    script = (f"import json, sys\n{code}\n"
-              "print(json.dumps(sorted(m for m in sys.modules "
-              "if m.startswith('scipy'))))")
+def _fresh_run(code, tmp_path):
+    """The scipy modules in sys.modules after code runs in a fresh
+    interpreter, and the modules of the package whose code ran.  The package
+    registers its submodules unloaded, so sys.modules names every one of
+    them; an exec audit hook sees which of them ran."""
+    script = ("import json, os, sys\nran = []\n"
+              "sys.addaudithook(lambda event, args: event == 'exec' and "
+              "ran.append(getattr(args[0], 'co_filename', '')))\n"
+              f"{code}\n"
+              "import shearmodes\n"
+              "pkg = os.path.dirname(shearmodes.__file__)\n"
+              "print(json.dumps([sorted(m for m in sys.modules "
+              "if m.startswith('scipy')), sorted(os.path.basename(f)[:-3] "
+              "for f in ran if os.path.dirname(f) == pkg)]))")
     src = str(Path(shearmodes.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src),
@@ -55,12 +62,43 @@ def _scipy_loaded(code, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _command_scipy_loaded(tmp_path, command, extra=None, codes=(0,)):
+def _scipy_loaded(code, tmp_path):
+    return _fresh_run(code, tmp_path)[0]
+
+
+def _package_run(code, tmp_path):
+    return _fresh_run(code, tmp_path)[1]
+
+
+def _command_code(tmp_path, command, extra=None, codes=(0,)):
     cfg = _write_cfg(tmp_path, extra or {})
-    code = ("from shearmodes.cli import main\n"
+    return ("from shearmodes.cli import main\n"
             f"assert main([{command!r}, '--config', {cfg!r}, '--out', 'o']) "
             f"in {codes!r}")
-    return _scipy_loaded(code, tmp_path)
+
+
+def _command_scipy_loaded(tmp_path, command, extra=None, codes=(0,)):
+    return _scipy_loaded(_command_code(tmp_path, command, extra, codes),
+                         tmp_path)
+
+
+# what load_config needs, and all that start-up runs of the package
+START_UP = ["__init__", "cli", "errors", "profiles", "special"]
+
+
+def test_import_and_config_load_run_only_the_config_layers(tmp_path):
+    code = "import shearmodes.cli\nshearmodes.cli.load_config(None)"
+    assert _package_run(code, tmp_path) == START_UP
+
+
+@pytest.mark.parametrize("command, own, skipped", [
+    ("eigen", "eigen", {"heat", "path", "modes", "evolve", "norms", "svg"}),
+    ("heat", "heat", {"eigen", "path", "modes", "evolve", "norms", "svg"}),
+    ("mode", "modes", {"evolve", "svg"})])
+def test_command_runs_only_its_layers(tmp_path, command, own, skipped):
+    ran = _package_run(_command_code(tmp_path, command), tmp_path)
+    assert own in ran
+    assert not skipped & set(ran)
 
 
 def test_import_and_config_load_no_heavy_scipy(tmp_path):
@@ -158,20 +196,34 @@ def _probe_rows(tmp_path, name, extra):
 
 
 ORACLES = ("inviscid_exact", "dirichlet_heat_kernel", "frozen_field",
-           "frozen_mode_operator")
+           "frozen_mode_operator", "dense_collocation_eigenvalues")
 
 
-def _surface_faults(src: Path) -> list[str]:
-    """Names that shearmodes/__init__.py re-exports but no module of src
-    reads outside the name's own definition, and test oracles defined in
-    src."""
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _surface_faults(src: Path, exports: dict) -> list[str]:
+    """Names of the export table of shearmodes/__init__.py (name -> module)
+    that the module named does not define, or that no module of src reads
+    outside the name's own definition, and test oracles defined in src."""
     trees = {p.name: ast.parse(p.read_text()) for p in src.glob("*.py")}
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     faults = [f"oracle {n} defined in src" for n in ORACLES if n in defined]
-    exported = [a.asname or a.name for node in trees.pop("__init__.py").body
-                if isinstance(node, ast.ImportFrom) for a in node.names]
-    for name in exported:
+    trees.pop("__init__.py")
+    if not exports:
+        faults.append("the export table is empty")
+    for name, module in exports.items():
+        if name not in _top_level_names(trees[f"{module}.py"]):
+            faults.append(f"{name} is not defined in {module}")
         inside_def, reads = set(), 0
         for tree in trees.values():
             for node in ast.walk(tree):
@@ -189,7 +241,7 @@ def _surface_faults(src: Path) -> list[str]:
 
 def test_public_surface_is_read_and_holds_no_oracle():
     src = Path(shearmodes.__file__).resolve().parent
-    assert _surface_faults(src) == []
+    assert _surface_faults(src, shearmodes._EXPORTS) == []
 
 
 def test_probe_honours_solver_scheme(tmp_path):
@@ -212,7 +264,7 @@ def test_probe_honours_solver_c_cfl(tmp_path):
 
 def test_only_eigen_samples_the_eigenprofile(monkeypatch, tmp_path):
     # mode and residual-scan read the closed-form pair and never its samples
-    sample = cli.sample_profile
+    sample = eigen.sample_profile
     calls = []
 
     def refuse(pair, problem):
@@ -222,13 +274,12 @@ def test_only_eigen_samples_the_eigenprofile(monkeypatch, tmp_path):
         calls.append(problem)
         return sample(pair, problem)
 
-    for module in (cli, eigen):
-        monkeypatch.setattr(module, "sample_profile", refuse)
+    monkeypatch.setattr(eigen, "sample_profile", refuse)
     cfg = _write_cfg(tmp_path, {})
     out = str(tmp_path / "o")
     assert main(["mode", "--config", cfg, "--out", out]) == 0
     assert main(["residual-scan", "--config", cfg, "--out", out]) in (0, 4)
-    monkeypatch.setattr(cli, "sample_profile", counted)
+    monkeypatch.setattr(eigen, "sample_profile", counted)
     assert main(["eigen", "--config", cfg, "--out", out]) == 0
     assert len(calls) == 1
 
@@ -356,9 +407,7 @@ def test_growth_scan_steps_nothing(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("growth-scan called the stepper")
 
-    # the package re-exports the function evolve over its module's name
-    monkeypatch.setattr(importlib.import_module("shearmodes.evolve"), "step",
-                        refuse)
+    monkeypatch.setattr(evolve, "step", refuse)
     cfg = _write_cfg(tmp_path, {})
     assert main(["growth-scan", "--config", cfg,
                  "--out", str(tmp_path / "o")]) in (0, 4)
@@ -381,8 +430,8 @@ def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
         probes.append((t, np.asarray(y).tolist()))
         return 1.0
 
-    solve_heat = cli.solve_heat
-    monkeypatch.setattr(cli, "solve_heat", refuse)
+    solve_heat = heat.solve_heat
+    monkeypatch.setattr(heat, "solve_heat", refuse)
     monkeypatch.setattr(HeatFlow, "quadrature_gap", wide_gap)
     cfg = _write_cfg(tmp_path, {})
     out = tmp_path / "o"

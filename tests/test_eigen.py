@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
 from shearmodes.errors import NoRootFound, NotConverged, TailBlowup
 from shearmodes.path import CriticalPath
 
-from oracles import dop853_tail
+from oracles import dense_collocation_eigenvalues, dop853_tail
 
 PROB = DispersionProblem()
 
@@ -67,7 +68,7 @@ def test_shift_invert_oracle_matches_dense_nearest(s):
     # 2.23 from the next eigenvalue, so the iteration must travel to tau
     prob = DispersionProblem(sign_curvature=s)
     tau = s * np.exp(-1j * s * np.pi / 4)
-    ev = np.linalg.eigvals(eigen._collocation_matrix(s, 240, 8.0))
+    ev = dense_collocation_eigenvalues(s, 240, 8.0)
     shifts = [tau, -1.0 - 2.0j] if s == -1 else [tau]
     for near in shifts:
         dist = np.sort(np.abs(ev - near))
@@ -75,6 +76,19 @@ def test_shift_invert_oracle_matches_dense_nearest(s):
         ref = ev[np.argmin(np.abs(ev - near))]
         assert abs(matrix_eigenvalues(prob, near) - ref) < 1e-9, near
     assert abs(matrix_eigenvalues(prob, tau) - tau) < 1e-13
+
+
+def test_shift_invert_oracle_holds_no_companion_matrix(pair):
+    # the eigen command's call inverts the 239-square pencil, not the
+    # 478-square companion matrix (3.66 MB complex; the peak was about
+    # 13 MB when it was formed)
+    tracemalloc.start()
+    try:
+        matrix_eigenvalues(PROB, pair.tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.4e6
 
 
 def test_shift_invert_oracle_raises_without_a_nearest_eigenvalue():

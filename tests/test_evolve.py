@@ -218,7 +218,6 @@ def test_batch_rows_equal_one_row_evolves_exactly(gauss_field, y_grid,
 
 def test_probe_groups_ks_by_dt_and_matches_per_k_rows(monkeypatch,
                                                       gauss_field, y_grid):
-    # the package attribute shearmodes.evolve is the function, not the module
     ev = importlib.import_module("shearmodes.evolve")
     batches = []
     evolve_orig = ev.evolve
