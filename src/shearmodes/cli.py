@@ -132,6 +132,18 @@ def _validate(cfg: dict):
               + [cfg["mode"]["n"]]):
         if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
+    ks, t_list = cfg["probe"]["ks"], cfg["residual_scan"]["t_list"]
+    if len(ks) < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
+        # the verdicts compare rho across k in list order
+        raise ValueError("probe.ks must be two or more strictly increasing "
+                         f"wavenumbers, got {ks}")
+    for section, key in (("probe", "sigma_factors"),
+                         ("residual_scan", "n_list"), ("residual_scan", "alphas")):
+        if not cfg[section][key]:
+            raise ValueError(f"{section}.{key} must not be empty")
+    if not any(t <= cfg["grid"]["t0"] for t in t_list):
+        # residual-scan skips the times past the critical path's horizon
+        raise ValueError(f"residual_scan.t_list has no t <= grid.t0: {t_list}")
     if g["transient_t"] <= 0:
         # the transient block reports log(amplification) / t
         raise ValueError(
@@ -377,11 +389,11 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     alg = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     old_norms, new_norms = {}, {}
     n_ref = sc["n_list"][0]
+    pa = modes.default_params(alg, n_ref, f_width=cfg["mode"]["f_width"])
     for ymax in (15.0, 30.0, 60.0):
         yg = np.linspace(0.0, ymax, int(20 * ymax) + 1)
         old = modes.old_frozen_tangential(alg, pipe.pair, 1.0 / n_ref, yg)
         old_norms[str(ymax)] = norms.weighted_sup(old, yg, 1.0)
-        pa = modes.default_params(alg, n_ref, f_width=cfg["mode"]["f_width"])
         new_norms[str(ymax)] = modes.initial_tangential_norm(pa, yg, 1.0)
     report = {"sigma0": sigma0, "rows": rows, "verdicts": verdicts,
               "old_ansatz_weighted_norm": old_norms,

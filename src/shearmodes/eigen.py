@@ -19,7 +19,7 @@ The production pair is the closed form alone: find_tau returns it, with
 no shot and no samples; sample_profile samples it on the shot's z grid for
 the eigen command and its checks.  The
 shooting is an oracle.  Both tails are integrated inward on the decaying
-branch and matched at z_match; the eigenvalue condition is the vanishing
+branch and matched at z = 0; the eigenvalue condition is the vanishing
 Wronskian of G across the matching point, found by complex Newton on the
 logarithmic-derivative mismatch (holomorphic in tau).  The tails are
 integrated by Taylor series (_integrate_tail): the G equation has polynomial
@@ -50,26 +50,21 @@ from .special import erfc
 # degree of the Taylor polynomials of the tail shot, and its step budget
 TAYLOR_ORDER = 30
 _MAX_STEPS = 20_000
+_GUARD = 1e12          # bound on |(W, G, G')| along each tail
 
 
 @dataclass(frozen=True)
 class DispersionProblem:
     sign_curvature: int = -1
-    Z: float = 12.0
-    z_match: float = 0.0
+    Z: float = 12.0                  # the tails run from -Z and Z to z = 0
     dz: float = 1e-3
-    # rtol and guard are read by the Taylor shot only: rtol sets its step
-    # size, guard bounds |(W, G, G')| along each tail
-    rtol: float = 1e-10
-    guard: float = 1e12
+    rtol: float = 1e-10              # the Taylor shot's step tolerance
 
     def __post_init__(self):
         if self.sign_curvature not in (-1, 1):
             raise ValueError("sign_curvature must be +-1")
         if not 2.0 <= self.Z <= 28.0:
             raise ValueError("Z outside the supported range [2, 28]")
-        if abs(self.z_match) > 0.5 * self.Z:
-            raise ValueError("matching point too close to the tails")
 
     @property
     def s1(self) -> complex:
@@ -132,7 +127,7 @@ def _evaluate(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TailSolution:
     side: str                 # "left" | "right"
-    at_match: np.ndarray      # (W or W-1, G, G') at z_match
+    at_match: np.ndarray      # (W or W-1, G, G') at z = 0
     z: np.ndarray | None = None
     y: np.ndarray | None = None
 
@@ -140,37 +135,36 @@ class TailSolution:
 def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
                     swap_branch: bool = False, dense: bool = False,
                     rtol: float | None = None) -> TailSolution:
-    """One tail from its asymptotic seed at -Z or +Z inward to z_match by
-    Taylor series of degree TAYLOR_ORDER (Jorba & Zou, Exp. Math. 14, 2005).
+    """One tail from its asymptotic seed at -Z or +Z inward to 0 by Taylor
+    series of degree TAYLOR_ORDER (Jorba & Zou, Exp. Math. 14, 2005).
 
     Each step takes h = 1/2 min_n (rtol max|y| / |c_n|)^{1/n} over the last
     two coefficients c_n of the state's series, and the last step lands on
-    z_match exactly.  The guard is checked on the seed and after every step
-    (TailBlowup).  Dense output evaluates each step's polynomial at the
-    points of np.linspace(z0, z_match) that the step covers."""
-    s = problem.sign_curvature
+    0 exactly.  The bound _GUARD on |y| is checked on the seed and after
+    every step (TailBlowup).  Dense output evaluates each step's polynomial
+    at the points of np.linspace(z0, 0) that the step covers."""
+    s, rtol = problem.sign_curvature, rtol or problem.rtol
     z0 = -problem.Z if side == "left" else problem.Z
-    zm, guard, rtol = problem.z_match, problem.guard, rtol or problem.rtol
-    direction = 1.0 if zm > z0 else -1.0
+    direction = 1.0 if z0 < 0.0 else -1.0
     y = _tail_seed(z0, tau, problem, swap_branch=swap_branch)
     if dense:
-        z_out = np.linspace(z0, zm, int(round(abs(zm - z0) / problem.dz)) + 1)
+        z_out = np.linspace(z0, 0.0, int(round(abs(z0) / problem.dz)) + 1)
         y_out = np.empty((3, z_out.size), dtype=complex)
         ahead = direction * z_out          # increasing along the integration
         done = 0
     z = z0
     for _ in range(_MAX_STEPS):
         size = float(np.max(np.abs(y)))
-        if not size <= guard:
+        if not size <= _GUARD:
             raise TailBlowup(
-                f"{side} tail exceeded the magnitude guard {guard:g}; "
+                f"{side} tail exceeded the magnitude guard {_GUARD:g}; "
                 "wrong branch or tau too far from the spectrum")
-        if z == zm:
+        if z == 0.0:
             break
         c = _taylor_series(z, y, tau, s)
         h = 0.5 * min((rtol * size / float(np.max(np.abs(c[:, n]))))
                       ** (1.0 / n) for n in (TAYLOR_ORDER - 1, TAYLOR_ORDER))
-        z_new = zm if h >= abs(zm - z) else z + direction * h
+        z_new = 0.0 if h >= abs(z) else z + direction * h
         if dense:
             stop = int(np.searchsorted(ahead, direction * z_new))
             y_out[:, done:stop] = _evaluate(c, z_out[done:stop] - z)
@@ -178,7 +172,7 @@ def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
         y = _evaluate(c, np.array([z_new - z]))[:, 0]
         z = z_new
     else:
-        raise TailBlowup(f"{side} tail did not reach z_match in "
+        raise TailBlowup(f"{side} tail did not reach z = 0 in "
                          f"{_MAX_STEPS} Taylor steps")
     if not dense:
         return TailSolution(side=side, at_match=y)
@@ -189,7 +183,7 @@ def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
 def shoot_tails(tau: complex, problem: DispersionProblem, *,
                 swap_branch: bool = False, dense: bool = False,
                 rtol: float | None = None) -> tuple[TailSolution, TailSolution]:
-    """Integrate both tails to z_match.  The right tail carries W - 1 in the
+    """Integrate both tails to z = 0.  The right tail carries W - 1 in the
     first slot so that both sides hold a decaying quantity."""
     tau = complex(tau)
     if tau.imag == 0.0:
@@ -208,13 +202,13 @@ def _log_mismatch(left: TailSolution, right: TailSolution) -> complex:
 
 
 def _log_derivative_defect(tau: complex, problem: DispersionProblem) -> complex:
-    """(G'/G)_right - (G'/G)_left at z_match; holomorphic in tau, zero
+    """(G'/G)_right - (G'/G)_left at z = 0; holomorphic in tau, zero
     exactly at eigenvalues (Wronskian zero with G != 0)."""
     return _log_mismatch(*shoot_tails(tau, problem))
 
 
 def tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
-    """Mismatch of (W, W', W'') of the two tails at z_match as a complex
+    """Mismatch of (W, W', W'') of the two tails at z = 0 as a complex
     2-vector.
 
     The free constants A (left) and B (right) are fixed by constrained least
@@ -236,17 +230,17 @@ def tails_defect(left: TailSolution, right: TailSolution) -> np.ndarray:
     return r0 + c * rv
 
 
-def _newton_polish(tau: complex, problem: DispersionProblem,
-                   tol: float = 1e-11, max_iter: int = 40
+def _newton_polish(tau: complex, problem: DispersionProblem
                    ) -> tuple[complex, tuple[TailSolution, TailSolution]] | None:
-    """The root and the tails shot at it, or None."""
-    for _ in range(max_iter):
+    """The root and the tails shot at it, or None: at most 40 Newton steps,
+    stopping at a log-derivative defect below 1e-11."""
+    for _ in range(40):
         try:
             tails = shoot_tails(tau, problem)
         except TailBlowup:
             return None
         d = _log_mismatch(*tails)
-        if abs(d) < tol:
+        if abs(d) < 1e-11:
             return tau, tails
         h = 1e-7 * (1.0 + abs(tau))
         try:
@@ -401,11 +395,10 @@ def find_tau(problem: DispersionProblem) -> Eigenpair:
 def sample_profile(pair: Eigenpair, problem: DispersionProblem
                    ) -> ProfileSamples:
     """W, W', W'' and V of pair sampled with step dz from -Z and from +Z to
-    z_match (the grid of the dense shot), with the boundary error
+    0 (the grid of the dense shot), with the boundary error
     max(|W(-Z)|, |W(Z) - 1|) and the finite-difference ODE residual."""
-    Z, zm, dz = problem.Z, problem.z_match, problem.dz
-    zl = np.linspace(-Z, zm, int(round(abs(zm + Z) / dz)) + 1)
-    zr = np.linspace(Z, zm, int(round(abs(Z - zm) / dz)) + 1)
+    zl = np.linspace(-problem.Z, 0.0, int(round(problem.Z / problem.dz)) + 1)
+    zr = np.linspace(problem.Z, 0.0, zl.size)
     z = np.concatenate([zl, zr[::-1][1:]])
     W, W1, W2 = pair.w_derivs(z)
     return ProfileSamples(
@@ -444,11 +437,10 @@ def _collocation_pencil(s: int, n_cheb: int, z_max: float
     return C0, C1
 
 
-def matrix_eigenvalues(problem: DispersionProblem, near: complex, *,
-                       n_cheb: int = 240, z_max: float = 8.0) -> complex:
+def matrix_eigenvalues(problem: DispersionProblem, near: complex) -> complex:
     """Independent oracle: the eigenvalue nearest `near` of the companion
     matrix C = [[0, I], [-C0, -C1]] of the pencil (C0, C1) of
-    _collocation_pencil, without forming C.
+    _collocation_pencil at n_cheb 240 and z_max 8, without forming C.
 
     Shift-invert on the pencil: with Q = near^2 I + near C1 + C0, inverted
     once by numpy (no scipy), (C - near I)^{-1} (b1, b2) is (x1, b1 + near x1)
@@ -464,7 +456,7 @@ def matrix_eigenvalues(problem: DispersionProblem, near: complex, *,
     another eigenvalue lies farther from `near`, so an oracle gap read from
     it can only come out larger.
     """
-    C0, C1 = _collocation_pencil(problem.sign_curvature, n_cheb, z_max)
+    C0, C1 = _collocation_pencil(problem.sign_curvature, 240, 8.0)
     n = C0.shape[0]
     near = complex(near)
     Q = C0 + near * C1

@@ -42,11 +42,6 @@ class FourierModeState:
     y: np.ndarray
     u_hat: np.ndarray
 
-    @property
-    def v_hat(self) -> np.ndarray:
-        return -1j * _k_column(self.k) * cumulative_trapezoid(self.u_hat,
-                                                              self.y)
-
     def check(self):
         # isfinite of a complex number is False if either part is inf or nan
         if not np.all(np.isfinite(self.u_hat)):
@@ -488,10 +483,10 @@ def _largest_singular(op: _ContourExp, n: int) -> tuple:
     return float(sigma), V[0], p    # n = 1: V[0] spans the space
 
 
-def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
+def transient_amplification(profile, k: int, t: float, *,
                             ny: int = 900) -> float:
     """sup over initial data of the frozen-problem amplification at time t:
-    the 2-norm of the matrix exponential of the mode operator.
+    the 2-norm of e^{tA}, A the mode operator on ny points of [0, 20].
 
     The frozen operator here is spectrally stable at desk-scale k; the
     high-frequency growth is a transient (pseudospectral) amplification
@@ -543,7 +538,7 @@ def transient_amplification(profile, k: int, t: float, *, y_max: float = 20.0,
     """
     if t < 0:
         raise ValueError(f"transient_amplification needs t >= 0, got {t}")
-    band = _ShiftedBand(profile, k, t, y_max=y_max, ny=ny)
+    band = _ShiftedBand(profile, k, t, y_max=20.0, ny=ny)
     # the spectrum of tA lies about the imaginary range -tk [min U, max U]
     lo, hi = float(band.U.min()), float(band.U.max())
     m, half = -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2

@@ -223,24 +223,23 @@ class HeatFlowField:
                                                     self.dy_us, self.d2y_us)])
 
 
-def check_quadrature(flow: HeatFlow, y_grid, t_grid, *,
-                     quad_tol: float = 1e-8):
+def check_quadrature(flow: HeatFlow, y_grid, t_grid):
     """The quadrature self-check of a (t, y) grid: flow's panel-doubling gap
     at the middle time of t_grid (the last one if the middle is 0) on about
-    24 points of y_grid must not exceed quad_tol, else QuadratureFailure."""
+    24 points of y_grid must not exceed 1e-8, else QuadratureFailure."""
     y = np.asarray(y_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     if t[-1] > 0:
         probe_t = float(t[len(t) // 2] if t[len(t) // 2] > 0 else t[-1])
         probe_y = y[:: max(1, y.size // 24)]
         gap = flow.quadrature_gap(probe_t, probe_y)
-        if gap > quad_tol:
+        if gap > 1e-8:
             raise QuadratureFailure(
-                f"panel-doubling disagreement {gap:.2e} > {quad_tol:.2e}")
+                f"panel-doubling disagreement {gap:.2e} > 1.00e-08")
 
 
 def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
-               quad_tol: float = 1e-8, check: bool = True) -> HeatFlowField:
+               check: bool = True) -> HeatFlowField:
     """Sample the kernel solution on a grid; self-check the quadrature."""
     y = np.asarray(y_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
@@ -250,7 +249,7 @@ def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
     rows = [flow.derivs(float(tv), y, orders=(0, 1, 2, 3)) for tv in t]
     us, d1, d2, d3 = (np.array([r[j] for r in rows]) for j in range(4))
     if check:
-        check_quadrature(flow, y, t, quad_tol=quad_tol)
+        check_quadrature(flow, y, t)
     return HeatFlowField(y_grid=y, t_grid=t, us=us, dy_us=d1, d2y_us=d2,
                          d3y_us=d3, flow=flow)
 

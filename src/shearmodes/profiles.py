@@ -51,9 +51,6 @@ class ShearProfile:
     a0: float | None = None
     curvature: float | None = None
 
-    def __call__(self, y):
-        return self.value(np.asarray(y, dtype=float))
-
 
 def _gaussian_bump(U0: float, A: float):
     def value(y):
@@ -151,15 +148,14 @@ def build_family(family: str, params: dict | None = None) -> ShearProfile:
     )
 
 
-def critical_points(profile: ShearProfile,
-                    y_max: float = 20.0) -> list[tuple[float, float]]:
-    """All interior roots of U' on (0, y_max): a scan of 4001 points for
-    sign changes, then one bisection of all brackets at once down to
-    adjacent floats, keeping the endpoint with the smaller |U'|.
+def critical_points(profile: ShearProfile) -> list[tuple[float, float]]:
+    """All interior roots of U' on (0, 20): a scan of 4001 points for sign
+    changes, then one bisection of all brackets at once down to adjacent
+    floats, keeping the endpoint with the smaller |U'|.
 
     Returns (location, curvature) pairs sorted by location.
     """
-    ys = np.linspace(1e-6, y_max, 4001)
+    ys = np.linspace(1e-6, 20.0, 4001)
     d1 = profile.derivs(ys)[1]
     i = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0)
     lo, hi, f_lo, f_hi = ys[i], ys[i + 1], d1[i], d1[i + 1]
@@ -178,7 +174,7 @@ def critical_points(profile: ShearProfile,
 
 
 def make_profile(family: str, params: dict | None = None, *,
-                 y_max: float = 20.0, curvature_tol: float = 1e-6) -> ShearProfile:
+                 curvature_tol: float = 1e-6) -> ShearProfile:
     """Build a family profile and locate its non-degenerate critical point.
 
     Picks the maximum (U'' < 0) with the largest |U''|; falls back to the
@@ -186,7 +182,7 @@ def make_profile(family: str, params: dict | None = None, *,
     NoCriticalPoint / DegenerateCritical when the hypothesis fails.
     """
     prof = build_family(family, params)
-    cands = critical_points(prof, y_max=y_max)
+    cands = critical_points(prof)
     if not cands:
         raise NoCriticalPoint(f"{family} profile has no interior critical point")
     maxima = [c for c in cands if c[1] < 0]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-import shearmodes as sm
+from shearmodes.eigen import DispersionProblem, find_tau
+from shearmodes.heat import HeatFlow, solve_heat
+from shearmodes.path import track_critical_point
+from shearmodes.profiles import make_profile
 
 Y_MAX = 30.0
 NY = 601
@@ -11,7 +14,7 @@ NT = 16
 
 @pytest.fixture(scope="session")
 def pair():
-    return sm.find_tau(sm.DispersionProblem())
+    return find_tau(DispersionProblem())
 
 
 @pytest.fixture(scope="session")
@@ -26,34 +29,34 @@ def t_grid():
 
 @pytest.fixture(scope="session")
 def gauss_prof():
-    return sm.make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0})
+    return make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0})
 
 
 @pytest.fixture(scope="session")
 def gauss_flow(gauss_prof):
-    return sm.HeatFlow(gauss_prof)
+    return HeatFlow(gauss_prof)
 
 
 @pytest.fixture(scope="session")
 def gauss_field(gauss_prof, y_grid, t_grid):
-    return sm.solve_heat(gauss_prof, y_grid, t_grid)
+    return solve_heat(gauss_prof, y_grid, t_grid)
 
 
 @pytest.fixture(scope="session")
 def gauss_path(gauss_flow, gauss_prof):
-    return sm.track_critical_point(gauss_flow, gauss_prof.a0, T0)
+    return track_critical_point(gauss_flow, gauss_prof.a0, T0)
 
 
 @pytest.fixture(scope="session")
 def alg4_prof():
-    return sm.make_profile("algebraic-bump", {"U0": 1.0, "A": 4.0})
+    return make_profile("algebraic-bump", {"U0": 1.0, "A": 4.0})
 
 
 @pytest.fixture(scope="session")
 def alg4_field(alg4_prof, y_grid, t_grid):
-    return sm.solve_heat(alg4_prof, y_grid, t_grid)
+    return solve_heat(alg4_prof, y_grid, t_grid)
 
 
 @pytest.fixture(scope="session")
 def alg4_path(alg4_prof):
-    return sm.track_critical_point(sm.HeatFlow(alg4_prof), alg4_prof.a0, T0)
+    return track_critical_point(HeatFlow(alg4_prof), alg4_prof.a0, T0)

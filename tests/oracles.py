@@ -123,16 +123,16 @@ def _rhs(z, y, tau, s):
 def dop853_tail(tau: complex, problem, side: str, *, dense: bool = False,
                 rtol: float | None = None) -> TailSolution:
     """One tail of the dispersion shot by scipy's DOP853, from the same seed
-    as eigen._integrate_tail to z_match; atol is 1e-6 of the seed's |G|.
+    as eigen._integrate_tail to z = 0; atol is 1e-6 of the seed's |G|.
     Dense output is taken on the same np.linspace as the Taylor shot's."""
     z0 = -problem.Z if side == "left" else problem.Z
     y0 = _tail_seed(z0, complex(tau), problem)
     atol = float(np.abs(y0[1])) * 1e-6 + 1e-290
     t_eval = None
     if dense:
-        n = int(round(abs(problem.z_match - z0) / problem.dz)) + 1
-        t_eval = np.linspace(z0, problem.z_match, n)
-    sol = solve_ivp(_rhs, [z0, problem.z_match], y0,
+        n = int(round(abs(z0) / problem.dz)) + 1
+        t_eval = np.linspace(z0, 0.0, n)
+    sol = solve_ivp(_rhs, [z0, 0.0], y0,
                     args=(complex(tau), problem.sign_curvature),
                     method="DOP853", rtol=rtol or problem.rtol, atol=atol,
                     t_eval=t_eval)

@@ -23,17 +23,17 @@ import time
 import numpy as np
 import pytest
 
-import shearmodes as sm
 from shearmodes.eigen import (DispersionProblem, find_root, find_tau,
                               matrix_eigenvalues, sample_profile)
 from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
                                growth_row, operator_growth_probe,
                                transient_amplification)
-from shearmodes.heat import heat_residual_probe
+from shearmodes.heat import heat_residual_probe, solve_heat
 from shearmodes.modes import (assemble_mode, default_params,
                               initial_tangential_norm, mode_amplitude_series,
                               old_frozen_tangential, residual)
 from shearmodes.norms import fit_power_law, tail_class, weighted_sup
+from shearmodes.profiles import build_family, make_profile
 from scipy.linalg import eigvals, lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.special import erf
@@ -83,9 +83,9 @@ def test_criterion_1_eigenpair_validity():
 def test_criterion_2_heat_and_critical_path(gauss_flow, gauss_path):
     t0 = time.time()
     # self-similar layer reproduced exactly
-    prof = sm.build_family("monotone", {"U0": 1.0})
+    prof = build_family("monotone", {"U0": 1.0})
     y = np.linspace(0, 30, 301)
-    field = sm.solve_heat(prof, y, np.linspace(0, 0.2, 5))
+    field = solve_heat(prof, y, np.linspace(0, 0.2, 5))
     erf_gap = max(np.max(np.abs(field.us[i]
                                 - erf(y / (2 * np.sqrt(1 + t)))))
                   for i, t in enumerate(field.t_grid))
@@ -196,7 +196,7 @@ def test_criterion_5_residual_bound_uniformity(
 
 def test_criterion_6_decay_obstruction(pair):
     t0 = time.time()
-    prof = sm.make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
+    prof = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     y = np.linspace(0, 30, 1501)
     U = lambda yy: prof.derivs(yy)[0]
     Up = lambda yy: prof.derivs(yy)[1]

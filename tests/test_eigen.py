@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import shearmodes as sm
 from shearmodes import eigen
 from shearmodes.cli import main
 from shearmodes.eigen import (DispersionProblem, _log_derivative_defect,
@@ -151,7 +150,7 @@ def test_swapped_branch_blows_up():
 
 
 def test_taylor_shot_raises_when_its_step_budget_runs_out(monkeypatch, pair):
-    # the budget bounds the loop when the steps cannot reach z_match, as
+    # the budget bounds the loop when the steps cannot reach z = 0, as
     # with rtol = 0; the default shot takes 37 steps per tail
     monkeypatch.setattr(eigen, "_MAX_STEPS", 10)
     with pytest.raises(TailBlowup, match="Taylor steps"):
@@ -256,7 +255,7 @@ def test_eigenpair_artifact_schema(samples):
 
 def _joined_profile(left, right):
     """W, W', W'' assembled from dense tails: the tails scaled so that W
-    and W' match at z_match, the right tail's first slot shifted by 1."""
+    and W' match at z = 0, the right tail's first slot shifted by 1."""
     WL, GL, _ = left.at_match
     OmR, GR, _ = right.at_match
     A, B = np.linalg.solve(np.array([[WL, -OmR], [GL, -GR]]),

@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import shearmodes as sm
 from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
-from shearmodes.evolve import (FourierModeState, SolverConfig, _cn_factors,
-                               _ContourExp, _ShiftedBand, _streamed_matvec,
+from shearmodes.evolve import (FourierModeState, SolverConfig, _advection,
+                               _cn_factors, _ContourExp, _ShiftedBand,
+                               _streamed_matvec,
                                auto_dt, evolve, growth_row,
                                operator_growth_probe, step,
                                transient_amplification)
-from shearmodes.heat import HeatFlowField
+from shearmodes.heat import HeatFlowField, solve_heat
 from shearmodes.modes import default_params
 
 from oracles import (dense_transient_amplification, dirichlet_heat_kernel,
@@ -41,8 +41,8 @@ def test_heat_reduction_k0_order2(gauss_prof, gauss_field):
     errs = []
     for ny, dt in ((601, 5e-4), (1201, 2.5e-4)):
         y = np.linspace(0, 30, ny)
-        field = sm.solve_heat(gauss_prof, y, np.linspace(0, 0.15, 4),
-                              check=False)
+        field = solve_heat(gauss_prof, y, np.linspace(0, 0.15, 4),
+                           check=False)
         s0 = FourierModeState(k=0, t=0.0, y=y, u_hat=_blob(y).astype(complex))
         tr = evolve(s0, field, SolverConfig(dt=dt), 0.1)
         oracle = dirichlet_heat_kernel(_blob, y, 0.1)
@@ -89,7 +89,8 @@ def test_inviscid_exact_identity_at_t0(y_grid, gauss_prof):
 def test_divergence_relation_of_state(gauss_field, y_grid):
     s0 = FourierModeState(k=12, t=0.0, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
-    v = s0.v_hat
+    # with u_s = 0 and d_y u_s = -1 the advection term is v itself
+    v = _advection(s0.u_hat, y_grid, 12, 0.0, -1.0)
     h = y_grid[1] - y_grid[0]
     # trapezoid consistency: the discrete derivative of v matches -ik times
     # the cell average of u exactly

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.special import erf
 
-import shearmodes as sm
 from shearmodes.cli import Pipeline, deep_merge, load_config
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow, gl_panels, heat_residual_probe, solve_heat
@@ -131,7 +130,7 @@ def test_quadrature_guard_trips_on_tiny_time(gauss_prof, y_grid):
 
 def test_solve_heat_self_check_passes(gauss_prof):
     y = np.linspace(0, 30, 201)
-    field = solve_heat(gauss_prof, y, np.linspace(0, 0.1, 3), quad_tol=1e-8)
+    field = solve_heat(gauss_prof, y, np.linspace(0, 0.1, 3))
     assert field.us.shape == (3, 201)
 
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad
 
-import shearmodes as sm
 from shearmodes.evolve import growth_row
+from shearmodes.heat import HeatFlow, solve_heat
 from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_mode,
                               default_params, initial_tangential_norm,
                               mode_amplitude_series, old_frozen_tangential,
                               residual)
 from shearmodes.norms import fit_power_law, weighted_sup
-from shearmodes.path import time_integral
+from shearmodes.path import time_integral, track_critical_point
+from shearmodes.profiles import make_profile
 
 
 # ---------------------------------------------------------------- corrector
@@ -85,11 +86,11 @@ def test_initial_tangential_is_scaled_bump(gauss_prof, gauss_field,
 
 def test_tangential_tail_tracks_shear_gradient(pair):
     # beyond the layer and the corrector, U = E i t d_y u_s(t, y)
-    prof = sm.make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
+    prof = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     y = np.linspace(0, 60, 2401)
     t = 0.05
-    field = sm.solve_heat(prof, y, np.array([0.0, t]))
-    path = sm.track_critical_point(field.flow, prof.a0, t)
+    field = solve_heat(prof, y, np.array([0.0, t]))
+    path = track_critical_point(field.flow, prof.a0, t)
     params = default_params(prof, 64)
     mode = assemble_mode(params, field, path, pair, t)
     far = y > 30
@@ -99,7 +100,7 @@ def test_tangential_tail_tracks_shear_gradient(pair):
 
 
 def test_old_ansatz_tail_proportional_to_gradient(pair):
-    prof = sm.make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
+    prof = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     y = np.linspace(0, 60, 2401)
     u_old = old_frozen_tangential(prof, pair, 1.0 / 64, y)
     far = y > 30
@@ -221,7 +222,7 @@ def test_residual_fd_second_derivative_converges(
     gaps = []
     for ny in (601, 2401):
         y = np.linspace(0.0, 30.0, ny)
-        field = sm.solve_heat(gauss_prof, y, t_grid, check=False)
+        field = solve_heat(gauss_prof, y, t_grid, check=False)
         mode = assemble_mode(params, field, gauss_path, pair, t)
         res = residual(mode)
         mp = assemble_mode(params, field, gauss_path, pair, t + delta)
@@ -360,13 +361,13 @@ def test_amplitude_series_is_its_envelope(request, pair, family):
 def test_amplitude_series_kernel_calls_independent_of_n(
         monkeypatch, gauss_path, pair, gauss_prof):
     calls = []
-    derivs = sm.HeatFlow.derivs
+    derivs = HeatFlow.derivs
 
     def counted(self, *args, **kwargs):
         calls.append(args[0])
         return derivs(self, *args, **kwargs)
 
-    monkeypatch.setattr(sm.HeatFlow, "derivs", counted)
+    monkeypatch.setattr(HeatFlow, "derivs", counted)
     ts = np.linspace(0.03 / 24, 0.03, 6)
     counts = []
     for ns in ((64,), (32, 64, 128, 256)):
@@ -382,13 +383,13 @@ def test_amplitude_series_makes_no_multi_point_kernel_call(
     # the path scalars and the phase take single-point kernel calls, and
     # the layer sup reads v_sl, which reads no u_s
     calls = []
-    derivs = sm.HeatFlow.derivs
+    derivs = HeatFlow.derivs
 
     def counted(self, t, y, orders=(0, 1, 2, 3, 4)):
         calls.append((t, np.atleast_1d(y), tuple(orders)))
         return derivs(self, t, y, orders)
 
-    monkeypatch.setattr(sm.HeatFlow, "derivs", counted)
+    monkeypatch.setattr(HeatFlow, "derivs", counted)
     ts = np.linspace(0.03 / 24, 0.03, 6)
     mode_amplitude_series([default_params(gauss_prof, n)
                            for n in (32, 64, 128, 256)],

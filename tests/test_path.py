@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-import shearmodes as sm
 from shearmodes.errors import CurvatureVanished, HorizonExceeded
 from shearmodes.heat import HeatFlow
 from shearmodes.path import track_critical_point
+from shearmodes.profiles import make_profile
 
 
 def test_initial_conditions(gauss_path, gauss_prof):
@@ -44,7 +44,7 @@ def test_horizon_guard(gauss_path):
 
 
 def test_shallow_bump_loses_curvature():
-    prof = sm.make_profile("gaussian-bump", {"U0": 1.0, "A": 0.62})
+    prof = make_profile("gaussian-bump", {"U0": 1.0, "A": 0.62})
     flow = HeatFlow(prof)
     with pytest.raises(CurvatureVanished, match="at t=0.0460 "):
         track_critical_point(flow, prof.a0, 0.15)

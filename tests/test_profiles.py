@@ -43,14 +43,14 @@ def test_value_is_bitwise_the_first_derivative_entry(family):
     # the heat kernel's remainder reads U alone; it must be derivs' U
     prof = build_family(family)
     y = np.linspace(0.0, 30.0, 601)
-    assert np.array_equal(prof(y), prof.derivs(y)[0])
-    assert prof(1.5) == prof.derivs(np.array([1.5]))[0][0]
+    assert np.array_equal(prof.value(y), prof.derivs(y)[0])
+    assert prof.value(1.5) == prof.derivs(np.array([1.5]))[0][0]
 
 
 def test_gaussian_bump_profile_shape():
     prof = make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0})
-    assert prof(np.array([0.0]))[0] == 0.0
-    assert prof(np.array([28.0]))[0] == pytest.approx(1.0, abs=1e-9)
+    assert prof.value(np.array([0.0]))[0] == 0.0
+    assert prof.value(np.array([28.0]))[0] == pytest.approx(1.0, abs=1e-9)
     assert prof.decay_class.kind == "exponential"
     # independent placement oracle: dense argmax of U plus local quadratic fit
     y = np.linspace(0.5, 4.0, 400001)
