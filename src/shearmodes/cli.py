@@ -25,10 +25,8 @@ from .profiles import family_names, make_profile
 DEFAULT_CONFIG = {
     "profile": {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
     "grid": {"y_max": 30.0, "ny": 601, "t0": 0.15, "nt": 16},
-    "eigen": {"Z": 12.0, "dz": 1e-3, "rtol": 1e-10},
-    "path": {"dt": 2e-3, "floor_frac": 0.1},
-    "mode": {"n": 64, "f_width": 2.0, "t_snapshot": 0.05},
-    "solver": {"scheme": "imex-cn", "c_cfl": 0.5, "min_steps": 240},
+    "mode": {"n": 64, "t_snapshot": 0.05},
+    "solver": {"min_steps": 240},
     "growth": {
         # the algebraic family runs with a deeper jet (A=4) so its curvature
         # scale matches the gaussian one and the window bias stays small
@@ -37,22 +35,26 @@ DEFAULT_CONFIG = {
             {"family": "algebraic-bump", "params": {"U0": 1.0, "A": 4.0}},
         ],
         "n_list": [32, 64, 128, 256], "t_final": 0.03,
-        "window": [0.2, 0.9], "p_band": [0.45, 0.55],
-        "sigma_rel_tol": 0.15,
         "transient_ks": [64, 128, 256], "transient_t": 0.05,
     },
-    "probe": {"ks": [32, 64, 128, 256, 512], "t": 0.1, "m": 2,
-              "alpha": 1.0, "mu": 0.25, "sigma_factors": [0.5, 2.0]},
+    "probe": {"ks": [32, 64, 128, 256, 512], "t": 0.1,
+              "sigma_factors": [0.5, 2.0]},
     "residual_scan": {
         # near-uniform plateau needs an O(1) advection factor on the
         # corrector support; the deep algebraic jet provides it
         "profile": {"family": "algebraic-bump", "params": {"U0": 1.0, "A": 4.0}},
         "n_list": [64, 128, 256, 512],
         "t_list": [0.02, 0.05, 0.08],
-        "alphas": [0.0, 1.0, 2.0], "plateau_ratio": 1.5,
+        "alphas": [0.0, 1.0, 2.0],
     },
-    "sigma0_safety": 1.1,
 }
+
+# the verdicts' constants, fixed so that no config can widen a band to pass
+SIGMA0_SAFETY = 1.1         # sigma0 over sup_t |Im tau_phys(t)|
+P_BAND = (0.45, 0.55)       # growth-scan: p of sigma(k) ~ k^p
+SIGMA_REL_TOL = 0.15        # growth-scan: sigma(k)/sqrt(k) vs |Im tau_phys(0)|
+PLATEAU_RATIO = 1.5         # residual-scan: max/min of the damped norm over n
+PROBE_M, PROBE_ALPHA, PROBE_MU = 2, 1.0, 0.25   # of rho and rho_cert
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -72,8 +74,8 @@ def load_config(path: str | None) -> dict:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ValueError("config root must be a JSON object")
-        cfg = deep_merge(cfg, user)
         unread = _unread_keys(user, DEFAULT_CONFIG)
+        cfg = deep_merge(cfg, user)
         if unread:
             print(f"config: keys that nothing reads: {', '.join(unread)}",
                   file=sys.stderr)
@@ -82,12 +84,13 @@ def load_config(path: str | None) -> dict:
 
 
 def _unread_keys(user: dict, base: dict, prefix: str = "") -> list[str]:
-    """Dotted names of the keys of user absent from base, walking only the
-    dict levels base defines; a profile's family-specific params are not
-    checked."""
+    """Remove from user the keys absent from base and return their dotted
+    names, walking only the dict levels base defines; a profile's
+    family-specific params are not checked."""
     out = []
-    for k, v in user.items():
+    for k, v in list(user.items()):
         if k not in base:
+            del user[k]
             out.append(prefix + k)
         elif (k != "params" and isinstance(v, dict)
               and isinstance(base[k], dict)):
@@ -123,11 +126,24 @@ def _check_types(value, default, name: str):
 
 def _validate(cfg: dict):
     _check_types(cfg, DEFAULT_CONFIG, "")
-    for prof in ([cfg["profile"]] + cfg["growth"]["families"]
+    grid, g = cfg["grid"], cfg["growth"]
+    for name, value in (("grid.y_max", grid["y_max"]), ("grid.t0", grid["t0"]),
+                        ("probe.t", cfg["probe"]["t"]),
+                        # the transient block reports log(amplification) / t
+                        ("growth.transient_t", g["transient_t"])):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    # the Crank-Nicolson solve needs three interior points, and the stepper
+    # interpolates u_s cubically in t between field slices
+    for name, value, least in (
+            ("grid.ny", grid["ny"], 5), ("grid.nt", grid["nt"], 4),
+            ("solver.min_steps", cfg["solver"]["min_steps"], 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    for prof in ([cfg["profile"]] + g["families"]
                  + [cfg["residual_scan"]["profile"]]):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
-    g = cfg["growth"]
     for n in (g["n_list"] + g["transient_ks"] + cfg["probe"]["ks"]
               + [cfg["mode"]["n"]]):
         if n < 1:
@@ -141,18 +157,9 @@ def _validate(cfg: dict):
                          ("residual_scan", "n_list"), ("residual_scan", "alphas")):
         if not cfg[section][key]:
             raise ValueError(f"{section}.{key} must not be empty")
-    if not any(t <= cfg["grid"]["t0"] for t in t_list):
+    if not any(t <= grid["t0"] for t in t_list):
         # residual-scan skips the times past the critical path's horizon
         raise ValueError(f"residual_scan.t_list has no t <= grid.t0: {t_list}")
-    if g["transient_t"] <= 0:
-        # the transient block reports log(amplification) / t
-        raise ValueError(
-            f"growth.transient_t must be positive, got {g['transient_t']}")
-    if cfg["grid"]["nt"] < 4:
-        # the stepper interpolates u_s cubically in t between field slices
-        raise ValueError(f"grid.nt must be at least 4, got {cfg['grid']['nt']}")
-    if cfg["solver"]["scheme"] not in ("imex-cn", "inviscid"):
-        raise ValueError(f"unknown scheme {cfg['solver']['scheme']!r}")
 
 
 def _canonical(obj) -> str:
@@ -181,7 +188,8 @@ def write_manifest(out: Path, cfg: dict, command: str):
 
 
 class Pipeline:
-    """Shared profile -> heat -> path -> eigen context."""
+    """Shared profile -> heat -> path -> eigen context; the path, the pair
+    and the mode family take their functions' default settings."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -219,45 +227,32 @@ class Pipeline:
     @property
     def path(self):
         if self._path is None:
-            p = self.cfg["path"]
             self._path = critical_path.track_critical_point(
-                self.flow, self.profile.a0, self.cfg["grid"]["t0"],
-                dt=p["dt"], floor_frac=p["floor_frac"])
+                self.flow, self.profile.a0, self.cfg["grid"]["t0"])
         return self._path
-
-    @property
-    def problem(self) -> eigen.DispersionProblem:
-        e = self.cfg["eigen"]
-        return eigen.DispersionProblem(Z=e["Z"], dz=e["dz"], rtol=e["rtol"])
 
     @property
     def pair(self) -> eigen.Eigenpair:
         if self._pair is None:
-            self._pair = eigen.find_tau(self.problem)
+            self._pair = eigen.find_tau(eigen.DispersionProblem())
         return self._pair
 
     def sigma0(self) -> float:
         """Measured growth constant: safety * sup_t |Im tau_phys(t)|, with
         tau_phys(t) = kappa(t) tau, over 101 times in [0, t0]."""
         ts = np.linspace(0.0, self.path.t0, 101)
-        return self.cfg["sigma0_safety"] * (
+        return SIGMA0_SAFETY * (
             abs(self.pair.tau.imag) * float(np.max(self.path.kappa(ts))))
 
-    def mode_params(self, n: int):
-        return modes.default_params(self.profile, n,
-                                    f_width=self.cfg["mode"]["f_width"])
-
     def solver_config(self, k: int, t_final: float) -> evolve.SolverConfig:
-        """The stepper settings of cfg["solver"] for wavenumber k, with
-        auto_dt's step."""
-        s = self.cfg["solver"]
-        dt = evolve.auto_dt(k, self.field, t_final, c_cfl=s["c_cfl"],
-                            min_steps=s["min_steps"])
-        return evolve.SolverConfig(dt=dt, scheme=s["scheme"],
-                                   c_cfl=s["c_cfl"])
+        """The imex-cn stepper for wavenumber k at auto_dt's step, at least
+        solver.min_steps of them to t_final."""
+        dt = evolve.auto_dt(k, self.field, t_final,
+                            min_steps=self.cfg["solver"]["min_steps"])
+        return evolve.SolverConfig(dt=dt)
 
     def mode_initial(self, n: int) -> np.ndarray:
-        params = self.mode_params(n)
+        params = modes.default_params(self.profile, n)
         return params.eps * params.bump().f(self.y)
 
 
@@ -267,7 +262,7 @@ class Pipeline:
 
 def cmd_eigen(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
-    prob, pair = pipe.problem, pipe.pair
+    prob, pair = eigen.DispersionProblem(), pipe.pair
     samples = eigen.sample_profile(pair, prob)
     # the one shot: Newton on the refined problem, seeded at the closed form
     refined, tails = eigen.find_root(
@@ -319,7 +314,7 @@ def cmd_mode(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     n = cfg["mode"]["n"]
     t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
-    params = pipe.mode_params(n)
+    params = modes.default_params(pipe.profile, n)
     mode = modes.assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
     res = modes.residual(mode)
     jumps = mode.jump_report(pipe.pair)
@@ -358,7 +353,7 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     sigma0 = pipe.sigma0()
     rows = []
     for n in sc["n_list"]:
-        params = pipe.mode_params(n)
+        params = modes.default_params(pipe.profile, n)
         for t in sc["t_list"]:
             if t > pipe.path.t0:
                 continue
@@ -379,7 +374,7 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
                 per_eps[r["n"]] = max(per_eps.get(r["n"], 0.0), r["damped"])
         vals = list(per_eps.values())
         ratio = max(vals) / min(vals) if min(vals) > 0 else float("inf")
-        passed = ratio <= sc["plateau_ratio"]
+        passed = ratio <= PLATEAU_RATIO
         verdicts[str(alpha)] = {"sup_per_eps": {str(k): v for k, v in per_eps.items()},
                                 "ratio": ratio, "pass": passed}
         ok &= passed
@@ -389,7 +384,7 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     alg = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     old_norms, new_norms = {}, {}
     n_ref = sc["n_list"][0]
-    pa = modes.default_params(alg, n_ref, f_width=cfg["mode"]["f_width"])
+    pa = modes.default_params(alg, n_ref)
     for ymax in (15.0, 30.0, 60.0):
         yg = np.linspace(0.0, ymax, int(20 * ymax) + 1)
         old = modes.old_frozen_tangential(alg, pipe.pair, 1.0 / n_ref, yg)
@@ -421,8 +416,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     """
     g = cfg["growth"]
     families = g["families"] or [cfg["profile"]]
-    report = {"families": [], "p_band": g["p_band"],
-              "sigma_rel_tol": g["sigma_rel_tol"]}
+    report = {"families": [], "p_band": list(P_BAND),
+              "sigma_rel_tol": SIGMA_REL_TOL}
     series = []
     ok = True
     for fam in families:
@@ -430,13 +425,12 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         t_final = min(g["t_final"], pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)
         amps = modes.mode_amplitude_series(
-            [pipe.mode_params(n) for n in g["n_list"]], pipe.path, pipe.pair,
-            ts)
+            [modes.default_params(pipe.profile, n) for n in g["n_list"]],
+            pipe.path, pipe.pair, ts)
         fits = []
         for n, amp in zip(g["n_list"], amps):
             fits.append(evolve.growth_row(n, amp["t"], amp["log_sl"],
-                                          pipe.path,
-                                          window=tuple(g["window"])))
+                                          pipe.path))
             series.append((amp["t"], np.exp(amp["log_sl"]),
                            f"{fam['family']} k={n}"))
             rows = ["t,log_mode_sl"]
@@ -461,8 +455,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
                               "amplification": amp_tr, "rate": rate,
                               "rate_over_prediction":
                                   rate / (target * np.sqrt(k))})
-        fam_ok = (p is not None and g["p_band"][0] <= p <= g["p_band"][1]
-                  and all(e <= g["sigma_rel_tol"] for e in rel_errs))
+        fam_ok = (p is not None and P_BAND[0] <= p <= P_BAND[1]
+                  and all(e <= SIGMA_REL_TOL for e in rel_errs))
         ok &= fam_ok
         report["families"].append({
             "profile": fam, "rows": fits, "power_law_exponent": p,
@@ -488,8 +482,8 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     all_rows = evolve.operator_growth_probe(
         pipe.field, pr["ks"], [pipe.mode_initial(k) for k in pr["ks"]],
         [pipe.solver_config(k, t) for k in pr["ks"]],
-        t=t, m=pr["m"], alpha=pr["alpha"],
-        sigmas=[f * rate for f in pr["sigma_factors"]], mu=pr["mu"])
+        t=t, m=PROBE_M, alpha=PROBE_ALPHA,
+        sigmas=[f * rate for f in pr["sigma_factors"]], mu=PROBE_MU)
     nk = len(pr["ks"])
     verdicts = {}
     for i, f in enumerate(pr["sigma_factors"]):

@@ -48,11 +48,14 @@ class FourierModeState:
             raise NonFiniteState("u_hat left the floating-point range")
 
 
+# the advective step bound: dt <= C_CFL / (k sup|u_s|)
+C_CFL = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
     scheme: str = "imex-cn"      # or "inviscid"
-    c_cfl: float = 0.5
 
     def __post_init__(self):
         if self.scheme not in ("imex-cn", "inviscid"):
@@ -76,10 +79,10 @@ def _k_column(k) -> np.ndarray:
 
 
 def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
-            c_cfl: float, min_steps: int) -> float:
-    """The CFL step c_cfl / (k sup|u_s|), capped at t_final / min_steps."""
+            min_steps: int) -> float:
+    """The CFL step C_CFL / (k sup|u_s|), capped at t_final / min_steps."""
     umax = float(np.max(np.abs(field.us)))
-    dt_cfl = c_cfl / (max(k, 1) * max(umax, 1e-12))
+    dt_cfl = C_CFL / (max(k, 1) * max(umax, 1e-12))
     return min(dt_cfl, t_final / min_steps)
 
 
@@ -88,10 +91,10 @@ def _check_cfl(state: FourierModeState, field: HeatFlowField,
     """The advective step bound; in a batch the largest k binds."""
     umax = float(np.max(np.abs(field.us)))
     k = int(np.max(state.k))
-    if k > 0 and config.dt > config.c_cfl / (k * max(umax, 1e-12)):
+    if k > 0 and config.dt > C_CFL / (k * max(umax, 1e-12)):
         raise CflViolation(
-            f"dt={config.dt:g} exceeds c_cfl/(k sup|u_s|)="
-            f"{config.c_cfl / (k * umax):g} at k={k}")
+            f"dt={config.dt:g} exceeds C_CFL/(k sup|u_s|)="
+            f"{C_CFL / (k * umax):g} at k={k}")
 
 
 def _advection(u, y, k, us_row, dyus_row):
@@ -286,7 +289,7 @@ def evolve_grouped(field: HeatFlowField, ks, u0s, configs,
 # growth measurement and the ill-posedness probe
 
 
-def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9)) -> dict:
+def growth_row(k: int, t, lognorm, path) -> dict:
     """Fit the growth rate of one log-amplitude trajectory.
 
     The growing-component amplitude model is
@@ -297,14 +300,14 @@ def growth_row(k: int, t, lognorm, path, *, window=(0.2, 0.9)) -> dict:
     kappa^{3/2} prefactors are known structure of the assembly, so they are
     subtracted before fitting.
     sigma(k) is the least-squares slope of the compensated log amplitude
-    against t over the window (so it averages the instantaneous rate
+    against t over the window [0.2, 0.9] t[-1] (so it averages the rate
     |Im tau| sqrt(k) kappa(t) across the window; the curvature decay of the
     background makes it sit a few percent below the t=0 rate).
     """
     t = np.asarray(t, dtype=float)
     ln = np.asarray(lognorm, dtype=float)
     t_final = t[-1]
-    lo, hi = window[0] * t_final, window[1] * t_final
+    lo, hi = 0.2 * t_final, 0.9 * t_final
     comp = (ln - np.log(np.maximum(t, 1e-300))
             - 1.5 * np.log(np.asarray(path.kappa(t), dtype=float)))
     in_window = (t >= lo) & (t <= hi)

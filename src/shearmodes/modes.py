@@ -150,18 +150,17 @@ class ModeParams:
         return BumpCorrector(self.f_lo, self.f_hi)
 
 
-def default_params(profile: ShearProfile, n: int, *,
-                   f_width: float = 2.0) -> ModeParams:
+def default_params(profile: ShearProfile, n: int) -> ModeParams:
     """Cutoff shells at (0.5, 1.0) * min(a0, 1); bump just beyond the outer
-    shell.  f_width widens the bump (lower peak) so the growing part
-    overtakes the corrector earlier in the smallest-k runs."""
+    shell, 2 wide: the wide bump (lower peak) lets the growing part
+    overtake the corrector earlier in the smallest-k runs."""
     if profile.a0 is None:
         raise ValueError("profile has no located critical point")
     scale = min(profile.a0, 1.0)
     d2 = 1.0 * scale
     lo = profile.a0 + d2 + 0.5
     return ModeParams(n=n, phi_inner=0.5 * scale, phi_outer=d2,
-                      f_lo=lo, f_hi=lo + f_width)
+                      f_lo=lo, f_hi=lo + 2.0)
 
 
 class _Scalars:

@@ -83,7 +83,7 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
 
     def rhs(t, a):
         d2, d3 = flow.derivs(t, np.array([a]), orders=(2, 3))
-        return -d3[0] / d2[0], d2[0], d3[0]
+        return -d3[0] / d2[0]
 
     a_list, lam_list, adot_list, lamdot_list = [], [], [], []
     a = float(a0)
@@ -107,10 +107,10 @@ def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
         adot_list.append(adot)
         lamdot_list.append(d4[0] + d3[0] * adot)
         if i + 1 < n:
-            k1, *_ = rhs(t, a)
-            k2, *_ = rhs(t + h / 2, a + h * k1 / 2)
-            k3, *_ = rhs(t + h / 2, a + h * k2 / 2)
-            k4, *_ = rhs(t + h, a + h * k3)
+            k1 = adot    # rhs(t, a), which the node has just evaluated
+            k2 = rhs(t + h / 2, a + h * k1 / 2)
+            k3 = rhs(t + h / 2, a + h * k2 / 2)
+            k4 = rhs(t + h, a + h * k3)
             a = a + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     return CriticalPath(

@@ -151,7 +151,7 @@ def test_criterion_4_growth_rate_scaling(
         target = abs(pair.tau.imag) * float(path.kappa(0.0))
         ns = (32, 64, 128, 256)
         amps = mode_amplitude_series(
-            [default_params(prof, n, f_width=2.0) for n in ns],
+            [default_params(prof, n) for n in ns],
             path, pair, ts)
         fits = [growth_row(n, amp["t"], amp["log_sl"], path)
                 for n, amp in zip(ns, amps)]
@@ -175,7 +175,7 @@ def test_criterion_5_residual_bound_uniformity(
     for alpha in (0.0, 1.0, 2.0):
         per_eps = {}
         for n in (64, 128, 256, 512):
-            params = default_params(alg4_prof, n, f_width=2.0)
+            params = default_params(alg4_prof, n)
             best = 0.0
             for t in (0.02, 0.05, 0.08):
                 mode = assemble_mode(params, alg4_field, alg4_path, pair, t)
@@ -212,7 +212,7 @@ def test_criterion_6_decay_obstruction(pair):
         yg = np.linspace(0, ymax, int(20 * ymax) + 1)
         old = old_frozen_tangential(prof, pair, 1.0 / 64, yg)
         old_norms.append(weighted_sup(old, yg, 1.0))
-        params = default_params(prof, 64, f_width=2.0)
+        params = default_params(prof, 64)
         new_norms.append(max(initial_tangential_norm(params, yg, a)
                              for a in (0.0, 1.0, 2.0)))
     old_growth = old_norms[-1] / old_norms[0]
@@ -237,10 +237,9 @@ def probe_rows(pair, gauss_field, gauss_path, gauss_prof, y_grid):
     ks = [32, 64, 128, 256, 512]
     u0s = []
     for k in ks:
-        params = default_params(gauss_prof, k, f_width=2.0)
+        params = default_params(gauss_prof, k)
         u0s.append(params.eps * params.bump().f(y_grid))
-    configs = [SolverConfig(dt=auto_dt(k, gauss_field, 0.1, c_cfl=0.5,
-                                       min_steps=240))
+    configs = [SolverConfig(dt=auto_dt(k, gauss_field, 0.1, min_steps=240))
                for k in ks]
     return operator_growth_probe(gauss_field, ks, u0s, configs, t=0.1, m=2,
                                  alpha=1.0, sigmas=[2.0 * rate], mu=0.25)
@@ -341,12 +340,12 @@ def test_criterion_8_initial_smallness_and_mode_structure(
     # eps-linearity of the initial data norm
     base = {}
     for n in (64, 128, 256, 512):
-        params = default_params(gauss_prof, n, f_width=2.0)
+        params = default_params(gauss_prof, n)
         base[n] = initial_tangential_norm(params, y_grid, 1.0) / params.eps
     vals = list(base.values())
     eps_lin_spread = (max(vals) - min(vals)) / max(vals)
     # jump cancellation and divergence at a working snapshot
-    params = default_params(gauss_prof, 64, f_width=2.0)
+    params = default_params(gauss_prof, 64)
     mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
     rep = mode.jump_report(pair)
     jump = max(rep["V"], rep["dyV"], rep["d2yV"])

@@ -10,7 +10,8 @@ import pytest
 
 import shearmodes
 from shearmodes import eigen, evolve, heat
-from shearmodes.cli import Pipeline, deep_merge, load_config, main
+from shearmodes.cli import (DEFAULT_CONFIG, Pipeline, deep_merge,
+                            load_config, main)
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow
 
@@ -36,9 +37,64 @@ def test_unread_config_keys_are_reported(tmp_path, capsys):
     assert rc == 0
     # params and list entries are not walked, so B and extra pass unnamed
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["config: keys that nothing reads: eigen.scan_n, bogus"]
+    assert err == ["config: keys that nothing reads: eigen, bogus"]
     load_config(_write_cfg(tmp_path, {}))
     assert capsys.readouterr().err == ""
+
+
+# the keys that are constants now, with the value each had, and the name the
+# stderr line gives them: a section with no key left is named whole
+REMOVED_KEYS = [
+    ("eigen.Z", 12.0, "eigen"), ("eigen.dz", 1e-3, "eigen"),
+    ("eigen.rtol", 1e-10, "eigen"), ("path.dt", 2e-3, "path"),
+    ("path.floor_frac", 0.1, "path"), ("mode.f_width", 2.0, None),
+    ("solver.scheme", "imex-cn", None), ("solver.c_cfl", 0.5, None),
+    ("growth.window", [0.2, 0.9], None),
+    ("growth.p_band", [0.45, 0.55], None),
+    ("growth.sigma_rel_tol", 0.15, None),
+    ("residual_scan.plateau_ratio", 1.5, None), ("probe.m", 2, None),
+    ("probe.alpha", 1.0, None), ("probe.mu", 0.25, None),
+    ("sigma0_safety", 1.1, None)]
+
+
+@pytest.mark.parametrize("key, value, named", REMOVED_KEYS,
+                         ids=[k for k, _, _ in REMOVED_KEYS])
+def test_removed_config_key_is_named_and_dropped(tmp_path, capsys, key,
+                                                 value, named):
+    *sections, leaf = key.split(".")
+    extra = {leaf: value}
+    for section in reversed(sections):
+        extra = {section: extra}
+    cfg = load_config(_write_cfg(tmp_path, extra))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config: keys that nothing reads: {named or key}"]
+    for section in sections:
+        cfg = cfg.get(section, {})
+    assert leaf not in cfg
+
+
+def _leaves(cfg, prefix=""):
+    """Dotted names of cfg's settable values; a profile's params is one."""
+    for k, v in cfg.items():
+        if isinstance(v, dict) and k != "params":
+            yield from _leaves(v, f"{prefix}{k}.")
+        else:
+            yield prefix + k
+
+
+def test_config_surface_is_pinned():
+    # a new key is added on purpose: here, and in the README's config
+    # paragraph
+    assert sorted(_leaves(DEFAULT_CONFIG)) == [
+        "grid.nt", "grid.ny", "grid.t0", "grid.y_max",
+        "growth.families", "growth.n_list", "growth.t_final",
+        "growth.transient_ks", "growth.transient_t",
+        "mode.n", "mode.t_snapshot",
+        "probe.ks", "probe.sigma_factors", "probe.t",
+        "profile.family", "profile.params",
+        "residual_scan.alphas", "residual_scan.n_list",
+        "residual_scan.profile.family", "residual_scan.profile.params",
+        "residual_scan.t_list", "solver.min_steps"]
 
 
 def _fresh_run(code, tmp_path):
@@ -208,21 +264,11 @@ def test_src_holds_no_oracle():
     assert [n for n in ORACLES if n in defined] == []
 
 
-def test_probe_honours_solver_scheme(tmp_path):
-    probe = {"probe": {"ks": [32, 64], "sigma_factors": [2.0]}}
-    cn = _probe_rows(tmp_path, "cn", probe)
-    inv = _probe_rows(tmp_path, "inv",
-                      dict(probe, solver={"scheme": "inviscid"}))
-    for a, b in zip(cn, inv):
-        assert abs(a["log_final_norm"] - b["log_final_norm"]) > 1e-6
-
-
 def test_probe_honours_solver_c_cfl(tmp_path):
     # at these k the step is CFL-limited, so the stepper must check it
-    # against the same c_cfl that chose it
+    # against the same C_CFL that chose it
     rows = _probe_rows(tmp_path, "o", {
-        "probe": {"ks": [4096, 8192], "sigma_factors": [2.0]},
-        "solver": {"c_cfl": 0.8}})
+        "probe": {"ks": [4096, 8192], "sigma_factors": [2.0]}})
     assert [r["k"] for r in rows] == [4096, 8192]
 
 
@@ -280,6 +326,35 @@ def test_fewer_than_four_field_times_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err == {"error": "ValueError",
                    "message": "grid.nt must be at least 4, got 3"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("illposedness-probe", {"probe": {"t": 0}},
+     "probe.t must be positive, got 0"),
+    ("illposedness-probe", {"probe": {"t": -0.05}},
+     "probe.t must be positive, got -0.05"),
+    ("illposedness-probe", {"solver": {"min_steps": 0}},
+     "solver.min_steps must be at least 1, got 0"),
+    ("illposedness-probe", {"solver": {"min_steps": -5}},
+     "solver.min_steps must be at least 1, got -5"),
+    ("heat", {"grid": {"t0": 0}, "residual_scan": {"t_list": [0.0]}},
+     "grid.t0 must be positive, got 0"),
+    ("heat", {"grid": {"y_max": 0}}, "grid.y_max must be positive, got 0"),
+    ("illposedness-probe", {"grid": {"ny": 4}},
+     "grid.ny must be at least 5, got 4"),
+    ("mode", {"grid": {"ny": 1}}, "grid.ny must be at least 5, got 1")],
+    ids=["probe-t-zero", "probe-t-negative", "min-steps-zero",
+         "min-steps-negative", "t0-zero", "y-max-zero", "ny-4", "ny-1"])
+def test_value_no_run_can_use_is_config_error(tmp_path, capsys, command,
+                                              extra, message):
+    # each of these crashed with a traceback, or ran on degenerate data and
+    # wrote verdicts on it
+    cfg = _write_cfg(tmp_path, extra)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
     assert not (tmp_path / "o").exists()
 
 
@@ -414,7 +489,7 @@ def test_eigen_command_default_artifact(tmp_path):
     assert not [k for k, v in art.items() if isinstance(v, list)]
     lines = (out / "V_profile.csv").read_text().splitlines()
     assert lines[0] == "z,V_re,V_im,W_re,W_im"
-    prob = Pipeline(load_config(cfg)).problem
+    prob = eigen.DispersionProblem()
     W = eigen.sample_profile(eigen.find_tau(prob), prob).W[::10]
     assert len(lines) == 1 + W.size
     assert [line.split(",")[3:] for line in lines[1:]] == [
@@ -434,6 +509,12 @@ def test_growth_scan_steps_nothing(monkeypatch, tmp_path):
     assert len(csvs) == 8
     for path in csvs:
         assert path.read_text().splitlines()[0] == "t,log_mode_sl"
+    # the verdict's band and tolerance are constants, and the report
+    # records them
+    rep = json.loads(
+        (tmp_path / "o" / "growth-scan" / "growth_report.json").read_text())
+    assert rep["p_band"] == [0.45, 0.55]
+    assert rep["sigma_rel_tol"] == 0.15
 
 
 def test_growth_scan_checks_the_quadrature_without_sampling_a_field(

@@ -302,7 +302,7 @@ def test_growth_row_fits_the_compensated_amplitude():
 
 
 def test_auto_dt_respects_cfl(gauss_field):
-    dt = auto_dt(256, gauss_field, 0.1, c_cfl=0.5, min_steps=240)
+    dt = auto_dt(256, gauss_field, 0.1, min_steps=240)
     umax = float(np.max(np.abs(gauss_field.us)))
     assert dt <= 0.5 / (256 * umax) + 1e-15
 
@@ -487,12 +487,11 @@ def test_duhamel_gap_bounded_by_propagated_residual(
     from shearmodes.modes import assemble_mode, default_params, residual
     from shearmodes.norms import weighted_sup
     n, t = 64, 0.05
-    params = default_params(gauss_prof, n, f_width=2.0)
+    params = default_params(gauss_prof, n)
     u0 = params.eps * params.bump().f(y_grid)
     s0 = FourierModeState(k=n, t=0.0, y=y_grid, u_hat=u0.astype(complex))
     tr = evolve(s0, gauss_field,
-                SolverConfig(dt=auto_dt(n, gauss_field, t, c_cfl=0.5,
-                                        min_steps=300)), t)
+                SolverConfig(dt=auto_dt(n, gauss_field, t, min_steps=300)), t)
     mode_t = assemble_mode(params, gauss_field, gauss_path, pair, t)
     lhs = weighted_sup(tr.final.u_hat - mode_t.U, y_grid, 0.0)
     ss = np.linspace(0, t, 5)

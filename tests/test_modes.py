@@ -287,7 +287,7 @@ def test_sup_norm_growth_bound_sweep(gauss_field, gauss_path, pair,
     measured 0.211 (the damped norm actually decreases along t)."""
     sigma0 = 1.1 * _im_tau_phys_sup(pair, gauss_path)
     for n in (64, 256):
-        params = default_params(gauss_prof, n, f_width=2.0)
+        params = default_params(gauss_prof, n)
         for t in (0.0, 0.02, 0.05, 0.08, 0.12):
             mode = assemble_mode(params, gauss_field, gauss_path,
                                  pair, t)
@@ -316,7 +316,7 @@ def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
                                                  pair, gauss_prof):
     # unsorted times, and a gap (0.01 -> 0.045) wider than one phase panel
     ts = np.array([0.045, 0.004, 0.08, 0.01])
-    params = [default_params(gauss_prof, n, f_width=2.0)
+    params = [default_params(gauss_prof, n)
               for n in (32, 64, 128, 256)]
     amps = mode_amplitude_series(params, gauss_path, pair, ts)
     assert len(amps) == len(params)

@@ -73,3 +73,20 @@ def test_kappa_definition(gauss_path):
     t = 0.05
     assert float(gauss_path.kappa(t)) == pytest.approx(
         np.sqrt(abs(float(gauss_path.lam(t))) / 2.0), rel=1e-12)
+
+
+def test_each_node_evaluates_the_kernel_at_most_five_times(monkeypatch,
+                                                           gauss_prof):
+    # one evaluation at the node, one more after its Newton correction, and
+    # three RK4 stages: the first stage is the node's own a'
+    calls = []
+    derivs = HeatFlow.derivs
+
+    def counted(self, t, y, orders=(0, 1, 2, 3, 4)):
+        calls.append(t)
+        return derivs(self, t, y, orders)
+
+    monkeypatch.setattr(HeatFlow, "derivs", counted)
+    path = track_critical_point(HeatFlow(gauss_prof), gauss_prof.a0, 0.15)
+    assert path.t_nodes.size == 76
+    assert len(calls) <= 1 + 5 * path.t_nodes.size
