@@ -129,6 +129,7 @@ def _validate(cfg: dict):
     grid, g = cfg["grid"], cfg["growth"]
     for name, value in (("grid.y_max", grid["y_max"]), ("grid.t0", grid["t0"]),
                         ("probe.t", cfg["probe"]["t"]),
+                        ("growth.t_final", g["t_final"]),
                         # the transient block reports log(amplification) / t
                         ("growth.transient_t", g["transient_t"])):
         if value <= 0:
@@ -157,6 +158,14 @@ def _validate(cfg: dict):
                          ("residual_scan", "n_list"), ("residual_scan", "alphas")):
         if not cfg[section][key]:
             raise ValueError(f"{section}.{key} must not be empty")
+    if len(set(cfg["residual_scan"]["n_list"])) < 2:
+        # each plateau verdict compares the damped norm across distinct n
+        raise ValueError("residual_scan.n_list must have two or more distinct"
+                         f" entries, got {cfg['residual_scan']['n_list']}")
+    for name, value in ([("mode.t_snapshot", cfg["mode"]["t_snapshot"])]
+                        + [("residual_scan.t_list", t) for t in t_list]):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
     if not any(t <= grid["t0"] for t in t_list):
         # residual-scan skips the times past the critical path's horizon
         raise ValueError(f"residual_scan.t_list has no t <= grid.t0: {t_list}")

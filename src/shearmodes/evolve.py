@@ -323,11 +323,9 @@ def growth_row(k: int, t, lognorm, path) -> dict:
     }
 
 
-# LAPACK band widths of the interleaved (x, c) system, below and above, and
-# the row of the main diagonal in band storage, where entry (row, col) sits
-# at ab[_DIAG + row - col, col] (the first _KL rows are zgbtrf's room for
-# fill-in)
-_KL, _KU = 3, 2
+# _ShiftedBand's band widths, below and above; entry (row, col) of its LAPACK
+# band storage is ab[_DIAG + row - col, col], after _KL rows of fill-in room
+_KL, _KU = 2, 1
 _DIAG = _KL + _KU
 # the parabolic contour z(u) = a - b u^2 + i(c u + m), u in (-pi, pi): its
 # ends reach Re z = a - b pi^2 = -36, where e^z = 2.3e-16 is about one ulp
@@ -341,20 +339,18 @@ _SIGMA_RTOL = 1e-14
 
 
 class _ShiftedBand:
-    """z - tA, A the frozen mode operator on the interior grid (Dirichlet
-    ends, trapezoid integration for v_hat), as the 2n system in x and
-    c = int_0^y x:
-
-        x row i:  z x_i - t[(x_{i-1} - 2x_i + x_{i+1})/h^2 - ik U_i x_i
-                            + ik U'_i c_i] = b_i,
-        c row i:  c_i - c_{i-1} - (h/2)(x_i + x_{i-1}) = 0.
-
-    The unknowns are interleaved as (x_0, c_0, x_1, c_1, ...), so the matrix
-    is banded with kl = 3 and ku = 2, held in LAPACK band storage and
-    factored by zgbtrf in O(n).  Eliminating c leaves (z - tA) x = b; the
-    conjugate-transposed system with right side (b, 0) has (z - tA)^{-H} b
-    in its x rows, since the adjoint of a Schur complement is the Schur
-    complement of the adjoint.
+    """z - tA, A the frozen mode operator on the n interior points (Dirichlet
+    ends, trapezoid integration for v_hat), as M = (z - tA)D in the unknowns
+    w = S x: S is the lower-triangular all-ones matrix, D = S^{-1} the
+    bidiagonal with 1 on and -1 below the diagonal.  As c = int_0^y x =
+    hS x - (h/2)x, c_i = (h/2)(w_i + w_{i-1}); with a_i = 2t/h^2 + itk U_i,
+    q_i = itk U'_i h/2 and r = t/h^2, row i of M holds -r, z + a_i + r - q_i
+    (no r in the last row, where x_n = 0), -(z + a_i) - r - q_i and r in
+    columns i+1 down to i-2: widths (2, 1), 6n entries for zgbtrf.  Then
+    (z - tA)^{-1} b = D M^{-1} b and (z - tA)^{-H} b = M^{-H} D^H b.  The
+    differencing by D loses about a factor n: at ny = 900 a solve's residual
+    is up to 4.1e-13 relative, against 7.3e-14 for the 2n system in (x, c)
+    with 18n entries; sigma meets the dense oracle to 2.4e-14 in the tests.
     """
 
     def __init__(self, profile, k: int, t: float, *, y_max: float, ny: int):
@@ -362,22 +358,22 @@ class _ShiftedBand:
         h = y[1] - y[0]
         d = profile.derivs(y)
         self.U = d[0][1:-1]
-        ab = np.zeros((_DIAG + _KL + 1, 2 * (ny - 2)), dtype=complex,
-                      order="F")
-        ab[_DIAG, 0::2] = 2 * t / h**2 + 1j * t * k * self.U
-        ab[_DIAG - 2, 2::2] = -t / h**2
-        ab[_DIAG + 2, 0:-2:2] = -t / h**2
-        ab[_DIAG - 1, 1::2] = -1j * t * k * d[1][1:-1]
-        ab[_DIAG, 1::2] = 1.0
-        ab[_DIAG + 2, 1:-2:2] = -1.0
-        ab[_DIAG + 1, 0::2] = -h / 2
-        ab[_DIAG + 3, 0:-2:2] = -h / 2
+        a = 2 * t / h**2 + 1j * t * k * self.U
+        q = 0.5j * t * k * h * d[1][1:-1]
+        r = t / h**2
+        ab = np.zeros((_DIAG + _KL + 1, ny - 2), dtype=complex, order="F")
+        ab[_DIAG - 1, 1:] = -r
+        ab[_DIAG] = a + r - q
+        ab[_DIAG, -1] -= r
+        ab[_DIAG + 1, :-1] = -a[1:] - r - q[1:]
+        ab[_DIAG + 2, :-2] = r
         self.ab = ab
 
     def factor(self, z: complex) -> tuple:
-        """zgbtrf's (lu, ipiv) of the system at z."""
+        """zgbtrf's (lu, ipiv) of M at z."""
         ab = self.ab.copy(order="F")
-        ab[_DIAG, 0::2] += z
+        ab[_DIAG] += z
+        ab[_DIAG + 1, :-1] -= z
         lu, ipiv, info = _lapack().zgbtrf(ab, _KL, _KU, overwrite_ab=1)
         if info > 0:
             raise NotConverged(f"z - tA is singular at the contour node {z}")
@@ -385,10 +381,14 @@ class _ShiftedBand:
 
     def solve(self, factors: tuple, b: np.ndarray, trans: int = 0):
         """(z - tA)^{-1} b (trans 0) or (z - tA)^{-H} b (trans 2)."""
-        rhs = np.zeros(self.ab.shape[1], dtype=complex)
-        rhs[0::2] = b
-        return _lapack().zgbtrs(factors[0], _KL, _KU, rhs, factors[1],
-                                trans=trans)[0][0::2]
+        if trans:
+            b = b.copy()
+            b[:-1] -= b[1:]
+        w = _lapack().zgbtrs(factors[0], _KL, _KU, b, factors[1],
+                             trans=trans)[0]
+        if not trans:
+            w[1:] -= w[:-1].copy()
+        return w
 
 
 def _node_count(half: float) -> int:
@@ -527,7 +527,7 @@ def transient_amplification(profile, k: int, t: float, *,
     N + 32 nodes must agree to 1e-10 relative, else NotConverged.  The
     check's nodes are factored, solved and dropped one at a time
     (_streamed_matvec), so at most the rule's N factorisations are held at
-    once: 80 of 0.27 MB each at k = 64, t = 0.05 and ny = 900.
+    once: 80 of 0.09 MB each at k = 64, t = 0.05 and ny = 900.
 
     Against the dense oracle, on 40 cases (both profiles; k = 64, 128 and
     256 at t = 0.05 and 1e-4 and ny = 300, 700 and 900; and the four widest
@@ -535,9 +535,9 @@ def transient_amplification(profile, k: int, t: float, *,
     1.0e-12.  At ny = 900 that gap is rounding, not truncation: at k = 128
     and t = 0.05 it scatters from -4.8e-14 to 7.7e-14 between 96 and 260
     nodes.  The clustered values cost steps: at k = 64 Golub-Kahan takes 19
-    steps at t = 0.05 and ny = 900 (0.4-0.9 s on a 2-core host), but 92 at
-    t = 1e-4 and ny = 300 (0.9-1.2 s) and 198 at t = 1e-4 and ny = 900
-    (5.0-5.4 s), where the 2-norm of the dense expm takes 0.08 s and 1.6 s.
+    steps at t = 0.05 and ny = 900 (0.16-0.23 s on one CPU of a 2-core host),
+    92 at t = 1e-4 and ny = 300 (0.32-0.43 s) and 198 at t = 1e-4 and ny =
+    900 (1.8-2.3 s), where the 2-norm of the dense expm takes 0.08 s, 1.6 s.
     """
     if t < 0:
         raise ValueError(f"transient_amplification needs t >= 0, got {t}")

@@ -418,6 +418,43 @@ def test_empty_verdict_list_is_config_error(tmp_path, capsys, command, extra,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("n_list", [[64], [64, 64]], ids=["one", "repeated"])
+def test_residual_scan_one_wavenumber_is_config_error(tmp_path, capsys,
+                                                      n_list):
+    # each plateau verdict compared the one n's damped norm with itself, so
+    # it wrote "pass": true and exited 0 whatever the residual was
+    cfg = _write_cfg(tmp_path, {"residual_scan": {"n_list": n_list}})
+    rc = main(["residual-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": "residual_scan.n_list must have two or more "
+                              f"distinct entries, got {n_list}"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("residual-scan", {"residual_scan": {"t_list": [-0.01, 0.02]}},
+     "residual_scan.t_list must not be negative, got -0.01"),
+    ("mode", {"mode": {"t_snapshot": -0.01}},
+     "mode.t_snapshot must not be negative, got -0.01"),
+    ("growth-scan", {"growth": {"t_final": -0.01}},
+     "growth.t_final must be positive, got -0.01"),
+    ("growth-scan", {"growth": {"t_final": 0}},
+     "growth.t_final must be positive, got 0")],
+    ids=["t-list-negative", "t-snapshot-negative", "t-final-negative",
+         "t-final-zero"])
+def test_time_before_the_start_is_config_error(tmp_path, capsys, command,
+                                               extra, message):
+    # each of these ran to a numerical failure (exit 3) instead
+    cfg = _write_cfg(tmp_path, extra)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
 def test_residual_scan_times_all_past_horizon_is_config_error(tmp_path,
                                                                capsys):
     # each t beyond grid.t0 is skipped; with none left the verdicts took the
