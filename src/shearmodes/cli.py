@@ -103,7 +103,8 @@ def _check_types(value, default, name: str):
     and lists as in the defaults (list entries against the first default
     entry), integers where the default is one, numbers where it is a float,
     strings where it is a string; a bool is not a number.  A profile's
-    params and keys absent from the defaults are not checked."""
+    params must be an object of numbers, whatever their names; other keys
+    absent from the defaults are not checked."""
     if isinstance(default, (dict, list, str)):
         ok = isinstance(value, type(default))
     elif isinstance(value, bool):
@@ -117,8 +118,13 @@ def _check_types(value, default, name: str):
                          f"{type(default).__name__}, got {value!r}")
     if isinstance(default, dict):
         for k, v in value.items():
-            if k in default and k != "params":
-                _check_types(v, default[k], f"{name}.{k}" if name else k)
+            key = f"{name}.{k}" if name else k
+            if k == "params":
+                _check_types(v, {}, key)
+                for p, x in v.items():
+                    _check_types(x, 0.0, f"{key}.{p}")
+            elif k in default:
+                _check_types(v, default[k], key)
     elif isinstance(default, list) and default:
         for i, v in enumerate(value):
             _check_types(v, default[0], f"{name}[{i}]")
@@ -146,7 +152,7 @@ def _validate(cfg: dict):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
     for n in (g["n_list"] + g["transient_ks"] + cfg["probe"]["ks"]
-              + [cfg["mode"]["n"]]):
+              + cfg["residual_scan"]["n_list"] + [cfg["mode"]["n"]]):
         if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
     ks, t_list = cfg["probe"]["ks"], cfg["residual_scan"]["t_list"]
@@ -252,13 +258,6 @@ class Pipeline:
         ts = np.linspace(0.0, self.path.t0, 101)
         return SIGMA0_SAFETY * (
             abs(self.pair.tau.imag) * float(np.max(self.path.kappa(ts))))
-
-    def solver_config(self, k: int, t_final: float) -> evolve.SolverConfig:
-        """The imex-cn stepper for wavenumber k at auto_dt's step, at least
-        solver.min_steps of them to t_final."""
-        dt = evolve.auto_dt(k, self.field, t_final,
-                            min_steps=self.cfg["solver"]["min_steps"])
-        return evolve.SolverConfig(dt=dt)
 
     def mode_initial(self, n: int) -> np.ndarray:
         params = modes.default_params(self.profile, n)
@@ -488,24 +487,30 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     pr = cfg["probe"]
     t = min(pr["t"], pipe.path.t0)
     rate = pipe.sigma0()
+    ks = pr["ks"]
+    # ks is strictly increasing, so its last k has the smallest CFL step
+    dt = evolve.auto_dt(ks[-1], pipe.field, t,
+                        min_steps=cfg["solver"]["min_steps"])
     all_rows = evolve.operator_growth_probe(
-        pipe.field, pr["ks"], [pipe.mode_initial(k) for k in pr["ks"]],
-        [pipe.solver_config(k, t) for k in pr["ks"]],
+        pipe.field, ks, [pipe.mode_initial(k) for k in ks], dt,
         t=t, m=PROBE_M, alpha=PROBE_ALPHA,
         sigmas=[f * rate for f in pr["sigma_factors"]], mu=PROBE_MU)
-    nk = len(pr["ks"])
     verdicts = {}
+    series = []
+    kx = np.array(ks, float)
     for i, f in enumerate(pr["sigma_factors"]):
-        rows = all_rows[i * nk:(i + 1) * nk]
+        rows = all_rows[i * len(ks):(i + 1) * len(ks)]
         for r in rows:
             r["sigma_factor"] = f
         cert = [r["rho_cert"] for r in rows]
         spec_rho = [r["rho"] for r in rows]
+        series.append((kx, np.array(cert), f"rho_cert sigma={f}r"))
+        series.append((kx, np.array(spec_rho), f"rho sigma={f}r"))
         if f < 1.0:
             increasing = all(b > a for a, b in zip(cert, cert[1:]))
             gain = cert[-1] / cert[0]
             needed = float(np.exp(0.25 * rate * t
-                                  * (np.sqrt(pr["ks"][-1]) - np.sqrt(pr["ks"][0]))))
+                                  * (np.sqrt(ks[-1]) - np.sqrt(ks[0]))))
             verdicts[f"sigma={f}*rate"] = {
                 "quantity": "rho_cert", "increasing": increasing,
                 "gain": gain, "needed_gain": needed,
@@ -520,14 +525,6 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     write_json(out / "probe_report.json", {
         "rate": rate, "t": t, "rows": all_rows, "verdicts": verdicts,
         "pass": bool(ok)})
-    ks = pr["ks"]
-    series = []
-    for f in pr["sigma_factors"]:
-        sub = [r for r in all_rows if r["sigma_factor"] == f]
-        series.append((np.array(ks, float), np.array([r["rho_cert"] for r in sub]),
-                       f"rho_cert sigma={f}r"))
-        series.append((np.array(ks, float), np.array([r["rho"] for r in sub]),
-                       f"rho sigma={f}r"))
     write_text(out / "probe_rho.svg",
                svg.svg_plot(series, title="ill-posedness probe", xlabel="k",
                             ylabel="rho", logy=True))

@@ -42,7 +42,7 @@ class CflViolation(ShearmodesError):
 
 
 class NonFiniteState(ShearmodesError):
-    """Evolved state left the floating-point range; renormalize or shorten the run."""
+    """Evolved state left the floating-point range, or a mode collapsed to zero."""
 
 
 class WindowTooShort(ShearmodesError):

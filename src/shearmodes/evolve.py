@@ -8,9 +8,9 @@ For wavenumber k the mode u_hat(t,y) obeys
 The x-Fourier reduction is exact because the coefficients depend only on
 (t, y).  The stepper treats diffusion with trapezoidal (Crank-Nicolson)
 implicitness and the non-stiff advection/source explicitly via a
-predictor-corrector pass, which is second order and self-starting.  An
-"inviscid" scheme tag drops the diffusion for comparison against the exact
-transport formula of the inviscid problem.
+predictor-corrector pass, which is second order and self-starting.  The
+inviscid variant (evolve's inviscid=True) drops the diffusion, for
+comparison against the exact transport formula of the inviscid problem.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +52,6 @@ class FourierModeState:
 C_CFL = 0.5
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    dt: float
-    scheme: str = "imex-cn"      # or "inviscid"
-
-    def __post_init__(self):
-        if self.scheme not in ("imex-cn", "inviscid"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
 def cumulative_trapezoid(f, y):
     """int_{y[0]}^{y} f by the trapezoid rule along the last axis of f."""
     f = np.asarray(f)
@@ -86,14 +76,13 @@ def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
     return min(dt_cfl, t_final / min_steps)
 
 
-def _check_cfl(state: FourierModeState, field: HeatFlowField,
-               config: SolverConfig):
+def _check_cfl(state: FourierModeState, field: HeatFlowField, dt: float):
     """The advective step bound; in a batch the largest k binds."""
     umax = float(np.max(np.abs(field.us)))
     k = int(np.max(state.k))
-    if k > 0 and config.dt > C_CFL / (k * max(umax, 1e-12)):
+    if k > 0 and dt > C_CFL / (k * max(umax, 1e-12)):
         raise CflViolation(
-            f"dt={config.dt:g} exceeds C_CFL/(k sup|u_s|)="
+            f"dt={dt:g} exceeds C_CFL/(k sup|u_s|)="
             f"{C_CFL / (k * umax):g} at k={k}")
 
 
@@ -157,20 +146,20 @@ def _cn_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
     return _lapack().zgttrs(*lu, b.T)[0].T
 
 
-def step(state: FourierModeState, config: SolverConfig, *, coefs,
+def step(state: FourierModeState, dt: float, *, coefs,
          lu) -> FourierModeState:
     """One IMEX step (predictor-corrector on the explicit terms).
 
     coefs holds the (u_s, d_y u_s) rows at the step's start and end times,
-    and lu the _cn_factors for config.dt (None for the inviscid scheme).
-    evolve checks the CFL condition once, interpolates each row once and
-    factors once, and passes them to every step.
+    and lu the _cn_factors for dt, or None for the inviscid step, which has
+    no diffusion.  evolve checks the CFL condition once, interpolates each
+    row once and factors once, and passes them to every step.
     """
-    y, dt, k = state.y, config.dt, _k_column(state.k)
+    y, k = state.y, _k_column(state.k)
     u = state.u_hat
     (us0, dyus0), (us1, dyus1) = coefs
 
-    if config.scheme == "inviscid":
+    if lu is None:
         n0 = _advection(u, y, k, us0, dyus0)
         up = u + dt * n0
         up[..., 0] = 0.0
@@ -196,22 +185,11 @@ def step(state: FourierModeState, config: SolverConfig, *, coefs,
 @dataclass(frozen=True)
 class Trajectory:
     """Norm record of an evolve run.  lognorm is the log of the sup norm
-    (the weighted sup norm at alpha = 0) at each time of t; log_scale is
-    the accumulated renormalisation log-factor.  For a batch both carry a
-    leading row axis, shapes (m, len(t)) and (m,), row i that of final's
-    row i; for one mode they are (len(t),) and a scalar."""
+    (the weighted sup norm at alpha = 0) at each time of t: shape (len(t),)
+    for one mode, (m, len(t)) for a batch, row i that of final's row i."""
     t: np.ndarray
     lognorm: np.ndarray
     final: FourierModeState
-    log_scale: float | np.ndarray
-
-    def row(self, i: int) -> Trajectory:
-        """The one-mode trajectory of row i of a batch."""
-        f = self.final
-        return Trajectory(t=self.t, lognorm=self.lognorm[i],
-                          final=FourierModeState(k=f.k[i], t=f.t, y=f.y,
-                                                 u_hat=f.u_hat[i]),
-                          log_scale=self.log_scale[i])
 
 
 def _row_sup(u: np.ndarray):
@@ -219,18 +197,17 @@ def _row_sup(u: np.ndarray):
     return np.max(np.abs(u), axis=-1)
 
 
-def evolve(state0: FourierModeState, field: HeatFlowField,
-           config: SolverConfig, t_final: float, *,
-           renormalize: bool = False) -> Trajectory:
-    """Repeated stepping with norm recording; optional per-step rescaling to
-    unit sup norm with an exact log bookkeeping of the factors.
+def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
+           t_final: float, *, inviscid: bool = False) -> Trajectory:
+    """Step state0 to t_final, recording the log sup norm after each step.
 
-    state0 may be one mode or a batch (see FourierModeState): a batch
-    shares one dt, the steps' coefficient rows, one Crank-Nicolson LU and
-    one multi-right-hand-side solve per stage, and each row is recorded and
-    renormalised by its own norm.  evolve_grouped forms the batches of the
-    probe, one per dt.  t_final equal to the start time gives the
-    one-sample trajectory; an earlier t_final raises ValueError.
+    dt shrinks to land on t_final in a whole number of steps.  state0 may be
+    one mode or a batch (see FourierModeState): a batch shares the steps'
+    coefficient rows, one Crank-Nicolson LU and one multi-right-hand-side
+    solve per stage, and each row is recorded by its own norm.  The state is
+    not rescaled, so a norm past the floating-point range raises
+    NonFiniteState.  t_final equal to the start time gives the one-sample
+    trajectory; an earlier t_final raises ValueError.
     """
     if t_final > field.horizon + 1e-12:
         raise ValueError(f"t_final={t_final} beyond field horizon {field.horizon}")
@@ -239,50 +216,24 @@ def evolve(state0: FourierModeState, field: HeatFlowField,
     state0.check()
     ts = [state0.t]
     logn = [np.log(_row_sup(state0.u_hat))]
-    log_scale = np.zeros(np.shape(logn[0]))[()]    # a scalar for one mode
-    nsteps = int(np.ceil((t_final - state0.t) / config.dt))
+    nsteps = int(np.ceil((t_final - state0.t) / dt))
     if nsteps:
-        cfg = replace(config, dt=(t_final - state0.t) / nsteps)
-        _check_cfl(state0, field, cfg)
-        lu = _cn_factors(state0.y, cfg.dt) if cfg.scheme == "imex-cn" else None
+        dt = (t_final - state0.t) / nsteps
+        _check_cfl(state0, field, dt)
+        lu = None if inviscid else _cn_factors(state0.y, dt)
         coef0 = field.slice_interp(state0.t)
     s = state0
     for _ in range(nsteps):
-        coef1 = field.slice_interp(s.t + cfg.dt)
-        s = step(s, cfg, coefs=(coef0, coef1), lu=lu)
+        coef1 = field.slice_interp(s.t + dt)
+        s = step(s, dt, coefs=(coef0, coef1), lu=lu)
         coef0 = coef1
         nrm = _row_sup(s.u_hat)
         if np.any(nrm == 0.0):
             raise NonFiniteState("mode collapsed to zero; nothing to record")
-        log_nrm = np.log(nrm)
         ts.append(s.t)
-        logn.append(log_nrm + log_scale)
-        if renormalize:
-            log_scale = log_scale + log_nrm
-            s = replace(s, u_hat=s.u_hat / nrm[..., None])
+        logn.append(np.log(nrm))
     return Trajectory(t=np.array(ts), lognorm=np.stack(logn, axis=-1),
-                      final=s, log_scale=log_scale)
-
-
-def evolve_grouped(field: HeatFlowField, ks, u0s, configs,
-                   t_final: float) -> list[Trajectory]:
-    """Evolve the mode u0s[i] of wavenumber ks[i] from t = 0 under
-    configs[i], renormalised, as one evolve batch per distinct config (in
-    practice, per dt), each batch holding its ks in their given order.
-    Returns the one-mode trajectories in the order of ks."""
-    groups = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(config, []).append(i)
-    out = [None] * len(ks)
-    for config, rows in groups.items():
-        s0 = FourierModeState(k=tuple(int(ks[i]) for i in rows), t=0.0,
-                              y=field.y_grid,
-                              u_hat=np.stack([np.asarray(u0s[i], dtype=complex)
-                                              for i in rows]))
-        traj = evolve(s0, field, config, t_final, renormalize=True)
-        for j, i in enumerate(rows):
-            out[i] = traj.row(j)
-    return out
+                      final=s)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +508,13 @@ def transient_amplification(profile, k: int, t: float, *,
     return sigma
 
 
-def operator_growth_probe(field: HeatFlowField, ks, u0s, configs, *,
+def operator_growth_probe(field: HeatFlowField, ks, u0s, dt: float, *,
                           t: float, m: int, alpha: float, sigmas,
                           mu: float) -> list[dict]:
-    """Evolve the initial data u0s[i] of wavenumber ks[i] under configs[i]
-    to t and report amplification ratios, one row per (sigma, k),
-    sigma-major.  sigma enters only the damping, so each k is evolved once
-    for all sigmas.
+    """Evolve the initial data u0s[i] of wavenumber ks[i] from 0 to t, all
+    ks as one evolve batch at step dt, and report amplification ratios, one
+    row per (sigma, k), sigma-major.  sigma enters only the damping, so each
+    k is evolved once for all sigmas.
 
     rho:      e^{-sigma sqrt(k) t} ||u(t)||_{W0} / ((1+k^2)^{m/2} ||u(0)||_{W_alpha})
               (the literal mode-Sobolev ratio, an H^m_alpha -> W_0 ratio
@@ -575,12 +526,12 @@ def operator_growth_probe(field: HeatFlowField, ks, u0s, configs, *,
               reads: bounded under the hypothetical well-posedness estimate
               with loss mu < 1/2, divergent in k when sigma is below the
               true rate).
-
-    The ks that share a config are evolved as one batch (evolve_grouped).
     """
-    trajs = evolve_grouped(field, ks, u0s, configs, t)
-    evolved = [(k, weighted_sup(u0, field.y_grid, alpha), traj.lognorm[-1])
-               for k, u0, traj in zip(ks, u0s, trajs)]
+    s0 = FourierModeState(k=tuple(int(k) for k in ks), t=0.0, y=field.y_grid,
+                          u_hat=np.stack(u0s).astype(complex))
+    log_final = evolve(s0, field, dt, t).lognorm[:, -1]
+    evolved = [(k, weighted_sup(u0, field.y_grid, alpha), log_nt)
+               for k, u0, log_nt in zip(ks, u0s, log_final)]
     rows = []
     for sigma in sigmas:
         for k, n0_alpha, log_nt in evolved:

@@ -25,7 +25,7 @@ import pytest
 
 from shearmodes.eigen import (DispersionProblem, find_root, find_tau,
                               matrix_eigenvalues, sample_profile)
-from shearmodes.evolve import (FourierModeState, SolverConfig, auto_dt, evolve,
+from shearmodes.evolve import (FourierModeState, auto_dt, evolve,
                                growth_row, operator_growth_probe,
                                transient_amplification)
 from shearmodes.heat import heat_residual_probe, solve_heat
@@ -120,7 +120,7 @@ def test_criterion_3_inviscid_oracle_equivalence(gauss_prof):
         y = np.linspace(0, 30, ny)
         ff = frozen_field(gauss_prof, y, np.linspace(0, 0.3, 4))
         s0 = FourierModeState(k=k, t=0.0, y=y, u_hat=u0(y).astype(complex))
-        tr = evolve(s0, ff, SolverConfig(dt=dt, scheme="inviscid"), tf)
+        tr = evolve(s0, ff, dt, tf, inviscid=True)
         ue, _ = inviscid_exact(u0, U, Up, k, tf, y)
         errs.append(np.max(np.abs(tr.final.u_hat - ue)))
     orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
@@ -239,9 +239,8 @@ def probe_rows(pair, gauss_field, gauss_path, gauss_prof, y_grid):
     for k in ks:
         params = default_params(gauss_prof, k)
         u0s.append(params.eps * params.bump().f(y_grid))
-    configs = [SolverConfig(dt=auto_dt(k, gauss_field, 0.1, min_steps=240))
-               for k in ks]
-    return operator_growth_probe(gauss_field, ks, u0s, configs, t=0.1, m=2,
+    dt = auto_dt(ks[-1], gauss_field, 0.1, min_steps=240)
+    return operator_growth_probe(gauss_field, ks, u0s, dt, t=0.1, m=2,
                                  alpha=1.0, sigmas=[2.0 * rate], mu=0.25)
 
 

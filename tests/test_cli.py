@@ -272,6 +272,29 @@ def test_probe_honours_solver_c_cfl(tmp_path):
     assert [r["k"] for r in rows] == [4096, 8192]
 
 
+def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
+    # the probe evolves all its ks in one call, at the largest k's step: on
+    # this grid the CFL bound makes it smaller than the other k's
+    calls = []
+    evolve_orig = evolve.evolve
+
+    def counted(state0, field, dt, *args, **kwargs):
+        calls.append((state0.k, dt))
+        return evolve_orig(state0, field, dt, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "evolve", counted)
+    extra = {"probe": {"ks": [4096, 8192], "sigma_factors": [2.0]}}
+    _probe_rows(tmp_path, "o", extra)
+    cfg = load_config(_write_cfg(tmp_path, extra))
+    pipe = Pipeline(cfg)
+    t = min(cfg["probe"]["t"], pipe.path.t0)
+    dt = {k: evolve.auto_dt(k, pipe.field, t,
+                            min_steps=cfg["solver"]["min_steps"])
+          for k in (4096, 8192)}
+    assert dt[8192] < dt[4096]
+    assert calls == [((4096, 8192), dt[8192])]
+
+
 def test_only_eigen_samples_the_eigenprofile(monkeypatch, tmp_path):
     # mode and residual-scan read the closed-form pair and never its samples
     sample = eigen.sample_profile
@@ -305,10 +328,16 @@ def test_unknown_family_is_config_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("extra", [{"grid": {"ny": "x"}},
-                                   {"probe": {"ks": 5}},
-                                   {"probe": {"ks": [32, True]}}],
-                         ids=["ny-str", "ks-int", "ks-bool"])
+@pytest.mark.parametrize("extra", [
+    {"grid": {"ny": "x"}}, {"probe": {"ks": 5}}, {"probe": {"ks": [32, True]}},
+    # a profile param of "x" made heat exit 1 with UFuncNoLoopError, and
+    # null with TypeError, and neither wrote error.json
+    {"profile": {"params": {"A": "x"}}}, {"profile": {"params": {"A": None}}},
+    {"growth": {"families": [{"family": "gaussian-bump",
+                              "params": {"A": None}}]}},
+    {"residual_scan": {"profile": {"params": {"A": "x"}}}}],
+    ids=["ny-str", "ks-int", "ks-bool", "param-str", "param-null",
+         "family-param-null", "residual-scan-param-str"])
 def test_wrong_value_type_is_config_error(tmp_path, capsys, extra):
     cfg = _write_cfg(tmp_path, extra)
     rc = main(["heat", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -343,9 +372,12 @@ def test_fewer_than_four_field_times_is_config_error(tmp_path, capsys):
     ("heat", {"grid": {"y_max": 0}}, "grid.y_max must be positive, got 0"),
     ("illposedness-probe", {"grid": {"ny": 4}},
      "grid.ny must be at least 5, got 4"),
-    ("mode", {"grid": {"ny": 1}}, "grid.ny must be at least 5, got 1")],
+    ("mode", {"grid": {"ny": 1}}, "grid.ny must be at least 5, got 1"),
+    ("residual-scan", {"residual_scan": {"n_list": [0, 64]}},
+     "wavenumbers must be positive integers, got 0")],
     ids=["probe-t-zero", "probe-t-negative", "min-steps-zero",
-         "min-steps-negative", "t0-zero", "y-max-zero", "ny-4", "ny-1"])
+         "min-steps-negative", "t0-zero", "y-max-zero", "ny-4", "ny-1",
+         "residual-n-zero"])
 def test_value_no_run_can_use_is_config_error(tmp_path, capsys, command,
                                               extra, message):
     # each of these crashed with a traceback, or ran on degenerate data and

@@ -6,8 +6,7 @@ import pytest
 
 from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
 from shearmodes.evolve import (_DIAG, _KL, _KU, FourierModeState,
-                               SolverConfig, _advection,
-                               _cn_factors, _ContourExp, _ShiftedBand,
+                               _advection, _cn_factors, _ContourExp, _ShiftedBand,
                                _streamed_matvec,
                                auto_dt, evolve, growth_row,
                                operator_growth_probe, step,
@@ -32,7 +31,7 @@ def test_zero_data_stays_zero(gauss_field, y_grid):
     # evolve cannot take zero data (it records log norms), so step it alone
     s0 = FourierModeState(k=16, t=0.0, y=y_grid,
                           u_hat=np.zeros(y_grid.size, complex))
-    s1 = step(s0, SolverConfig(dt=1e-3),
+    s1 = step(s0, 1e-3,
               coefs=_step_coefs(gauss_field, s0, 1e-3),
               lu=_cn_factors(y_grid, 1e-3))
     assert np.all(s1.u_hat == 0.0)
@@ -45,7 +44,7 @@ def test_heat_reduction_k0_order2(gauss_prof, gauss_field):
         field = solve_heat(gauss_prof, y, np.linspace(0, 0.15, 4),
                            check=False)
         s0 = FourierModeState(k=0, t=0.0, y=y, u_hat=_blob(y).astype(complex))
-        tr = evolve(s0, field, SolverConfig(dt=dt), 0.1)
+        tr = evolve(s0, field, dt, 0.1)
         oracle = dirichlet_heat_kernel(_blob, y, 0.1)
         errs.append(np.max(np.abs(tr.final.u_hat - oracle)))
     assert np.log2(errs[0] / errs[1]) > 1.9
@@ -61,7 +60,7 @@ def test_inviscid_scheme_matches_exact_formula(gauss_prof):
         y = np.linspace(0, 30, ny)
         ff = frozen_field(gauss_prof, y, np.linspace(0, 0.3, 4))
         s0 = FourierModeState(k=k, t=0.0, y=y, u_hat=_blob(y).astype(complex))
-        tr = evolve(s0, ff, SolverConfig(dt=dt, scheme="inviscid"), tf)
+        tr = evolve(s0, ff, dt, tf, inviscid=True)
         ue, _ = inviscid_exact(_blob, U, Up, k, tf, y)
         errs.append(np.max(np.abs(tr.final.u_hat - ue)))
     assert np.log2(errs[0] / errs[1]) > 1.9
@@ -101,46 +100,36 @@ def test_divergence_relation_of_state(gauss_field, y_grid):
 
 
 def test_linearity_spot_check(gauss_field, y_grid):
-    cfg = SolverConfig(dt=5e-4)
     u1 = _blob(y_grid).astype(complex)
     u2 = (np.sin(y_grid) * np.exp(-0.5 * (y_grid - 5) ** 2)).astype(complex)
     a, b = 1.3 - 0.4j, -0.7 + 2.1j
     outs = []
     for u0 in (u1, u2, a * u1 + b * u2):
         s0 = FourierModeState(k=24, t=0.0, y=y_grid, u_hat=u0)
-        outs.append(evolve(s0, gauss_field, cfg, 0.05).final.u_hat)
+        outs.append(evolve(s0, gauss_field, 5e-4, 0.05).final.u_hat)
     combo = a * outs[0] + b * outs[1]
     scale = np.max(np.abs(combo))
     assert np.max(np.abs(outs[2] - combo)) / scale < 1e-11
-
-
-def test_renormalized_and_raw_log_growth_agree(gauss_field, y_grid):
-    u0 = _blob(y_grid).astype(complex)
-    s0 = FourierModeState(k=32, t=0.0, y=y_grid, u_hat=u0)
-    cfg = SolverConfig(dt=5e-4)
-    raw = evolve(s0, gauss_field, cfg, 0.05, renormalize=False)
-    ren = evolve(s0, gauss_field, cfg, 0.05, renormalize=True)
-    assert np.max(np.abs(raw.lognorm - ren.lognorm)) < 1e-8
 
 
 def test_cfl_guard(gauss_field, y_grid):
     s0 = FourierModeState(k=512, t=0.0, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
     with pytest.raises(CflViolation):
-        evolve(s0, gauss_field, SolverConfig(dt=0.05), 0.05)
+        evolve(s0, gauss_field, 0.05, 0.05)
 
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "inviscid"])
 def test_evolve_matches_standalone_steps(gauss_field, y_grid, scheme):
     # evolve factors the Crank-Nicolson matrix once and carries each step's
     # end-time coefficients over; here every step gets fresh ones
-    cfg = SolverConfig(dt=2.0**-11, scheme=scheme)
+    dt, inviscid = 2.0**-11, scheme == "inviscid"
     s = FourierModeState(k=24, t=0.0, y=y_grid,
                          u_hat=_blob(y_grid).astype(complex))
-    tr = evolve(s, gauss_field, cfg, 10 * cfg.dt)
+    tr = evolve(s, gauss_field, dt, 10 * dt, inviscid=inviscid)
     for _ in range(10):
-        lu = _cn_factors(y_grid, cfg.dt) if scheme == "imex-cn" else None
-        s = step(s, cfg, coefs=_step_coefs(gauss_field, s, cfg.dt), lu=lu)
+        lu = None if inviscid else _cn_factors(y_grid, dt)
+        s = step(s, dt, coefs=_step_coefs(gauss_field, s, dt), lu=lu)
     assert np.array_equal(tr.final.u_hat, s.u_hat)
 
 
@@ -156,20 +145,18 @@ def test_evolve_to_its_start_time_records_one_sample(monkeypatch, gauss_field,
     monkeypatch.setattr(ev, "_cn_factors", never)
     u0 = _batch_data(y_grid)[:2] if isinstance(k, tuple) else _blob(y_grid)
     s0 = FourierModeState(k=k, t=0.02, y=y_grid, u_hat=u0.astype(complex))
-    tr = evolve(s0, gauss_field, SolverConfig(dt=1e-3), 0.02,
-                renormalize=True)
+    tr = evolve(s0, gauss_field, 1e-3, 0.02)
     assert np.array_equal(tr.t, [0.02])
     assert np.array_equal(tr.lognorm[..., 0],
                           np.log(np.max(np.abs(u0), axis=-1)))
     assert tr.final is s0
-    assert np.array_equal(tr.log_scale, np.zeros(np.shape(u0)[:-1]))
 
 
 def test_evolve_rejects_a_final_time_before_the_start(gauss_field, y_grid):
     s0 = FourierModeState(k=24, t=0.02, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
     with pytest.raises(ValueError, match="before the start time"):
-        evolve(s0, gauss_field, SolverConfig(dt=1e-3), 0.01)
+        evolve(s0, gauss_field, 1e-3, 0.01)
 
 
 def test_step_rejects_grid_below_five_points(gauss_prof):
@@ -177,7 +164,7 @@ def test_step_rejects_grid_below_five_points(gauss_prof):
     ff = frozen_field(gauss_prof, y, np.linspace(0.0, 0.3, 4))
     s0 = FourierModeState(k=1, t=0.0, y=y, u_hat=np.ones(4, complex))
     with pytest.raises(ValueError, match="at least 5 grid points"):
-        evolve(s0, ff, SolverConfig(dt=1e-3), 1e-3)
+        evolve(s0, ff, 1e-3, 1e-3)
 
 
 def test_non_finite_guard(y_grid):
@@ -204,40 +191,25 @@ def test_batch_rows_equal_one_row_evolves_exactly(gauss_field, y_grid,
                                                   scheme):
     ks = (8, 16, 24, 32)
     u0 = _batch_data(y_grid)
-    cfg = SolverConfig(dt=2.0**-11, scheme=scheme)
+    dt, inviscid = 2.0**-11, scheme == "inviscid"
     batch = evolve(FourierModeState(k=ks, t=0.0, y=y_grid, u_hat=u0),
-                   gauss_field, cfg, 0.02, renormalize=True)
+                   gauss_field, dt, 0.02, inviscid=inviscid)
     assert batch.lognorm.shape == (4, batch.t.size)
-    assert batch.log_scale.shape == (4,)
     for i, k in enumerate(ks):
         one = evolve(FourierModeState(k=k, t=0.0, y=y_grid, u_hat=u0[i]),
-                     gauss_field, cfg, 0.02, renormalize=True)
+                     gauss_field, dt, 0.02, inviscid=inviscid)
         assert np.array_equal(batch.t, one.t)
         assert np.array_equal(batch.lognorm[i], one.lognorm)
-        assert batch.log_scale[i] == one.log_scale
         assert np.array_equal(batch.final.u_hat[i], one.final.u_hat)
 
 
-def test_probe_groups_ks_by_dt_and_matches_per_k_rows(monkeypatch,
-                                                      gauss_field, y_grid):
-    ev = importlib.import_module("shearmodes.evolve")
-    batches = []
-    evolve_orig = ev.evolve
-
-    def counted(state0, *args, **kwargs):
-        batches.append(state0.k)
-        return evolve_orig(state0, *args, **kwargs)
-
-    monkeypatch.setattr(ev, "evolve", counted)
+def test_probe_batch_rows_match_per_k_rows(gauss_field, y_grid):
     data = dict(zip((8, 12, 16, 20), _batch_data(y_grid)))
-    config = {k: SolverConfig(dt=2.0**-12 if k % 8 == 0 else 2.0**-13)
-              for k in data}
     kw = dict(t=0.01, m=1, alpha=0.5, sigmas=[0.3, 1.2], mu=0.25)
     rows = operator_growth_probe(gauss_field, list(data), list(data.values()),
-                                 list(config.values()), **kw)
-    assert batches == [(8, 16), (12, 20)]
-    per_k = {k: operator_growth_probe(gauss_field, [k], [data[k]],
-                                      [config[k]], **kw)
+                                 2.0**-12, **kw)
+    per_k = {k: operator_growth_probe(gauss_field, [k], [data[k]], 2.0**-12,
+                                      **kw)
              for k in data}
     # rows are sigma-major: sigma index j, k index i
     assert rows == [per_k[k][j] for j in range(2) for k in (8, 12, 16, 20)]
@@ -258,8 +230,7 @@ def test_probe_interpolates_coefficients_once_per_step_for_all_ks(
     counts = []
     for ks in ([64], [16, 32, 64, 128, 256]):
         calls.clear()
-        operator_growth_probe(gauss_field, ks, [u0] * len(ks),
-                              [SolverConfig(dt=0.01 / nsteps)] * len(ks),
+        operator_growth_probe(gauss_field, ks, [u0] * len(ks), 0.01 / nsteps,
                               t=0.01, m=1, alpha=0.0, sigmas=[1.0], mu=0.25)
         counts.append(len(calls))
     assert counts == [nsteps + 1, nsteps + 1]
@@ -267,12 +238,11 @@ def test_probe_interpolates_coefficients_once_per_step_for_all_ks(
 
 def test_batch_cfl_guard_reads_largest_k(gauss_field, y_grid):
     u0 = np.stack([_blob(y_grid)] * 3).astype(complex)
-    cfg = SolverConfig(dt=0.05)
     evolve(FourierModeState(k=(1, 2), t=0.0, y=y_grid, u_hat=u0[:2]),
-           gauss_field, cfg, 0.05)
+           gauss_field, 0.05, 0.05)
     with pytest.raises(CflViolation, match="k=512"):
         evolve(FourierModeState(k=(1, 2, 512), t=0.0, y=y_grid, u_hat=u0),
-               gauss_field, cfg, 0.1)
+               gauss_field, 0.05, 0.1)
 
 
 def test_batch_with_a_zero_row_raises(gauss_field, y_grid):
@@ -281,7 +251,7 @@ def test_batch_with_a_zero_row_raises(gauss_field, y_grid):
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteState,
                                                      match="collapsed"):
         evolve(FourierModeState(k=(8, 16, 24), t=0.0, y=y_grid, u_hat=u0),
-               gauss_field, SolverConfig(dt=1e-3), 0.01)
+               gauss_field, 1e-3, 0.01)
 
 
 class _ConstantKappaPath:
@@ -524,8 +494,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
     params = default_params(gauss_prof, n)
     u0 = params.eps * params.bump().f(y_grid)
     s0 = FourierModeState(k=n, t=0.0, y=y_grid, u_hat=u0.astype(complex))
-    tr = evolve(s0, gauss_field,
-                SolverConfig(dt=auto_dt(n, gauss_field, t, min_steps=300)), t)
+    tr = evolve(s0, gauss_field, auto_dt(n, gauss_field, t, min_steps=300), t)
     mode_t = assemble_mode(params, gauss_field, gauss_path, pair, t)
     lhs = weighted_sup(tr.final.u_hat - mode_t.U, y_grid, 0.0)
     ss = np.linspace(0, t, 5)

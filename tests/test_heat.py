@@ -5,6 +5,7 @@ from scipy.special import erf
 
 from shearmodes.cli import Pipeline, deep_merge, load_config
 from shearmodes.errors import QuadratureFailure
+from shearmodes.evolve import auto_dt
 from shearmodes.heat import HeatFlow, gl_panels, heat_residual_probe, solve_heat
 from shearmodes.profiles import build_family
 
@@ -171,17 +172,17 @@ def test_slice_interp_needs_four_times(gauss_prof, ts):
 def test_stepper_coefficients_at_probe_step_times():
     # the stepper reads (u_s, d_y u_s) from slice_interp, cubic in t on the
     # 16 slices; HeatFlow.derivs is the exact kernel solution.  Measured at
-    # the default probe's 241 step times: 4.0e-4 and 2.09e-2 overall, both
-    # in the sqrt(t) wall corner layer at t < 3e-3, and 1.37e-5 and 1.65e-4
-    # for t >= 0.02.  The bounds add a 25 % margin; at nt = 6 the errors
-    # are 1.4e-3 and 3.9e-2 overall, 6.3e-4 and 1.3e-2 for t >= 0.02
+    # the default probe's 241 step times (all its ks step at the largest k's
+    # dt): 4.0e-4 and 2.09e-2 overall, both in the sqrt(t) wall corner layer
+    # at t < 3e-3, and 1.37e-5 and 1.65e-4 for t >= 0.02.  The bounds add a
+    # 25 % margin; at nt = 6 the errors are 1.4e-3 and 3.9e-2 overall,
+    # 6.3e-4 and 1.3e-2 for t >= 0.02
     cfg = load_config(None)
     pipe = Pipeline(cfg)
     t = min(cfg["probe"]["t"], pipe.path.t0)
-    steps = {int(np.ceil(t / pipe.solver_config(k, t).dt))
-             for k in cfg["probe"]["ks"]}
-    times = np.unique(np.concatenate([np.linspace(0.0, t, n + 1)
-                                      for n in steps]))
+    dt = auto_dt(cfg["probe"]["ks"][-1], pipe.field, t,
+                 min_steps=cfg["solver"]["min_steps"])
+    times = np.linspace(0.0, t, int(np.ceil(t / dt)) + 1)
     ref = [pipe.field.flow.derivs(float(tv), pipe.y, orders=(0, 1))
            for tv in times]
     late = times >= 0.02
