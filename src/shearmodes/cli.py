@@ -164,6 +164,10 @@ def _validate(cfg: dict):
                          ("residual_scan", "n_list"), ("residual_scan", "alphas")):
         if not cfg[section][key]:
             raise ValueError(f"{section}.{key} must not be empty")
+    if len(set(g["n_list"])) < 4:
+        # the power-law fit of sigma(k) ~ k^p needs four distinct k
+        raise ValueError("growth.n_list must have four or more distinct "
+                         f"entries, got {g['n_list']}")
     if len(set(cfg["residual_scan"]["n_list"])) < 2:
         # each plateau verdict compares the damped norm across distinct n
         raise ValueError("residual_scan.n_list must have two or more distinct"
@@ -233,10 +237,12 @@ class Pipeline:
 
     @property
     def field(self):
+        """The stepper's coefficient field: u_s and d_y u_s on the grid."""
         if self._field is None:
             # a flow built first has passed the same check
             self._field = heat.solve_heat(self.profile, self.y, self.t_grid,
-                                          check=self._flow is None)
+                                          check=self._flow is None,
+                                          max_order=1)
         return self._field
 
     @property
@@ -297,7 +303,8 @@ def cmd_eigen(cfg: dict, out: Path) -> int:
 
 def cmd_heat(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
-    field = pipe.field
+    # the CSV's rows: u_s and its first two y-derivatives
+    field = heat.solve_heat(pipe.profile, pipe.y, pipe.t_grid, max_order=2)
     t_probe = float(pipe.t_grid[len(pipe.t_grid) // 2])
     resid = heat.heat_residual_probe(field.flow,
                                      max(t_probe, pipe.t_grid[1]),
@@ -323,7 +330,9 @@ def cmd_mode(cfg: dict, out: Path) -> int:
     n = cfg["mode"]["n"]
     t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
     params = modes.default_params(pipe.profile, n)
-    mode = modes.assemble_mode(params, pipe.field, pipe.path, pipe.pair, t)
+    # one kernel row, at t; the path's flow has passed solve_heat's check
+    mode = modes.assemble_mode(params, None, pipe.path, pipe.pair, t,
+                               y_grid=pipe.y)
     res = modes.residual(mode)
     jumps = mode.jump_report(pipe.pair)
     rows = ["y,U_re,U_im,V_re,V_im,vreg_re,vreg_im,vsl_re,vsl_im,corrector"]
@@ -359,14 +368,19 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     sc = cfg["residual_scan"]
     pipe = Pipeline(deep_merge(cfg, {"profile": sc["profile"]}))
     sigma0 = pipe.sigma0()
+    # the kernel rows at the scan's own times, not on the whole t grid; the
+    # path's flow has passed solve_heat's check
+    field = heat.solve_heat(pipe.profile, pipe.y,
+                            [t for t in sc["t_list"] if t <= pipe.path.t0],
+                            check=False)
     rows = []
     for n in sc["n_list"]:
         params = modes.default_params(pipe.profile, n)
         for t in sc["t_list"]:
             if t > pipe.path.t0:
                 continue
-            mode = modes.assemble_mode(params, pipe.field, pipe.path,
-                                       pipe.pair, t)
+            mode = modes.assemble_mode(params, field, pipe.path, pipe.pair,
+                                       t)
             res = modes.residual(mode)
             for alpha in sc["alphas"]:
                 nrm = norms.weighted_sup(res.R, pipe.y, alpha)

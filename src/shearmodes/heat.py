@@ -20,8 +20,10 @@ erf applied elementwise, so the heat flow loads no scipy.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -172,15 +174,37 @@ class HeatFlow:
 
 @dataclass(frozen=True)
 class HeatFlowField:
-    """u_s and derivatives sampled on a (t, y) grid, plus the live evaluator."""
+    """u_s and its first y-derivatives sampled on a (t, y) grid, plus the
+    live evaluator.  rows[j], shape (Nt, Ny), is d_y^j u_s for the orders
+    j <= max_order that solve_heat sampled; reading a higher one raises."""
 
     y_grid: np.ndarray
     t_grid: np.ndarray
-    us: np.ndarray        # shape (Nt, Ny)
-    dy_us: np.ndarray
-    d2y_us: np.ndarray
-    d3y_us: np.ndarray
+    rows: tuple[np.ndarray, ...]
     flow: HeatFlow
+
+    def _row(self, j: int) -> np.ndarray:
+        if j >= len(self.rows):
+            raise ValueError(f"the field holds d_y^j u_s for j <= "
+                             f"{len(self.rows) - 1}; order {j} was not "
+                             "sampled (solve_heat's max_order)")
+        return self.rows[j]
+
+    @property
+    def us(self) -> np.ndarray:
+        return self._row(0)
+
+    @property
+    def dy_us(self) -> np.ndarray:
+        return self._row(1)
+
+    @property
+    def d2y_us(self) -> np.ndarray:
+        return self._row(2)
+
+    @property
+    def d3y_us(self) -> np.ndarray:
+        return self._row(3)
 
     @property
     def U0(self) -> float:
@@ -192,21 +216,20 @@ class HeatFlowField:
 
     def slice_interp(self, t: float):
         """(u_s, d_y u_s) rows at arbitrary t by cubic interpolation in t,
-        which needs at least four times in t_grid."""
-        tg = self.t_grid
-        if tg.size < 4:
+        which needs at least four times in t_grid.  The four Lagrange
+        weights are Python floats, each the product of its three factors in
+        index order; the rows are read as one slice of each array."""
+        tg = self.t_grid.tolist()
+        if len(tg) < 4:
             raise ValueError("slice_interp interpolates cubically and needs "
-                             f"at least 4 times, the field has {tg.size}")
+                             f"at least 4 times, the field has {len(tg)}")
         if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
             raise ValueError(f"t={t} outside field horizon [{tg[0]}, {tg[-1]}]")
-        i = int(np.clip(np.searchsorted(tg, t) - 1, 1, tg.size - 3))
-        idx = [i - 1, i, i + 1, i + 2]
-        ts = tg[idx]
-        # Lagrange factors (t - ts[m]) / (ts[j] - ts[m]), 1 where m == j
-        f = (t - ts) / (ts[:, None] - ts + np.eye(4))
-        np.fill_diagonal(f, 1.0)
-        w = f.prod(axis=1)
-        return w @ self.us[idx], w @ self.dy_us[idx]
+        i = min(max(bisect_left(tg, t) - 1, 1), len(tg) - 3)
+        ts = tg[i - 1:i + 3]
+        w = np.array([prod((t - ts[m]) / (ts[j] - ts[m])
+                           for m in range(4) if m != j) for j in range(4)])
+        return w @ self.rows[0][i - 1:i + 3], w @ self.rows[1][i - 1:i + 3]
 
     def max_principle_gap(self) -> float:
         """How far u_s escapes [min(0, inf U_s), max(U0, sup U_s)] (0 = holds)."""
@@ -239,19 +262,20 @@ def check_quadrature(flow: HeatFlow, y_grid, t_grid):
 
 
 def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
-               check: bool = True) -> HeatFlowField:
-    """Sample the kernel solution on a grid; self-check the quadrature."""
+               check: bool = True, max_order: int = 3) -> HeatFlowField:
+    """Sample u_s and d_y^j u_s, j <= max_order, on a grid; self-check the
+    quadrature.  Each row is the same whatever max_order is."""
     y = np.asarray(y_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     if y[0] != 0.0:
         raise ValueError("y_grid must start at the wall y=0")
     flow = HeatFlow(profile)
-    rows = [flow.derivs(float(tv), y, orders=(0, 1, 2, 3)) for tv in t]
-    us, d1, d2, d3 = (np.array([r[j] for r in rows]) for j in range(4))
+    orders = tuple(range(max_order + 1))
+    slices = [flow.derivs(float(tv), y, orders=orders) for tv in t]
+    rows = tuple(np.array([s[j] for s in slices]) for j in orders)
     if check:
         check_quadrature(flow, y, t)
-    return HeatFlowField(y_grid=y, t_grid=t, us=us, dy_us=d1, d2y_us=d2,
-                         d3y_us=d3, flow=flow)
+    return HeatFlowField(y_grid=y, t_grid=t, rows=rows, flow=flow)
 
 
 def heat_residual_probe(flow: HeatFlow, t: float, y) -> float:

@@ -357,12 +357,15 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
                      components=comps, scalars=sc)
 
 
-def assemble_mode(params: ModeParams, field_: HeatFlowField, path: CriticalPath,
-                  pair: Eigenpair, t: float, y_grid=None) -> ModeField:
+def assemble_mode(params: ModeParams, field_: HeatFlowField | None,
+                  path: CriticalPath, pair: Eigenpair, t: float,
+                  y_grid=None) -> ModeField:
     """Time-dependent mode per the evolving shear flow (the main object).
 
     On the field's own y grid at a time of its t grid, the u_s rows are the
-    field's: solve_heat made the same kernel call there."""
+    field's: solve_heat made the same kernel call there.  Elsewhere, and
+    always when y_grid is given (field_ may then be None), the path's flow
+    evaluates them."""
     y = np.asarray(field_.y_grid if y_grid is None else y_grid, dtype=float)
     sc = _Scalars(**_path_point(path, t), eps=params.eps, tau=pair.tau)
     phase = phase_integral(path, pair, params.eps, t)

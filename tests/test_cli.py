@@ -202,7 +202,8 @@ def test_growth_scan_loads_neither_special_integrate_nor_optimize(tmp_path):
     # amplification
     loaded = _command_scipy_loaded(
         tmp_path, "growth-scan",
-        {"growth": {"n_list": [16, 32], "transient_ks": [16]}}, codes=(0, 4))
+        {"growth": {"n_list": [16, 24, 32, 48], "transient_ks": [16]}},
+        codes=(0, 4))
     assert _lapack_alone(loaded)
     for name in ("scipy.special", "scipy.integrate", "scipy.optimize",
                  "scipy.sparse"):
@@ -218,7 +219,7 @@ def test_lapack_loader_and_scipy_linalg_share_one_extension(tmp_path, first):
     code = ("import sys\nfrom shearmodes.evolve import _lapack\n"
             + (loader + package if first == "loader" else package + loader)
             + "ext = sys.modules['scipy.linalg._flapack']\n"
-            "for name in ('zgttrf', 'zgttrs', 'zgbtrf', 'zgbtrs'):\n"
+            "for name in ('zpttrf', 'zpttrs', 'zgbtrf', 'zgbtrs'):\n"
             "    assert getattr(lapack, name) is getattr(sl, name)\n"
             "    assert getattr(lapack, name) is getattr(ext, name)\n"
             "assert _lapack() is lapack is ext")
@@ -465,6 +466,22 @@ def test_residual_scan_one_wavenumber_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("n_list", [[64], [64, 64], [], [16, 32, 64, 64]],
+                         ids=["one", "repeated", "empty", "three-distinct"])
+def test_growth_scan_fewer_than_four_wavenumbers_is_config_error(
+        tmp_path, capsys, n_list):
+    # the power-law fit needs four distinct k: the scan ran to its end and
+    # exited 4 with p = None
+    cfg = _write_cfg(tmp_path, {"growth": {"n_list": n_list}})
+    rc = main(["growth-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": "growth.n_list must have four or more "
+                              f"distinct entries, got {n_list}"}
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("residual-scan", {"residual_scan": {"t_list": [-0.01, 0.02]}},
      "residual_scan.t_list must not be negative, got -0.01"),
@@ -612,6 +629,47 @@ def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
     with pytest.raises(QuadratureFailure):
         solve_heat(pipe.profile, pipe.y, pipe.t_grid)
     assert len(probes) == 2 and probes[0] == probes[1]
+
+
+def test_mode_evaluates_one_kernel_row_and_samples_no_field(monkeypatch,
+                                                          tmp_path):
+    # mode reads u_s at t_snapshot alone: one kernel row on the y grid, no
+    # field; the path's flow still gets solve_heat's panel-doubling check
+    # at solve_heat's (t, y) points
+    def refuse(*args, **kwargs):
+        raise AssertionError("mode sampled a heat field")
+
+    probes, rows = [], []
+    gap, derivs = HeatFlow.quadrature_gap, HeatFlow.derivs
+
+    def recorded_gap(self, t, y):
+        probes.append((t, np.asarray(y).tolist()))
+        return gap(self, t, y)
+
+    def recorded_derivs(self, t, y, orders=(0, 1, 2, 3, 4)):
+        if np.size(y) == FAST["grid"]["ny"]:
+            rows.append((t, tuple(orders)))
+        return derivs(self, t, y, orders)
+
+    solve_heat = heat.solve_heat
+    monkeypatch.setattr(heat, "solve_heat", refuse)
+    monkeypatch.setattr(HeatFlow, "quadrature_gap", recorded_gap)
+    monkeypatch.setattr(HeatFlow, "derivs", recorded_derivs)
+    cfg = _write_cfg(tmp_path, {})
+    assert main(["mode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert rows == [(0.05, (0, 1, 2, 3))]
+    pipe = Pipeline(load_config(cfg))
+    solve_heat(pipe.profile, pipe.y, pipe.t_grid)
+    assert len(probes) == 2 and probes[0] == probes[1]
+
+
+def test_probe_field_holds_the_full_fields_stepper_rows():
+    # the stepper reads u_s and d_y u_s, so the probe samples those alone
+    pipe = Pipeline(deep_merge(load_config(None), FAST))
+    full = heat.solve_heat(pipe.profile, pipe.y, pipe.t_grid)
+    assert len(pipe.field.rows) == 2
+    assert np.array_equal(pipe.field.us, full.us)
+    assert np.array_equal(pipe.field.dy_us, full.dy_us)
 
 
 def test_profile_with_only_a_minimum_exits_3_where_the_path_is_tracked(

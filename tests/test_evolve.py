@@ -6,7 +6,8 @@ import pytest
 
 from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
 from shearmodes.evolve import (_DIAG, _KL, _KU, FourierModeState,
-                               _advection, _cn_factors, _ContourExp, _ShiftedBand,
+                               _advection, _cn_factors, _cn_solve,
+                               _ContourExp, _ShiftedBand,
                                _streamed_matvec,
                                auto_dt, evolve, growth_row,
                                operator_growth_probe, step,
@@ -165,6 +166,42 @@ def test_step_rejects_grid_below_five_points(gauss_prof):
     s0 = FourierModeState(k=1, t=0.0, y=y, u_hat=np.ones(4, complex))
     with pytest.raises(ValueError, match="at least 5 grid points"):
         evolve(s0, ff, 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+def test_cn_solve_matches_dense_solve(y_grid, dt):
+    # the zpttrf/zpttrs factor of I - (dt/2) D2 against numpy's dense
+    # solve of the same matrix, for a batch of five right-hand sides
+    n = y_grid.size - 2
+    h = y_grid[1] - y_grid[0]
+    r = dt / (2 * h * h)
+    A = ((1 + 2 * r) * np.eye(n) - r * np.eye(n, k=1) - r * np.eye(n, k=-1))
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    x = _cn_solve(_cn_factors(y_grid, dt), b.copy())
+    ref = np.linalg.solve(A, b.T).T
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_evolve_takes_n_steps_at_dt_t_over_n(gauss_field, y_grid):
+    # 0.1 / (0.1 / 95) is 95.00000000000001 in floating point, and its
+    # ceiling took a 96th step
+    s0 = FourierModeState(k=8, t=0.0, y=y_grid,
+                          u_hat=_blob(y_grid).astype(complex))
+    tr = evolve(s0, gauss_field, 0.1 / 95, 0.1)
+    assert len(tr.t) == 96
+    assert tr.t[1] == 0.1 / 95
+
+
+def test_evolve_raises_when_a_row_overflows(gauss_field, y_grid):
+    # the finiteness check reads the rows' sup norms: a row past the
+    # floating-point range makes its sup inf or nan
+    u0 = _batch_data(y_grid)[:3]
+    u0[1] *= 1e308
+    s0 = FourierModeState(k=(8, 16, 24), t=0.0, y=y_grid, u_hat=u0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteState, match="floating-point range"):
+        evolve(s0, gauss_field, 1e-3, 0.01)
 
 
 def test_non_finite_guard(y_grid):

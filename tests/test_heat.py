@@ -219,6 +219,18 @@ def test_frozen_field_slices_are_static(gauss_prof, y_grid):
     assert np.array_equal(ff.us[0], gauss_prof.derivs(y_grid)[0])
 
 
+def test_field_refuses_rows_it_did_not_sample(gauss_prof):
+    # reading an order solve_heat did not sample raises, not gives zeros
+    two = solve_heat(gauss_prof, np.linspace(0, 30, 11),
+                     np.array([0.0, 0.05]), check=False, max_order=1)
+    assert len(two.rows) == 2
+    for name in ("d2y_us", "d3y_us"):
+        with pytest.raises(ValueError, match="was not sampled"):
+            getattr(two, name)
+    with pytest.raises(ValueError, match="order 2 was not sampled"):
+        two.to_rows()
+
+
 def test_csv_rows_shape(gauss_prof):
     y = np.linspace(0, 30, 11)
     field = solve_heat(gauss_prof, y, np.array([0.0, 0.05]), check=False)
