@@ -160,7 +160,7 @@ def _validate(cfg: dict):
         # the verdicts compare rho across k in list order
         raise ValueError("probe.ks must be two or more strictly increasing "
                          f"wavenumbers, got {ks}")
-    for section, key in (("probe", "sigma_factors"),
+    for section, key in (("probe", "sigma_factors"), ("growth", "families"),
                          ("residual_scan", "n_list"), ("residual_scan", "alphas")):
         if not cfg[section][key]:
             raise ValueError(f"{section}.{key} must not be empty")
@@ -208,7 +208,8 @@ def write_manifest(out: Path, cfg: dict, command: str):
 
 class Pipeline:
     """Shared profile -> heat -> path -> eigen context; the path, the pair
-    and the mode family take their functions' default settings."""
+    and the mode family take their functions' default settings.  It holds
+    one heat flow: the field, the path and every kernel row read it."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -224,24 +225,19 @@ class Pipeline:
 
     @property
     def flow(self) -> heat.HeatFlow:
-        """The profile's heat flow with solve_heat's quadrature check on the
-        grid: the field's own once the field is built, else a flow of its
-        own, so that the path (all growth-scan reads) samples no field."""
+        """The profile's heat flow, its quadrature checked once by
+        check_quadrature on the pipeline's (t, y) grid."""
         if self._flow is None:
-            if self._field is not None:
-                self._flow = self._field.flow
-            else:
-                self._flow = heat.HeatFlow(self.profile)
-                heat.check_quadrature(self._flow, self.y, self.t_grid)
+            self._flow = heat.HeatFlow(self.profile)
+            heat.check_quadrature(self._flow, self.y, self.t_grid)
         return self._flow
 
     @property
     def field(self):
-        """The stepper's coefficient field: u_s and d_y u_s on the grid."""
+        """The stepper's coefficient field: the flow's u_s and d_y u_s on
+        the grid."""
         if self._field is None:
-            # a flow built first has passed the same check
-            self._field = heat.solve_heat(self.profile, self.y, self.t_grid,
-                                          check=self._flow is None,
+            self._field = heat.solve_heat(self.flow, self.y, self.t_grid,
                                           max_order=1)
         return self._field
 
@@ -304,16 +300,19 @@ def cmd_eigen(cfg: dict, out: Path) -> int:
 def cmd_heat(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
     # the CSV's rows: u_s and its first two y-derivatives
-    field = heat.solve_heat(pipe.profile, pipe.y, pipe.t_grid, max_order=2)
+    field = heat.solve_heat(pipe.flow, pipe.y, pipe.t_grid, max_order=2)
     t_probe = float(pipe.t_grid[len(pipe.t_grid) // 2])
-    resid = heat.heat_residual_probe(field.flow,
+    resid = heat.heat_residual_probe(pipe.flow,
                                      max(t_probe, pipe.t_grid[1]),
                                      pipe.y[:: max(1, pipe.y.size // 48)])
     row = ",".join(["%.12g"] * 5)
     rows = ["t,y,u_s,dy_u_s,d2y_u_s"]
-    # one time slice's floats at a time: the whole table's would add 1 MB
-    for block in np.split(field.to_rows(), len(field.t_grid)):
-        rows += [row % tuple(r) for r in block.tolist()]
+    y = pipe.y.tolist()
+    # one time slice's floats at a time, t outermost
+    for i, t in enumerate(pipe.t_grid.tolist()):
+        rows += [row % (t, *r) for r in zip(
+            y, field.us[i].tolist(), field.dy_us[i].tolist(),
+            field.d2y_us[i].tolist())]
     write_text(out / "heat_field.csv", "\n".join(rows) + "\n")
     write_json(out / "heat_report.json", {
         "heat_residual_probe": resid,
@@ -330,9 +329,8 @@ def cmd_mode(cfg: dict, out: Path) -> int:
     n = cfg["mode"]["n"]
     t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
     params = modes.default_params(pipe.profile, n)
-    # one kernel row, at t; the path's flow has passed solve_heat's check
-    mode = modes.assemble_mode(params, None, pipe.path, pipe.pair, t,
-                               y_grid=pipe.y)
+    # one kernel row set, at t, from the path's flow
+    mode = modes.assemble_mode(params, pipe.path, pipe.pair, t, pipe.y)
     res = modes.residual(mode)
     jumps = mode.jump_report(pipe.pair)
     rows = ["y,U_re,U_im,V_re,V_im,vreg_re,vreg_im,vsl_re,vsl_im,corrector"]
@@ -368,19 +366,16 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     sc = cfg["residual_scan"]
     pipe = Pipeline(deep_merge(cfg, {"profile": sc["profile"]}))
     sigma0 = pipe.sigma0()
-    # the kernel rows at the scan's own times, not on the whole t grid; the
-    # path's flow has passed solve_heat's check
-    field = heat.solve_heat(pipe.profile, pipe.y,
-                            [t for t in sc["t_list"] if t <= pipe.path.t0],
-                            check=False)
+    times = [t for t in sc["t_list"] if t <= pipe.path.t0]
+    # one kernel row set per scan time, read for every n
+    us_rows = {t: pipe.flow.derivs(t, pipe.y, orders=(0, 1, 2, 3))
+               for t in times}
     rows = []
     for n in sc["n_list"]:
         params = modes.default_params(pipe.profile, n)
-        for t in sc["t_list"]:
-            if t > pipe.path.t0:
-                continue
-            mode = modes.assemble_mode(params, field, pipe.path, pipe.pair,
-                                       t)
+        for t in times:
+            mode = modes.assemble_mode(params, pipe.path, pipe.pair, t,
+                                       pipe.y, us_rows[t])
             res = modes.residual(mode)
             for alpha in sc["alphas"]:
                 nrm = norms.weighted_sup(res.R, pipe.y, alpha)
@@ -437,12 +432,11 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     stepped: illposedness-probe runs the stepper.
     """
     g = cfg["growth"]
-    families = g["families"] or [cfg["profile"]]
     report = {"families": [], "p_band": list(P_BAND),
               "sigma_rel_tol": SIGMA_REL_TOL}
     series = []
     ok = True
-    for fam in families:
+    for fam in g["families"]:
         pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
         t_final = min(g["t_final"], pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)

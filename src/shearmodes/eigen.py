@@ -133,17 +133,18 @@ class TailSolution:
 
 
 def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
-                    swap_branch: bool = False, dense: bool = False,
-                    rtol: float | None = None) -> TailSolution:
+                    swap_branch: bool = False, dense: bool = False
+                    ) -> TailSolution:
     """One tail from its asymptotic seed at -Z or +Z inward to 0 by Taylor
     series of degree TAYLOR_ORDER (Jorba & Zou, Exp. Math. 14, 2005).
 
-    Each step takes h = 1/2 min_n (rtol max|y| / |c_n|)^{1/n} over the last
-    two coefficients c_n of the state's series, and the last step lands on
-    0 exactly.  The bound _GUARD on |y| is checked on the seed and after
-    every step (TailBlowup).  Dense output evaluates each step's polynomial
-    at the points of np.linspace(z0, 0) that the step covers."""
-    s, rtol = problem.sign_curvature, rtol or problem.rtol
+    Each step takes h = 1/2 min_n (rtol max|y| / |c_n|)^{1/n}, rtol the
+    problem's, over the last two coefficients c_n of the state's series,
+    and the last step lands on 0 exactly.  The bound _GUARD on |y| is
+    checked on the seed and after every step (TailBlowup).  Dense output
+    evaluates each step's polynomial at the points of np.linspace(z0, 0)
+    that the step covers."""
+    s, rtol = problem.sign_curvature, problem.rtol
     z0 = -problem.Z if side == "left" else problem.Z
     direction = 1.0 if z0 < 0.0 else -1.0
     y = _tail_seed(z0, tau, problem, swap_branch=swap_branch)
@@ -181,17 +182,17 @@ def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
 
 
 def shoot_tails(tau: complex, problem: DispersionProblem, *,
-                swap_branch: bool = False, dense: bool = False,
-                rtol: float | None = None) -> tuple[TailSolution, TailSolution]:
+                swap_branch: bool = False, dense: bool = False
+                ) -> tuple[TailSolution, TailSolution]:
     """Integrate both tails to z = 0.  The right tail carries W - 1 in the
     first slot so that both sides hold a decaying quantity."""
     tau = complex(tau)
     if tau.imag == 0.0:
         raise ValueError("tau on the real axis: no growing/decaying selection")
     left = _integrate_tail(tau, problem, "left", swap_branch=swap_branch,
-                           dense=dense, rtol=rtol)
+                           dense=dense)
     right = _integrate_tail(tau, problem, "right", swap_branch=swap_branch,
-                            dense=dense, rtol=rtol)
+                            dense=dense)
     return left, right
 
 

@@ -52,11 +52,6 @@ class FourierModeState:
     y: np.ndarray
     u_hat: np.ndarray
 
-    def check(self):
-        # isfinite of a complex number is False if either part is inf or nan
-        if not np.all(np.isfinite(self.u_hat)):
-            raise NonFiniteState("u_hat left the floating-point range")
-
 
 # the advective step bound: dt <= C_CFL / (k sup|u_s|)
 C_CFL = 0.5
@@ -224,9 +219,16 @@ class Trajectory:
     final: FourierModeState
 
 
-def _row_sup(u: np.ndarray):
-    """max |u| along the last axis, the sup norm of each row."""
-    return np.max(np.abs(u), axis=-1)
+def _log_row_sup(u: np.ndarray):
+    """The log of max |u| along the last axis, the sup norm of each row.
+    A nan or inf entry makes its row's sup nan or inf, and raises
+    NonFiniteState; so does a row of zeros, whose log is -inf."""
+    nrm = np.max(np.abs(u), axis=-1)
+    if not np.all(np.isfinite(nrm)):
+        raise NonFiniteState("u_hat left the floating-point range")
+    if np.any(nrm == 0.0):
+        raise NonFiniteState("mode collapsed to zero; nothing to record")
+    return np.log(nrm)
 
 
 def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
@@ -239,16 +241,16 @@ def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
     Crank-Nicolson factorisation and one multi-right-hand-side solve per
     stage, and each row is recorded by its own norm.  The state is not
     rescaled, so a norm past the floating-point range raises
-    NonFiniteState.  t_final equal to the start time gives the one-sample
+    NonFiniteState, as does a nan, inf or zero row of state0 or of any
+    later state.  t_final equal to the start time gives the one-sample
     trajectory; an earlier t_final raises ValueError.
     """
     if t_final > field.horizon + 1e-12:
         raise ValueError(f"t_final={t_final} beyond field horizon {field.horizon}")
     if t_final < state0.t:
         raise ValueError(f"t_final={t_final} before the start time {state0.t}")
-    state0.check()
     ts = [state0.t]
-    logn = [np.log(_row_sup(state0.u_hat))]
+    logn = [_log_row_sup(state0.u_hat)]
     span = t_final - state0.t
     nsteps = int(np.ceil(span / dt))
     if nsteps > 1 and span / (nsteps - 1) <= dt:
@@ -264,14 +266,8 @@ def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
         coef1 = field.slice_interp(s.t + dt)
         s = step(s, dt, coefs=(coef0, coef1), lu=lu)
         coef0 = coef1
-        nrm = _row_sup(s.u_hat)
-        # a nan or inf entry makes its row's sup nan or inf
-        if not np.all(np.isfinite(nrm)):
-            raise NonFiniteState("u_hat left the floating-point range")
-        if np.any(nrm == 0.0):
-            raise NonFiniteState("mode collapsed to zero; nothing to record")
         ts.append(s.t)
-        logn.append(np.log(nrm))
+        logn.append(_log_row_sup(s.u_hat))
     return Trajectory(t=np.array(ts), lognorm=np.stack(logn, axis=-1),
                       final=s)
 
@@ -330,8 +326,9 @@ _SIGMA_RTOL = 1e-14
 
 
 class _ShiftedBand:
-    """z - tA, A the frozen mode operator on the n interior points (Dirichlet
-    ends, trapezoid integration for v_hat), as M = (z - tA)D in the unknowns
+    """z - tA, A the frozen mode operator of the coefficient rows (U, U') on
+    the uniform grid y, on its n interior points (Dirichlet ends, trapezoid
+    integration for v_hat), as M = (z - tA)D in the unknowns
     w = S x: S is the lower-triangular all-ones matrix, D = S^{-1} the
     bidiagonal with 1 on and -1 below the diagonal.  As c = int_0^y x =
     hS x - (h/2)x, c_i = (h/2)(w_i + w_{i-1}); with a_i = 2t/h^2 + itk U_i,
@@ -344,15 +341,14 @@ class _ShiftedBand:
     with 18n entries; sigma meets the dense oracle to 2.4e-14 in the tests.
     """
 
-    def __init__(self, profile, k: int, t: float, *, y_max: float, ny: int):
-        y = np.linspace(0.0, y_max, ny)
+    def __init__(self, y: np.ndarray, rows, k: int, t: float):
         h = y[1] - y[0]
-        d = profile.derivs(y)
-        self.U = d[0][1:-1]
+        U, dU = rows
+        self.U = U[1:-1]
         a = 2 * t / h**2 + 1j * t * k * self.U
-        q = 0.5j * t * k * h * d[1][1:-1]
+        q = 0.5j * t * k * h * dU[1:-1]
         r = t / h**2
-        ab = np.zeros((_DIAG + _KL + 1, ny - 2), dtype=complex, order="F")
+        ab = np.zeros((_DIAG + _KL + 1, y.size - 2), dtype=complex, order="F")
         ab[_DIAG - 1, 1:] = -r
         ab[_DIAG] = a + r - q
         ab[_DIAG, -1] -= r
@@ -532,7 +528,8 @@ def transient_amplification(profile, k: int, t: float, *,
     """
     if t < 0:
         raise ValueError(f"transient_amplification needs t >= 0, got {t}")
-    band = _ShiftedBand(profile, k, t, y_max=20.0, ny=ny)
+    y = np.linspace(0.0, 20.0, ny)
+    band = _ShiftedBand(y, profile.derivs(y)[:2], k, t)
     # the spectrum of tA lies about the imaginary range -tk [min U, max U]
     lo, hi = float(band.U.min()), float(band.U.max())
     m, half = -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2

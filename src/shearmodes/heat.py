@@ -203,10 +203,6 @@ class HeatFlowField:
         return self._row(2)
 
     @property
-    def d3y_us(self) -> np.ndarray:
-        return self._row(3)
-
-    @property
     def U0(self) -> float:
         return self.flow.U0
 
@@ -238,13 +234,6 @@ class HeatFlowField:
         hi = max(self.U0, float(U.max()))
         return float(max(0.0, np.max(self.us) - hi, lo - np.min(self.us)))
 
-    def to_rows(self) -> np.ndarray:
-        """(t, y, u_s, dy u_s, d2y u_s) rows for CSV export, t outermost:
-        shape (Nt Ny, 5)."""
-        t, y = np.meshgrid(self.t_grid, self.y_grid, indexing="ij")
-        return np.column_stack([a.ravel() for a in (t, y, self.us,
-                                                    self.dy_us, self.d2y_us)])
-
 
 def check_quadrature(flow: HeatFlow, y_grid, t_grid):
     """The quadrature self-check of a (t, y) grid: flow's panel-doubling gap
@@ -261,20 +250,18 @@ def check_quadrature(flow: HeatFlow, y_grid, t_grid):
                 f"panel-doubling disagreement {gap:.2e} > 1.00e-08")
 
 
-def solve_heat(profile: ShearProfile, y_grid, t_grid, *,
-               check: bool = True, max_order: int = 3) -> HeatFlowField:
-    """Sample u_s and d_y^j u_s, j <= max_order, on a grid; self-check the
-    quadrature.  Each row is the same whatever max_order is."""
+def solve_heat(flow: HeatFlow, y_grid, t_grid, *,
+               max_order: int) -> HeatFlowField:
+    """Sample flow's u_s and d_y^j u_s, j <= max_order, on a (t, y) grid.
+    Each row is the same whatever max_order is.  The quadrature is not
+    checked here: check_quadrature checks a flow once for its grid."""
     y = np.asarray(y_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     if y[0] != 0.0:
         raise ValueError("y_grid must start at the wall y=0")
-    flow = HeatFlow(profile)
     orders = tuple(range(max_order + 1))
     slices = [flow.derivs(float(tv), y, orders=orders) for tv in t]
     rows = tuple(np.array([s[j] for s in slices]) for j in orders)
-    if check:
-        check_quadrature(flow, y, t)
     return HeatFlowField(y_grid=y, t_grid=t, rows=rows, flow=flow)
 
 

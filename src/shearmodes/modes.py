@@ -30,7 +30,6 @@ from numpy.polynomial import Polynomial
 
 from .eigen import Eigenpair
 from .errors import HorizonExceeded
-from .heat import HeatFlowField
 from .norms import weighted_sup
 from .path import CriticalPath, time_integral
 from .profiles import ShearProfile
@@ -357,24 +356,16 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
                      components=comps, scalars=sc)
 
 
-def assemble_mode(params: ModeParams, field_: HeatFlowField | None,
-                  path: CriticalPath, pair: Eigenpair, t: float,
-                  y_grid=None) -> ModeField:
-    """Time-dependent mode per the evolving shear flow (the main object).
-
-    On the field's own y grid at a time of its t grid, the u_s rows are the
-    field's: solve_heat made the same kernel call there.  Elsewhere, and
-    always when y_grid is given (field_ may then be None), the path's flow
-    evaluates them."""
-    y = np.asarray(field_.y_grid if y_grid is None else y_grid, dtype=float)
+def assemble_mode(params: ModeParams, path: CriticalPath, pair: Eigenpair,
+                  t: float, y, rows=None) -> ModeField:
+    """Time-dependent mode per the evolving shear flow (the main object), on
+    y at time t.  rows are u_s and d_y^j u_s, j = 1, 2, 3, on y at t, as
+    path.flow.derivs(t, y, orders=(0, 1, 2, 3)) gives them; when rows is
+    None, the path's flow evaluates them."""
+    y = np.asarray(y, dtype=float)
     sc = _Scalars(**_path_point(path, t), eps=params.eps, tau=pair.tau)
     phase = phase_integral(path, pair, params.eps, t)
-    hit = np.flatnonzero(field_.t_grid == t) if y_grid is None else ()
-    if len(hit):
-        i = hit[0]
-        rows = (field_.us[i], field_.dy_us[i], field_.d2y_us[i],
-                field_.d3y_us[i])
-    else:
+    if rows is None:
         rows = path.flow.derivs(t, y, orders=(0, 1, 2, 3))
     return _assemble(params, pair, sc, y, rows, phase)
 

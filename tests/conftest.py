@@ -38,8 +38,8 @@ def gauss_flow(gauss_prof):
 
 
 @pytest.fixture(scope="session")
-def gauss_field(gauss_prof, y_grid, t_grid):
-    return solve_heat(gauss_prof, y_grid, t_grid)
+def gauss_field(gauss_flow, y_grid, t_grid):
+    return solve_heat(gauss_flow, y_grid, t_grid, max_order=1)
 
 
 @pytest.fixture(scope="session")
@@ -53,10 +53,10 @@ def alg4_prof():
 
 
 @pytest.fixture(scope="session")
-def alg4_field(alg4_prof, y_grid, t_grid):
-    return solve_heat(alg4_prof, y_grid, t_grid)
+def alg4_flow(alg4_prof):
+    return HeatFlow(alg4_prof)
 
 
 @pytest.fixture(scope="session")
-def alg4_path(alg4_prof):
-    return track_critical_point(HeatFlow(alg4_prof), alg4_prof.a0, T0)
+def alg4_path(alg4_flow, alg4_prof):
+    return track_critical_point(alg4_flow, alg4_prof.a0, T0)

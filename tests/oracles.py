@@ -120,10 +120,11 @@ def _rhs(z, y, tau, s):
     return [G, Gp, Gpp]
 
 
-def dop853_tail(tau: complex, problem, side: str, *, dense: bool = False,
-                rtol: float | None = None) -> TailSolution:
+def dop853_tail(tau: complex, problem, side: str, *,
+                dense: bool = False) -> TailSolution:
     """One tail of the dispersion shot by scipy's DOP853, from the same seed
-    as eigen._integrate_tail to z = 0; atol is 1e-6 of the seed's |G|.
+    as eigen._integrate_tail to z = 0, at the problem's rtol; atol is 1e-6
+    of the seed's |G|.
     Dense output is taken on the same np.linspace as the Taylor shot's."""
     z0 = -problem.Z if side == "left" else problem.Z
     y0 = _tail_seed(z0, complex(tau), problem)
@@ -134,7 +135,7 @@ def dop853_tail(tau: complex, problem, side: str, *, dense: bool = False,
         t_eval = np.linspace(z0, 0.0, n)
     sol = solve_ivp(_rhs, [z0, 0.0], y0,
                     args=(complex(tau), problem.sign_curvature),
-                    method="DOP853", rtol=rtol or problem.rtol, atol=atol,
+                    method="DOP853", rtol=problem.rtol, atol=atol,
                     t_eval=t_eval)
     assert sol.success, sol.message
     return TailSolution(side=side, at_match=sol.y[:, -1],

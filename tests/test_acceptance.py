@@ -28,7 +28,8 @@ from shearmodes.eigen import (DispersionProblem, find_root, find_tau,
 from shearmodes.evolve import (FourierModeState, auto_dt, evolve,
                                growth_row, operator_growth_probe,
                                transient_amplification)
-from shearmodes.heat import heat_residual_probe, solve_heat
+from shearmodes.heat import (HeatFlow, check_quadrature,
+                             heat_residual_probe, solve_heat)
 from shearmodes.modes import (assemble_mode, default_params,
                               initial_tangential_norm, mode_amplitude_series,
                               old_frozen_tangential, residual)
@@ -84,8 +85,10 @@ def test_criterion_2_heat_and_critical_path(gauss_flow, gauss_path):
     t0 = time.time()
     # self-similar layer reproduced exactly
     prof = build_family("monotone", {"U0": 1.0})
-    y = np.linspace(0, 30, 301)
-    field = solve_heat(prof, y, np.linspace(0, 0.2, 5))
+    y, ts = np.linspace(0, 30, 301), np.linspace(0, 0.2, 5)
+    flow = HeatFlow(prof)
+    check_quadrature(flow, y, ts)
+    field = solve_heat(flow, y, ts, max_order=0)
     erf_gap = max(np.max(np.abs(field.us[i]
                                 - erf(y / (2 * np.sqrt(1 + t)))))
                   for i, t in enumerate(field.t_grid))
@@ -139,15 +142,15 @@ def test_criterion_3_inviscid_oracle_equivalence(gauss_prof):
 
 
 def test_criterion_4_growth_rate_scaling(
-        pair, gauss_field, gauss_path, alg4_field, alg4_path):
+        pair, gauss_path, alg4_path):
     t0 = time.time()
     t_final = 0.03
     ts = np.linspace(t_final / 24, t_final, 24)
     summary = []
     ok = True
-    for name, field, path in (("gaussian-bump", gauss_field, gauss_path),
-                              ("algebraic-bump", alg4_field, alg4_path)):
-        prof = field.flow.profile
+    for name, path in (("gaussian-bump", gauss_path),
+                       ("algebraic-bump", alg4_path)):
+        prof = path.flow.profile
         target = abs(pair.tau.imag) * float(path.kappa(0.0))
         ns = (32, 64, 128, 256)
         amps = mode_amplitude_series(
@@ -168,9 +171,12 @@ def test_criterion_4_growth_rate_scaling(
 
 
 def test_criterion_5_residual_bound_uniformity(
-        pair, alg4_prof, alg4_field, alg4_path, y_grid):
+        pair, alg4_prof, alg4_path, y_grid):
     t0 = time.time()
     sigma0 = 1.1 * _im_tau_phys_sup(pair, alg4_path)
+    # as residual-scan does: one kernel row set per time, read for every n
+    us_rows = {t: alg4_path.flow.derivs(t, y_grid, orders=(0, 1, 2, 3))
+               for t in (0.02, 0.05, 0.08)}
     ratios = {}
     for alpha in (0.0, 1.0, 2.0):
         per_eps = {}
@@ -178,7 +184,8 @@ def test_criterion_5_residual_bound_uniformity(
             params = default_params(alg4_prof, n)
             best = 0.0
             for t in (0.02, 0.05, 0.08):
-                mode = assemble_mode(params, alg4_field, alg4_path, pair, t)
+                mode = assemble_mode(params, alg4_path, pair, t, y_grid,
+                                     us_rows[t])
                 res = residual(mode)
                 damped = (weighted_sup(res.R, y_grid, alpha)
                           * np.exp(-sigma0 * t * np.sqrt(n)))
@@ -334,7 +341,7 @@ def test_criterion_7_certificate_transient_amplification(gauss_prof, pair,
 
 
 def test_criterion_8_initial_smallness_and_mode_structure(
-        pair, gauss_prof, gauss_field, gauss_path, y_grid):
+        pair, gauss_prof, gauss_path, y_grid):
     t0 = time.time()
     # eps-linearity of the initial data norm
     base = {}
@@ -345,7 +352,7 @@ def test_criterion_8_initial_smallness_and_mode_structure(
     eps_lin_spread = (max(vals) - min(vals)) / max(vals)
     # jump cancellation and divergence at a working snapshot
     params = default_params(gauss_prof, 64)
-    mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
+    mode = assemble_mode(params, gauss_path, pair, 0.05, y_grid)
     rep = mode.jump_report(pair)
     jump = max(rep["V"], rep["dyV"], rep["d2yV"])
     div_analytic = float(np.max(np.abs(mode.dyV + 1j / params.eps * mode.U)))

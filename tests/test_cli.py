@@ -437,12 +437,14 @@ def test_probe_ks_not_increasing_is_config_error(tmp_path, capsys, probe,
     ("residual-scan", {"residual_scan": {"alphas": []}},
      "residual_scan.alphas"),
     ("residual-scan", {"residual_scan": {"n_list": []}},
-     "residual_scan.n_list")],
-    ids=["sigma-factors", "alphas", "n-list"])
+     "residual_scan.n_list"),
+    ("growth-scan", {"growth": {"families": []}}, "growth.families")],
+    ids=["sigma-factors", "alphas", "n-list", "families"])
 def test_empty_verdict_list_is_config_error(tmp_path, capsys, command, extra,
                                             name):
     # with no verdicts the probe exited 0 and residual-scan wrote
-    # "pass": true; an empty n_list crashed with a ValueError
+    # "pass": true; an empty n_list crashed with a ValueError; growth-scan
+    # with no families ran the main profile, while its manifest recorded []
     cfg = _write_cfg(tmp_path, extra)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -537,6 +539,26 @@ def test_heat_command_writes_deterministic_artifacts(tmp_path):
         assert b1 == b2, name
 
 
+def test_heat_field_csv_holds_every_grid_point(tmp_path):
+    # one row per (t, y) of the grid, t outermost: t, y and the kernel's
+    # u_s, d_y u_s and d_y^2 u_s there, each to 12 significant digits
+    cfg = _write_cfg(tmp_path, {})
+    assert main(["heat", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    csv = tmp_path / "o" / "heat" / "heat_field.csv"
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "t,y,u_s,dy_u_s,d2y_u_s"
+    table = np.array([[float(v) for v in line.split(",")]
+                      for line in lines[1:]])
+    pipe = Pipeline(load_config(cfg))
+    assert table.shape == (pipe.t_grid.size * pipe.y.size, 5)
+    ref = heat.solve_heat(HeatFlow(pipe.profile), pipe.y, pipe.t_grid,
+                          max_order=2)
+    t, y = np.meshgrid(pipe.t_grid, pipe.y, indexing="ij")
+    for column, grid in zip(table.T, (t, y, *ref.rows)):
+        assert np.array_equal(column, [float(f"{v:.12g}")
+                                       for v in grid.ravel()])
+
+
 def test_heat_report_contents(tmp_path):
     cfg = _write_cfg(tmp_path, {})
     rc = main(["heat", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -605,8 +627,8 @@ def test_growth_scan_steps_nothing(monkeypatch, tmp_path):
 
 def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
         monkeypatch, tmp_path):
-    # the path is all growth-scan reads of the heat flow, and it gets
-    # solve_heat's panel-doubling check at solve_heat's (t, y) points
+    # the path is all growth-scan reads of the heat flow, and the flow gets
+    # the pipeline's panel-doubling check (check_quadrature on its grid)
     def refuse(*args, **kwargs):
         raise AssertionError("growth-scan sampled a heat field")
 
@@ -616,7 +638,6 @@ def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
         probes.append((t, np.asarray(y).tolist()))
         return 1.0
 
-    solve_heat = heat.solve_heat
     monkeypatch.setattr(heat, "solve_heat", refuse)
     monkeypatch.setattr(HeatFlow, "quadrature_gap", wide_gap)
     cfg = _write_cfg(tmp_path, {})
@@ -627,17 +648,15 @@ def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
                    "message": "panel-doubling disagreement 1.00e+00 > 1.00e-08"}
     pipe = Pipeline(load_config(cfg))
     with pytest.raises(QuadratureFailure):
-        solve_heat(pipe.profile, pipe.y, pipe.t_grid)
+        heat.check_quadrature(HeatFlow(pipe.profile), pipe.y, pipe.t_grid)
     assert len(probes) == 2 and probes[0] == probes[1]
 
 
-def test_mode_evaluates_one_kernel_row_and_samples_no_field(monkeypatch,
-                                                          tmp_path):
-    # mode reads u_s at t_snapshot alone: one kernel row on the y grid, no
-    # field; the path's flow still gets solve_heat's panel-doubling check
-    # at solve_heat's (t, y) points
+def _record_kernel_rows(monkeypatch, command):
+    """Make solve_heat refuse, and record the (t, orders) of each kernel
+    call on the whole y grid and the points of each panel-doubling check."""
     def refuse(*args, **kwargs):
-        raise AssertionError("mode sampled a heat field")
+        raise AssertionError(f"{command} sampled a heat field")
 
     probes, rows = [], []
     gap, derivs = HeatFlow.quadrature_gap, HeatFlow.derivs
@@ -651,22 +670,49 @@ def test_mode_evaluates_one_kernel_row_and_samples_no_field(monkeypatch,
             rows.append((t, tuple(orders)))
         return derivs(self, t, y, orders)
 
-    solve_heat = heat.solve_heat
     monkeypatch.setattr(heat, "solve_heat", refuse)
     monkeypatch.setattr(HeatFlow, "quadrature_gap", recorded_gap)
     monkeypatch.setattr(HeatFlow, "derivs", recorded_derivs)
+    return probes, rows
+
+
+def _checked_once_on_the_grid(probes, cfg):
+    """probes are the points of one check_quadrature on the config's grid."""
+    pipe = Pipeline(load_config(cfg))
+    heat.check_quadrature(HeatFlow(pipe.profile), pipe.y, pipe.t_grid)
+    return len(probes) == 2 and probes[0] == probes[1]
+
+
+def test_mode_evaluates_one_kernel_row_and_samples_no_field(monkeypatch,
+                                                          tmp_path):
+    # mode reads u_s at t_snapshot alone: one kernel row on the y grid, no
+    # field; the pipeline's flow still gets its panel-doubling check
+    probes, rows = _record_kernel_rows(monkeypatch, "mode")
     cfg = _write_cfg(tmp_path, {})
     assert main(["mode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert rows == [(0.05, (0, 1, 2, 3))]
-    pipe = Pipeline(load_config(cfg))
-    solve_heat(pipe.profile, pipe.y, pipe.t_grid)
-    assert len(probes) == 2 and probes[0] == probes[1]
+    assert _checked_once_on_the_grid(probes, cfg)
+
+
+def test_residual_scan_evaluates_one_kernel_row_set_per_time(monkeypatch,
+                                                            tmp_path):
+    # residual-scan reads u_s at its own times alone: one (0, 1, 2, 3) row
+    # set on the y grid per scan time, read for every n, and no field; the
+    # pipeline's flow gets its panel-doubling check once
+    probes, rows = _record_kernel_rows(monkeypatch, "residual-scan")
+    cfg = _write_cfg(tmp_path, {})
+    assert main(["residual-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) in (0, 4)
+    # 0.08 is past the FAST grid's horizon t0 = 0.06, so it is skipped
+    assert rows == [(0.02, (0, 1, 2, 3)), (0.05, (0, 1, 2, 3))]
+    assert _checked_once_on_the_grid(probes, cfg)
 
 
 def test_probe_field_holds_the_full_fields_stepper_rows():
     # the stepper reads u_s and d_y u_s, so the probe samples those alone
     pipe = Pipeline(deep_merge(load_config(None), FAST))
-    full = heat.solve_heat(pipe.profile, pipe.y, pipe.t_grid)
+    full = heat.solve_heat(HeatFlow(pipe.profile), pipe.y, pipe.t_grid,
+                           max_order=3)
     assert len(pipe.field.rows) == 2
     assert np.array_equal(pipe.field.us, full.us)
     assert np.array_equal(pipe.field.dy_us, full.dy_us)
@@ -693,6 +739,7 @@ def test_pipeline_shares_field_and_path():
     pipe = Pipeline(cfg)
     assert pipe.field is pipe.field
     assert pipe.path is pipe.path
+    assert pipe.field.flow is pipe.flow is pipe.path.flow
 
 
 def test_mode_initial_data_is_eps_linear():

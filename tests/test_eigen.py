@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,9 +267,9 @@ def _joined_profile(left, right):
     return z, np.concatenate([yl.T, yr.T[::-1][1:]]).T
 
 
-def _shooting_profile(tau, problem, rtol):
+def _shooting_profile(tau, problem):
     """W, W', W'' from the dense shot."""
-    return _joined_profile(*shoot_tails(tau, problem, dense=True, rtol=rtol))
+    return _joined_profile(*shoot_tails(tau, problem, dense=True))
 
 
 @pytest.mark.parametrize("s", [-1, 1])
@@ -277,7 +278,8 @@ def test_closed_form_profile_matches_shooting(s):
     # rtol 1e-13 agrees with it to 7e-16 (pinned below), far inside 1e-12
     prob = DispersionProblem(sign_curvature=s)
     p = sample_profile(find_tau(prob), prob)
-    z, (W, W1, W2) = _shooting_profile(p.pair.tau, prob, rtol=1e-13)
+    z, (W, W1, W2) = _shooting_profile(p.pair.tau,
+                                       replace(prob, rtol=1e-13))
     assert np.array_equal(z, p.z_grid)
     assert np.max(np.abs(W - p.W)) < 1e-12
     assert np.max(np.abs(W1 - p.W1)) < 1e-12
@@ -291,7 +293,7 @@ def test_taylor_shot_matches_closed_form_to_rounding(s):
     # dense sample is the state it hands to the matching
     prob = DispersionProblem(sign_curvature=s)
     p = sample_profile(find_tau(prob), prob)
-    tails = shoot_tails(p.pair.tau, prob, dense=True, rtol=1e-13)
+    tails = shoot_tails(p.pair.tau, replace(prob, rtol=1e-13), dense=True)
     for tail in tails:
         assert np.array_equal(tail.y[:, -1], tail.at_match)
     z, (W, W1, W2) = _joined_profile(*tails)
@@ -304,10 +306,10 @@ def test_taylor_shot_matches_closed_form_to_rounding(s):
 @pytest.mark.parametrize("s", [-1, 1])
 def test_taylor_shot_matches_dop853(s):
     # scipy's DOP853 is the independent integrator of the same seeds
-    prob = DispersionProblem(sign_curvature=s)
+    prob = DispersionProblem(sign_curvature=s, rtol=1e-13)
     tau = s * np.exp(-1j * s * np.pi / 4)
-    taylor = shoot_tails(tau, prob, dense=True, rtol=1e-13)
-    dop = tuple(dop853_tail(tau, prob, side, dense=True, rtol=1e-13)
+    taylor = shoot_tails(tau, prob, dense=True)
+    dop = tuple(dop853_tail(tau, prob, side, dense=True)
                 for side in ("left", "right"))
     for a, b in zip(taylor, dop):
         _, G, Gp = a.at_match

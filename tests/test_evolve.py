@@ -23,6 +23,13 @@ def _blob(y):
     return np.exp(-((y - 3.0) / 1.0) ** 2) * y**2 / 9.0
 
 
+def _band(profile, k, t, ny):
+    """transient_amplification's band: the profile's rows on ny points of
+    [0, 20]."""
+    y = np.linspace(0.0, 20.0, ny)
+    return _ShiftedBand(y, profile.derivs(y)[:2], k, t)
+
+
 def _step_coefs(field, s, dt):
     """What evolve passes step: the coefficient rows at the step's ends."""
     return field.slice_interp(s.t), field.slice_interp(s.t + dt)
@@ -38,12 +45,12 @@ def test_zero_data_stays_zero(gauss_field, y_grid):
     assert np.all(s1.u_hat == 0.0)
 
 
-def test_heat_reduction_k0_order2(gauss_prof, gauss_field):
+def test_heat_reduction_k0_order2(gauss_flow):
     errs = []
     for ny, dt in ((601, 5e-4), (1201, 2.5e-4)):
         y = np.linspace(0, 30, ny)
-        field = solve_heat(gauss_prof, y, np.linspace(0, 0.15, 4),
-                           check=False)
+        field = solve_heat(gauss_flow, y, np.linspace(0, 0.15, 4),
+                           max_order=1)
         s0 = FourierModeState(k=0, t=0.0, y=y, u_hat=_blob(y).astype(complex))
         tr = evolve(s0, field, dt, 0.1)
         oracle = dirichlet_heat_kernel(_blob, y, 0.1)
@@ -204,17 +211,20 @@ def test_evolve_raises_when_a_row_overflows(gauss_field, y_grid):
         evolve(s0, gauss_field, 1e-3, 0.01)
 
 
-def test_non_finite_guard(y_grid):
+def test_non_finite_guard(gauss_field, y_grid):
+    # evolve tests state0 before any step: here it takes none
     bad = np.full(y_grid.size, np.inf, complex)
-    with pytest.raises(NonFiniteState):
-        FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad).check()
+    with pytest.raises(NonFiniteState, match="floating-point range"):
+        evolve(FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad),
+               gauss_field, 1e-3, 0.0)
 
 
-def test_non_finite_guard_sees_imaginary_part(y_grid):
+def test_non_finite_guard_sees_imaginary_part(gauss_field, y_grid):
     bad = np.ones(y_grid.size, complex)
     bad[7] = complex(1.0, np.nan)    # 1 + 1j * nan would make both parts nan
-    with pytest.raises(NonFiniteState):
-        FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad).check()
+    with pytest.raises(NonFiniteState, match="floating-point range"):
+        evolve(FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad),
+               gauss_field, 1e-3, 0.0)
 
 
 def _batch_data(y):
@@ -362,7 +372,7 @@ def test_band_is_the_shifted_operator_times_the_differencing(gauss_prof):
     n = ny - 2
     A, _ = frozen_mode_operator(gauss_prof, k, ny=ny)
     ref = (z * np.eye(n) - t * A) @ (np.eye(n) - np.eye(n, k=-1))
-    ab = _ShiftedBand(gauss_prof, k, t, y_max=20.0, ny=ny).ab.copy()
+    ab = _band(gauss_prof, k, t, ny).ab.copy()
     ab[_DIAG] += z
     ab[_DIAG + 1, :-1] -= z
     dense = np.zeros((n, n), dtype=complex)
@@ -385,7 +395,7 @@ def test_band_system_solves_match_dense_resolvent(request, prof):
         M = z * np.eye(ny - 2) - t * A
         rng = np.random.default_rng(3)
         b = rng.standard_normal(ny - 2) + 1j * rng.standard_normal(ny - 2)
-        band = _ShiftedBand(profile, k, t, y_max=20.0, ny=ny)
+        band = _band(profile, k, t, ny)
         factors = band.factor(z)
         for x, ref in ((band.solve(factors, b), np.linalg.solve(M, b)),
                        (band.solve(factors, b, trans=2),
@@ -423,7 +433,7 @@ def test_streamed_check_is_the_stored_rule(gauss_prof):
     # the self-check's one-node-at-a-time sum is the stored rule's matvec,
     # with the same weights in the same order
     k, t, ny, n_nodes = 64, 0.05, 300, 112
-    band = _ShiftedBand(gauss_prof, k, t, y_max=20.0, ny=ny)
+    band = _band(gauss_prof, k, t, ny)
     lo, hi = float(band.U.min()), float(band.U.max())
     m, half = -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2
     rng = np.random.default_rng(5)
@@ -467,7 +477,7 @@ def test_transient_amplification_holds_one_rule_of_factors(monkeypatch,
     ny = 300
     transient_amplification(gauss_prof, 64, 0.05, ny=ny)  # loads LAPACK
     seen = _count_nodes_and_factors(monkeypatch)
-    band = _ShiftedBand(gauss_prof, 64, 0.05, y_max=20.0, ny=ny)
+    band = _band(gauss_prof, 64, 0.05, ny)
     lu, ipiv = band.factor(1.0)
     factor_bytes = lu.nbytes + ipiv.nbytes
     tracemalloc.start()
@@ -532,7 +542,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
     u0 = params.eps * params.bump().f(y_grid)
     s0 = FourierModeState(k=n, t=0.0, y=y_grid, u_hat=u0.astype(complex))
     tr = evolve(s0, gauss_field, auto_dt(n, gauss_field, t, min_steps=300), t)
-    mode_t = assemble_mode(params, gauss_field, gauss_path, pair, t)
+    mode_t = assemble_mode(params, gauss_path, pair, t, y_grid)
     lhs = weighted_sup(tr.final.u_hat - mode_t.U, y_grid, 0.0)
     ss = np.linspace(0, t, 5)
     integrand = []
@@ -540,8 +550,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
         lag = float(t - s)
         amp = 1.0 if lag == 0.0 else transient_amplification(
             gauss_prof, n, lag, ny=700)
-        m = assemble_mode(params, gauss_field, gauss_path, pair,
-                          float(s))
+        m = assemble_mode(params, gauss_path, pair, float(s), y_grid)
         integrand.append(amp * weighted_sup(residual(m).R,
                                             y_grid, 0.0))
     rhs = float(np.trapezoid(integrand, ss))

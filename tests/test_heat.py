@@ -6,7 +6,8 @@ from scipy.special import erf
 from shearmodes.cli import Pipeline, deep_merge, load_config
 from shearmodes.errors import QuadratureFailure
 from shearmodes.evolve import auto_dt
-from shearmodes.heat import HeatFlow, gl_panels, heat_residual_probe, solve_heat
+from shearmodes.heat import (HeatFlow, check_quadrature, gl_panels,
+                             heat_residual_probe, solve_heat)
 from shearmodes.profiles import build_family
 
 from oracles import frozen_field
@@ -16,18 +17,18 @@ def test_erf_layer_is_self_similar_exact():
     prof = build_family("monotone", {"U0": 1.0})
     y = np.linspace(0, 30, 301)
     ts = np.linspace(0, 0.25, 6)
-    field = solve_heat(prof, y, ts)
+    field = solve_heat(HeatFlow(prof), y, ts, max_order=0)
     for i, t in enumerate(ts):
         exact = erf(y / (2 * np.sqrt(1 + t)))
         assert np.max(np.abs(field.us[i] - exact)) < 1e-10
 
 
-def test_initial_slice_is_identity(gauss_prof, y_grid):
-    field = solve_heat(gauss_prof, y_grid, np.array([0.0, 0.05]))
+def test_initial_slice_is_identity(gauss_flow, gauss_prof, y_grid):
+    field = solve_heat(gauss_flow, y_grid, np.array([0.0, 0.05]),
+                       max_order=3)
     exact = gauss_prof.derivs(y_grid)
     for j in range(4):
-        got = (field.us, field.dy_us, field.d2y_us, field.d3y_us)[j][0]
-        assert np.array_equal(got, exact[j])
+        assert np.array_equal(field.rows[j][0], exact[j])
 
 
 def _cn_reference(prof, t_end, Y=38.0, ny=4001, nt=2000):
@@ -65,8 +66,8 @@ def test_pde_residual_probe_small(gauss_field, y_grid):
     assert r < 1e-6
 
 
-def test_pde_residual_probe_small_algebraic(alg4_field, y_grid):
-    r = heat_residual_probe(alg4_field.flow, 0.05, y_grid[::12])
+def test_pde_residual_probe_small_algebraic(alg4_flow, y_grid):
+    r = heat_residual_probe(alg4_flow, 0.05, y_grid[::12])
     assert r < 1e-6
 
 
@@ -129,9 +130,11 @@ def test_quadrature_guard_trips_on_tiny_time(gauss_prof, y_grid):
         flow.derivs(1e-7, y_grid)
 
 
-def test_solve_heat_self_check_passes(gauss_prof):
-    y = np.linspace(0, 30, 201)
-    field = solve_heat(gauss_prof, y, np.linspace(0, 0.1, 3))
+def test_solve_heat_self_check_passes(gauss_flow):
+    # the pipeline checks its flow's quadrature on the grid it samples
+    y, ts = np.linspace(0, 30, 201), np.linspace(0, 0.1, 3)
+    check_quadrature(gauss_flow, y, ts)
+    field = solve_heat(gauss_flow, y, ts, max_order=1)
     assert field.us.shape == (3, 201)
 
 
@@ -162,9 +165,9 @@ def test_slice_interp_weights_match_nested_products(gauss_field):
 
 
 @pytest.mark.parametrize("ts", [[0.0, 0.05, 0.1], [0.0, 0.1]])
-def test_slice_interp_needs_four_times(gauss_prof, ts):
+def test_slice_interp_needs_four_times(gauss_flow, ts):
     # a cubic stencil on fewer slices would wrap its index and give NaN rows
-    field = solve_heat(gauss_prof, np.linspace(0, 30, 101), ts)
+    field = solve_heat(gauss_flow, np.linspace(0, 30, 101), ts, max_order=1)
     with pytest.raises(ValueError, match="at least 4 times"):
         field.slice_interp(0.03)
 
@@ -219,21 +222,10 @@ def test_frozen_field_slices_are_static(gauss_prof, y_grid):
     assert np.array_equal(ff.us[0], gauss_prof.derivs(y_grid)[0])
 
 
-def test_field_refuses_rows_it_did_not_sample(gauss_prof):
+def test_field_refuses_rows_it_did_not_sample(gauss_flow):
     # reading an order solve_heat did not sample raises, not gives zeros
-    two = solve_heat(gauss_prof, np.linspace(0, 30, 11),
-                     np.array([0.0, 0.05]), check=False, max_order=1)
+    two = solve_heat(gauss_flow, np.linspace(0, 30, 11),
+                     np.array([0.0, 0.05]), max_order=1)
     assert len(two.rows) == 2
-    for name in ("d2y_us", "d3y_us"):
-        with pytest.raises(ValueError, match="was not sampled"):
-            getattr(two, name)
     with pytest.raises(ValueError, match="order 2 was not sampled"):
-        two.to_rows()
-
-
-def test_csv_rows_shape(gauss_prof):
-    y = np.linspace(0, 30, 11)
-    field = solve_heat(gauss_prof, y, np.array([0.0, 0.05]), check=False)
-    rows = list(field.to_rows())
-    assert len(rows) == 22
-    assert len(rows[0]) == 5
+        two.d2y_us

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_simpson, quad
 
 from shearmodes.evolve import growth_row
-from shearmodes.heat import HeatFlow, solve_heat
+from shearmodes.heat import HeatFlow
 from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_mode,
                               default_params, initial_tangential_norm,
                               mode_amplitude_series, old_frozen_tangential,
@@ -73,11 +73,11 @@ def test_smoothstep_junction_smoothness():
 # ---------------------------------------------------------------- tangential
 
 
-def test_initial_tangential_is_scaled_bump(gauss_prof, gauss_field,
-                                           gauss_path, pair, y_grid):
+def test_initial_tangential_is_scaled_bump(gauss_prof, gauss_path, pair,
+                                           y_grid):
     # at t = 0 the phase vanishes, so E = 1 and U = eps vtilde'
     params = default_params(gauss_prof, 64)
-    mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.0)
+    mode = assemble_mode(params, gauss_path, pair, 0.0, y_grid)
     assert mode.E == 1.0
     expected = params.eps * params.bump().f(y_grid)
     assert np.max(np.abs(mode.U - expected)) < 1e-14
@@ -89,12 +89,12 @@ def test_tangential_tail_tracks_shear_gradient(pair):
     prof = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     y = np.linspace(0, 60, 2401)
     t = 0.05
-    field = solve_heat(prof, y, np.array([0.0, t]))
-    path = track_critical_point(field.flow, prof.a0, t)
+    flow = HeatFlow(prof)
+    path = track_critical_point(flow, prof.a0, t)
     params = default_params(prof, 64)
-    mode = assemble_mode(params, field, path, pair, t)
+    mode = assemble_mode(params, path, pair, t, y)
     far = y > 30
-    dyus = field.flow.derivs(t, y, orders=(1,))[0]
+    dyus = flow.derivs(t, y, orders=(1,))[0]
     ratio = np.abs(mode.U[far]) / np.abs(dyus[far])
     assert ratio.max() / ratio.min() < 1 + 1e-12
 
@@ -112,29 +112,25 @@ def test_old_ansatz_tail_proportional_to_gradient(pair):
 
 
 @pytest.fixture(scope="module")
-def mode64(gauss_field, gauss_path, pair, gauss_prof):
+def mode64(gauss_path, pair, gauss_prof, y_grid):
     params = default_params(gauss_prof, 64)
-    return params, assemble_mode(params, gauss_field, gauss_path,
-                                 pair, 0.05)
+    return params, assemble_mode(params, gauss_path, pair, 0.05, y_grid)
 
 
-def test_grid_time_mode_reads_the_field_rows(mode64, gauss_field, gauss_path,
-                                             pair):
-    # t = 0.05 is a node of the field's t grid: the mode takes the u_s rows
-    # solve_heat computed there, and equals a fresh kernel evaluation on
-    # the same y grid bit for bit
+def test_mode_from_given_rows_is_the_mode_from_the_flow(mode64, gauss_path,
+                                                        pair, y_grid):
+    # residual-scan evaluates the kernel rows once per time and passes them
+    # for every n: the mode reads those rows, and equals the one whose rows
+    # the path's flow evaluates, bit for bit
     params, mode = mode64
-    assert gauss_field.t_grid[5] == 0.05
-    assert np.shares_memory(mode.components["us"], gauss_field.us)
-    fresh = assemble_mode(params, gauss_field, gauss_path, pair, 0.05,
-                          y_grid=gauss_field.y_grid)
-    assert not np.shares_memory(fresh.components["us"], gauss_field.us)
+    rows = gauss_path.flow.derivs(0.05, y_grid, orders=(0, 1, 2, 3))
+    given = assemble_mode(params, gauss_path, pair, 0.05, y_grid, rows)
+    assert np.shares_memory(given.components["us"], rows[0])
     for name in ("U", "dyU", "d2yU", "V", "dyV"):
-        assert np.array_equal(getattr(mode, name), getattr(fresh, name)), name
+        assert np.array_equal(getattr(mode, name), getattr(given, name)), name
     for name in ("us", "dyus", "d2yus", "d3yus"):
-        assert np.array_equal(mode.components[name], fresh.components[name])
-    assert np.array_equal(residual(mode).Rbar,
-                          residual(fresh).Rbar)
+        assert np.array_equal(mode.components[name], given.components[name])
+    assert np.array_equal(residual(mode).R, residual(given).R)
 
 
 def test_no_slip_exact(mode64):
@@ -194,18 +190,18 @@ def test_residual_far_field_exact_zeros(mode64, y_grid, gauss_path):
 
 
 def test_residual_against_finite_difference_operator(
-        gauss_field, gauss_path, pair, gauss_prof, y_grid):
+        gauss_path, pair, gauss_prof, y_grid):
     """The independent check: apply the linearized operator to the assembled
     mode with d_t by central differences (fresh assemblies) and d_y^2 from
     the analytic profile; compare to the assembled residual field."""
     params = default_params(gauss_prof, 64)
     t, delta = 0.05, 1e-5
-    mode = assemble_mode(params, gauss_field, gauss_path, pair, t)
+    mode = assemble_mode(params, gauss_path, pair, t, y_grid)
     res = residual(mode)
-    mp = assemble_mode(params, gauss_field, gauss_path, pair, t + delta)
-    mm = assemble_mode(params, gauss_field, gauss_path, pair, t - delta)
+    mp = assemble_mode(params, gauss_path, pair, t + delta, y_grid)
+    mm = assemble_mode(params, gauss_path, pair, t - delta, y_grid)
     dtU = (mp.U - mm.U) / (2 * delta)
-    us, dyus = gauss_field.flow.derivs(t, y_grid, orders=(0, 1))
+    us, dyus = gauss_path.flow.derivs(t, y_grid, orders=(0, 1))
     k = params.n
     lhs = dtU + 1j * k * us * mode.U + mode.V * dyus - mode.d2yU
     gap = np.max(np.abs(lhs[2:-2] - res.R[2:-2]))
@@ -213,7 +209,7 @@ def test_residual_against_finite_difference_operator(
 
 
 def test_residual_fd_second_derivative_converges(
-        gauss_prof, gauss_path, pair, t_grid):
+        gauss_prof, gauss_path, pair):
     """Full finite differencing (including d_y^2 of the mode) converges to
     the assembled residual at second order in the grid step."""
     params = default_params(gauss_prof, 64)
@@ -222,13 +218,12 @@ def test_residual_fd_second_derivative_converges(
     gaps = []
     for ny in (601, 2401):
         y = np.linspace(0.0, 30.0, ny)
-        field = solve_heat(gauss_prof, y, t_grid, check=False)
-        mode = assemble_mode(params, field, gauss_path, pair, t)
+        mode = assemble_mode(params, gauss_path, pair, t, y)
         res = residual(mode)
-        mp = assemble_mode(params, field, gauss_path, pair, t + delta)
-        mm = assemble_mode(params, field, gauss_path, pair, t - delta)
+        mp = assemble_mode(params, gauss_path, pair, t + delta, y)
+        mm = assemble_mode(params, gauss_path, pair, t - delta, y)
         dtU = (mp.U - mm.U) / (2 * delta)
-        us, dyus = field.flow.derivs(t, y, orders=(0, 1))
+        us, dyus = gauss_path.flow.derivs(t, y, orders=(0, 1))
         h = y[1] - y[0]
         d2 = np.zeros_like(mode.U)
         d2[1:-1] = (mode.U[2:] - 2 * mode.U[1:-1] + mode.U[:-2]) / h**2
@@ -251,14 +246,14 @@ def test_residual_fd_second_derivative_converges(
 
 
 def test_residual_taylor_split_matches_exact_form_at_small_eps(
-        gauss_field, gauss_path, pair, gauss_prof):
+        gauss_path, pair, gauss_prof, y_grid):
     """The Taylor-defect form of the shear-layer residual, with u_s replaced
     by its quadratic Taylor polynomial at a(t), differs from the exact
     assembly only by cutoff commutators, which shrink as eps does."""
     rest = {}
     for n in (64, 1024):
         params = default_params(gauss_prof, n)
-        mode = assemble_mode(params, gauss_field, gauss_path, pair, 0.05)
+        mode = assemble_mode(params, gauss_path, pair, 0.05, y_grid)
         res = residual(mode)
         c, sc = mode.components, mode.scalars
         r = mode.y - sc.a
@@ -280,8 +275,7 @@ def _im_tau_phys_sup(pair, path):
     return abs(pair.tau.imag) * float(np.max(kappa))
 
 
-def test_sup_norm_growth_bound_sweep(gauss_field, gauss_path, pair,
-                                     gauss_prof, y_grid):
+def test_sup_norm_growth_bound_sweep(gauss_path, pair, gauss_prof, y_grid):
     """|| U(t) ||_{W_0^{2,inf}} <= C0 e^{sigma0 t sqrt(n)} across a (t, n)
     sweep, with sigma0 = 1.1 sup_t |Im tau_phys| and C0 = 0.25 frozen from a
     measured 0.211 (the damped norm actually decreases along t)."""
@@ -289,8 +283,7 @@ def test_sup_norm_growth_bound_sweep(gauss_field, gauss_path, pair,
     for n in (64, 256):
         params = default_params(gauss_prof, n)
         for t in (0.0, 0.02, 0.05, 0.08, 0.12):
-            mode = assemble_mode(params, gauss_field, gauss_path,
-                                 pair, t)
+            mode = assemble_mode(params, gauss_path, pair, t, y_grid)
             w2 = max(weighted_sup(mode.U, y_grid, 0.0),
                      weighted_sup(mode.dyU, y_grid, 0.0),
                      weighted_sup(mode.d2yU, y_grid, 0.0))
@@ -312,8 +305,8 @@ def test_weighted_residual_bound_single_mode(mode64, y_grid, pair,
 # ---------------------------------------------------------------- series
 
 
-def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
-                                                 pair, gauss_prof):
+def test_amplitude_series_matches_per_n_assembly(gauss_path, pair,
+                                                 gauss_prof):
     # unsorted times, and a gap (0.01 -> 0.045) wider than one phase panel
     ts = np.array([0.045, 0.004, 0.08, 0.01])
     params = [default_params(gauss_prof, n)
@@ -325,8 +318,7 @@ def test_amplitude_series_matches_per_n_assembly(gauss_field, gauss_path,
             a = float(gauss_path.a(t))
             y_loc = np.linspace(max(0.0, a - p.phi_outer), a + p.phi_outer,
                                 1601)
-            loc = assemble_mode(p, gauss_field, gauss_path, pair, t,
-                                y_grid=y_loc)
+            loc = assemble_mode(p, gauss_path, pair, t, y_loc)
             log_sl = np.log(abs(loc.E) * t
                             * np.max(np.abs(loc.components["dy_vsl"])))
             assert abs(amp["log_sl"][i] - log_sl) <= 1e-9, (p.n, t)
