@@ -69,19 +69,18 @@ def _gauss_hermite(x: np.ndarray, orders: Sequence[int]) -> list:
 class HeatFlow:
     """Continuous evaluator of u_s(t, y) and d_y^j u_s for j <= 4."""
 
-    def __init__(self, profile: ShearProfile, *,
-                 panel_factor: float = 0.75,
-                 panel_cap: float = 0.6,
-                 nodes_per_panel: int = 12,
-                 kernel_halfwidth: float = 9.0,
-                 max_nodes: int = 60000):
+    # the kernel rule: panels of width min(panel_factor sqrt(4t), panel_cap)
+    # of nodes_per_panel Gauss-Legendre nodes, reaching kernel_halfwidth
+    # kernel widths past the largest y, at most max_nodes nodes in all
+    panel_factor = 0.75
+    panel_cap = 0.6
+    nodes_per_panel = 12
+    kernel_halfwidth = 9.0
+    max_nodes = 60000
+
+    def __init__(self, profile: ShearProfile):
         self.profile = profile
         self.U0 = profile.U0
-        self.panel_factor = panel_factor
-        self.panel_cap = panel_cap
-        self.nodes_per_panel = nodes_per_panel
-        self.kernel_halfwidth = kernel_halfwidth
-        self.max_nodes = max_nodes
 
     # ---- pieces -----------------------------------------------------------
 
@@ -159,17 +158,21 @@ class HeatFlow:
                 for i, j in enumerate(orders)]
 
     def quadrature_gap(self, t: float, y) -> float:
-        """Self-check: re-evaluate with doubled panel density and compare."""
+        """Self-check: re-evaluate with _FinerHeatFlow's rule and compare."""
         ref = self.derivs(t, y, orders=(0, 2))
-        finer = HeatFlow(self.profile,
-                         panel_factor=self.panel_factor / 2,
-                         panel_cap=self.panel_cap / 2,
-                         nodes_per_panel=self.nodes_per_panel,
-                         kernel_halfwidth=self.kernel_halfwidth + 2.0,
-                         max_nodes=2 * self.max_nodes)
-        fin = finer.derivs(t, y, orders=(0, 2))
+        fin = _FinerHeatFlow(self.profile).derivs(t, y, orders=(0, 2))
         return float(max(np.max(np.abs(ref[0] - fin[0])),
                          np.max(np.abs(ref[1] - fin[1]))))
+
+
+class _FinerHeatFlow(HeatFlow):
+    """HeatFlow's rule at half the panel width and cap, two kernel widths
+    further out, with twice the node cap."""
+
+    panel_factor = HeatFlow.panel_factor / 2
+    panel_cap = HeatFlow.panel_cap / 2
+    kernel_halfwidth = HeatFlow.kernel_halfwidth + 2.0
+    max_nodes = 2 * HeatFlow.max_nodes
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .eigen import Eigenpair
-from .errors import HorizonExceeded
 from .norms import weighted_sup
 from .path import CriticalPath, time_integral
 from .profiles import ShearProfile
@@ -183,9 +182,8 @@ class _Scalars:
 
 
 def _path_point(path: CriticalPath, t: float) -> dict:
-    """The n-independent part of _Scalars along the path at time t."""
-    if t > path.t0 + 1e-12:
-        raise HorizonExceeded(f"t={t} beyond path horizon {path.t0}")
+    """The n-independent part of _Scalars along the path at time t; path.a
+    raises HorizonExceeded past the path's horizon."""
     a = float(path.a(t))
     # one kernel call for u_s, d_y u_s and the path ODEs: a' = -d3/d2,
     # lam' = d4 + d3 a'

@@ -1,10 +1,7 @@
-"""Tracking the non-degenerate critical point a(t) of u_s(t, .).
-
-a(t) obeys  a' = - d_t d_y u_s(t, a) / d_y^2 u_s(t, a); since u_s solves the
-heat equation exactly, d_t d_y u_s = d_y^3 u_s and the right-hand side is a
-pointwise kernel evaluation.  The integrator is classic RK4 with a one-step
-Newton correction of the root at every node, which keeps d_y u_s(t, a(t))
-at root-finder tolerance along the whole path.
+"""Tracking the non-degenerate critical point a(t) of u_s(t, .), the root of
+d_y u_s(t, .), by Newton continuation.  Since u_s solves the heat equation
+exactly, d_t d_y u_s = d_y^3 u_s, so a' = -d_y^3 u_s / d_y^2 u_s at the root
+is a pointwise kernel evaluation.
 """
 
 from __future__ import annotations
@@ -13,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureVanished, HorizonExceeded, NoCriticalPoint
+from .errors import (CurvatureVanished, HorizonExceeded, NoCriticalPoint,
+                     NotConverged)
 from .heat import HeatFlow, gauss_legendre, gl_panels
 
 
@@ -63,60 +61,60 @@ class CriticalPath:
         return float(max(gaps))
 
 
-def track_critical_point(flow: HeatFlow, a0: float, t_final: float, *,
-                         dt: float = 2e-3, floor_frac: float = 0.1
-                         ) -> CriticalPath:
-    """Integrate the critical path to t_final; raise NoCriticalPoint if a0
-    is not a maximum of u_s(0, .), and CurvatureVanished if the curvature
-    magnitude hits floor_frac * |lambda(0)| first.  Every node of a returned
-    path has lambda < 0 and |lambda| >= floor_frac |lambda(0)|."""
-    lam0 = flow.derivs(0.0, np.array([a0]), orders=(2,))[0][0]
-    if lam0 >= 0:
-        raise NoCriticalPoint(
-            f"the critical point at y={a0:.6f} has U''={lam0:.3e} >= 0; "
-            "the path tracks a maximum")
-    floor = floor_frac * abs(lam0)
+# node spacing, curvature floor as a fraction of |lambda(0)|, and the Newton
+# steps allowed at one node
+DT = 2e-3
+FLOOR_FRAC = 0.1
+MAX_NEWTON = 8
 
-    n = max(2, int(np.ceil(t_final / dt)) + 1)
+
+def track_critical_point(flow: HeatFlow, a0: float, t_final: float
+                         ) -> CriticalPath:
+    """Follow the root a(t) of d_y u_s(t, .) from a0 to t_final on nodes DT
+    apart, each by Newton from the cubic Hermite extrapolation of the two
+    before it (an Euler step from node 0) until the step is at most
+    1e-14 max(1, |a|).  Raise NoCriticalPoint if node 0 is not a maximum,
+    NotConverged if a node takes more than MAX_NEWTON steps, and
+    CurvatureVanished at the first node with lambda > -FLOOR_FRAC
+    |lambda(0)|, so that no node of a returned path has one."""
+    n = max(2, int(np.ceil(t_final / DT)) + 1)
     t_nodes = np.linspace(0.0, t_final, n)
     h = t_nodes[1] - t_nodes[0]
 
-    def rhs(t, a):
-        d2, d3 = flow.derivs(t, np.array([a]), orders=(2, 3))
-        return -d3[0] / d2[0]
-
-    a_list, lam_list, adot_list, lamdot_list = [], [], [], []
+    nodes = []      # (a, lambda, a', lambda'), CriticalPath's field order
     a = float(a0)
     for i, t in enumerate(t_nodes):
-        d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
-        # Newton correction keeps the node on the root of d_y u_s; where it
-        # leaves a unchanged (a0 at t = 0 is exact to the last bit), so are
-        # the derivatives
-        a_new = a - d1[0] / d2[0]
-        if a_new != a:
-            a = a_new
-            d1, d2, d3, d4 = flow.derivs(t, np.array([a]), orders=(1, 2, 3, 4))
-        lam = d2[0]
-        if abs(lam) < floor or lam >= 0:
+        for _ in range(MAX_NEWTON):
+            d1, d2, d3, d4 = (d[0] for d in flow.derivs(
+                t, np.array([a]), orders=(1, 2, 3, 4)))
+            step = d1 / d2
+            if abs(step) <= 1e-14 * max(1.0, abs(a)):
+                break
+            a -= step
+        else:
+            raise NotConverged(f"Newton did not settle on the critical point "
+                               f"at t={t:.4f} in {MAX_NEWTON} steps")
+        if i == 0:
+            if d2 >= 0:
+                raise NoCriticalPoint(
+                    f"the critical point at y={a:.6f} has U''={d2:.3e} >= 0; "
+                    "the path tracks a maximum")
+            floor = FLOOR_FRAC * abs(d2)
+        if d2 > -floor:
             raise CurvatureVanished(
-                f"|lambda| fell to {abs(lam):.3e} (< floor {floor:.3e}) "
+                f"|lambda| fell to {abs(d2):.3e} (< floor {floor:.3e}) "
                 f"at t={t:.4f} before t_final={t_final}")
-        adot = -d3[0] / d2[0]
-        a_list.append(a)
-        lam_list.append(lam)
-        adot_list.append(adot)
-        lamdot_list.append(d4[0] + d3[0] * adot)
-        if i + 1 < n:
-            k1 = adot    # rhs(t, a), which the node has just evaluated
-            k2 = rhs(t + h / 2, a + h * k1 / 2)
-            k3 = rhs(t + h / 2, a + h * k2 / 2)
-            k4 = rhs(t + h, a + h * k3)
-            a = a + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # the root's evaluation gives a' = -d3/d2 and lambda' = d4 + d3 a'
+        adot = -d3 / d2
+        nodes.append((a, d2, adot, d4 + d3 * adot))
+        if i == 0:
+            a += h * adot
+        else:
+            a_prev, _, adot_prev, _ = nodes[-2]
+            a = 5 * a_prev + 2 * h * adot_prev - 4 * a + 4 * h * adot
 
-    return CriticalPath(
-        t_nodes=t_nodes, a_nodes=np.array(a_list), lam_nodes=np.array(lam_list),
-        adot_nodes=np.array(adot_list), lamdot_nodes=np.array(lamdot_list),
-        t0=float(t_final), flow=flow)
+    return CriticalPath(t_nodes, *np.array(nodes).T, t0=float(t_final),
+                        flow=flow)
 
 
 def time_integral(f, ts) -> np.ndarray:

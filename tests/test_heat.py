@@ -125,9 +125,9 @@ def test_far_field_and_max_principle(gauss_field):
 
 
 def test_quadrature_guard_trips_on_tiny_time(gauss_prof, y_grid):
-    flow = HeatFlow(gauss_prof, max_nodes=4000)
-    with pytest.raises(QuadratureFailure):
-        flow.derivs(1e-7, y_grid)
+    # panels of 0.75 sqrt(4e-7) out to y = 30 + 9 sqrt(4e-7)
+    with pytest.raises(QuadratureFailure, match=r"needs 759096 .*\(> 60000\)"):
+        HeatFlow(gauss_prof).derivs(1e-7, y_grid)
 
 
 def test_solve_heat_self_check_passes(gauss_flow):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad
 
+from shearmodes.errors import HorizonExceeded
 from shearmodes.evolve import growth_row
 from shearmodes.heat import HeatFlow
 from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_mode,
@@ -131,6 +132,19 @@ def test_mode_from_given_rows_is_the_mode_from_the_flow(mode64, gauss_path,
     for name in ("us", "dyus", "d2yus", "d3yus"):
         assert np.array_equal(mode.components[name], given.components[name])
     assert np.array_equal(residual(mode).R, residual(given).R)
+
+
+@pytest.mark.parametrize("dt", [1e-9, 0.05])
+def test_mode_past_the_path_horizon_raises(gauss_path, pair, gauss_prof,
+                                           y_grid, dt):
+    # path.a guards the horizon for both: just past it, the phase
+    # quadrature's nodes of the series still fall inside the path
+    t = gauss_path.t0 + dt
+    params = default_params(gauss_prof, 64)
+    with pytest.raises(HorizonExceeded):
+        assemble_mode(params, gauss_path, pair, t, y_grid)
+    with pytest.raises(HorizonExceeded):
+        mode_amplitude_series([params], gauss_path, pair, np.array([0.01, t]))
 
 
 def test_no_slip_exact(mode64):
