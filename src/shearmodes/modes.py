@@ -6,8 +6,11 @@ A mode at wavenumber n (eps = 1/n) consists of
     V(t,y) = E(t) [ -i vtilde(y) + t/eps S(t,y) ],
 
 with S = v_reg + v_sl the Heaviside regular part plus the truncated
-shear-layer profile, E the accumulated complex phase of w_eps(t), and
-vtilde the normalized antiderivative of a compactly supported bump f.
+shear-layer profile, E = exp(i/eps int_0^t w_eps) the phase, and vtilde
+the normalized antiderivative of a compactly supported bump f.  The
+advective half of the phase, int_0^t u_s(s, a(s)) ds, follows from the
+critical path by parts (phase_integral), so no time integral evaluates the
+heat kernel.
 The corrector makes the initial tangential data compactly supported, so its
 weighted norms are finite for every exponential weight, while the far-field
 tail of d_y v_reg still tracks d_y u_s for t > 0.
@@ -172,6 +175,7 @@ class _Scalars:
         self.lam = lam
         self.adot = adot
         self.lamdot = lamdot
+        self.us_a = us_a
         self.kappa = np.sqrt(abs(lam) / 2.0)
         self.kdot = -lamdot / (4.0 * self.kappa)
         self.ell = eps**0.25 * self.kappa**-0.5
@@ -194,22 +198,20 @@ def _path_point(path: CriticalPath, t: float) -> dict:
                 lamdot=d4 + d3 * adot, us_a=d0, dyus_a=d1)
 
 
-def _phase_parts(path: CriticalPath, ts) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^t -u_s(s, a(s)) ds and int_0^t kappa(s) ds at each t in ts, by
-    time_integral; u_s(s, a(s)) is one kernel call per node."""
-    def us_a(s):
-        return np.array([path.flow.derivs(sv, np.array([a]), orders=(0,))[0][0]
-                         for sv, a in zip(s.ravel(), path.a(s).ravel())]
-                        ).reshape(s.shape)
-    return -time_integral(us_a, ts), time_integral(path.kappa, ts)
+def phase_integral(path: CriticalPath, sc: _Scalars) -> complex:
+    """int_0^t w_eps(s) ds at t = sc.t, w_eps = -u_s(s, a(s)) + sqrt(eps)
+    kappa(s) tau.
 
-
-def phase_integral(path: CriticalPath, pair: Eigenpair, eps: float,
-                   t: float) -> complex:
-    """int_0^t w_eps(s) ds, w_eps = -u_s(s, a(s)) + sqrt(eps) kappa(s) tau,
-    from the two n-independent integrals of _phase_parts."""
-    adv, kap = _phase_parts(path, [t])
-    return complex(adv[0] + np.sqrt(eps) * kap[0] * pair.tau)
+    On the path d/dt u_s(t, a(t)) = d_t u_s + a' d_y u_s = d_y^2 u_s =
+    lambda(t), as u_s solves the heat equation and d_y u_s vanishes at a(t).
+    By parts, int_0^t u_s(s, a(s)) ds = t u_s(t, a(t)) - int_0^t s lambda,
+    so the phase is -t sc.us_a + int_0^t s lambda + sqrt(eps) tau
+    int_0^t kappa: the kernel value of _path_point and two time integrals
+    of the path's interpolants, neither of which calls the kernel.
+    """
+    s_lam = time_integral(lambda s: s * path.lam(s), [sc.t])[0]
+    kap = time_integral(path.kappa, [sc.t])[0]
+    return complex(-sc.t * sc.us_a + s_lam + np.sqrt(sc.eps) * kap * sc.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +319,7 @@ def _assemble(params: ModeParams, pair: Eigenpair, sc: _Scalars, y: np.ndarray,
     us, dyus, d2yus, d3yus = us_rows
 
     H = (y >= sc.a).astype(float)
-    us_a = seps * sc.kappa * tau - sc.w_eps      # u_s(t, a(t)) by definition of w_eps
-    g = us - us_a + seps * sc.kappa * tau
+    g = us - sc.us_a + seps * sc.kappa * tau
     v_reg = H * g
     dy_vreg = H * dyus
     d2y_vreg = H * d2yus
@@ -362,10 +363,9 @@ def assemble_mode(params: ModeParams, path: CriticalPath, pair: Eigenpair,
     None, the path's flow evaluates them."""
     y = np.asarray(y, dtype=float)
     sc = _Scalars(**_path_point(path, t), eps=params.eps, tau=pair.tau)
-    phase = phase_integral(path, pair, params.eps, t)
     if rows is None:
         rows = path.flow.derivs(t, y, orders=(0, 1, 2, 3))
-    return _assemble(params, pair, sc, y, rows, phase)
+    return _assemble(params, pair, sc, y, rows, phase_integral(path, sc))
 
 
 def old_frozen_tangential(profile: ShearProfile, pair: Eigenpair, eps: float,
@@ -418,16 +418,16 @@ def mode_amplitude_series(params: Sequence[ModeParams], path: CriticalPath,
     on a fine grid across the layer.  The growing component carries the
     pure exp(|Im tau| sqrt(k) int kappa) envelope that the rate fits target.
 
-    Only what log_sl reads is computed.  Per sample time: the path scalars
-    (one single-point kernel call) and the two phase integrals, accumulated
-    over the gaps between the sorted times.  v_sl reads no u_s, so no
-    kernel row is taken on a grid.  Each params' cutoff is built once.
-    log_sl equals that of assemble_mode at each t to the accuracy of the
-    phase quadrature.
+    Only what log_sl reads is computed.  |E| depends on the phase's Im
+    part alone, so log|E| = -Im tau int_0^t kappa / sqrt(eps) and no complex
+    E or advective integral is formed.  Per sample time: the path scalars
+    (one single-point kernel call) and int_0^t kappa, which calls no
+    kernel.  v_sl reads no u_s, so no kernel row is taken on a grid.  Each
+    params' cutoff is built once.  log_sl equals that of assemble_mode at
+    each t to rounding.
     """
     ts = np.asarray(ts, dtype=float)
-    adv, kap = _phase_parts(path, ts)
-    phases = [adv + np.sqrt(p.eps) * kap * pair.tau for p in params]
+    kap = time_integral(path.kappa, ts)
     cuts = [p.cutoff() for p in params]
     log_sl = np.empty((len(params), ts.size))
     for i, t in enumerate(ts):
@@ -439,11 +439,11 @@ def mode_amplitude_series(params: Sequence[ModeParams], path: CriticalPath,
                  for h in {p.phi_outer for p in params}}
         for j, p in enumerate(params):
             sc = _Scalars(**point, eps=p.eps, tau=pair.tau)
-            E = np.exp(1j * phases[j][i] / p.eps)
             dy_vsl = _shear_layer(cuts[j], pair, sc,
                                   layer[p.phi_outer])["dy_vsl"]
-            amp_sl = abs(complex(E)) * t * float(np.max(np.abs(dy_vsl)))
-            log_sl[j, i] = np.log(amp_sl) if amp_sl > 0 else -np.inf
+            amp_sl = t * float(np.max(np.abs(dy_vsl)))
+            log_E = -pair.tau.imag * kap[i] / np.sqrt(p.eps)
+            log_sl[j, i] = np.log(amp_sl) + log_E if amp_sl > 0 else -np.inf
     return [{"t": ts, "log_sl": sl} for sl in log_sl]
 
 

@@ -1,7 +1,8 @@
 """Independent oracles: exact solutions the stepper is checked against, the
 dense frozen mode operator and its matrix exponential, a general-purpose
-integrator for the dispersion shot, and the dense spectrum of the
-collocation oracle's companion matrix.
+integrator for the dispersion shot, the dense spectrum of the collocation
+oracle's companion matrix, and the advective phase by one kernel call per
+quadrature node.
 
 The stepper's oracles share only the Gauss-Legendre panel builder with the
 package, and nothing of the heat or stepper code they check.  The dense
@@ -9,7 +10,9 @@ operator shares only the profile with the band system and contour rule of
 transient_amplification.  The DOP853 shot shares only the tails' asymptotic
 seed and TailSolution with the Taylor-series shot it checks.  The dense
 companion spectrum shares only the collocation pencil with the shift-invert
-iteration of matrix_eigenvalues.
+iteration of matrix_eigenvalues.  The kernel-per-node phase shares only
+the panel builder and the path's a(t) with modes.phase_integral, which
+takes it by parts along the path.
 """
 
 from types import SimpleNamespace
@@ -64,6 +67,18 @@ def dirichlet_heat_kernel(u0, y_grid, t: float, *, halfwidth: float = 9.0,
     km = np.exp(-(c * (y[:, None] - nodes[None, :])) ** 2)
     kp = np.exp(-(c * (y[:, None] + nodes[None, :])) ** 2)
     return (km - kp) @ f * (c / np.sqrt(np.pi))
+
+
+def advective_phase(path, t: float) -> float:
+    """int_0^t u_s(s, a(s)) ds by composite 8-point Gauss-Legendre on
+    panels at most 0.02 wide, u_s(s, a(s)) by one kernel call per node."""
+    npan = max(1, int(np.ceil(t / 0.02)))
+    edges = np.linspace(0.0, t, npan + 1)
+    nodes, wts = (a.ravel() for a in gl_panels(0.5 * (edges[1:] + edges[:-1]),
+                                               0.5 * np.diff(edges), 8))
+    vals = [path.flow.derivs(s, np.array([a]), orders=(0,))[0][0]
+            for s, a in zip(nodes, path.a(nodes))]
+    return float(wts @ np.array(vals))
 
 
 def frozen_field(profile, y_grid, t_grid) -> SimpleNamespace:

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -253,7 +255,8 @@ def _probe_rows(tmp_path, name, extra):
 
 
 ORACLES = ("inviscid_exact", "dirichlet_heat_kernel", "frozen_field",
-           "frozen_mode_operator", "dense_collocation_eigenvalues")
+           "frozen_mode_operator", "dense_collocation_eigenvalues",
+           "advective_phase")
 
 
 def test_src_holds_no_oracle():
@@ -263,6 +266,27 @@ def test_src_holds_no_oracle():
                for node in ast.walk(ast.parse(p.read_text()))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert [n for n in ORACLES if n in defined] == []
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps each target by module and name, so a
+    # renamed function would fail every traced run; the file is loaded by
+    # path and nothing of it is installed
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def resolves(modname, attr):
+        mod = importlib.import_module(modname)
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            cls = getattr(mod, owner, None)
+            return isinstance(cls, type) and callable(vars(cls).get(name))
+        return callable(getattr(mod, name, None))
+
+    assert tracer.TARGETS
+    assert [t for t in tracer.TARGETS if not resolves(*t[1:])] == []
 
 
 def test_probe_honours_solver_c_cfl(tmp_path):

@@ -5,13 +5,15 @@ from scipy.integrate import cumulative_simpson, quad
 from shearmodes.errors import HorizonExceeded
 from shearmodes.evolve import growth_row
 from shearmodes.heat import HeatFlow
-from shearmodes.modes import (BumpCorrector, Smoothstep, assemble_mode,
-                              default_params, initial_tangential_norm,
-                              mode_amplitude_series, old_frozen_tangential,
-                              residual)
+from shearmodes.modes import (BumpCorrector, Smoothstep, _path_point,
+                              _Scalars, assemble_mode, default_params,
+                              initial_tangential_norm, mode_amplitude_series,
+                              old_frozen_tangential, phase_integral, residual)
 from shearmodes.norms import fit_power_law, weighted_sup
 from shearmodes.path import time_integral, track_critical_point
 from shearmodes.profiles import make_profile
+
+from oracles import advective_phase
 
 
 # ---------------------------------------------------------------- corrector
@@ -271,8 +273,7 @@ def test_residual_taylor_split_matches_exact_form_at_small_eps(
         res = residual(mode)
         c, sc = mode.components, mode.scalars
         r = mode.y - sc.a
-        us_a = np.sqrt(sc.eps) * sc.kappa * sc.tau - sc.w_eps
-        taylor0 = c["us"] - us_a - sc.lam * r * r / 2.0
+        taylor0 = c["us"] - sc.us_a - sc.lam * r * r / 2.0
         taylor1 = c["dyus"] - sc.lam * r
         taylor_form = mode.E * (-(taylor0 / sc.eps) * c["dy_vsl"]
                                 + (taylor1 / sc.eps) * c["v_sl"]
@@ -316,12 +317,51 @@ def test_weighted_residual_bound_single_mode(mode64, y_grid, pair,
         assert val < 1e4 * bound
 
 
+# ---------------------------------------------------------------- phase
+
+
+@pytest.mark.parametrize("family", ["gauss", "alg4"])
+def test_phase_by_parts_matches_kernel_per_node(request, family):
+    # at tau = 0 the phase is its advective half, -int_0^t u_s(s, a(s)) ds,
+    # which the oracle takes by one kernel call per quadrature node instead
+    # of by parts along the path
+    path = request.getfixturevalue(f"{family}_path")
+    for t in (0.02, 0.05, 0.1, 0.15):
+        sc = _Scalars(**_path_point(path, t), eps=1 / 64, tau=0.0)
+        gap = abs(phase_integral(path, sc) + advective_phase(path, t))
+        assert gap <= 1e-11, t
+
+
+def _counted_kernel(monkeypatch):
+    """Record the time of each HeatFlow.derivs call."""
+    calls = []
+    derivs = HeatFlow.derivs
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return derivs(self, *args, **kwargs)
+
+    monkeypatch.setattr(HeatFlow, "derivs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t", [0.02, 0.08])
+def test_mode_from_rows_makes_one_kernel_call(monkeypatch, gauss_path, pair,
+                                              gauss_prof, y_grid, t):
+    # the path point at (t, a(t)) is the one kernel call: the phase's time
+    # integrals read only the path's interpolants
+    rows = gauss_path.flow.derivs(t, y_grid, orders=(0, 1, 2, 3))
+    calls = _counted_kernel(monkeypatch)
+    assemble_mode(default_params(gauss_prof, 64), gauss_path, pair, t,
+                  y_grid, rows)
+    assert calls == [t]
+
+
 # ---------------------------------------------------------------- series
 
 
 def test_amplitude_series_matches_per_n_assembly(gauss_path, pair,
                                                  gauss_prof):
-    # unsorted times, and a gap (0.01 -> 0.045) wider than one phase panel
     ts = np.array([0.045, 0.004, 0.08, 0.01])
     params = [default_params(gauss_prof, n)
               for n in (32, 64, 128, 256)]
@@ -335,7 +375,7 @@ def test_amplitude_series_matches_per_n_assembly(gauss_path, pair,
             loc = assemble_mode(p, gauss_path, pair, t, y_loc)
             log_sl = np.log(abs(loc.E) * t
                             * np.max(np.abs(loc.components["dy_vsl"])))
-            assert abs(amp["log_sl"][i] - log_sl) <= 1e-9, (p.n, t)
+            assert abs(amp["log_sl"][i] - log_sl) <= 1e-13, (p.n, t)
 
 
 @pytest.mark.parametrize("family", ["gauss", "alg4"])
@@ -366,28 +406,20 @@ def test_amplitude_series_is_its_envelope(request, pair, family):
 
 def test_amplitude_series_kernel_calls_independent_of_n(
         monkeypatch, gauss_path, pair, gauss_prof):
-    calls = []
-    derivs = HeatFlow.derivs
-
-    def counted(self, *args, **kwargs):
-        calls.append(args[0])
-        return derivs(self, *args, **kwargs)
-
-    monkeypatch.setattr(HeatFlow, "derivs", counted)
+    # one path point per sample time, whatever the number of wavenumbers
+    calls = _counted_kernel(monkeypatch)
     ts = np.linspace(0.03 / 24, 0.03, 6)
-    counts = []
     for ns in ((64,), (32, 64, 128, 256)):
         calls.clear()
         mode_amplitude_series([default_params(gauss_prof, n) for n in ns],
                               gauss_path, pair, ts)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        assert len(calls) == len(ts), ns
 
 
 def test_amplitude_series_makes_no_multi_point_kernel_call(
         monkeypatch, gauss_path, pair, gauss_prof):
-    # the path scalars and the phase take single-point kernel calls, and
-    # the layer sup reads v_sl, which reads no u_s
+    # the path scalars take single-point kernel calls, and the layer sup
+    # reads v_sl, which reads no u_s
     calls = []
     derivs = HeatFlow.derivs
 

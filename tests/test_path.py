@@ -65,6 +65,26 @@ def test_kappa_definition(gauss_path):
         np.sqrt(abs(float(gauss_path.lam(t))) / 2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["gauss", "alg4"])
+def test_us_along_the_path_grows_at_lambda(request, family):
+    # d/dt u_s(t, a(t)) = d_t u_s + a' d_y u_s = d_y^2 u_s = lambda(t): the
+    # identity modes.phase_integral integrates by parts; Richardson central
+    # differences of kernel values against the path's Hermite lambda
+    path = request.getfixturevalue(f"{family}_path")
+
+    def us_a(t):
+        return path.flow.derivs(t, np.array([float(path.a(t))]),
+                                orders=(0,))[0][0]
+
+    def central(t, h):
+        return (us_a(t + h) - us_a(t - h)) / (2 * h)
+
+    for t in (0.01, 0.05, 0.1, 0.14):
+        slope = (4 * central(t, 5e-5) - central(t, 1e-4)) / 3
+        lam = float(path.lam(t))
+        assert abs(slope - lam) <= 1e-9 * abs(lam), t
+
+
 def test_path_kernel_calls_per_node(monkeypatch, gauss_prof, alg4_prof):
     # node 0 is a0 itself, node 1 is predicted by an Euler step and every
     # later one by Hermite extrapolation; Newton stops when the step is at
