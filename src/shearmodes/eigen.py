@@ -72,10 +72,9 @@ class DispersionProblem:
         return -np.exp(1j * self.sign_curvature * np.pi / 4)
 
 
-def _tail_seed(z0: float, tau: complex, problem: DispersionProblem,
-               swap_branch: bool = False):
+def _tail_seed(z0: float, tau: complex, problem: DispersionProblem):
     """Two-term asymptotic seed (W-like, G, G') on the decaying branch."""
-    s1 = -problem.s1 if swap_branch else problem.s1
+    s1 = problem.s1
     sm1 = 1j * tau / (2 * s1) - 3.5
     G = np.exp(s1 * z0 * z0 / 2.0) * abs(z0) ** sm1
     Sp = s1 * z0 + sm1 / z0
@@ -133,8 +132,7 @@ class TailSolution:
 
 
 def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
-                    swap_branch: bool = False, dense: bool = False
-                    ) -> TailSolution:
+                    dense: bool = False) -> TailSolution:
     """One tail from its asymptotic seed at -Z or +Z inward to 0 by Taylor
     series of degree TAYLOR_ORDER (Jorba & Zou, Exp. Math. 14, 2005).
 
@@ -147,7 +145,7 @@ def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
     s, rtol = problem.sign_curvature, problem.rtol
     z0 = -problem.Z if side == "left" else problem.Z
     direction = 1.0 if z0 < 0.0 else -1.0
-    y = _tail_seed(z0, tau, problem, swap_branch=swap_branch)
+    y = _tail_seed(z0, tau, problem)
     if dense:
         z_out = np.linspace(z0, 0.0, int(round(abs(z0) / problem.dz)) + 1)
         y_out = np.empty((3, z_out.size), dtype=complex)
@@ -182,17 +180,14 @@ def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
 
 
 def shoot_tails(tau: complex, problem: DispersionProblem, *,
-                swap_branch: bool = False, dense: bool = False
-                ) -> tuple[TailSolution, TailSolution]:
+                dense: bool = False) -> tuple[TailSolution, TailSolution]:
     """Integrate both tails to z = 0.  The right tail carries W - 1 in the
     first slot so that both sides hold a decaying quantity."""
     tau = complex(tau)
     if tau.imag == 0.0:
         raise ValueError("tau on the real axis: no growing/decaying selection")
-    left = _integrate_tail(tau, problem, "left", swap_branch=swap_branch,
-                           dense=dense)
-    right = _integrate_tail(tau, problem, "right", swap_branch=swap_branch,
-                            dense=dense)
+    left = _integrate_tail(tau, problem, "left", dense=dense)
+    right = _integrate_tail(tau, problem, "right", dense=dense)
     return left, right
 
 

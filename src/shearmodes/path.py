@@ -53,13 +53,6 @@ class CriticalPath:
         """|lambda(t)/2|^{1/2}, the curvature scale along the path."""
         return np.sqrt(np.abs(self.lam(t)) / 2.0)
 
-    def root_gap(self, t) -> float:
-        """|d_y u_s(t, a(t))|: how well the path sits on the critical manifold."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        gaps = [abs(self.flow.derivs(float(tv), np.array([float(self.a(tv))]),
-                                     orders=(1,))[0][0]) for tv in t]
-        return float(max(gaps))
-
 
 # node spacing, curvature floor as a fraction of |lambda(0)|, and the Newton
 # steps allowed at one node

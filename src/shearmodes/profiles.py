@@ -107,20 +107,22 @@ def _monotone(U0: float):
     return value, derivs
 
 
+# each family's builder reads its params after build_family has merged
+# them over the defaults
 _FAMILIES = {
     "gaussian-bump": {
-        "build": lambda p: _gaussian_bump(p.get("U0", 1.0), p.get("A", 1.0)),
-        "decay": lambda p: DecayClass("exponential", 1.0),
+        "build": lambda p: _gaussian_bump(p["U0"], p["A"]),
+        "decay": DecayClass("exponential", 1.0),
         "defaults": {"U0": 1.0, "A": 1.0},
     },
     "algebraic-bump": {
-        "build": lambda p: _algebraic_bump(p.get("U0", 1.0), p.get("A", 1.0)),
-        "decay": lambda p: DecayClass("algebraic", 2.0),
+        "build": lambda p: _algebraic_bump(p["U0"], p["A"]),
+        "decay": DecayClass("algebraic", 2.0),
         "defaults": {"U0": 1.0, "A": 1.0},
     },
     "monotone": {
-        "build": lambda p: _monotone(p.get("U0", 1.0)),
-        "decay": lambda p: DecayClass("gaussian", None),
+        "build": lambda p: _monotone(p["U0"]),
+        "decay": DecayClass("gaussian", None),
         "defaults": {"U0": 1.0},
     },
 }
@@ -141,8 +143,8 @@ def build_family(family: str, params: dict | None = None) -> ShearProfile:
     return ShearProfile(
         family=family,
         params=merged,
-        U0=float(merged.get("U0", 1.0)),
-        decay_class=entry["decay"](merged),
+        U0=float(merged["U0"]),
+        decay_class=entry["decay"],
         value=value,
         derivs=derivs,
     )
@@ -173,8 +175,11 @@ def critical_points(profile: ShearProfile) -> list[tuple[float, float]]:
     return [(float(r), float(c)) for r, c in zip(a, profile.derivs(a)[2])]
 
 
-def make_profile(family: str, params: dict | None = None, *,
-                 curvature_tol: float = 1e-6) -> ShearProfile:
+# the least |U''| at the critical point that make_profile accepts
+CURVATURE_TOL = 1e-6
+
+
+def make_profile(family: str, params: dict | None = None) -> ShearProfile:
     """Build a family profile and locate its non-degenerate critical point.
 
     Picks the maximum (U'' < 0) with the largest |U''|; falls back to the
@@ -188,7 +193,7 @@ def make_profile(family: str, params: dict | None = None, *,
     maxima = [c for c in cands if c[1] < 0]
     pool = maxima if maxima else cands
     a0, curv = max(pool, key=lambda c: abs(c[1]))
-    if abs(curv) < curvature_tol:
+    if abs(curv) < CURVATURE_TOL:
         raise DegenerateCritical(
-            f"critical point at y={a0:.6f} has |U''|={abs(curv):.2e} < {curvature_tol}")
+            f"critical point at y={a0:.6f} has |U''|={abs(curv):.2e} < {CURVATURE_TOL}")
     return replace(prof, a0=a0, curvature=curv)

@@ -123,9 +123,9 @@ def test_criterion_3_inviscid_oracle_equivalence(gauss_prof):
         y = np.linspace(0, 30, ny)
         ff = frozen_field(gauss_prof, y, np.linspace(0, 0.3, 4))
         s0 = FourierModeState(k=k, t=0.0, y=y, u_hat=u0(y).astype(complex))
-        tr = evolve(s0, ff, dt, tf, inviscid=True)
+        final = evolve(s0, ff, dt, tf, inviscid=True)
         ue, _ = inviscid_exact(u0, U, Up, k, tf, y)
-        errs.append(np.max(np.abs(tr.final.u_hat - ue)))
+        errs.append(np.max(np.abs(final.u_hat - ue)))
     orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
     yg = np.linspace(0, 30, 601)
     c = 0.7

@@ -268,6 +268,35 @@ def test_src_holds_no_oracle():
     assert [n for n in ORACLES if n in defined] == []
 
 
+def test_src_names_nothing_in_src_reads():
+    # public module-level functions and classes, and public methods, that no
+    # Name, Attribute or import in src refers to; norms.tail_class waits for
+    # the decay sweep of ROADMAP item 11, which would read it
+    src = Path(shearmodes.__file__).resolve().parent
+    defined, read = [], set()
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defined.append((f"{p.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{p.stem}.{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update((node.name, node.asname))
+    assert [q for q, name in defined if name not in read] == [
+        "norms.tail_class"]
+
+
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps each target by module and name, so a
     # renamed function would fail every traced run; the file is loaded by
@@ -755,6 +784,41 @@ def test_profile_with_only_a_minimum_exits_3_where_the_path_is_tracked(
         assert err["error"] == "NoCriticalPoint"
     for command in ("heat", "eigen"):
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
+
+
+COMMANDS = ("eigen", "heat", "mode", "residual-scan", "growth-scan",
+            "illposedness-probe")
+
+
+def test_all_runs_each_command_as_it_runs_alone(tmp_path, capsys):
+    # all runs the six commands in order, each into its own directory and
+    # byte for byte as a run of that command alone, writes one manifest
+    # above them and exits with the largest of their codes: 4, the probe's
+    # sigma = 0.5 rate verdict
+    cfg = _write_cfg(tmp_path, {"growth": {
+        "families": DEFAULT_CONFIG["growth"]["families"][:1],
+        "transient_ks": [64]}})
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "a")]) == 4
+    printed = [line.split(":")[0]
+               for line in capsys.readouterr().out.splitlines()]
+    assert printed == list(COMMANDS)
+    top = tmp_path / "a" / "all"
+    assert sorted(p.relative_to(top) for p in top.rglob("manifest.json")) \
+        == [Path("manifest.json")]
+    assert sorted(p.name for p in top.iterdir() if p.is_dir()) \
+        == sorted(COMMANDS)
+    codes = []
+    for command in COMMANDS:
+        codes.append(main([command, "--config", cfg,
+                           "--out", str(tmp_path / "one")]))
+        alone, within = tmp_path / "one" / command, top / command
+        files = sorted(p.relative_to(within) for p in within.rglob("*")
+                       if p.is_file())
+        assert files == sorted(p.relative_to(alone) for p in alone.rglob("*")
+                               if p.is_file() and p.name != "manifest.json")
+        for f in files:
+            assert (within / f).read_bytes() == (alone / f).read_bytes(), f
+    assert max(codes) == 4
 
 
 def test_pipeline_shares_field_and_path():

@@ -27,7 +27,11 @@ def test_path_against_per_slice_root_find(gauss_path, gauss_flow):
 
 
 def test_path_stays_on_root_manifold(gauss_path):
-    assert gauss_path.root_gap(np.linspace(0, 0.15, 9)) < 1e-9
+    # |d_y u_s(t, a(t))| from the path's own flow
+    gap = max(abs(gauss_path.flow.derivs(
+        float(t), np.array([float(gauss_path.a(t))]), orders=(1,))[0][0])
+              for t in np.linspace(0, 0.15, 9))
+    assert gap < 1e-9
 
 
 def test_curvature_negative_and_flattening(gauss_path):

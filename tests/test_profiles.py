@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from shearmodes import profiles
 from shearmodes.errors import DegenerateCritical, NoCriticalPoint
 from shearmodes.norms import tail_class
 from shearmodes.profiles import (build_family, critical_points, family_names,
@@ -86,9 +87,10 @@ def test_monotone_profile_has_no_critical_point():
         make_profile("monotone", {"U0": 1.0})
 
 
-def test_degenerate_curvature_guard():
+def test_degenerate_curvature_guard(monkeypatch):
+    monkeypatch.setattr(profiles, "CURVATURE_TOL", 10.0)
     with pytest.raises(DegenerateCritical):
-        make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0}, curvature_tol=10.0)
+        make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0})
 
 
 def test_critical_points_scan_finds_both_extrema():
