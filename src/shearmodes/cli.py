@@ -35,27 +35,30 @@ DEFAULT_CONFIG = {
             {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
             {"family": "algebraic-bump", "params": {"U0": 1.0, "A": 4.0}},
         ],
-        "n_list": [32, 64, 128, 256], "t_final": 0.03,
         "transient_ks": [64, 128, 256], "transient_t": 0.05,
     },
-    "probe": {"ks": [32, 64, 128, 256, 512], "t": 0.1,
-              "sigma_factors": [0.5, 2.0]},
     "residual_scan": {
         # near-uniform plateau needs an O(1) advection factor on the
         # corrector support; the deep algebraic jet provides it
         "profile": {"family": "algebraic-bump", "params": {"U0": 1.0, "A": 4.0}},
-        "n_list": [64, 128, 256, 512],
-        "t_list": [0.02, 0.05, 0.08],
-        "alphas": [0.0, 1.0, 2.0],
     },
 }
 
 # the verdicts' constants, fixed so that no config can widen a band to pass
+# or move what a verdict reads
 SIGMA0_SAFETY = 1.1         # sigma0 over sup_t |Im tau_phys(t)|
 P_BAND = (0.45, 0.55)       # growth-scan: p of sigma(k) ~ k^p
 SIGMA_REL_TOL = 0.15        # growth-scan: sigma(k)/sqrt(k) vs |Im tau_phys(0)|
+GROWTH_KS = (32, 64, 128, 256)      # growth-scan: the fit's k, four distinct
+GROWTH_T_FINAL = 0.03               # growth-scan: end of the fit's series
 PLATEAU_RATIO = 1.5         # residual-scan: max/min of the damped norm over n
+RESIDUAL_KS = (64, 128, 256, 512)   # residual-scan: the n of each plateau
+RESIDUAL_TS = (0.02, 0.05, 0.08)    # residual-scan: past grid.t0 skipped
+RESIDUAL_ALPHAS = (0.0, 1.0, 2.0)   # residual-scan: one verdict per weight
 PROBE_M, PROBE_ALPHA, PROBE_MU = 2, 1.0, 0.25   # of rho and rho_cert
+PROBE_KS = (32, 64, 128, 256, 512)  # increasing: the verdicts read k in order
+PROBE_T = 0.1
+PROBE_SIGMA_FACTORS = (0.5, 2.0)    # of the rate: one verdict below, one above
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -135,8 +138,6 @@ def _validate(cfg: dict):
     _check_types(cfg, DEFAULT_CONFIG, "")
     grid, g = cfg["grid"], cfg["growth"]
     for name, value in (("grid.y_max", grid["y_max"]), ("grid.t0", grid["t0"]),
-                        ("probe.t", cfg["probe"]["t"]),
-                        ("growth.t_final", g["t_final"]),
                         # the transient block reports log(amplification) / t
                         ("growth.transient_t", g["transient_t"])):
         if value <= 0:
@@ -152,34 +153,18 @@ def _validate(cfg: dict):
                  + [cfg["residual_scan"]["profile"]]):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
-    for n in (g["n_list"] + g["transient_ks"] + cfg["probe"]["ks"]
-              + cfg["residual_scan"]["n_list"] + [cfg["mode"]["n"]]):
+    for n in g["transient_ks"] + [cfg["mode"]["n"]]:
         if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
-    ks, t_list = cfg["probe"]["ks"], cfg["residual_scan"]["t_list"]
-    if len(ks) < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
-        # the verdicts compare rho across k in list order
-        raise ValueError("probe.ks must be two or more strictly increasing "
-                         f"wavenumbers, got {ks}")
-    for section, key in (("probe", "sigma_factors"), ("growth", "families"),
-                         ("residual_scan", "n_list"), ("residual_scan", "alphas")):
-        if not cfg[section][key]:
-            raise ValueError(f"{section}.{key} must not be empty")
-    if len(set(g["n_list"])) < 4:
-        # the power-law fit of sigma(k) ~ k^p needs four distinct k
-        raise ValueError("growth.n_list must have four or more distinct "
-                         f"entries, got {g['n_list']}")
-    if len(set(cfg["residual_scan"]["n_list"])) < 2:
-        # each plateau verdict compares the damped norm across distinct n
-        raise ValueError("residual_scan.n_list must have two or more distinct"
-                         f" entries, got {cfg['residual_scan']['n_list']}")
-    for name, value in ([("mode.t_snapshot", cfg["mode"]["t_snapshot"])]
-                        + [("residual_scan.t_list", t) for t in t_list]):
-        if value < 0:
-            raise ValueError(f"{name} must not be negative, got {value}")
-    if not any(t <= grid["t0"] for t in t_list):
+    if not g["families"]:
+        raise ValueError("growth.families must not be empty")
+    if cfg["mode"]["t_snapshot"] < 0:
+        raise ValueError("mode.t_snapshot must not be negative, "
+                         f"got {cfg['mode']['t_snapshot']}")
+    if grid["t0"] < RESIDUAL_TS[0]:
         # residual-scan skips the times past the critical path's horizon
-        raise ValueError(f"residual_scan.t_list has no t <= grid.t0: {t_list}")
+        raise ValueError(f"grid.t0 must be at least {RESIDUAL_TS[0]}, "
+                         f"residual-scan's first time, got {grid['t0']}")
 
 
 def _canonical(obj) -> str:
@@ -351,28 +336,28 @@ def cmd_mode(cfg: dict, out: Path) -> int:
 
 
 def cmd_residual_scan(cfg: dict, out: Path) -> int:
-    sc = cfg["residual_scan"]
-    pipe = Pipeline(deep_merge(cfg, {"profile": sc["profile"]}))
+    pipe = Pipeline(deep_merge(cfg,
+                               {"profile": cfg["residual_scan"]["profile"]}))
     sigma0 = pipe.sigma0()
-    times = [t for t in sc["t_list"] if t <= pipe.path.t0]
+    times = [t for t in RESIDUAL_TS if t <= pipe.path.t0]
     # one kernel row set per scan time, read for every n
     us_rows = {t: pipe.flow.derivs(t, pipe.y, orders=(0, 1, 2, 3))
                for t in times}
     rows = []
-    for n in sc["n_list"]:
+    for n in RESIDUAL_KS:
         params = modes.default_params(pipe.profile, n)
         for t in times:
             mode = modes.assemble_mode(params, pipe.path, pipe.pair, t,
                                        pipe.y, us_rows[t])
             res = modes.residual(mode)
-            for alpha in sc["alphas"]:
+            for alpha in RESIDUAL_ALPHAS:
                 nrm = norms.weighted_sup(res.R, pipe.y, alpha)
                 damp = float(np.exp(-sigma0 * t * np.sqrt(n)))
                 rows.append({"n": int(n), "t": float(t), "alpha": float(alpha),
                              "norm": float(nrm), "damped": float(nrm * damp)})
     verdicts = {}
     ok = True
-    for alpha in sc["alphas"]:
+    for alpha in RESIDUAL_ALPHAS:
         per_eps = {}
         for r in rows:
             if r["alpha"] == alpha:
@@ -388,7 +373,7 @@ def cmd_residual_scan(cfg: dict, out: Path) -> int:
     # an algebraically decaying profile, the corrector ansatz stays finite
     alg = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     old_norms, new_norms = {}, {}
-    n_ref = sc["n_list"][0]
+    n_ref = RESIDUAL_KS[0]
     pa = modes.default_params(alg, n_ref)
     for ymax in (15.0, 30.0, 60.0):
         yg = np.linspace(0.0, ymax, int(20 * ymax) + 1)
@@ -430,13 +415,13 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     ok = True
     for fam in g["families"]:
         pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
-        t_final = min(g["t_final"], pipe.path.t0)
+        t_final = min(GROWTH_T_FINAL, pipe.path.t0)
         ts = np.linspace(t_final / 24, t_final, 24)
         amps = modes.mode_amplitude_series(
-            [modes.default_params(pipe.profile, n) for n in g["n_list"]],
+            [modes.default_params(pipe.profile, n) for n in GROWTH_KS],
             pipe.path, pipe.pair, ts)
         fits = []
-        for n, amp in zip(g["n_list"], amps):
+        for n, amp in zip(GROWTH_KS, amps):
             fits.append(evolve.growth_row(n, amp["t"], amp["log_sl"],
                                           pipe.path))
             series.append((amp["t"], np.exp(amp["log_sl"]),
@@ -481,21 +466,20 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
 
 def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
-    pr = cfg["probe"]
-    t = min(pr["t"], pipe.path.t0)
+    t = min(PROBE_T, pipe.path.t0)
     rate = pipe.sigma0()
-    ks = pr["ks"]
+    ks = PROBE_KS
     # ks is strictly increasing, so its last k has the smallest CFL step
     dt = evolve.auto_dt(ks[-1], pipe.field, t,
                         min_steps=cfg["solver"]["min_steps"])
     all_rows = evolve.operator_growth_probe(
         pipe.field, ks, [pipe.mode_initial(k) for k in ks], dt,
         t=t, m=PROBE_M, alpha=PROBE_ALPHA,
-        sigmas=[f * rate for f in pr["sigma_factors"]], mu=PROBE_MU)
+        sigmas=[f * rate for f in PROBE_SIGMA_FACTORS], mu=PROBE_MU)
     verdicts = {}
     series = []
     kx = np.array(ks, float)
-    for i, f in enumerate(pr["sigma_factors"]):
+    for i, f in enumerate(PROBE_SIGMA_FACTORS):
         rows = all_rows[i * len(ks):(i + 1) * len(ks)]
         for r in rows:
             r["sigma_factor"] = f
@@ -533,10 +517,11 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
 
 def cmd_all(cfg: dict, out: Path) -> int:
     """Every other command, in _COMMANDS' order, each into its own
-    directory under out; the one manifest is out's.  The largest exit code
-    is returned."""
-    return max(fn(cfg, out / name) for name, fn in _COMMANDS.items()
-               if fn is not cmd_all)
+    directory under out and each run as main runs it, so a numerical
+    failure ends that command alone; the one manifest is out's.  The
+    largest exit code is returned."""
+    return max(_run(name, cfg, out / name) for name in _COMMANDS
+               if name != "all")
 
 
 _COMMANDS = {
@@ -548,6 +533,18 @@ _COMMANDS = {
     "illposedness-probe": cmd_illposedness_probe,
     "all": cmd_all,
 }
+
+
+def _run(command: str, cfg: dict, out: Path) -> int:
+    """command's exit code; a numerical failure is written to
+    out/error.json, printed as one JSON line, and exits 3."""
+    try:
+        return _COMMANDS[command](cfg, out)
+    except ShearmodesError as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        write_json(out / "error.json", error)
+        print(json.dumps(error))
+        return 3
 
 
 def main(argv=None) -> int:
@@ -565,14 +562,8 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out) / args.command
-    try:
-        write_manifest(out, cfg, args.command)
-        return _COMMANDS[args.command](cfg, out)
-    except ShearmodesError as exc:
-        write_json(out / "error.json",
-                   {"error": type(exc).__name__, "message": str(exc)})
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 3
+    write_manifest(out, cfg, args.command)
+    return _run(args.command, cfg, out)
 
 
 if __name__ == "__main__":

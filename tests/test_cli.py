@@ -12,8 +12,8 @@ import pytest
 
 import shearmodes
 from shearmodes import eigen, evolve, heat
-from shearmodes.cli import (DEFAULT_CONFIG, Pipeline, deep_merge,
-                            load_config, main)
+from shearmodes.cli import (DEFAULT_CONFIG, PROBE_KS, PROBE_SIGMA_FACTORS,
+                            PROBE_T, Pipeline, deep_merge, load_config, main)
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow
 
@@ -54,9 +54,16 @@ REMOVED_KEYS = [
     ("growth.window", [0.2, 0.9], None),
     ("growth.p_band", [0.45, 0.55], None),
     ("growth.sigma_rel_tol", 0.15, None),
-    ("residual_scan.plateau_ratio", 1.5, None), ("probe.m", 2, None),
-    ("probe.alpha", 1.0, None), ("probe.mu", 0.25, None),
-    ("sigma0_safety", 1.1, None)]
+    ("residual_scan.plateau_ratio", 1.5, None), ("probe.m", 2, "probe"),
+    ("probe.alpha", 1.0, "probe"), ("probe.mu", 0.25, "probe"),
+    ("sigma0_safety", 1.1, None),
+    ("probe.ks", [32, 64, 128, 256, 512], "probe"), ("probe.t", 0.1, "probe"),
+    ("probe.sigma_factors", [0.5, 2.0], "probe"),
+    ("growth.n_list", [32, 64, 128, 256], None),
+    ("growth.t_final", 0.03, None),
+    ("residual_scan.n_list", [64, 128, 256, 512], None),
+    ("residual_scan.t_list", [0.02, 0.05, 0.08], None),
+    ("residual_scan.alphas", [0.0, 1.0, 2.0], None)]
 
 
 @pytest.mark.parametrize("key, value, named", REMOVED_KEYS,
@@ -89,14 +96,10 @@ def test_config_surface_is_pinned():
     # paragraph
     assert sorted(_leaves(DEFAULT_CONFIG)) == [
         "grid.nt", "grid.ny", "grid.t0", "grid.y_max",
-        "growth.families", "growth.n_list", "growth.t_final",
-        "growth.transient_ks", "growth.transient_t",
-        "mode.n", "mode.t_snapshot",
-        "probe.ks", "probe.sigma_factors", "probe.t",
-        "profile.family", "profile.params",
-        "residual_scan.alphas", "residual_scan.n_list",
+        "growth.families", "growth.transient_ks", "growth.transient_t",
+        "mode.n", "mode.t_snapshot", "profile.family", "profile.params",
         "residual_scan.profile.family", "residual_scan.profile.params",
-        "residual_scan.t_list", "solver.min_steps"]
+        "solver.min_steps"]
 
 
 def _fresh_run(code, tmp_path):
@@ -188,7 +191,7 @@ def _lapack_alone(loaded):
 def test_probe_command_loads_neither_integrate_nor_optimize(tmp_path):
     # the stepper's tridiagonal solves need LAPACK and nothing else of scipy
     loaded = _command_scipy_loaded(tmp_path, "illposedness-probe",
-                                   {"probe": {"ks": [32, 64]}}, codes=(0, 4))
+                                   codes=(0, 4))
     assert _lapack_alone(loaded)
     for name in ("scipy.special", "scipy.integrate", "scipy.optimize"):
         assert name not in loaded
@@ -203,8 +206,7 @@ def test_growth_scan_loads_neither_special_integrate_nor_optimize(tmp_path):
     # the scan needs only LAPACK, for the band solves of the transient
     # amplification
     loaded = _command_scipy_loaded(
-        tmp_path, "growth-scan",
-        {"growth": {"n_list": [16, 24, 32, 48], "transient_ks": [16]}},
+        tmp_path, "growth-scan", {"growth": {"transient_ks": [16]}},
         codes=(0, 4))
     assert _lapack_alone(loaded)
     for name in ("scipy.special", "scipy.integrate", "scipy.optimize",
@@ -318,17 +320,22 @@ def test_tracer_targets_resolve():
     assert [t for t in tracer.TARGETS if not resolves(*t[1:])] == []
 
 
+# one step may span the probe's whole t (0.06 on the FAST grid), far above the
+# CFL step at its largest k (about 9e-4 at k = 512): every k's step is
+# CFL-limited
+CFL_LIMITED = {"solver": {"min_steps": 1}}
+
+
 def test_probe_honours_solver_c_cfl(tmp_path):
-    # at these k the step is CFL-limited, so the stepper must check it
-    # against the same C_CFL that chose it
-    rows = _probe_rows(tmp_path, "o", {
-        "probe": {"ks": [4096, 8192], "sigma_factors": [2.0]}})
-    assert [r["k"] for r in rows] == [4096, 8192]
+    # the step is CFL-limited, so the stepper must check it against the same
+    # C_CFL that chose it
+    rows = _probe_rows(tmp_path, "o", CFL_LIMITED)
+    assert [r["k"] for r in rows] == list(PROBE_KS) * len(PROBE_SIGMA_FACTORS)
 
 
 def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
-    # the probe evolves all its ks in one call, at the largest k's step: on
-    # this grid the CFL bound makes it smaller than the other k's
+    # the probe evolves all its ks in one call, at the largest k's step: with
+    # the CFL bound the step falls with k
     calls = []
     evolve_orig = evolve.evolve
 
@@ -337,16 +344,12 @@ def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
         return evolve_orig(state0, field, dt, *args, **kwargs)
 
     monkeypatch.setattr(evolve, "evolve", counted)
-    extra = {"probe": {"ks": [4096, 8192], "sigma_factors": [2.0]}}
-    _probe_rows(tmp_path, "o", extra)
-    cfg = load_config(_write_cfg(tmp_path, extra))
-    pipe = Pipeline(cfg)
-    t = min(cfg["probe"]["t"], pipe.path.t0)
-    dt = {k: evolve.auto_dt(k, pipe.field, t,
-                            min_steps=cfg["solver"]["min_steps"])
-          for k in (4096, 8192)}
-    assert dt[8192] < dt[4096]
-    assert calls == [((4096, 8192), dt[8192])]
+    _probe_rows(tmp_path, "o", CFL_LIMITED)
+    pipe = Pipeline(load_config(_write_cfg(tmp_path, CFL_LIMITED)))
+    t = min(PROBE_T, pipe.path.t0)
+    dt = [evolve.auto_dt(k, pipe.field, t, min_steps=1) for k in PROBE_KS]
+    assert all(b < a for a, b in zip(dt, dt[1:]))
+    assert calls == [(PROBE_KS, dt[-1])]
 
 
 def test_only_eigen_samples_the_eigenprofile(monkeypatch, tmp_path):
@@ -383,7 +386,8 @@ def test_unknown_family_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    {"grid": {"ny": "x"}}, {"probe": {"ks": 5}}, {"probe": {"ks": [32, True]}},
+    {"grid": {"ny": "x"}}, {"growth": {"transient_ks": 5}},
+    {"growth": {"transient_ks": [32, True]}},
     # a profile param of "x" made heat exit 1 with UFuncNoLoopError, and
     # null with TypeError, and neither wrote error.json
     {"profile": {"params": {"A": "x"}}}, {"profile": {"params": {"A": None}}},
@@ -412,30 +416,70 @@ def test_fewer_than_four_field_times_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# Settings that once reached a verdict, and were config errors where their
+# value could bend it, are constants now: each such setting is named on stderr
+# as unread and leaves the run as it is at the constants.  A case of that kind
+# gives, in place of an error message, the name the stderr line gives its key.
+class Unread(str):
+    pass
+
+
+UNREAD_BASE = {"growth": {
+    "families": DEFAULT_CONFIG["growth"]["families"][:1],
+    "transient_ks": [64]}}
+VERDICT_REPORTS = {"illposedness-probe": "probe_report.json",
+                   "residual-scan": "residual_scan.json",
+                   "growth-scan": "growth_report.json"}
+
+
+@pytest.fixture(scope="module")
+def constant_runs(tmp_path_factory):
+    """Each verdict command's exit code and report on the FAST grid."""
+    out = tmp_path_factory.mktemp("constants")
+    cfg = _write_cfg(out, UNREAD_BASE)
+    runs = {}
+    for command, report in VERDICT_REPORTS.items():
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        runs[command] = (rc, (out / command / report).read_text())
+    return runs
+
+
+def _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
+                              extra, named):
+    cfg = _write_cfg(tmp_path, deep_merge(UNREAD_BASE, extra))
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config: keys that nothing reads: {named}"]
+    report = tmp_path / "o" / command / VERDICT_REPORTS[command]
+    assert (rc, report.read_text()) == constant_runs[command]
+
+
 @pytest.mark.parametrize("command, extra, message", [
-    ("illposedness-probe", {"probe": {"t": 0}},
-     "probe.t must be positive, got 0"),
-    ("illposedness-probe", {"probe": {"t": -0.05}},
-     "probe.t must be positive, got -0.05"),
+    ("illposedness-probe", {"probe": {"t": 0}}, Unread("probe")),
+    ("illposedness-probe", {"probe": {"t": -0.05}}, Unread("probe")),
     ("illposedness-probe", {"solver": {"min_steps": 0}},
      "solver.min_steps must be at least 1, got 0"),
     ("illposedness-probe", {"solver": {"min_steps": -5}},
      "solver.min_steps must be at least 1, got -5"),
-    ("heat", {"grid": {"t0": 0}, "residual_scan": {"t_list": [0.0]}},
-     "grid.t0 must be positive, got 0"),
+    ("heat", {"grid": {"t0": 0}}, "grid.t0 must be positive, got 0"),
     ("heat", {"grid": {"y_max": 0}}, "grid.y_max must be positive, got 0"),
     ("illposedness-probe", {"grid": {"ny": 4}},
      "grid.ny must be at least 5, got 4"),
     ("mode", {"grid": {"ny": 1}}, "grid.ny must be at least 5, got 1"),
     ("residual-scan", {"residual_scan": {"n_list": [0, 64]}},
-     "wavenumbers must be positive integers, got 0")],
+     Unread("residual_scan.n_list"))],
     ids=["probe-t-zero", "probe-t-negative", "min-steps-zero",
          "min-steps-negative", "t0-zero", "y-max-zero", "ny-4", "ny-1",
          "residual-n-zero"])
-def test_value_no_run_can_use_is_config_error(tmp_path, capsys, command,
-                                              extra, message):
+def test_value_no_run_can_use_is_config_error(tmp_path, capsys,
+                                              constant_runs, command, extra,
+                                              message):
     # each of these crashed with a traceback, or ran on degenerate data and
     # wrote verdicts on it
+    if isinstance(message, Unread):
+        _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
+                                  extra, message)
+        return
     cfg = _write_cfg(tmp_path, extra)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -462,42 +506,19 @@ def test_bad_transient_input_is_config_error(tmp_path, capsys, growth,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("probe, message", [
-    ({"ks": [512, 32]}, "probe.ks must be two or more strictly increasing "
-                        "wavenumbers, got [512, 32]"),
-    ({"ks": [64]}, "probe.ks must be two or more strictly increasing "
-                   "wavenumbers, got [64]"),
-    ({"ks": [32, 32]}, "probe.ks must be two or more strictly increasing "
-                       "wavenumbers, got [32, 32]")],
-    ids=["decreasing", "single", "repeated"])
-def test_probe_ks_not_increasing_is_config_error(tmp_path, capsys, probe,
-                                                 message):
-    # the sigma = 0.5 rate verdict reads "increasing" and the gain in list
-    # order: [512, 32] passed it with a gain of 3.33 against 0.78, and [64]
-    # passed both verdicts with a gain of 1
-    cfg = _write_cfg(tmp_path, {"probe": probe})
-    rc = main(["illposedness-probe", "--config", cfg,
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err == {"error": "ValueError", "message": message}
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("command, extra, name", [
-    ("illposedness-probe", {"probe": {"sigma_factors": []}},
-     "probe.sigma_factors"),
-    ("residual-scan", {"residual_scan": {"alphas": []}},
-     "residual_scan.alphas"),
     ("residual-scan", {"residual_scan": {"n_list": []}},
-     "residual_scan.n_list"),
+     Unread("residual_scan.n_list")),
     ("growth-scan", {"growth": {"families": []}}, "growth.families")],
-    ids=["sigma-factors", "alphas", "n-list", "families"])
-def test_empty_verdict_list_is_config_error(tmp_path, capsys, command, extra,
-                                            name):
-    # with no verdicts the probe exited 0 and residual-scan wrote
-    # "pass": true; an empty n_list crashed with a ValueError; growth-scan
-    # with no families ran the main profile, while its manifest recorded []
+    ids=["n-list", "families"])
+def test_empty_verdict_list_is_config_error(tmp_path, capsys, constant_runs,
+                                            command, extra, name):
+    # an empty n_list crashed with a ValueError; growth-scan with no families
+    # ran the main profile, while its manifest recorded []
+    if isinstance(name, Unread):
+        _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
+                                  extra, name)
+        return
     cfg = _write_cfg(tmp_path, extra)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -506,51 +527,53 @@ def test_empty_verdict_list_is_config_error(tmp_path, capsys, command, extra,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("probe", [{"ks": [512, 32]}, {"ks": [64]},
+                                   {"ks": [32, 32]}],
+                         ids=["decreasing", "single", "repeated"])
+def test_probe_ks_not_increasing_is_config_error(tmp_path, capsys,
+                                                 constant_runs, probe):
+    # the sigma = 0.5 rate verdict reads "increasing" and the gain in k
+    # order: [512, 32] passed it with a gain of 3.33 against 0.78, and [64]
+    # passed both verdicts with a gain of 1
+    _runs_as_at_the_constants(tmp_path, capsys, constant_runs,
+                              "illposedness-probe", {"probe": probe}, "probe")
+
+
 @pytest.mark.parametrize("n_list", [[64], [64, 64]], ids=["one", "repeated"])
 def test_residual_scan_one_wavenumber_is_config_error(tmp_path, capsys,
-                                                      n_list):
+                                                      constant_runs, n_list):
     # each plateau verdict compared the one n's damped norm with itself, so
     # it wrote "pass": true and exited 0 whatever the residual was
-    cfg = _write_cfg(tmp_path, {"residual_scan": {"n_list": n_list}})
-    rc = main(["residual-scan", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err == {"error": "ValueError",
-                   "message": "residual_scan.n_list must have two or more "
-                              f"distinct entries, got {n_list}"}
-    assert not (tmp_path / "o").exists()
+    _runs_as_at_the_constants(tmp_path, capsys, constant_runs,
+                              "residual-scan",
+                              {"residual_scan": {"n_list": n_list}},
+                              "residual_scan.n_list")
 
 
 @pytest.mark.parametrize("n_list", [[64], [64, 64], [], [16, 32, 64, 64]],
                          ids=["one", "repeated", "empty", "three-distinct"])
 def test_growth_scan_fewer_than_four_wavenumbers_is_config_error(
-        tmp_path, capsys, n_list):
+        tmp_path, capsys, constant_runs, n_list):
     # the power-law fit needs four distinct k: the scan ran to its end and
     # exited 4 with p = None
-    cfg = _write_cfg(tmp_path, {"growth": {"n_list": n_list}})
-    rc = main(["growth-scan", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err == {"error": "ValueError",
-                   "message": "growth.n_list must have four or more "
-                              f"distinct entries, got {n_list}"}
-    assert not (tmp_path / "o").exists()
+    _runs_as_at_the_constants(tmp_path, capsys, constant_runs, "growth-scan",
+                              {"growth": {"n_list": n_list}}, "growth.n_list")
 
 
 @pytest.mark.parametrize("command, extra, message", [
-    ("residual-scan", {"residual_scan": {"t_list": [-0.01, 0.02]}},
-     "residual_scan.t_list must not be negative, got -0.01"),
     ("mode", {"mode": {"t_snapshot": -0.01}},
      "mode.t_snapshot must not be negative, got -0.01"),
-    ("growth-scan", {"growth": {"t_final": -0.01}},
-     "growth.t_final must be positive, got -0.01"),
-    ("growth-scan", {"growth": {"t_final": 0}},
-     "growth.t_final must be positive, got 0")],
-    ids=["t-list-negative", "t-snapshot-negative", "t-final-negative",
-         "t-final-zero"])
-def test_time_before_the_start_is_config_error(tmp_path, capsys, command,
-                                               extra, message):
+    ("growth-scan", {"growth": {"t_final": -0.01}}, Unread("growth.t_final")),
+    ("growth-scan", {"growth": {"t_final": 0}}, Unread("growth.t_final"))],
+    ids=["t-snapshot-negative", "t-final-negative", "t-final-zero"])
+def test_time_before_the_start_is_config_error(tmp_path, capsys,
+                                               constant_runs, command, extra,
+                                               message):
     # each of these ran to a numerical failure (exit 3) instead
+    if isinstance(message, Unread):
+        _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
+                                  extra, message)
+        return
     cfg = _write_cfg(tmp_path, extra)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -561,14 +584,15 @@ def test_time_before_the_start_is_config_error(tmp_path, capsys, command,
 
 def test_residual_scan_times_all_past_horizon_is_config_error(tmp_path,
                                                                capsys):
-    # each t beyond grid.t0 is skipped; with none left the verdicts took the
-    # max of an empty list
-    cfg = _write_cfg(tmp_path, {"residual_scan": {"t_list": [0.5]}})
+    # each scan time beyond grid.t0 is skipped; with none left the verdicts
+    # took the max of an empty list
+    cfg = _write_cfg(tmp_path, {"grid": {"t0": 0.01}})
     rc = main(["residual-scan", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err == {"error": "ValueError",
-                   "message": "residual_scan.t_list has no t <= grid.t0: [0.5]"}
+                   "message": "grid.t0 must be at least 0.02, residual-scan's "
+                              "first time, got 0.01"}
     assert not (tmp_path / "o").exists()
 
 
@@ -819,6 +843,61 @@ def test_all_runs_each_command_as_it_runs_alone(tmp_path, capsys):
         for f in files:
             assert (within / f).read_bytes() == (alone / f).read_bytes(), f
     assert max(codes) == 4
+
+
+def test_all_runs_every_command_past_a_numerical_failure(tmp_path, capsys):
+    # the algebraic bump with A = -1 has only a minimum, so mode and the
+    # probe raise NoCriticalPoint; eigen and heat never track the path, and
+    # residual-scan and growth-scan read their own profiles.  Each command
+    # runs, a failure goes to its own error.json, and all exits 3
+    cfg = _write_cfg(tmp_path, {
+        "profile": {"family": "algebraic-bump",
+                    "params": {"U0": 1.0, "A": -1.0}},
+        "growth": {"families": DEFAULT_CONFIG["growth"]["families"][:1],
+                   "transient_ks": [64]}})
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "a")]) == 3
+    printed = capsys.readouterr().out.splitlines()
+    top = tmp_path / "a" / "all"
+    assert not (top / "error.json").exists()
+    failed = {"mode", "illposedness-probe"}
+    for command, line in zip(COMMANDS, printed, strict=True):
+        names = [p.name for p in (top / command).iterdir()]
+        if command in failed:
+            assert names == ["error.json"]
+            err = json.loads((top / command / "error.json").read_text())
+            assert err["error"] == "NoCriticalPoint"
+            assert json.loads(line) == err
+        else:
+            assert line.startswith(f"{command}:")
+            assert "error.json" not in names and names
+
+
+@pytest.mark.parametrize("command, base, extra, named, report", [
+    ("illposedness-probe", {}, {"probe": {"sigma_factors": [-3.0]}}, "probe",
+     "probe_report.json"),
+    ("residual-scan",
+     {"residual_scan": {"profile": DEFAULT_CONFIG["profile"]}},
+     {"residual_scan": {"n_list": [64, 65]}}, "residual_scan.n_list",
+     "residual_scan.json")],
+    ids=["probe-sigma-factors", "residual-n-list"])
+def test_config_cannot_move_a_verdict(tmp_path, capsys, command, base, extra,
+                                      named, report):
+    # each key once turned a FAIL into a PASS: sigma_factors [-3.0] left the
+    # probe one verdict, sigma = -3 rate, which passed; n_list [64, 65] made
+    # each plateau compare two nearly equal n (ratio 1.012 against 2.14)
+    reports = []
+    for name, cfg in (("with", deep_merge(base, extra)), ("without", base)):
+        rc = main([command, "--config", _write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / name)])
+        assert rc == 4
+        reports.append((tmp_path / name / command / report).read_text())
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config: keys that nothing reads: {named}"]
+    assert reports[0] == reports[1]
+    verdicts = json.loads(reports[0])["verdicts"]
+    if command == "illposedness-probe":
+        assert {k: v["pass"] for k, v in verdicts.items()} == {
+            "sigma=0.5*rate": False, "sigma=2.0*rate": True}
 
 
 def test_pipeline_shares_field_and_path():

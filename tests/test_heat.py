@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.special import erf
 
-from shearmodes.cli import Pipeline, deep_merge, load_config
+from shearmodes.cli import (PROBE_KS, PROBE_T, Pipeline, deep_merge,
+                            load_config)
 from shearmodes.errors import QuadratureFailure
 from shearmodes.evolve import auto_dt
 from shearmodes.heat import (HeatFlow, check_quadrature, gl_panels,
@@ -182,8 +183,8 @@ def test_stepper_coefficients_at_probe_step_times():
     # 6.3e-4 and 1.3e-2 for t >= 0.02
     cfg = load_config(None)
     pipe = Pipeline(cfg)
-    t = min(cfg["probe"]["t"], pipe.path.t0)
-    dt = auto_dt(cfg["probe"]["ks"][-1], pipe.field, t,
+    t = min(PROBE_T, pipe.path.t0)
+    dt = auto_dt(PROBE_KS[-1], pipe.field, t,
                  min_steps=cfg["solver"]["min_steps"])
     times = np.linspace(0.0, t, int(np.ceil(t / dt)) + 1)
     ref = [pipe.field.flow.derivs(float(tv), pipe.y, orders=(0, 1))
