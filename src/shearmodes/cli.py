@@ -407,23 +407,29 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     envelope integrates the heat solve, the critical path, the eigenvalue,
     and the phase quadrature.  Nothing is stepped: illposedness-probe runs
     the stepper.
+
+    The series runs to t_final = min(GROWTH_T_FINAL, grid.t0), and each
+    family's critical path is tracked to t_final alone, not to grid.t0 as
+    the pipeline's path is: a family whose curvature vanishes past t_final
+    is fitted, and CurvatureVanished (exit 3) fires only inside the series.
     """
     g = cfg["growth"]
     report = {"families": [], "p_band": list(P_BAND),
               "sigma_rel_tol": SIGMA_REL_TOL}
     series = []
     ok = True
+    t_final = min(GROWTH_T_FINAL, cfg["grid"]["t0"])
+    ts = np.linspace(t_final / 24, t_final, 24)
     for fam in g["families"]:
         pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
-        t_final = min(GROWTH_T_FINAL, pipe.path.t0)
-        ts = np.linspace(t_final / 24, t_final, 24)
+        path = critical_path.track_critical_point(pipe.flow, pipe.profile.a0,
+                                                  t_final)
         amps = modes.mode_amplitude_series(
             [modes.default_params(pipe.profile, n) for n in GROWTH_KS],
-            pipe.path, pipe.pair, ts)
+            path, pipe.pair, ts)
         fits = []
         for n, amp in zip(GROWTH_KS, amps):
-            fits.append(evolve.growth_row(n, amp["t"], amp["log_sl"],
-                                          pipe.path))
+            fits.append(evolve.growth_row(n, amp["t"], amp["log_sl"], path))
             series.append((amp["t"], np.exp(amp["log_sl"]),
                            f"{fam['family']} k={n}"))
             write_csv(out / f"trajectory_{fam['family']}_k{n}.csv",
@@ -434,7 +440,7 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
             p, p_res = norms.fit_power_law(ks, sigmas)
         except ShearmodesError:
             p, p_res = None, None
-        target = abs(pipe.pair.tau.imag) * float(pipe.path.kappa(0.0))
+        target = abs(pipe.pair.tau.imag) * float(path.kappa(0.0))
         rel_errs = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]
         transient = []
         t_tr = g["transient_t"]

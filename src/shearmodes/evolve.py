@@ -358,13 +358,23 @@ class _ShiftedBand:
     def solve(self, factors: tuple, b: np.ndarray, trans: int = 0):
         """(z - tA)^{-1} b (trans 0) or (z - tA)^{-H} b (trans 2)."""
         if trans:
-            b = b.copy()
-            b[:-1] -= b[1:]
-        w = _lapack().zgbtrs(factors[0], _KL, _KU, b, factors[1],
-                             trans=trans)[0]
-        if not trans:
-            w[1:] -= w[:-1].copy()
+            return self.solve_m(factors, self.difference_h(b), trans)
+        w = self.solve_m(factors, b)
+        w[1:] -= w[:-1].copy()
         return w
+
+    @staticmethod
+    def difference_h(b: np.ndarray) -> np.ndarray:
+        """D^H b, the right-hand side of M^H for (z - tA)^{-H} b."""
+        b = b.copy()
+        b[:-1] -= b[1:]
+        return b
+
+    @staticmethod
+    def solve_m(factors: tuple, b: np.ndarray, trans: int = 0):
+        """M^{-1} b (trans 0) or M^{-H} b (trans 2); b is not overwritten."""
+        return _lapack().zgbtrs(factors[0], _KL, _KU, b, factors[1],
+                                trans=trans)[0]
 
 
 def _node_count(half: float) -> int:
@@ -383,6 +393,20 @@ def _contour_nodes(m: float, half: float, n_nodes: int) -> tuple:
     return z, np.exp(z) * dz / (1j * n_nodes)
 
 
+def _rule_sum(terms) -> np.ndarray:
+    """sum_j w_j x_j over the (w_j, x_j) of terms, in their order: each
+    node's solve x_j is scaled in place, scalar first (w_j x_j as the
+    products w * x would round them), and added to the first."""
+    total = None
+    for w, x in terms:
+        np.multiply(w, x, out=x)
+        if total is None:
+            total = x
+        else:
+            total += x
+    return total
+
+
 class _ContourExp:
     """e^{tA} by the trapezoid rule at n_nodes midpoints of a parabolic
     contour around the spectrum of tA (Weideman & Trefethen, Math. Comp.
@@ -393,7 +417,9 @@ class _ContourExp:
 
     m the centre of the spectrum's imaginary range and c = 10 + half, half
     its half-width.  Each node is factored once; matvec and rmatvec apply
-    the rule and its exact adjoint, one band solve per node.
+    the rule and its exact adjoint, one band solve per node, summed by
+    _rule_sum.  rmatvec forms D^H u once per product and solves M^H at each
+    node against it.
     """
 
     def __init__(self, band: _ShiftedBand, m: float, half: float,
@@ -403,22 +429,23 @@ class _ContourExp:
         self.factors = [band.factor(zj) for zj in z]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return sum(w * self.band.solve(f, v)
-                   for w, f in zip(self.weights, self.factors))
+        return _rule_sum((w, self.band.solve(f, v))
+                         for w, f in zip(self.weights, self.factors))
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return sum(np.conj(w) * self.band.solve(f, u, trans=2)
-                   for w, f in zip(self.weights, self.factors))
+        du = self.band.difference_h(u)
+        return _rule_sum((np.conj(w), self.band.solve_m(f, du, trans=2))
+                         for w, f in zip(self.weights, self.factors))
 
 
 def _streamed_matvec(band: _ShiftedBand, m: float, half: float,
                      n_nodes: int, v: np.ndarray) -> np.ndarray:
     """_ContourExp(band, m, half, n_nodes).matvec(v), bit for bit, with each
-    node factored, solved and dropped in turn: one factorisation is held at
-    a time instead of n_nodes."""
+    node factored, solved, added by _rule_sum and dropped in turn: one
+    factorisation is held at a time instead of n_nodes."""
     z, weights = _contour_nodes(m, half, n_nodes)
-    return sum(w * band.solve(band.factor(zj), v)
-               for w, zj in zip(weights, z))
+    return _rule_sum((w, band.solve(band.factor(zj), v))
+                     for w, zj in zip(weights, z))
 
 
 def _orthogonalize(r: np.ndarray, Q: list) -> np.ndarray:

@@ -177,7 +177,8 @@ class _Scalars:
         self.lamdot = lamdot
         self.us_a = us_a
         self.kappa = np.sqrt(abs(lam) / 2.0)
-        self.kdot = -lamdot / (4.0 * self.kappa)
+        # kappa = sqrt(|lam| / 2), so kappa' = sign(lam) lam' / (4 kappa)
+        self.kdot = np.sign(lam) * lamdot / (4.0 * self.kappa)
         self.ell = eps**0.25 * self.kappa**-0.5
         self.elldot = -0.5 * self.ell * self.kdot / self.kappa
         self.w_eps = -us_a + np.sqrt(eps) * self.kappa * tau
@@ -422,28 +423,41 @@ def mode_amplitude_series(params: Sequence[ModeParams], path: CriticalPath,
     part alone, so log|E| = -Im tau int_0^t kappa / sqrt(eps) and no complex
     E or advective integral is formed.  Per sample time: the path scalars
     (one single-point kernel call) and int_0^t kappa, which calls no
-    kernel.  v_sl reads no u_s, so no kernel row is taken on a grid.  Each
-    params' cutoff is built once.  log_sl equals that of assemble_mode at
-    each t to rounding.
+    kernel.  v_sl reads no u_s, so no kernel row is taken on a grid.  The
+    params that share a cutoff share, per sample time, one layer grid, one
+    evaluation of phi and phi' there, and one pair.v_derivs call on the
+    stacked zeta of their wavenumbers; of the shear layer only d_y v_sl =
+    phi' amp V + phi amp V' / ell is formed, amp = sqrt(eps) kappa.  log_sl
+    equals, bit for bit, the log of t * |E| * max |d_y v_sl| of
+    _shear_layer at each t.
     """
     ts = np.asarray(ts, dtype=float)
     kap = time_integral(path.kappa, ts)
-    cuts = [p.cutoff() for p in params]
+    shells = {}     # the cutoff's shells -> the params that share them
+    for j, p in enumerate(params):
+        shells.setdefault((p.phi_inner, p.phi_outer), []).append(j)
+    shared = [(params[js[0]].cutoff(), js) for js in shells.values()]
     log_sl = np.empty((len(params), ts.size))
     for i, t in enumerate(ts):
         t = float(t)
         point = _path_point(path, t)
-        # layer sup on a fine local grid so the argmax is not quantized by
-        # the field grid (the fit noise budget is ~1e-4 in log amplitude)
-        layer = {h: np.linspace(max(0.0, point["a"] - h), point["a"] + h, 1601)
-                 for h in {p.phi_outer for p in params}}
-        for j, p in enumerate(params):
-            sc = _Scalars(**point, eps=p.eps, tau=pair.tau)
-            dy_vsl = _shear_layer(cuts[j], pair, sc,
-                                  layer[p.phi_outer])["dy_vsl"]
-            amp_sl = t * float(np.max(np.abs(dy_vsl)))
-            log_E = -pair.tau.imag * kap[i] / np.sqrt(p.eps)
-            log_sl[j, i] = np.log(amp_sl) + log_E if amp_sl > 0 else -np.inf
+        for cut, js in shared:
+            # layer sup on a fine local grid so the argmax is not quantized
+            # by the field grid (the fit noise budget is ~1e-4 in log
+            # amplitude)
+            a, h = point["a"], cut.outer
+            r = np.linspace(max(0.0, a - h), a + h, 1601) - a
+            phi, p1 = cut.derivs(r)[:2]
+            scs = [_Scalars(**point, eps=params[j].eps, tau=pair.tau)
+                   for j in js]
+            V, V1 = pair.v_derivs(np.array([r / sc.ell for sc in scs]))[:2]
+            for j, sc, Vj, V1j in zip(js, scs, V, V1):
+                amp = np.sqrt(sc.eps) * sc.kappa
+                dy_vsl = p1 * (amp * Vj) + phi * (amp * V1j / sc.ell)
+                amp_sl = t * float(np.max(np.abs(dy_vsl)))
+                log_E = -pair.tau.imag * kap[i] / np.sqrt(sc.eps)
+                log_sl[j, i] = (np.log(amp_sl) + log_E if amp_sl > 0
+                                else -np.inf)
     return [{"t": ts, "log_sl": sl} for sl in log_sl]
 
 

@@ -12,8 +12,9 @@ import pytest
 
 import shearmodes
 from shearmodes import eigen, evolve, heat
-from shearmodes.cli import (DEFAULT_CONFIG, PROBE_KS, PROBE_SIGMA_FACTORS,
-                            PROBE_T, Pipeline, deep_merge, load_config, main)
+from shearmodes.cli import (DEFAULT_CONFIG, GROWTH_T_FINAL, PROBE_KS,
+                            PROBE_SIGMA_FACTORS, PROBE_T, Pipeline,
+                            deep_merge, load_config, main)
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow
 
@@ -727,6 +728,52 @@ def test_growth_scan_checks_the_quadrature_without_sampling_a_field(
     with pytest.raises(QuadratureFailure):
         heat.check_quadrature(HeatFlow(pipe.profile), pipe.y, pipe.t_grid)
     assert len(probes) == 2 and probes[0] == probes[1]
+
+
+ONE_FAMILY = {"families": DEFAULT_CONFIG["growth"]["families"][:1],
+              "transient_ks": [64]}
+
+
+def test_growth_scan_tracks_the_path_to_its_last_time(monkeypatch, tmp_path):
+    # the series ends at GROWTH_T_FINAL = 0.03, inside the FAST grid's
+    # t0 = 0.06: every single-point kernel call (the path's Newton steps and
+    # the series' path points) falls at or before it, and the path's nodes
+    # are 2e-3 apart
+    times = []
+    derivs = HeatFlow.derivs
+
+    def counted(self, t, y, orders=(0, 1, 2, 3, 4)):
+        if np.size(y) == 1:
+            times.append(t)
+        return derivs(self, t, y, orders)
+
+    monkeypatch.setattr(HeatFlow, "derivs", counted)
+    cfg = _write_cfg(tmp_path, {"growth": ONE_FAMILY})
+    assert main(["growth-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert max(times) == GROWTH_T_FINAL
+    nodes = np.linspace(0.0, GROWTH_T_FINAL, 16)
+    assert set(times) == set(nodes) | set(np.linspace(GROWTH_T_FINAL / 24,
+                                                      GROWTH_T_FINAL, 24))
+
+
+def test_growth_scan_fits_where_the_curvature_vanishes_past_its_series(
+        tmp_path):
+    # the shallow bump's curvature falls below the floor at t = 0.046 (mode
+    # exits 3 on it), past growth-scan's last time 0.03: its path stops
+    # there, so the fit runs, and its sigma/sqrt(k) misses the dispersion
+    # rate by 18 %, beyond the verdict's 15 %
+    fam = {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 0.62}}
+    cfg = _write_cfg(tmp_path, {"growth": dict(ONE_FAMILY, families=[fam])})
+    out = tmp_path / "o" / "growth-scan"
+    assert main(["growth-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert not (out / "error.json").exists()
+    rep = json.loads((out / "growth_report.json").read_text())["families"][0]
+    assert abs(rep["power_law_exponent"] - 0.5) <= 1e-12
+    errs = rep["sigma_over_sqrt_k_rel_err"]
+    assert [round(e, 3) for e in errs] == [0.183] * 4
+    assert rep["pass"] is False
 
 
 def _record_kernel_rows(monkeypatch, command):

@@ -448,6 +448,21 @@ def test_streamed_check_is_the_stored_rule(gauss_prof):
                           _ContourExp(band, m, half, n_nodes).matvec(v))
 
 
+def test_stored_rule_adjoint_is_the_per_node_sum(gauss_prof):
+    # rmatvec differences u once for every node; the sum is that of the
+    # nodes' own adjoint solves, with the conjugate weights in their order
+    k, t, ny, n_nodes = 64, 0.05, 300, 112
+    band = _band(gauss_prof, k, t, ny)
+    lo, hi = float(band.U.min()), float(band.U.max())
+    op = _ContourExp(band, -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2,
+                     n_nodes)
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal(ny - 2) + 1j * rng.standard_normal(ny - 2)
+    per_node = sum(np.conj(w) * band.solve(f, u, trans=2)
+                   for w, f in zip(op.weights, op.factors))
+    assert np.array_equal(op.rmatvec(u), per_node)
+
+
 def _count_nodes_and_factors(monkeypatch):
     """Record _node_count's results and the number of band factorisations."""
     ev = importlib.import_module("shearmodes.evolve")

@@ -6,9 +6,10 @@ from shearmodes.errors import HorizonExceeded
 from shearmodes.evolve import growth_row
 from shearmodes.heat import HeatFlow
 from shearmodes.modes import (BumpCorrector, Smoothstep, _path_point,
-                              _Scalars, assemble_mode, default_params,
-                              initial_tangential_norm, mode_amplitude_series,
-                              old_frozen_tangential, phase_integral, residual)
+                              _Scalars, _shear_layer, assemble_mode,
+                              default_params, initial_tangential_norm,
+                              mode_amplitude_series, old_frozen_tangential,
+                              phase_integral, residual)
 from shearmodes.norms import fit_power_law, weighted_sup
 from shearmodes.path import time_integral, track_critical_point
 from shearmodes.profiles import make_profile
@@ -317,6 +318,21 @@ def test_weighted_residual_bound_single_mode(mode64, y_grid, pair,
         assert val < 1e4 * bound
 
 
+@pytest.mark.parametrize("lam0", [-0.8, 0.8], ids=["maximum", "minimum"])
+def test_kdot_is_the_derivative_of_kappa(lam0):
+    # kappa = sqrt(|lambda| / 2) on a path with lambda(s) = lam0 + lamdot s:
+    # kappa' = sign(lambda) lamdot / (4 kappa) on either side of zero
+    lamdot, h = 0.3, 1e-5
+    sc = _Scalars(t=0.0, a=1.0, lam=lam0, adot=0.0, lamdot=lamdot, us_a=1.0,
+                  dyus_a=0.0, eps=1 / 64, tau=1.0)
+
+    def kappa(s):
+        return np.sqrt(abs(lam0 + lamdot * s) / 2)
+
+    assert sc.kappa == kappa(0.0)
+    assert abs(sc.kdot - (kappa(h) - kappa(-h)) / (2 * h)) <= 1e-9
+
+
 # ---------------------------------------------------------------- phase
 
 
@@ -376,6 +392,28 @@ def test_amplitude_series_matches_per_n_assembly(gauss_path, pair,
             log_sl = np.log(abs(loc.E) * t
                             * np.max(np.abs(loc.components["dy_vsl"])))
             assert abs(amp["log_sl"][i] - log_sl) <= 1e-13, (p.n, t)
+
+
+def test_amplitude_series_is_the_shear_layer_slope(gauss_path, pair,
+                                                  gauss_prof):
+    # log_sl is the log of t |E| max |d_y v_sl| with d_y v_sl as the
+    # assembly's shear layer forms it, on the same layer grid, bit for bit
+    ts = np.array([0.045, 0.004, 0.08, 0.01])
+    params = [default_params(gauss_prof, n) for n in (32, 64, 128, 256)]
+    amps = mode_amplitude_series(params, gauss_path, pair, ts)
+    kap = time_integral(gauss_path.kappa, ts)
+    for p, amp in zip(params, amps):
+        expected = []
+        for t, kap_t in zip(ts, kap):
+            sc = _Scalars(**_path_point(gauss_path, t), eps=p.eps,
+                          tau=pair.tau)
+            layer = np.linspace(max(0.0, sc.a - p.phi_outer),
+                                sc.a + p.phi_outer, 1601)
+            dy_vsl = _shear_layer(p.cutoff(), pair, sc, layer)["dy_vsl"]
+            log_E = -pair.tau.imag * kap_t / np.sqrt(p.eps)
+            expected.append(np.log(t * float(np.max(np.abs(dy_vsl))))
+                            + log_E)
+        assert np.array_equal(amp["log_sl"], expected), p.n
 
 
 @pytest.mark.parametrize("family", ["gauss", "alg4"])
