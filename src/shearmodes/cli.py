@@ -26,8 +26,6 @@ from .profiles import family_names, make_profile
 DEFAULT_CONFIG = {
     "profile": {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
     "grid": {"y_max": 30.0, "ny": 601, "t0": 0.15, "nt": 16},
-    "mode": {"n": 64, "t_snapshot": 0.05},
-    "solver": {"min_steps": 240},
     "growth": {
         # the algebraic family runs with a deeper jet (A=4) so its curvature
         # scale matches the gaussian one and the window bias stays small
@@ -35,7 +33,7 @@ DEFAULT_CONFIG = {
             {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
             {"family": "algebraic-bump", "params": {"U0": 1.0, "A": 4.0}},
         ],
-        "transient_ks": [64, 128, 256], "transient_t": 0.05,
+        "transient_ks": [64, 128, 256],
     },
     "residual_scan": {
         # near-uniform plateau needs an O(1) advection factor on the
@@ -59,6 +57,11 @@ PROBE_M, PROBE_ALPHA, PROBE_MU = 2, 1.0, 0.25   # of rho and rho_cert
 PROBE_KS = (32, 64, 128, 256, 512)  # increasing: the verdicts read k in order
 PROBE_T = 0.1
 PROBE_SIGMA_FACTORS = (0.5, 2.0)    # of the rate: one verdict below, one above
+# the probe's least step count: at 240 steps log_final_norm at k = 512 reads
+# 0.050 above a run of 4 800 steps, at 1 200 steps 3.1e-4
+PROBE_MIN_STEPS = 1200
+MODE_N, MODE_T = 64, 0.05           # mode: the wavenumber and the snapshot time
+TRANSIENT_T = 0.05                  # growth-scan: the transient block's time
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -137,30 +140,24 @@ def _check_types(value, default, name: str):
 def _validate(cfg: dict):
     _check_types(cfg, DEFAULT_CONFIG, "")
     grid, g = cfg["grid"], cfg["growth"]
-    for name, value in (("grid.y_max", grid["y_max"]), ("grid.t0", grid["t0"]),
-                        # the transient block reports log(amplification) / t
-                        ("growth.transient_t", g["transient_t"])):
+    for name, value in (("grid.y_max", grid["y_max"]), ("grid.t0", grid["t0"])):
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
     # the Crank-Nicolson solve needs three interior points, and the stepper
     # interpolates u_s cubically in t between field slices
-    for name, value, least in (
-            ("grid.ny", grid["ny"], 5), ("grid.nt", grid["nt"], 4),
-            ("solver.min_steps", cfg["solver"]["min_steps"], 1)):
+    for name, value, least in (("grid.ny", grid["ny"], 5),
+                               ("grid.nt", grid["nt"], 4)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     for prof in ([cfg["profile"]] + g["families"]
                  + [cfg["residual_scan"]["profile"]]):
         if prof["family"] not in family_names():
             raise ValueError(f"unknown profile family {prof['family']!r}")
-    for n in g["transient_ks"] + [cfg["mode"]["n"]]:
+    for n in g["transient_ks"]:
         if n < 1:
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
     if not g["families"]:
         raise ValueError("growth.families must not be empty")
-    if cfg["mode"]["t_snapshot"] < 0:
-        raise ValueError("mode.t_snapshot must not be negative, "
-                         f"got {cfg['mode']['t_snapshot']}")
     if grid["t0"] < RESIDUAL_TS[0]:
         # residual-scan skips the times past the critical path's horizon
         raise ValueError(f"grid.t0 must be at least {RESIDUAL_TS[0]}, "
@@ -252,8 +249,9 @@ class Pipeline:
 
 
 def cmd_eigen(cfg: dict, out: Path) -> int:
-    pipe = Pipeline(cfg)
-    prob, pair = eigen.DispersionProblem(), pipe.pair
+    """The closed-form eigenpair, sampled and checked; it reads no config."""
+    prob = eigen.DispersionProblem()
+    pair = eigen.find_tau(prob)
     samples = eigen.sample_profile(pair, prob)
     # the one shot: Newton on the refined problem, seeded at the closed form
     refined, tails = eigen.find_root(
@@ -302,9 +300,8 @@ def cmd_heat(cfg: dict, out: Path) -> int:
 
 def cmd_mode(cfg: dict, out: Path) -> int:
     pipe = Pipeline(cfg)
-    n = cfg["mode"]["n"]
-    t = min(cfg["mode"]["t_snapshot"], pipe.path.t0)
-    params = modes.default_params(pipe.profile, n)
+    t = min(MODE_T, pipe.path.t0)
+    params = modes.default_params(pipe.profile, MODE_N)
     # one kernel row set, at t, from the path's flow
     mode = modes.assemble_mode(params, pipe.path, pipe.pair, t, pipe.y)
     res = modes.residual(mode)
@@ -322,7 +319,7 @@ def cmd_mode(cfg: dict, out: Path) -> int:
               (mode.y, res.R.real, res.R.imag, res.Rbar.real, res.Rbar.imag,
                res.Rtilde.real, res.Rtilde.imag))
     write_json(out / "mode_report.json", {
-        "n": n, "t": t,
+        "n": MODE_N, "t": t,
         "w_eps": [mode.w_eps.real, mode.w_eps.imag],
         "jump_cancellation": {k: float(v) for k, v in jumps.items()},
         "residual_sup": float(np.max(np.abs(res.R))),
@@ -331,7 +328,8 @@ def cmd_mode(cfg: dict, out: Path) -> int:
                      / params.eps)
             for a in (0.0, 1.0, 2.0)},
     })
-    print(f"mode: n={n} t={t} jumpV={jumps['V']:.2e} dyV={jumps['dyV']:.2e}")
+    print(f"mode: n={MODE_N} t={t} jumpV={jumps['V']:.2e} "
+          f"dyV={jumps['dyV']:.2e}")
     return 0
 
 
@@ -399,7 +397,7 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     sqrt(k)-rate at small k: the frozen mode operator is spectrally stable
     at desk scale, and its growth is a transient amplification.  The
     transient block reports, for each k of growth.transient_ks, the 2-norm
-    of the frozen e^{tA} at t = growth.transient_t, its rate log(.)/t and
+    of the frozen e^{tA} at t = TRANSIENT_T, its rate log(.)/t and
     that rate over the dispersion prediction |Im tau| kappa(0) sqrt(k); no
     verdict reads it.  The ratio need not be near 1: at the defaults it is
     0.58-0.94 for gaussian-bump and 4.1-4.6 for algebraic-bump at A = 4.
@@ -424,9 +422,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
         path = critical_path.track_critical_point(pipe.flow, pipe.profile.a0,
                                                   t_final)
-        amps = modes.mode_amplitude_series(
-            [modes.default_params(pipe.profile, n) for n in GROWTH_KS],
-            path, pipe.pair, ts)
+        amps = modes.mode_amplitude_series(pipe.profile, GROWTH_KS, path,
+                                           pipe.pair, ts)
         fits = []
         for n, amp in zip(GROWTH_KS, amps):
             fits.append(evolve.growth_row(n, amp["t"], amp["log_sl"], path))
@@ -443,11 +440,11 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
         target = abs(pipe.pair.tau.imag) * float(path.kappa(0.0))
         rel_errs = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]
         transient = []
-        t_tr = g["transient_t"]
         for k in g["transient_ks"]:
-            amp_tr = evolve.transient_amplification(pipe.profile, int(k), t_tr)
-            rate = float(np.log(amp_tr) / t_tr)
-            transient.append({"k": int(k), "t": t_tr,
+            amp_tr = evolve.transient_amplification(pipe.profile, int(k),
+                                                    TRANSIENT_T)
+            rate = float(np.log(amp_tr) / TRANSIENT_T)
+            transient.append({"k": int(k), "t": TRANSIENT_T,
                               "amplification": amp_tr, "rate": rate,
                               "rate_over_prediction":
                                   rate / (target * np.sqrt(k))})
@@ -464,7 +461,7 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     write_json(out / "growth_report.json", report)
     write_text(out / "growth_curves.svg",
                svg.svg_plot(series, title="mode growing-component amplitude",
-                            xlabel="t", ylabel="amplitude", logy=True))
+                            xlabel="t", ylabel="amplitude"))
     ps = [f["power_law_exponent"] for f in report["families"]]
     print(f"growth-scan: p={ps} pass={ok}")
     return 0 if ok else 4
@@ -476,8 +473,7 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     rate = pipe.sigma0()
     ks = PROBE_KS
     # ks is strictly increasing, so its last k has the smallest CFL step
-    dt = evolve.auto_dt(ks[-1], pipe.field, t,
-                        min_steps=cfg["solver"]["min_steps"])
+    dt = evolve.auto_dt(ks[-1], pipe.field, t, min_steps=PROBE_MIN_STEPS)
     all_rows = evolve.operator_growth_probe(
         pipe.field, ks, [pipe.mode_initial(k) for k in ks], dt,
         t=t, m=PROBE_M, alpha=PROBE_ALPHA,
@@ -514,7 +510,7 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
         "pass": bool(ok)})
     write_text(out / "probe_rho.svg",
                svg.svg_plot(series, title="ill-posedness probe", xlabel="k",
-                            ylabel="rho", logy=True))
+                            ylabel="rho"))
     print("illposedness-probe: "
           + " ".join(f"{k}:{'PASS' if v['pass'] else 'FAIL'}"
                      for k, v in verdicts.items()))

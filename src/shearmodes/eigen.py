@@ -350,16 +350,16 @@ class ProfileSamples:
         }
 
 
-def _fd_ode_residual(z, W, W1, W2, tau, s, stride: int = 2):
+def _fd_ode_residual(z, W, W1, W2, tau, s):
     """ODE residual with the third derivative re-differenced from W'' samples
-    (4th-order central stencil on every stride-th grid point); W' and W'' are
+    (4th-order central stencil on every second grid point); W' and W'' are
     the samples themselves, and W is not read.  It measures the sampled
     profile independently of its formulas.  Its floor, about 2e-9 on the
-    default problem (h = 2e-3 after the stride), is all the stencil's
+    default problem (h = 2e-3 on every second point), is all the stencil's
     truncation and rounding, not a profile error: the closed-form profile
     agrees with a dense Taylor shot at rtol 1e-13 to about 7e-16, so the
     measure cannot see a profile error below about 1e-9."""
-    z, W, W1, W2 = z[::stride], W[::stride], W1[::stride], W2[::stride]
+    z, W, W1, W2 = z[::2], W[::2], W1[::2], W2[::2]
     h = z[1] - z[0]
     W3 = np.full_like(W2, np.nan)
     W3[2:-2] = (W2[:-4] - 8 * W2[1:-3] + 8 * W2[3:-1] - W2[4:]) / (12 * h)

@@ -410,9 +410,11 @@ def residual(mode: ModeField) -> ResidualField:
     return ResidualField(t=t, y=mode.y, eps=eps, Rbar=Rbar, Rtilde=Rtilde)
 
 
-def mode_amplitude_series(params: Sequence[ModeParams], path: CriticalPath,
-                          pair: Eigenpair, ts) -> list[dict]:
-    """Amplitude trajectories of the assembled mode family, one per params.
+def mode_amplitude_series(profile: ShearProfile, ks: Sequence[int],
+                          path: CriticalPath, pair: Eigenpair,
+                          ts) -> list[dict]:
+    """Amplitude trajectories of the assembled mode family, one per k of ks,
+    each at default_params(profile, k).
 
     Each dict holds the sample times t and, over them, log_sl: the log of
     the growing-component amplitude t * |E| * sup |d_y v_sl|, the sup taken
@@ -424,40 +426,35 @@ def mode_amplitude_series(params: Sequence[ModeParams], path: CriticalPath,
     E or advective integral is formed.  Per sample time: the path scalars
     (one single-point kernel call) and int_0^t kappa, which calls no
     kernel.  v_sl reads no u_s, so no kernel row is taken on a grid.  The
-    params that share a cutoff share, per sample time, one layer grid, one
-    evaluation of phi and phi' there, and one pair.v_derivs call on the
-    stacked zeta of their wavenumbers; of the shear layer only d_y v_sl =
-    phi' amp V + phi amp V' / ell is formed, amp = sqrt(eps) kappa.  log_sl
-    equals, bit for bit, the log of t * |E| * max |d_y v_sl| of
-    _shear_layer at each t.
+    cutoff depends on the profile alone, so per sample time every k shares
+    one layer grid, one evaluation of phi and phi' there, and one
+    pair.v_derivs call on the stacked zeta of the ks; of the shear layer
+    only d_y v_sl = phi' amp V + phi amp V' / ell is formed,
+    amp = sqrt(eps) kappa.  log_sl equals, bit for bit, the log of
+    t * |E| * max |d_y v_sl| of _shear_layer at each t.
     """
     ts = np.asarray(ts, dtype=float)
     kap = time_integral(path.kappa, ts)
-    shells = {}     # the cutoff's shells -> the params that share them
-    for j, p in enumerate(params):
-        shells.setdefault((p.phi_inner, p.phi_outer), []).append(j)
-    shared = [(params[js[0]].cutoff(), js) for js in shells.values()]
+    params = [default_params(profile, k) for k in ks]
+    cut = params[0].cutoff()
     log_sl = np.empty((len(params), ts.size))
     for i, t in enumerate(ts):
         t = float(t)
         point = _path_point(path, t)
-        for cut, js in shared:
-            # layer sup on a fine local grid so the argmax is not quantized
-            # by the field grid (the fit noise budget is ~1e-4 in log
-            # amplitude)
-            a, h = point["a"], cut.outer
-            r = np.linspace(max(0.0, a - h), a + h, 1601) - a
-            phi, p1 = cut.derivs(r)[:2]
-            scs = [_Scalars(**point, eps=params[j].eps, tau=pair.tau)
-                   for j in js]
-            V, V1 = pair.v_derivs(np.array([r / sc.ell for sc in scs]))[:2]
-            for j, sc, Vj, V1j in zip(js, scs, V, V1):
-                amp = np.sqrt(sc.eps) * sc.kappa
-                dy_vsl = p1 * (amp * Vj) + phi * (amp * V1j / sc.ell)
-                amp_sl = t * float(np.max(np.abs(dy_vsl)))
-                log_E = -pair.tau.imag * kap[i] / np.sqrt(sc.eps)
-                log_sl[j, i] = (np.log(amp_sl) + log_E if amp_sl > 0
-                                else -np.inf)
+        # layer sup on a fine local grid so the argmax is not quantized by
+        # the field grid (the fit noise budget is ~1e-4 in log amplitude)
+        a, h = point["a"], cut.outer
+        r = np.linspace(max(0.0, a - h), a + h, 1601) - a
+        phi, p1 = cut.derivs(r)[:2]
+        scs = [_Scalars(**point, eps=p.eps, tau=pair.tau) for p in params]
+        V, V1 = pair.v_derivs(np.array([r / sc.ell for sc in scs]))[:2]
+        for j, (sc, Vj, V1j) in enumerate(zip(scs, V, V1)):
+            amp = np.sqrt(sc.eps) * sc.kappa
+            dy_vsl = p1 * (amp * Vj) + phi * (amp * V1j / sc.ell)
+            amp_sl = t * float(np.max(np.abs(dy_vsl)))
+            log_E = -pair.tau.imag * kap[i] / np.sqrt(sc.eps)
+            log_sl[j, i] = (np.log(amp_sl) + log_E if amp_sl > 0
+                            else -np.inf)
     return [{"t": ts, "log_sl": sl} for sl in log_sl]
 
 

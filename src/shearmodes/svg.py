@@ -18,19 +18,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def svg_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
-             logy: bool = False) -> str:
-    """series: iterable of (x array, y array, label).  Returns SVG text."""
+def svg_plot(series, title: str = "", xlabel: str = "",
+             ylabel: str = "") -> str:
+    """series: iterable of (x array, y array, label), plotted as log10 y
+    (points with y <= 0 or a non-finite coordinate dropped).  Returns SVG
+    text."""
     prepared = []
     for x, y, label in series:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if logy:
-            good = y > 0
-            x, y = x[good], np.log10(y[good])
-        good = np.isfinite(x) & np.isfinite(y)
+        good = (y > 0) & np.isfinite(x) & np.isfinite(y)
         if good.any():
-            prepared.append((x[good], y[good], label))
+            prepared.append((x[good], np.log10(y[good]), label))
     if not prepared:
         return ("<svg xmlns='http://www.w3.org/2000/svg' width='%d' height='%d'>"
                 "<text x='20' y='30'>no data</text></svg>" % (_W, _H))
@@ -58,7 +57,7 @@ def svg_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
         "fill='none' stroke='#333'/>",
         f"<text x='{_W // 2}' y='20' text-anchor='middle'>{title}</text>",
         f"<text x='{_W // 2}' y='{_H - 12}' text-anchor='middle'>{xlabel}</text>",
-        f"<text x='16' y='{_MT - 10}'>{('log10 ' if logy else '') + ylabel}</text>",
+        f"<text x='16' y='{_MT - 10}'>log10 {ylabel}</text>",
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)

@@ -153,9 +153,7 @@ def test_criterion_4_growth_rate_scaling(
         prof = path.flow.profile
         target = abs(pair.tau.imag) * float(path.kappa(0.0))
         ns = (32, 64, 128, 256)
-        amps = mode_amplitude_series(
-            [default_params(prof, n) for n in ns],
-            path, pair, ts)
+        amps = mode_amplitude_series(prof, ns, path, pair, ts)
         fits = [growth_row(n, amp["t"], amp["log_sl"], path)
                 for n, amp in zip(ns, amps)]
         rels = [abs(r["sigma_over_sqrt_k"] - target) / target for r in fits]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import shearmodes
-from shearmodes import eigen, evolve, heat
+from shearmodes import cli, eigen, evolve, heat
 from shearmodes.cli import (DEFAULT_CONFIG, GROWTH_T_FINAL, PROBE_KS,
                             PROBE_SIGMA_FACTORS, PROBE_T, Pipeline,
                             deep_merge, load_config, main)
@@ -50,8 +50,8 @@ def test_unread_config_keys_are_reported(tmp_path, capsys):
 REMOVED_KEYS = [
     ("eigen.Z", 12.0, "eigen"), ("eigen.dz", 1e-3, "eigen"),
     ("eigen.rtol", 1e-10, "eigen"), ("path.dt", 2e-3, "path"),
-    ("path.floor_frac", 0.1, "path"), ("mode.f_width", 2.0, None),
-    ("solver.scheme", "imex-cn", None), ("solver.c_cfl", 0.5, None),
+    ("path.floor_frac", 0.1, "path"), ("mode.f_width", 2.0, "mode"),
+    ("solver.scheme", "imex-cn", "solver"), ("solver.c_cfl", 0.5, "solver"),
     ("growth.window", [0.2, 0.9], None),
     ("growth.p_band", [0.45, 0.55], None),
     ("growth.sigma_rel_tol", 0.15, None),
@@ -64,7 +64,9 @@ REMOVED_KEYS = [
     ("growth.t_final", 0.03, None),
     ("residual_scan.n_list", [64, 128, 256, 512], None),
     ("residual_scan.t_list", [0.02, 0.05, 0.08], None),
-    ("residual_scan.alphas", [0.0, 1.0, 2.0], None)]
+    ("residual_scan.alphas", [0.0, 1.0, 2.0], None),
+    ("solver.min_steps", 240, "solver"), ("mode.n", 64, "mode"),
+    ("mode.t_snapshot", 0.05, "mode"), ("growth.transient_t", 0.05, None)]
 
 
 @pytest.mark.parametrize("key, value, named", REMOVED_KEYS,
@@ -97,10 +99,9 @@ def test_config_surface_is_pinned():
     # paragraph
     assert sorted(_leaves(DEFAULT_CONFIG)) == [
         "grid.nt", "grid.ny", "grid.t0", "grid.y_max",
-        "growth.families", "growth.transient_ks", "growth.transient_t",
-        "mode.n", "mode.t_snapshot", "profile.family", "profile.params",
-        "residual_scan.profile.family", "residual_scan.profile.params",
-        "solver.min_steps"]
+        "growth.families", "growth.transient_ks", "profile.family",
+        "profile.params", "residual_scan.profile.family",
+        "residual_scan.profile.params"]
 
 
 def _fresh_run(code, tmp_path):
@@ -300,6 +301,67 @@ def test_src_names_nothing_in_src_reads():
         "norms.tail_class"]
 
 
+def _defaulted_parameters(tree, stack):
+    """(qualified name, name, parameter, positional index or None, whether
+    a method) of each defaulted parameter of each function under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in m.decorator_list)
+                    yield from _defaults_of(m, stack + [node.name],
+                                            not static)
+        elif isinstance(node, ast.FunctionDef):
+            yield from _defaults_of(node, stack, False)
+
+
+def _defaults_of(fn, stack, method):
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    q = ".".join(stack + [fn.name])
+    for i, a in enumerate(args[first:], first):
+        yield q, fn.name, a.arg, i, method
+    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if d is not None:
+            yield q, fn.name, a.arg, None, method
+    yield from _defaulted_parameters(fn, stack + [fn.name])
+
+
+def _overrides(call, name, param, index, method):
+    """Whether call, matched to the function by its bare name, passes param
+    by keyword, by position or through * or **."""
+    f = call.func
+    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != name:
+        return False
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    # a method called on an object gets self without a positional argument
+    shift = int(method and isinstance(f, ast.Attribute))
+    return index is not None and (
+        any(isinstance(a, ast.Starred) for a in call.args)
+        or index - shift < len(call.args))
+
+
+def test_src_overrides_every_default_it_defines():
+    # a default that no call in src overrides is a setting one value reaches;
+    # these are kept because the tests set them: main's argv runs the CLI,
+    # and shoot_tails' dense, evolve's inviscid, _ShiftedBand.solve's trans
+    # and transient_amplification's ny build the tests' references
+    src = Path(shearmodes.__file__).resolve().parent
+    defaults, calls = [], []
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        defaults += _defaulted_parameters(tree, [p.stem])
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert [f"{q}.{param}" for q, name, param, index, method in defaults
+            if not any(_overrides(c, name, param, index, method)
+                       for c in calls)] == [
+        "cli.main.argv", "eigen.shoot_tails.dense", "evolve.evolve.inviscid",
+        "evolve._ShiftedBand.solve.trans",
+        "evolve.transient_amplification.ny"]
+
+
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps each target by module and name, so a
     # renamed function would fail every traced run; the file is loaded by
@@ -321,16 +383,18 @@ def test_tracer_targets_resolve():
     assert [t for t in tracer.TARGETS if not resolves(*t[1:])] == []
 
 
-# one step may span the probe's whole t (0.06 on the FAST grid), far above the
-# CFL step at its largest k (about 9e-4 at k = 512): every k's step is
-# CFL-limited
-CFL_LIMITED = {"solver": {"min_steps": 1}}
+def _cfl_limited(monkeypatch):
+    # one step may span the probe's whole t (0.06 on the FAST grid), far
+    # above the CFL step at its largest k (about 9e-4 at k = 512): every k's
+    # step is CFL-limited
+    monkeypatch.setattr(cli, "PROBE_MIN_STEPS", 1)
 
 
-def test_probe_honours_solver_c_cfl(tmp_path):
+def test_probe_honours_solver_c_cfl(monkeypatch, tmp_path):
     # the step is CFL-limited, so the stepper must check it against the same
     # C_CFL that chose it
-    rows = _probe_rows(tmp_path, "o", CFL_LIMITED)
+    _cfl_limited(monkeypatch)
+    rows = _probe_rows(tmp_path, "o", {})
     assert [r["k"] for r in rows] == list(PROBE_KS) * len(PROBE_SIGMA_FACTORS)
 
 
@@ -345,8 +409,9 @@ def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
         return evolve_orig(state0, field, dt, *args, **kwargs)
 
     monkeypatch.setattr(evolve, "evolve", counted)
-    _probe_rows(tmp_path, "o", CFL_LIMITED)
-    pipe = Pipeline(load_config(_write_cfg(tmp_path, CFL_LIMITED)))
+    _cfl_limited(monkeypatch)
+    _probe_rows(tmp_path, "o", {})
+    pipe = Pipeline(load_config(_write_cfg(tmp_path, {})))
     t = min(PROBE_T, pipe.path.t0)
     dt = [evolve.auto_dt(k, pipe.field, t, min_steps=1) for k in PROBE_KS]
     assert all(b < a for a, b in zip(dt, dt[1:]))
@@ -417,9 +482,9 @@ def test_fewer_than_four_field_times_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# Settings that once reached a verdict, and were config errors where their
-# value could bend it, are constants now: each such setting is named on stderr
-# as unread and leaves the run as it is at the constants.  A case of that kind
+# Settings that were config errors where their value was unusable or could
+# bend a verdict are constants now: each such setting is named on stderr as
+# unread and leaves the run as it is at the constants.  A case of that kind
 # gives, in place of an error message, the name the stderr line gives its key.
 class Unread(str):
     pass
@@ -428,18 +493,19 @@ class Unread(str):
 UNREAD_BASE = {"growth": {
     "families": DEFAULT_CONFIG["growth"]["families"][:1],
     "transient_ks": [64]}}
-VERDICT_REPORTS = {"illposedness-probe": "probe_report.json",
-                   "residual-scan": "residual_scan.json",
-                   "growth-scan": "growth_report.json"}
+REPORTS = {"illposedness-probe": "probe_report.json",
+           "residual-scan": "residual_scan.json",
+           "growth-scan": "growth_report.json", "mode": "mode_report.json"}
 
 
 @pytest.fixture(scope="module")
 def constant_runs(tmp_path_factory):
-    """Each verdict command's exit code and report on the FAST grid."""
+    """The exit code and report of mode and each verdict command on the FAST
+    grid."""
     out = tmp_path_factory.mktemp("constants")
     cfg = _write_cfg(out, UNREAD_BASE)
     runs = {}
-    for command, report in VERDICT_REPORTS.items():
+    for command, report in REPORTS.items():
         rc = main([command, "--config", cfg, "--out", str(out)])
         runs[command] = (rc, (out / command / report).read_text())
     return runs
@@ -451,17 +517,15 @@ def _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"config: keys that nothing reads: {named}"]
-    report = tmp_path / "o" / command / VERDICT_REPORTS[command]
+    report = tmp_path / "o" / command / REPORTS[command]
     assert (rc, report.read_text()) == constant_runs[command]
 
 
 @pytest.mark.parametrize("command, extra, message", [
     ("illposedness-probe", {"probe": {"t": 0}}, Unread("probe")),
     ("illposedness-probe", {"probe": {"t": -0.05}}, Unread("probe")),
-    ("illposedness-probe", {"solver": {"min_steps": 0}},
-     "solver.min_steps must be at least 1, got 0"),
-    ("illposedness-probe", {"solver": {"min_steps": -5}},
-     "solver.min_steps must be at least 1, got -5"),
+    ("illposedness-probe", {"solver": {"min_steps": 0}}, Unread("solver")),
+    ("illposedness-probe", {"solver": {"min_steps": -5}}, Unread("solver")),
     ("heat", {"grid": {"t0": 0}}, "grid.t0 must be positive, got 0"),
     ("heat", {"grid": {"y_max": 0}}, "grid.y_max must be positive, got 0"),
     ("illposedness-probe", {"grid": {"ny": 4}},
@@ -490,15 +554,19 @@ def test_value_no_run_can_use_is_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("growth, message", [
-    ({"transient_t": 0}, "growth.transient_t must be positive, got 0"),
-    ({"transient_t": -0.01}, "growth.transient_t must be positive, got -0.01"),
+    ({"transient_t": 0}, Unread("growth.transient_t")),
+    ({"transient_t": -0.01}, Unread("growth.transient_t")),
     ({"transient_ks": [-256]},
      "wavenumbers must be positive integers, got -256")],
     ids=["transient-t-zero", "transient-t-negative", "transient-k-negative"])
-def test_bad_transient_input_is_config_error(tmp_path, capsys, growth,
-                                             message):
+def test_bad_transient_input_is_config_error(tmp_path, capsys, constant_runs,
+                                             growth, message):
     # t = 0 would write rate = log(amplification) / 0; the contour has no
     # rule for t < 0 or k < 1
+    if isinstance(message, Unread):
+        _runs_as_at_the_constants(tmp_path, capsys, constant_runs,
+                                  "growth-scan", {"growth": growth}, message)
+        return
     cfg = _write_cfg(tmp_path, {"growth": growth})
     rc = main(["growth-scan", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -561,26 +629,18 @@ def test_growth_scan_fewer_than_four_wavenumbers_is_config_error(
                               {"growth": {"n_list": n_list}}, "growth.n_list")
 
 
-@pytest.mark.parametrize("command, extra, message", [
-    ("mode", {"mode": {"t_snapshot": -0.01}},
-     "mode.t_snapshot must not be negative, got -0.01"),
-    ("growth-scan", {"growth": {"t_final": -0.01}}, Unread("growth.t_final")),
-    ("growth-scan", {"growth": {"t_final": 0}}, Unread("growth.t_final"))],
+@pytest.mark.parametrize("command, extra, named", [
+    ("mode", {"mode": {"t_snapshot": -0.01}}, "mode"),
+    ("growth-scan", {"growth": {"t_final": -0.01}}, "growth.t_final"),
+    ("growth-scan", {"growth": {"t_final": 0}}, "growth.t_final")],
     ids=["t-snapshot-negative", "t-final-negative", "t-final-zero"])
 def test_time_before_the_start_is_config_error(tmp_path, capsys,
                                                constant_runs, command, extra,
-                                               message):
-    # each of these ran to a numerical failure (exit 3) instead
-    if isinstance(message, Unread):
-        _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
-                                  extra, message)
-        return
-    cfg = _write_cfg(tmp_path, extra)
-    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err == {"error": "ValueError", "message": message}
-    assert not (tmp_path / "o").exists()
+                                               named):
+    # each of these ran to a numerical failure (exit 3), and was then a
+    # config error until its key became a constant
+    _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
+                              extra, named)
 
 
 def test_residual_scan_times_all_past_horizon_is_config_error(tmp_path,
@@ -680,6 +740,20 @@ def test_eigen_command_default_artifact(tmp_path):
     assert len(lines) == 1 + W.size
     assert [line.split(",")[3:] for line in lines[1:]] == [
         [f"{w.real:.12g}", f"{w.imag:.12g}"] for w in W]
+
+
+def test_eigen_reads_no_config(tmp_path):
+    # the dispersion problem is the same whatever the profile: eigen used to
+    # build a pipeline and exit 3 (NoCriticalPoint) on the monotone profile
+    outs = []
+    for name, extra in (("empty", {}), ("monotone", {"profile": {
+            "family": "monotone", "params": {"U0": 1.0}}})):
+        cfg = _write_cfg(tmp_path, extra)
+        assert main(["eigen", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 0
+        outs.append(tmp_path / name / "eigen")
+    for f in ("eigenpair.json", "V_profile.csv"):
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
 
 def test_growth_scan_steps_nothing(monkeypatch, tmp_path):
@@ -925,13 +999,17 @@ def test_all_runs_every_command_past_a_numerical_failure(tmp_path, capsys):
     ("residual-scan",
      {"residual_scan": {"profile": DEFAULT_CONFIG["profile"]}},
      {"residual_scan": {"n_list": [64, 65]}}, "residual_scan.n_list",
-     "residual_scan.json")],
-    ids=["probe-sigma-factors", "residual-n-list"])
+     "residual_scan.json"),
+    ("illposedness-probe", {}, {"solver": {"min_steps": 1}}, "solver",
+     "probe_report.json")],
+    ids=["probe-sigma-factors", "residual-n-list", "probe-min-steps"])
 def test_config_cannot_move_a_verdict(tmp_path, capsys, command, base, extra,
                                       named, report):
-    # each key once turned a FAIL into a PASS: sigma_factors [-3.0] left the
+    # each key once moved a verdict's input: sigma_factors [-3.0] left the
     # probe one verdict, sigma = -3 rate, which passed; n_list [64, 65] made
-    # each plateau compare two nearly equal n (ratio 1.012 against 2.14)
+    # each plateau compare two nearly equal n (ratio 1.012 against 2.14);
+    # min_steps 1 made the probe's step CFL-limited, and its sigma = 0.5 rate
+    # gain read 0.521 on this grid against 0.364 at the constant step floor
     reports = []
     for name, cfg in (("with", deep_merge(base, extra)), ("without", base)):
         rc = main([command, "--config", _write_cfg(tmp_path, cfg),

@@ -147,7 +147,8 @@ def test_mode_past_the_path_horizon_raises(gauss_path, pair, gauss_prof,
     with pytest.raises(HorizonExceeded):
         assemble_mode(params, gauss_path, pair, t, y_grid)
     with pytest.raises(HorizonExceeded):
-        mode_amplitude_series([params], gauss_path, pair, np.array([0.01, t]))
+        mode_amplitude_series(gauss_prof, [64], gauss_path, pair,
+                              np.array([0.01, t]))
 
 
 def test_no_slip_exact(mode64):
@@ -379,9 +380,9 @@ def test_mode_from_rows_makes_one_kernel_call(monkeypatch, gauss_path, pair,
 def test_amplitude_series_matches_per_n_assembly(gauss_path, pair,
                                                  gauss_prof):
     ts = np.array([0.045, 0.004, 0.08, 0.01])
-    params = [default_params(gauss_prof, n)
-              for n in (32, 64, 128, 256)]
-    amps = mode_amplitude_series(params, gauss_path, pair, ts)
+    ns = (32, 64, 128, 256)
+    params = [default_params(gauss_prof, n) for n in ns]
+    amps = mode_amplitude_series(gauss_prof, ns, gauss_path, pair, ts)
     assert len(amps) == len(params)
     for p, amp in zip(params, amps):
         for i, t in enumerate(ts):
@@ -399,8 +400,9 @@ def test_amplitude_series_is_the_shear_layer_slope(gauss_path, pair,
     # log_sl is the log of t |E| max |d_y v_sl| with d_y v_sl as the
     # assembly's shear layer forms it, on the same layer grid, bit for bit
     ts = np.array([0.045, 0.004, 0.08, 0.01])
-    params = [default_params(gauss_prof, n) for n in (32, 64, 128, 256)]
-    amps = mode_amplitude_series(params, gauss_path, pair, ts)
+    ns = (32, 64, 128, 256)
+    params = [default_params(gauss_prof, n) for n in ns]
+    amps = mode_amplitude_series(gauss_prof, ns, gauss_path, pair, ts)
     kap = time_integral(gauss_path.kappa, ts)
     for p, amp in zip(params, amps):
         expected = []
@@ -426,8 +428,7 @@ def test_amplitude_series_is_its_envelope(request, pair, family):
     path = request.getfixturevalue(f"{family}_path")
     ns = [32, 64, 128, 256]
     ts = np.linspace(0.03 / 24, 0.03, 24)
-    amps = mode_amplitude_series([default_params(prof, n) for n in ns],
-                                 path, pair, ts)
+    amps = mode_amplitude_series(prof, ns, path, pair, ts)
     envelope = (np.log(ts) + 1.5 * np.log(path.kappa(ts))
                 + np.log(abs(pair.v_derivs(np.zeros(1))[1][0])))
     growth = abs(pair.tau.imag) * time_integral(path.kappa, ts)
@@ -449,8 +450,7 @@ def test_amplitude_series_kernel_calls_independent_of_n(
     ts = np.linspace(0.03 / 24, 0.03, 6)
     for ns in ((64,), (32, 64, 128, 256)):
         calls.clear()
-        mode_amplitude_series([default_params(gauss_prof, n) for n in ns],
-                              gauss_path, pair, ts)
+        mode_amplitude_series(gauss_prof, ns, gauss_path, pair, ts)
         assert len(calls) == len(ts), ns
 
 
@@ -467,8 +467,7 @@ def test_amplitude_series_makes_no_multi_point_kernel_call(
 
     monkeypatch.setattr(HeatFlow, "derivs", counted)
     ts = np.linspace(0.03 / 24, 0.03, 6)
-    mode_amplitude_series([default_params(gauss_prof, n)
-                           for n in (32, 64, 128, 256)],
-                          gauss_path, pair, ts)
+    mode_amplitude_series(gauss_prof, (32, 64, 128, 256), gauss_path, pair,
+                          ts)
     assert calls
     assert [c for c in calls if c[1].size > 1] == []
