@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, eigen, evolve, heat, modes, norms, svg
 from . import path as critical_path
 from .errors import ShearmodesError
-from .profiles import family_names, make_profile
+from .profiles import build_family, family_names, make_profile
 
 DEFAULT_CONFIG = {
     "profile": {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
@@ -57,9 +57,11 @@ PROBE_M, PROBE_ALPHA, PROBE_MU = 2, 1.0, 0.25   # of rho and rho_cert
 PROBE_KS = (32, 64, 128, 256, 512)  # increasing: the verdicts read k in order
 PROBE_T = 0.1
 PROBE_SIGMA_FACTORS = (0.5, 2.0)    # of the rate: one verdict below, one above
-# the probe's least step count: at 240 steps log_final_norm at k = 512 reads
-# 0.050 above a run of 4 800 steps, at 1 200 steps 3.1e-4
-PROBE_MIN_STEPS = 1200
+# the probe's least step count: evolve steps in the free-stream frame, and at
+# 240 steps log_final_norm at k = 512 reads 3.2e-6 below a run of 4 800 steps
+# (1.2e-5 at 120 steps); without the frame it read 0.050 above at 240 steps
+# and 3.1e-4 at 1 200
+PROBE_MIN_STEPS = 240
 MODE_N, MODE_T = 64, 0.05           # mode: the wavenumber and the snapshot time
 TRANSIENT_T = 0.05                  # growth-scan: the transient block's time
 
@@ -206,14 +208,23 @@ class Pipeline:
         g = cfg["grid"]
         self.y = np.linspace(0.0, g["y_max"], g["ny"])
         self.t_grid = np.linspace(0.0, g["t0"], g["nt"])
-        self.profile = make_profile(cfg["profile"]["family"],
-                                    cfg["profile"]["params"])
+
+    @functools.cached_property
+    def profile(self):
+        """The config's profile with its critical point located, on first
+        read: make_profile's NoCriticalPoint or DegenerateCritical is
+        raised there, not when the pipeline is built."""
+        return make_profile(self.cfg["profile"]["family"],
+                            self.cfg["profile"]["params"])
 
     @functools.cached_property
     def flow(self) -> heat.HeatFlow:
         """The profile's heat flow, its quadrature checked once by
-        check_quadrature on the pipeline's (t, y) grid."""
-        flow = heat.HeatFlow(self.profile)
+        check_quadrature on the pipeline's (t, y) grid.  The flow reads the
+        profile's values alone, so it is built by build_family and needs no
+        critical point."""
+        prof = self.cfg["profile"]
+        flow = heat.HeatFlow(build_family(prof["family"], prof["params"]))
         heat.check_quadrature(flow, self.y, self.t_grid)
         return flow
 

@@ -12,6 +12,17 @@ predictor-corrector pass, which is second order and self-starting.  The
 inviscid variant (evolve's inviscid=True) drops the diffusion, for
 comparison against the exact transport formula of the inviscid problem.
 
+evolve steps in the frame that moves with the free stream.  With c the
+field's u_s at the top of its grid at its first time, w = e^{ikc(t - t0)}
+u_hat obeys the same equation with u_s - c in place of u_s (d_y u_s and
+v_hat's term are unchanged), and evolve multiplies each row by
+e^{-ikc(t_final - t0)} at the end.  The phase leaves |u_hat| alone, so only
+the time error moves: the explicit advection sees k sup|u_s - c|, not the
+fast phase k c.  At the probe's defaults and 240 steps the k = 512 row's
+log sup norm is within 3.2e-6 of a 19 200-step run, against 0.050 without
+the frame (and 3.1e-4 at 1 200 steps).  The CFL bound reads the speed in
+the frame, sup|u_s - c|.
+
 The Crank-Nicolson matrix I - (dt/2) D2 is real, symmetric and positive
 definite: evolve factors it once with LAPACK zpttrf, and each stage solves
 every row of a batch in one zpttrs call.  A step evaluates the advection
@@ -53,7 +64,8 @@ class FourierModeState:
     u_hat: np.ndarray
 
 
-# the advective step bound: dt <= C_CFL / (k sup|u_s|)
+# the advective step bound: dt <= C_CFL / (k sup|u_s - c|), c evolve's frame
+# velocity
 C_CFL = 0.5
 
 
@@ -63,22 +75,32 @@ def _k_column(k) -> np.ndarray:
     return np.asarray(k)[..., None]
 
 
+def _frame(field: HeatFlowField) -> tuple[float, float]:
+    """The frame velocity c, the field's u_s at the top of its grid at its
+    first time, and sup|u_s - c| over the field, the speed the stepper
+    advects in the frame that moves at c."""
+    c = float(field.us[0, -1])
+    return c, float(np.max(np.abs(field.us - c)))
+
+
 def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
             min_steps: int) -> float:
-    """The CFL step C_CFL / (k sup|u_s|), capped at t_final / min_steps."""
-    umax = float(np.max(np.abs(field.us)))
-    dt_cfl = C_CFL / (max(k, 1) * max(umax, 1e-12))
+    """The CFL step C_CFL / (k sup|u_s - c|) of evolve's frame, capped at
+    t_final / min_steps."""
+    speed = _frame(field)[1]
+    dt_cfl = C_CFL / (max(k, 1) * max(speed, 1e-12))
     return min(dt_cfl, t_final / min_steps)
 
 
 def _check_cfl(state: FourierModeState, field: HeatFlowField, dt: float):
-    """The advective step bound; in a batch the largest k binds."""
-    umax = float(np.max(np.abs(field.us)))
+    """The advective step bound in evolve's frame, k sup|u_s - c| dt <=
+    C_CFL; in a batch the largest k binds."""
     k = int(np.max(state.k))
-    if k > 0 and dt > C_CFL / (k * max(umax, 1e-12)):
-        raise CflViolation(
-            f"dt={dt:g} exceeds C_CFL/(k sup|u_s|)="
-            f"{C_CFL / (k * umax):g} at k={k}")
+    if k > 0:
+        bound = C_CFL / (k * max(_frame(field)[1], 1e-12))
+        if dt > bound:
+            raise CflViolation(f"dt={dt:g} exceeds C_CFL/(k sup|u_s - c|)="
+                               f"{bound:g} at k={k}")
 
 
 def _advection(u, y, k, us_row, dyus_row):
@@ -169,9 +191,10 @@ def step(state: FourierModeState, dt: float, *, coefs,
     coefs holds the (u_s, d_y u_s) rows at the step's start and end times,
     and lu the _cn_factors for dt, or None for the inviscid step, which has
     no diffusion.  evolve checks the CFL condition once, interpolates each
-    row once and factors once, and passes them to every step; it also
-    checks that the state it returns is finite.  The right-hand sides are
-    built in place, and the predictor lives in the buffer of the new state.
+    row once and factors once, and passes them to every step, the u_s rows
+    less its frame velocity c; it also checks that the state it returns is
+    finite.  The right-hand sides are built in place, and the predictor
+    lives in the buffer of the new state.
     """
     y, k = state.y, _k_column(state.k)
     u = state.u_hat
@@ -229,7 +252,9 @@ def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
     (n steps at dt = (t_final - t) / n).  state0 may be one mode or a batch
     (see FourierModeState): a batch shares the steps' coefficient rows, one
     Crank-Nicolson factorisation and one multi-right-hand-side solve per
-    stage.  The state is not rescaled.  A nan, inf or zero row of state0
+    stage.  The steps run in the free-stream frame (see the module
+    docstring), and the returned state is rotated back to the rest frame.
+    The state is not rescaled.  A nan, inf or zero row of state0
     raises NonFiniteState before any step, and so does one of the returned
     state: the step is linear, so a row that leaves the floating-point
     range or collapses to zero stays so, and the check at the end sees
@@ -251,13 +276,22 @@ def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
     dt = span / nsteps
     _check_cfl(state0, field, dt)
     lu = None if inviscid else _cn_factors(state0.y, dt)
-    coef0 = field.slice_interp(state0.t)
+    c = _frame(field)[0]
+
+    def rows(t):
+        us, dyus = field.slice_interp(t)
+        return us - c, dyus
+
+    coef0 = rows(state0.t)
     s = state0
     for _ in range(nsteps):
-        coef1 = field.slice_interp(s.t + dt)
+        coef1 = rows(s.t + dt)
         s = step(s, dt, coefs=(coef0, coef1), lu=lu)
         coef0 = coef1
-    _log_row_sup(s.u_hat)
+    # back from the frame: the phase e^{-ik c span} of each row
+    u = s.u_hat     # the state is frozen; its array is rotated in place
+    u *= np.exp(-1j * _k_column(s.k) * c * span)
+    _log_row_sup(u)
     return s
 
 

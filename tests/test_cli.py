@@ -13,8 +13,8 @@ import pytest
 import shearmodes
 from shearmodes import cli, eigen, evolve, heat
 from shearmodes.cli import (DEFAULT_CONFIG, GROWTH_T_FINAL, PROBE_KS,
-                            PROBE_SIGMA_FACTORS, PROBE_T, Pipeline,
-                            deep_merge, load_config, main)
+                            PROBE_MIN_STEPS, PROBE_SIGMA_FACTORS, PROBE_T,
+                            Pipeline, deep_merge, load_config, main)
 from shearmodes.errors import QuadratureFailure
 from shearmodes.heat import HeatFlow
 
@@ -385,8 +385,9 @@ def test_tracer_targets_resolve():
 
 def _cfl_limited(monkeypatch):
     # one step may span the probe's whole t (0.06 on the FAST grid), far
-    # above the CFL step at its largest k (about 9e-4 at k = 512): every k's
-    # step is CFL-limited
+    # above the CFL step at its largest k (9.8e-4 at k = 512, where the
+    # stepper advects at sup|u_s - c| = 1.0 in the free-stream frame): every
+    # k's step is CFL-limited
     monkeypatch.setattr(cli, "PROBE_MIN_STEPS", 1)
 
 
@@ -416,6 +417,30 @@ def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
     dt = [evolve.auto_dt(k, pipe.field, t, min_steps=1) for k in PROBE_KS]
     assert all(b < a for a, b in zip(dt, dt[1:]))
     assert calls == [(PROBE_KS, dt[-1])]
+
+
+def test_probe_takes_the_step_floor_at_defaults(monkeypatch, tmp_path):
+    # at defaults the step floor binds, not the CFL step: the probe's one
+    # batch takes PROBE_MIN_STEPS steps and reads PROBE_MIN_STEPS + 1
+    # coefficient rows, the benchmark's evolve.step.calls and
+    # heat.slice_interp.calls
+    steps, rows = [], []
+    step, slice_interp = evolve.step, heat.HeatFlowField.slice_interp
+
+    def counted_step(state, dt, **kwargs):
+        steps.append(state.k)
+        return step(state, dt, **kwargs)
+
+    def counted_rows(self, t):
+        rows.append(t)
+        return slice_interp(self, t)
+
+    monkeypatch.setattr(evolve, "step", counted_step)
+    monkeypatch.setattr(heat.HeatFlowField, "slice_interp", counted_rows)
+    assert main(["illposedness-probe", "--out", str(tmp_path)]) == 4
+    assert steps == [PROBE_KS] * PROBE_MIN_STEPS
+    assert len(rows) == PROBE_MIN_STEPS + 1
+    assert PROBE_MIN_STEPS == 240
 
 
 def test_only_eigen_samples_the_eigenprofile(monkeypatch, tmp_path):
@@ -706,6 +731,19 @@ def test_heat_report_contents(tmp_path):
     assert rep["wall_max"] == 0.0
     man = json.loads((tmp_path / "o" / "heat" / "manifest.json").read_text())
     assert "config_sha256" in man and "package_version" in man
+
+
+def test_heat_runs_on_a_profile_without_a_critical_point(tmp_path):
+    # the heat flow reads the profile's values alone: heat used to locate a
+    # critical point first and exit 3 (NoCriticalPoint) on the monotone one
+    cfg = _write_cfg(tmp_path, {"profile": {"family": "monotone",
+                                            "params": {"U0": 1.0}}})
+    assert main(["heat", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = tmp_path / "o" / "heat"
+    assert not (out / "error.json").exists()
+    rep = json.loads((out / "heat_report.json").read_text())
+    assert rep["heat_residual_probe"] < 1e-6
+    assert rep["wall_max"] == 0.0
 
 
 def test_mode_command_on_a_vanishing_curvature_exits_3(tmp_path):

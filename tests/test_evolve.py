@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shearmodes.cli import (PROBE_KS, PROBE_MIN_STEPS, PROBE_T, Pipeline,
+                            load_config)
 from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
 from shearmodes.evolve import (_DIAG, _KL, _KU, FourierModeState,
                                _advection, _cn_factors, _cn_solve,
@@ -131,15 +133,53 @@ def test_cfl_guard(gauss_field, y_grid):
 @pytest.mark.parametrize("scheme", ["imex-cn", "inviscid"])
 def test_evolve_matches_standalone_steps(gauss_field, y_grid, scheme):
     # evolve factors the Crank-Nicolson matrix once and carries each step's
-    # end-time coefficients over; here every step gets fresh ones
+    # end-time coefficients over; here every step gets fresh ones.  Both step
+    # in the frame that moves at c, the field's top u_s at t = 0, and rotate
+    # back by e^{-ikc t} at the end
     dt, inviscid = 2.0**-11, scheme == "inviscid"
+    c = float(gauss_field.us[0, -1])
     s = FourierModeState(k=24, t=0.0, y=y_grid,
                          u_hat=_blob(y_grid).astype(complex))
     final = evolve(s, gauss_field, dt, 10 * dt, inviscid=inviscid)
     for _ in range(10):
         lu = None if inviscid else _cn_factors(y_grid, dt)
-        s = step(s, dt, coefs=_step_coefs(gauss_field, s, dt), lu=lu)
-    assert np.array_equal(final.u_hat, s.u_hat)
+        coefs = [(us - c, dyus)
+                 for us, dyus in _step_coefs(gauss_field, s, dt)]
+        s = step(s, dt, coefs=coefs, lu=lu)
+    assert np.array_equal(final.u_hat,
+                          s.u_hat * np.exp(-1j * 24 * c * (10 * dt)))
+
+
+@pytest.mark.parametrize("nsteps", [1, 7, 100])
+def test_uniform_stream_is_a_pure_phase_at_any_step(y_grid, nsteps):
+    # u_s = c0 and d_y u_s = 0 everywhere: the inviscid mode is e^{-ik c0 t}
+    # u0, and in the frame that moves at c0 nothing is left to step, so the
+    # phase is exact to rounding whatever the step (a wrong sign or k in the
+    # rotation back is off by O(1))
+    c0, t, ks = 0.7, 0.25, (8, 512)
+    t_grid = np.linspace(0.0, 0.3, 4)
+    field = HeatFlowField(y_grid=y_grid, t_grid=t_grid,
+                          rows=(np.full((4, y_grid.size), c0),
+                                np.zeros((4, y_grid.size))), flow=None)
+    u0 = _batch_data(y_grid)[:2]
+    final = evolve(FourierModeState(k=ks, t=0.0, y=y_grid, u_hat=u0), field,
+                   t / nsteps, t, inviscid=True)
+    exact = np.exp(-1j * np.array(ks)[:, None] * c0 * t) * u0
+    assert np.max(np.abs(final.u_hat - exact)) <= 1e-13 * np.max(np.abs(u0))
+
+
+def test_probe_row_converges_at_the_step_floor():
+    # the probe's k = 512 row at PROBE_MIN_STEPS steps against 4 800: in the
+    # free-stream frame the gap is 3.2e-6; without it, 3.1e-4 at 1 200 steps
+    # and 0.050 at 240
+    pipe = Pipeline(load_config(None))
+    t, k = min(PROBE_T, pipe.path.t0), PROBE_KS[-1]
+    s0 = FourierModeState(k=k, t=0.0, y=pipe.y,
+                          u_hat=pipe.mode_initial(k).astype(complex))
+    dt = auto_dt(k, pipe.field, t, min_steps=PROBE_MIN_STEPS)
+    logs = [np.log(np.max(np.abs(evolve(s0, pipe.field, h, t).u_hat)))
+            for h in (dt, t / 4800)]
+    assert abs(logs[0] - logs[1]) <= 2e-5
 
 
 @pytest.mark.parametrize("k", [24, (8, 16)])
