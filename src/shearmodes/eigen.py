@@ -125,7 +125,6 @@ def _evaluate(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailSolution:
-    side: str                 # "left" | "right"
     at_match: np.ndarray      # (W or W-1, G, G') at z = 0
     z: np.ndarray | None = None
     y: np.ndarray | None = None
@@ -174,9 +173,9 @@ def _integrate_tail(tau: complex, problem: DispersionProblem, side: str, *,
         raise TailBlowup(f"{side} tail did not reach z = 0 in "
                          f"{_MAX_STEPS} Taylor steps")
     if not dense:
-        return TailSolution(side=side, at_match=y)
+        return TailSolution(at_match=y)
     y_out[:, -1] = y
-    return TailSolution(side=side, at_match=y, z=z_out, y=y_out)
+    return TailSolution(at_match=y, z=z_out, y=y_out)
 
 
 def shoot_tails(tau: complex, problem: DispersionProblem, *,

@@ -389,10 +389,8 @@ class _ShiftedBand:
             raise NotConverged(f"z - tA is singular at the contour node {z}")
         return lu, ipiv
 
-    def solve(self, factors: tuple, b: np.ndarray, trans: int = 0):
-        """(z - tA)^{-1} b (trans 0) or (z - tA)^{-H} b (trans 2)."""
-        if trans:
-            return self.solve_m(factors, self.difference_h(b), trans)
+    def solve(self, factors: tuple, b: np.ndarray):
+        """(z - tA)^{-1} b."""
         w = self.solve_m(factors, b)
         w[1:] -= w[:-1].copy()
         return w

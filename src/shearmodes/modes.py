@@ -174,7 +174,6 @@ class _Scalars:
         self.dyus_a = dyus_a
         self.lam = lam
         self.adot = adot
-        self.lamdot = lamdot
         self.us_a = us_a
         self.kappa = np.sqrt(abs(lam) / 2.0)
         # kappa = sqrt(|lam| / 2), so kappa' = sign(lam) lam' / (4 kappa)

@@ -1,4 +1,4 @@
-"""Weighted norms, rate fitting, and tail classification.
+"""Weighted norms and rate fitting.
 
 Grid suprema stand in for essential suprema throughout; callers are expected
 to confirm refinement stability for anything they assert at a tolerance.
@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import InsufficientData, WindowTooShort
 
-TAIL_FLOOR = 1e-14
 # fewest samples a rate fit accepts
 MIN_SAMPLES = 8
 
@@ -71,31 +70,3 @@ def fit_power_law(ks, sigmas) -> tuple[float, float]:
     p, _, resid = _line_fit(np.log(ks), np.log(sigmas))
     return p, resid
 
-
-@dataclass(frozen=True)
-class TailClass:
-    kind: str            # "exponential" | "algebraic" | "faster"
-    rate: float | None   # decay rate (exponential) or power (algebraic)
-    residual: float
-
-
-def tail_class(f, y) -> TailClass:
-    """Classify the far-field decay of |f| on the far half of the grid.
-
-    Regresses log|f| against y (exponential model) and against log y
-    (algebraic model) and keeps whichever fits better.  Everything below
-    TAIL_FLOOR counts as decaying faster than either model resolves.
-    """
-    f = np.asarray(f)
-    y = np.asarray(y, dtype=float)
-    sel = slice(y.size // 2, y.size)
-    yy, av = y[sel], np.abs(f[sel])
-    good = av > TAIL_FLOOR
-    if int(good.sum()) < 4:
-        return TailClass(kind="faster", rate=None, residual=0.0)
-    yy, lf = yy[good], np.log(av[good])
-    s_exp, _, r_exp = _line_fit(yy, lf)
-    s_alg, _, r_alg = _line_fit(np.log(yy), lf)
-    if r_exp <= r_alg:
-        return TailClass(kind="exponential", rate=-s_exp, residual=r_exp)
-    return TailClass(kind="algebraic", rate=-s_alg, residual=r_alg)

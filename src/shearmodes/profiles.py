@@ -27,12 +27,6 @@ SQRT_PI = np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
-class DecayClass:
-    kind: str             # "exponential" | "algebraic" | "gaussian"
-    rate: float | None    # e-folding rate or algebraic power of U'
-
-
-@dataclass(frozen=True)
 class ShearProfile:
     """An initial shear layer U_s with closed-form derivatives.
 
@@ -42,10 +36,7 @@ class ShearProfile:
     point.
     """
 
-    family: str
-    params: dict
     U0: float
-    decay_class: DecayClass
     value: Callable[[np.ndarray], np.ndarray]
     derivs: Callable[[np.ndarray], tuple]
     a0: float | None = None
@@ -112,17 +103,14 @@ def _monotone(U0: float):
 _FAMILIES = {
     "gaussian-bump": {
         "build": lambda p: _gaussian_bump(p["U0"], p["A"]),
-        "decay": DecayClass("exponential", 1.0),
         "defaults": {"U0": 1.0, "A": 1.0},
     },
     "algebraic-bump": {
         "build": lambda p: _algebraic_bump(p["U0"], p["A"]),
-        "decay": DecayClass("algebraic", 2.0),
         "defaults": {"U0": 1.0, "A": 1.0},
     },
     "monotone": {
         "build": lambda p: _monotone(p["U0"]),
-        "decay": DecayClass("gaussian", None),
         "defaults": {"U0": 1.0},
     },
 }
@@ -140,14 +128,7 @@ def build_family(family: str, params: dict | None = None) -> ShearProfile:
     merged = dict(entry["defaults"])
     merged.update(params or {})
     value, derivs = entry["build"](merged)
-    return ShearProfile(
-        family=family,
-        params=merged,
-        U0=float(merged["U0"]),
-        decay_class=entry["decay"],
-        value=value,
-        derivs=derivs,
-    )
+    return ShearProfile(U0=float(merged["U0"]), value=value, derivs=derivs)
 
 
 def critical_points(profile: ShearProfile) -> list[tuple[float, float]]:

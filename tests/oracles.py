@@ -1,8 +1,8 @@
 """Independent oracles: exact solutions the stepper is checked against, the
 dense frozen mode operator and its matrix exponential, a general-purpose
 integrator for the dispersion shot, the dense spectrum of the collocation
-oracle's companion matrix, and the advective phase by one kernel call per
-quadrature node.
+oracle's companion matrix, the advective phase by one kernel call per
+quadrature node, and a far-field decay classifier.
 
 The stepper's oracles share only the Gauss-Legendre panel builder with the
 package, and nothing of the heat or stepper code they check.  The dense
@@ -12,7 +12,9 @@ seed and TailSolution with the Taylor-series shot it checks.  The dense
 companion spectrum shares only the collocation pencil with the shift-invert
 iteration of matrix_eigenvalues.  The kernel-per-node phase shares only
 the panel builder and the path's a(t) with modes.phase_integral, which
-takes it by parts along the path.
+takes it by parts along the path.  The decay classifier tail_class shares
+nothing with the package; it measures the tails the decay criterion and the
+profile tests assert.
 """
 
 from types import SimpleNamespace
@@ -153,5 +155,40 @@ def dop853_tail(tau: complex, problem, side: str, *,
                     method="DOP853", rtol=problem.rtol, atol=atol,
                     t_eval=t_eval)
     assert sol.success, sol.message
-    return TailSolution(side=side, at_match=sol.y[:, -1],
-                        z=sol.t if dense else None, y=sol.y if dense else None)
+    return TailSolution(at_match=sol.y[:, -1],
+                        z=sol.t if dense else None,
+                        y=sol.y if dense else None)
+
+
+# below this |f| counts as decaying faster than either tail model resolves
+TAIL_FLOOR = 1e-14
+
+
+def _line_fit(x, v) -> tuple[float, float]:
+    """Least-squares slope of v against x and the rms residual of the line."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - v) ** 2)))
+
+
+def tail_class(f, y) -> SimpleNamespace:
+    """Classify the far-field decay of |f| on the far half of the grid:
+    kind "exponential" (rate the e-folding rate), "algebraic" (rate the
+    power) or "faster" (rate None).
+
+    Regresses log|f| against y and against log y and keeps whichever line
+    fits better; fewer than four samples above TAIL_FLOOR read "faster".
+    """
+    f = np.asarray(f)
+    y = np.asarray(y, dtype=float)
+    sel = slice(y.size // 2, y.size)
+    yy, av = y[sel], np.abs(f[sel])
+    good = av > TAIL_FLOOR
+    if int(good.sum()) < 4:
+        return SimpleNamespace(kind="faster", rate=None)
+    yy, lf = yy[good], np.log(av[good])
+    s_exp, r_exp = _line_fit(yy, lf)
+    s_alg, r_alg = _line_fit(np.log(yy), lf)
+    if r_exp <= r_alg:
+        return SimpleNamespace(kind="exponential", rate=-s_exp)
+    return SimpleNamespace(kind="algebraic", rate=-s_alg)

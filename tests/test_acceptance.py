@@ -33,13 +33,14 @@ from shearmodes.heat import (HeatFlow, check_quadrature,
 from shearmodes.modes import (assemble_mode, default_params,
                               initial_tangential_norm, mode_amplitude_series,
                               old_frozen_tangential, residual)
-from shearmodes.norms import fit_power_law, tail_class, weighted_sup
+from shearmodes.norms import fit_power_law, weighted_sup
 from shearmodes.profiles import build_family, make_profile
 from scipy.linalg import eigvals, lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from oracles import frozen_field, frozen_mode_operator, inviscid_exact
+from oracles import (frozen_field, frozen_mode_operator, inviscid_exact,
+                     tail_class)
 
 
 def _report(num, ok, detail):

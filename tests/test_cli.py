@@ -274,8 +274,8 @@ def test_src_holds_no_oracle():
 
 def test_src_names_nothing_in_src_reads():
     # public module-level functions and classes, and public methods, that no
-    # Name, Attribute or import in src refers to; norms.tail_class waits for
-    # the decay sweep of ROADMAP item 11, which would read it
+    # Name, Attribute or import in src refers to; a name that only the tests
+    # read belongs to the tests
     src = Path(shearmodes.__file__).resolve().parent
     defined, read = [], set()
     for p in sorted(src.glob("*.py")):
@@ -297,8 +297,41 @@ def test_src_names_nothing_in_src_reads():
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.update((node.name, node.asname))
-    assert [q for q, name in defined if name not in read] == [
-        "norms.tail_class"]
+    assert [q for q, name in defined if name not in read] == []
+
+
+def test_src_reads_every_field_it_stores_but_six():
+    # class-body annotations (dataclass fields) and self.X = assignments in
+    # __init__ whose attribute src never loads; these six are kept because
+    # the tests read them: the eigenprofile's W' and W'' against the shot,
+    # the dense tail's z where the tests join the two tails, and the mode's
+    # y-derivatives in its equation, divergence identity and W^{2,inf} norm
+    src = Path(shearmodes.__file__).resolve().parent
+    stored, loaded = [], set()
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    stored.append((p.stem, cls.name, node.target.id))
+                elif (isinstance(node, ast.FunctionDef)
+                        and node.name == "__init__"):
+                    stored += [(p.stem, cls.name, t.attr)
+                               for a in ast.walk(node)
+                               if isinstance(a, ast.Assign)
+                               for t in a.targets
+                               if isinstance(t, ast.Attribute)
+                               and getattr(t.value, "id", None) == "self"]
+        loaded.update(n.attr for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, ast.Load))
+    assert [".".join(f) for f in stored if f[2] not in loaded] == [
+        "eigen.TailSolution.z", "eigen.ProfileSamples.W1",
+        "eigen.ProfileSamples.W2", "modes.ModeField.dyU",
+        "modes.ModeField.d2yU", "modes.ModeField.dyV"]
 
 
 def _defaulted_parameters(tree, stack):
@@ -345,9 +378,11 @@ def _overrides(call, name, param, index, method):
 
 def test_src_overrides_every_default_it_defines():
     # a default that no call in src overrides is a setting one value reaches;
-    # these are kept because the tests set them: main's argv runs the CLI,
-    # and shoot_tails' dense, evolve's inviscid, _ShiftedBand.solve's trans
-    # and transient_amplification's ny build the tests' references
+    # these four are kept because the tests set them: main's argv runs the
+    # CLI in process, shoot_tails' dense gives the tail on the grid that the
+    # DOP853 oracle is compared on, evolve's inviscid steps the inviscid
+    # exact solution's problem, and transient_amplification's ny gives the
+    # grid that the dense matrix exponential can reach
     src = Path(shearmodes.__file__).resolve().parent
     defaults, calls = [], []
     for p in sorted(src.glob("*.py")):
@@ -358,7 +393,6 @@ def test_src_overrides_every_default_it_defines():
             if not any(_overrides(c, name, param, index, method)
                        for c in calls)] == [
         "cli.main.argv", "eigen.shoot_tails.dense", "evolve.evolve.inviscid",
-        "evolve._ShiftedBand.solve.trans",
         "evolve.transient_amplification.ny"]
 
 

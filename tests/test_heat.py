@@ -112,7 +112,7 @@ def test_windowed_kernel_matches_dense_sum(gauss_prof, alg4_prof, t):
             for j, g, r, tl in zip(orders, got, ref, tol):
                 assert g.shape == y.shape
                 scale = max(1.0, float(np.max(np.abs(r))))
-                assert np.max(np.abs(g - r)) <= tl * scale, (prof.family, j)
+                assert np.max(np.abs(g - r)) <= tl * scale, (prof.a0, j)
 
 
 def test_wall_value_exactly_zero_at_small_time(gauss_prof):

@@ -113,7 +113,7 @@ def test_path_kernel_calls_per_node(monkeypatch, gauss_prof, alg4_prof):
         assert len(calls) <= 153
         for t, a, lam in zip(path.t_nodes, path.a_nodes, path.lam_nodes):
             slope = flow.derivs(t, np.array([a]), orders=(1,))[0][0]
-            assert abs(slope) <= 1e-14 * abs(lam), (prof.family, t)
+            assert abs(slope) <= 1e-14 * abs(lam), (prof.a0, t)
 
 
 class _CubeRootSlope:

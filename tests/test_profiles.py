@@ -4,9 +4,10 @@ from scipy.optimize import brentq
 
 from shearmodes import profiles
 from shearmodes.errors import DegenerateCritical, NoCriticalPoint
-from shearmodes.norms import tail_class
 from shearmodes.profiles import (build_family, critical_points, family_names,
                                  make_profile)
+
+from oracles import tail_class
 
 
 def _fd_derivative(f, y, order, h=1e-3):
@@ -52,7 +53,11 @@ def test_gaussian_bump_profile_shape():
     prof = make_profile("gaussian-bump", {"U0": 1.0, "A": 1.0})
     assert prof.value(np.array([0.0]))[0] == 0.0
     assert prof.value(np.array([28.0]))[0] == pytest.approx(1.0, abs=1e-9)
-    assert prof.decay_class.kind == "exponential"
+    # U' = U0 e^{-y} + A (2y - 2y^3) e^{-y^2}: the far field decays at rate 1
+    far = np.linspace(0, 40, 2401)
+    tc = tail_class(prof.derivs(far)[1], far)
+    assert tc.kind == "exponential"
+    assert tc.rate == pytest.approx(1.0, abs=1e-6)
     # independent placement oracle: dense argmax of U plus local quadratic fit
     y = np.linspace(0.5, 4.0, 400001)
     U = prof.derivs(y)[0]
@@ -67,7 +72,6 @@ def test_algebraic_bump_exact_critical_point():
     # U = (y^2 + y)/(1 + y^2) has its maximum exactly at 1 + sqrt(2)
     prof = make_profile("algebraic-bump", {"U0": 1.0, "A": 1.0})
     assert prof.a0 == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-10)
-    assert prof.decay_class.rate == 2.0
 
 
 def test_algebraic_bump_tail_is_quadratic():
