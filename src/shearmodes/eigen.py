@@ -293,19 +293,27 @@ class Eigenpair:
                                  f"jump_{name}": right - left})
 
     def _profile(self, z):
-        """(W - 1_{z >= 0}, W', W'') at z."""
+        """(q, E, W - 1_{z >= 0}, W') at z; _w2 forms W'' from q and E."""
         zn = -np.abs(z)                       # W is evaluated on z <= 0 only
         q = self.tau + self.s * zn * zn
         E = np.exp(self._s1 * zn * zn / 2)
         Wn = 0.5 * erfc(-self._r * zn) + self._cw * zn * E / q
         W1 = self._c1 * E / q**2
-        W2 = self._c1 * (self._s1 / q**2 - 4 * self.s / q**3) * z * E
-        return np.where(z >= 0, -Wn, Wn), W1, W2
+        return q, E, np.where(z >= 0, -Wn, Wn), W1
+
+    def _w2(self, z, q, E):
+        return self._c1 * (self._s1 / q**2 - 4 * self.s / q**3) * z * E
 
     def w_derivs(self, z):
         z = np.asarray(z, dtype=float)
-        Wm, W1, W2 = self._profile(z)
-        return Wm + (z >= 0), W1, W2
+        q, E, Wm, W1 = self._profile(z)
+        return Wm + (z >= 0), W1, self._w2(z, q, E)
+
+    def v_and_slope(self, z):
+        """V and V' of v_derivs, bit for bit, without forming W''."""
+        z = np.asarray(z, dtype=float)
+        q, _, Wm, W1 = self._profile(z)
+        return q * Wm, q * W1 + 2 * self.s * z * Wm
 
     def v_derivs(self, z):
         """V, V', V'', V''' with the indicator subtraction on z >= 0.
@@ -313,11 +321,9 @@ class Eigenpair:
         V''' = i q^2 W' exactly (the ODE removes the third derivative of W).
         """
         z = np.asarray(z, dtype=float)
-        Wm, W1, W2 = self._profile(z)
-        q = self.tau + self.s * z * z
-        V = q * Wm
-        V1 = q * W1 + 2 * self.s * z * Wm
-        V2 = q * W2 + 4 * self.s * z * W1 + 2 * self.s * Wm
+        q, E, Wm, W1 = self._profile(z)
+        V, V1 = q * Wm, q * W1 + 2 * self.s * z * Wm
+        V2 = q * self._w2(z, q, E) + 4 * self.s * z * W1 + 2 * self.s * Wm
         V3 = 1j * q * q * W1
         return V, V1, V2, V3
 

@@ -489,15 +489,16 @@ def _orthogonalize(r: np.ndarray, Q: list) -> np.ndarray:
     return r
 
 
-def _largest_singular(op: _ContourExp, n: int) -> tuple:
+def _largest_singular(op: _ContourExp, start: np.ndarray) -> tuple:
     """sigma_max of op, its right singular vector v and op v, by Golub-Kahan
     bidiagonalisation (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965) with
-    full reorthogonalisation, from the all-ones start vector, until sigma
+    full reorthogonalisation, from the direction of start, until sigma
     moves by at most _SIGMA_RTOL relative or V spans the whole space.  op V
     = U B with B upper bidiagonal, so sigma_max(B) rises to sigma_max(op),
     which it equals once B is n by n; v = V y and op v = sigma U x for the
     top singular pair (x, y) of B."""
-    V = [np.full(n, 1 / np.sqrt(n), dtype=complex)]
+    n = start.size
+    V = [start / np.linalg.norm(start)]
     p = op.matvec(V[0])
     alpha = [np.linalg.norm(p)]
     U = [p / alpha[0]]
@@ -556,26 +557,37 @@ def transient_amplification(profile, k: int, t: float, *,
         alg4    256 0.1     29.3     464  528      31.6     521  560
 
     so N is at least 21 nodes above the fewest at every half, and at least
-    38 at half 29-32 (the tests run the rule at N - 16).  sigma_max
-    comes from Golub-Kahan bidiagonalisation, started from the all-ones
-    vector so that the value is reproducible, and stopped when sigma moves
-    by at most 1e-14 relative (at 1e-13 it stops early at t = 1e-4, where
-    the top singular values cluster at 1.00046 and 1.00003).  The rule then
+    38 at half 29-32 (the tests run the rule at N - 16).
+
+    sigma_max comes from Golub-Kahan bidiagonalisation in two stages, each
+    stopped when sigma moves by at most 1e-14 relative (at 1e-13 it stops
+    early at t = 1e-4, where the top singular values cluster at 1.00046 and
+    1.00003).  The first runs on the rule at N // 2 nodes, from the all-ones
+    vector so that the value is reproducible; it is too coarse for sigma,
+    but its right singular vector is close to the full rule's.  That rule
+    is dropped, and the second stage starts the full rule from the vector,
+    where one step (op v, op^H u, op v) meets the stop.  The rule then
     checks itself: its product with the converged right singular vector at
     N + 32 nodes must agree to 1e-10 relative, else NotConverged.  The
     check's nodes are factored, solved and dropped one at a time
-    (_streamed_matvec), so at most the rule's N factorisations are held at
-    once: 80 of 0.09 MB each at k = 64, t = 0.05 and ny = 900.
+    (_streamed_matvec).  So a call factors N // 2 + 2N + 32 nodes, 232 at
+    k = 64 and t = 0.05, and holds at most the rule's N factorisations at
+    once: 80 of 0.09 MB each at ny = 900.
 
     Against the dense oracle, on 40 cases (both profiles; k = 64, 128 and
     256 at t = 0.05 and 1e-4 and ny = 300, 700 and 900; and the four widest
-    rows above) the largest relative gap was 7.7e-14 and the self-check gap
-    1.0e-12.  At ny = 900 that gap is rounding, not truncation: at k = 128
-    and t = 0.05 it scatters from -4.8e-14 to 7.7e-14 between 96 and 260
-    nodes.  The clustered values cost steps: at k = 64 Golub-Kahan takes 19
-    steps at t = 0.05 and ny = 900 (0.16-0.23 s on one CPU of a 2-core host),
-    92 at t = 1e-4 and ny = 300 (0.32-0.43 s) and 198 at t = 1e-4 and ny =
-    900 (1.8-2.3 s), where the 2-norm of the dense expm takes 0.08 s, 1.6 s.
+    rows above) the largest relative gap was 1.4e-13, at gauss k = 128, t =
+    0.05 and ny = 900 (9.7e-14 with one stage on the full rule), and 8.1e-14
+    in every other case.  That gap is the rounding of the band solves, not
+    truncation or an early stop: there the second stage's sigma holds to
+    the last digit over six more steps, yet moves by 1.1e-13 when it starts
+    from the first stage's vector after 25 steps instead of the 19 at its
+    stop.  The clustered values cost steps: at k = 64 the first stage's
+    bidiagonal grows to 19 columns at t = 0.05 and ny = 900, 92 at t = 1e-4
+    and ny = 300 and 198 at t = 1e-4 and ny = 900, and the second stage's
+    to 2 in each.  On one CPU of a 2-core host with BLAS at 1 thread, the
+    three calls took 0.10-0.11 s, 0.18-0.21 s and 1.5-2.2 s, against
+    0.17-0.20 s, 0.30-0.43 s and 2.1-3.1 s with one stage on the full rule.
     """
     if t < 0:
         raise ValueError(f"transient_amplification needs t >= 0, got {t}")
@@ -585,8 +597,12 @@ def transient_amplification(profile, k: int, t: float, *,
     lo, hi = float(band.U.min()), float(band.U.max())
     m, half = -t * k * (hi + lo) / 2, t * k * (hi - lo) / 2
     n_nodes = _node_count(half)
-    sigma, v, ev = _largest_singular(_ContourExp(band, m, half, n_nodes),
-                                     ny - 2)
+    # converge on the half-node rule, then finish on the full one from its
+    # right singular vector; the half rule is dropped before the full one
+    # is factored, so at most n_nodes factorisations are held
+    _, v, _ = _largest_singular(_ContourExp(band, m, half, n_nodes // 2),
+                                np.ones(ny - 2, dtype=complex))
+    sigma, v, ev = _largest_singular(_ContourExp(band, m, half, n_nodes), v)
     ev_check = _streamed_matvec(band, m, half, n_nodes + _CHECK_NODES, v)
     gap = float(np.linalg.norm(ev - ev_check) / np.linalg.norm(ev_check))
     if gap > _CHECK_RTOL:

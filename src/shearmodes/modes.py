@@ -427,9 +427,9 @@ def mode_amplitude_series(profile: ShearProfile, ks: Sequence[int],
     kernel.  v_sl reads no u_s, so no kernel row is taken on a grid.  The
     cutoff depends on the profile alone, so per sample time every k shares
     one layer grid, one evaluation of phi and phi' there, and one
-    pair.v_derivs call on the stacked zeta of the ks; of the shear layer
-    only d_y v_sl = phi' amp V + phi amp V' / ell is formed,
-    amp = sqrt(eps) kappa.  log_sl equals, bit for bit, the log of
+    pair.v_and_slope call (V and V' only) on the stacked zeta of the ks; of
+    the shear layer only d_y v_sl = phi' amp V + phi amp V' / ell is
+    formed, amp = sqrt(eps) kappa.  log_sl equals, bit for bit, the log of
     t * |E| * max |d_y v_sl| of _shear_layer at each t.
     """
     ts = np.asarray(ts, dtype=float)
@@ -446,7 +446,7 @@ def mode_amplitude_series(profile: ShearProfile, ks: Sequence[int],
         r = np.linspace(max(0.0, a - h), a + h, 1601) - a
         phi, p1 = cut.derivs(r)[:2]
         scs = [_Scalars(**point, eps=p.eps, tau=pair.tau) for p in params]
-        V, V1 = pair.v_derivs(np.array([r / sc.ell for sc in scs]))[:2]
+        V, V1 = pair.v_and_slope(np.array([r / sc.ell for sc in scs]))
         for j, (sc, Vj, V1j) in enumerate(zip(scs, V, V1)):
             amp = np.sqrt(sc.eps) * sc.kappa
             dy_vsl = p1 * (amp * Vj) + phi * (amp * V1j / sc.ell)

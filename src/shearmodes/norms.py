@@ -63,7 +63,7 @@ def fit_power_law(ks, sigmas) -> tuple[float, float]:
     """log-log least squares of sigma(k) ~ c k^p; returns (p, rms residual)."""
     ks = np.asarray(ks, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
-    if ks.size < 4 or np.unique(ks).size < 4:
+    if ks.size < 4 or len(set(ks.tolist())) < 4:
         raise InsufficientData("need at least 4 distinct k values")
     if np.any(sigmas <= 0):
         raise InsufficientData("nonpositive rate in power-law fit")

@@ -340,6 +340,15 @@ def test_eigen_command_shoots_once(monkeypatch, tmp_path):
                                                                  refined)))
 
 
+def test_v_and_slope_is_the_first_two_v_derivs(pair):
+    # the series' V/V' pass skips W'' but rounds V and V' as v_derivs does,
+    # on a stacked zeta that crosses 0 and reaches the decayed tail
+    z = np.linspace(-9.0, 9.0, 401)[None, :] * np.array([[1.0], [0.37]])
+    V, V1 = pair.v_and_slope(z)
+    ref = pair.v_derivs(z)
+    assert np.array_equal(V, ref[0]) and np.array_equal(V1, ref[1])
+
+
 def test_v_samples_match_evaluator_and_decay(pair, samples):
     # V = q (W - 1) on z > 0 is taken without forming W - 1, so its tail
     # falls far below the 1e-16 * q that the subtraction would leave, and it

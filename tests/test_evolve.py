@@ -525,11 +525,38 @@ def _count_nodes_and_factors(monkeypatch):
 
 def test_transient_amplification_factors_each_node_once(monkeypatch,
                                                         gauss_prof):
-    # N nodes for the rule, N + 32 for its self-check, nothing refactored
+    # N // 2 nodes for the first stage, N for the full rule, N + 32 for its
+    # self-check, nothing refactored: 232 at ny = 300
     seen = _count_nodes_and_factors(monkeypatch)
     transient_amplification(gauss_prof, 64, 0.05, ny=300)
     (n_nodes,) = seen["nodes"]
-    assert seen["factors"] == 2 * n_nodes + 32
+    assert seen["factors"] == n_nodes // 2 + 2 * n_nodes + 32
+
+
+def test_full_rule_only_finishes_golub_kahan(monkeypatch, gauss_prof):
+    # Golub-Kahan converges on the half-node rule; started from its right
+    # singular vector, the full rule takes one step: op v, op^H u and op v
+    # again (one stage on the full rule took 37 products)
+    seen = _count_nodes_and_factors(monkeypatch)
+    sizes = []
+    for name in ("matvec", "rmatvec"):
+        def counted(self, x, apply=getattr(_ContourExp, name)):
+            sizes.append(self.weights.size)
+            return apply(self, x)
+        monkeypatch.setattr(_ContourExp, name, counted)
+    transient_amplification(gauss_prof, 64, 0.05, ny=300)
+    (n_nodes,) = seen["nodes"]
+    assert set(sizes) == {n_nodes // 2, n_nodes}
+    assert sizes.count(n_nodes) <= 3
+
+
+def test_transient_amplification_at_the_cli_grid(gauss_prof):
+    # growth-scan's case (k = 64, t = 0.05, ny = 900) against the value of
+    # the one-stage Golub-Kahan on the full rule; the dense oracle takes
+    # 5.3-5.8 s there, and the two values meet it to 1.3e-14 (one stage)
+    # and -2.7e-15 (two stages)
+    amp = transient_amplification(gauss_prof, 64, 0.05, ny=900)
+    assert abs(amp - 1.131402663239474) <= 1e-13 * amp
 
 
 def test_transient_amplification_holds_one_rule_of_factors(monkeypatch,
@@ -552,8 +579,10 @@ def test_transient_amplification_holds_one_rule_of_factors(monkeypatch,
 
 
 def test_transient_amplification_peak_memory_at_the_cli_grid(gauss_prof):
-    # 80 factorisations of 0.09 MB each at ny = 900; the traced peak was
-    # 8.0 MiB, and 21.6 MiB with the interleaved 2n system in (x, c)
+    # at most 80 factorisations of 0.09 MB each held at ny = 900 (the 40 of
+    # the half-node rule are dropped first); the traced peak was 7.1 MiB,
+    # 8.0 MiB with one stage on the full rule, and 21.6 MiB with the
+    # interleaved 2n system in (x, c)
     transient_amplification(gauss_prof, 64, 0.05, ny=100)  # loads LAPACK
     tracemalloc.start()
     try:

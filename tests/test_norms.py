@@ -99,8 +99,13 @@ def test_fit_power_law_exact():
 
 
 def test_fit_power_law_insufficient():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InsufficientData, match="4 distinct k"):
         fit_power_law([4, 8, 16], [1, 2, 3])
+    # five ks, three distinct
+    with pytest.raises(InsufficientData, match="4 distinct k"):
+        fit_power_law([4, 8, 8, 16, 4.0], [1, 2, 2, 3, 1])
+    with pytest.raises(InsufficientData, match="nonpositive rate"):
+        fit_power_law([4, 8, 16, 32], [1, 2, 0, 3])
 
 
 def test_tail_class_exponential():
