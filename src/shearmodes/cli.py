@@ -111,9 +111,10 @@ def _check_types(value, default, name: str):
     """Raise ValueError where value's type differs from default's: objects
     and lists as in the defaults (list entries against the first default
     entry), integers where the default is one, numbers where it is a float,
-    strings where it is a string; a bool is not a number.  A profile's
-    params must be an object of numbers, whatever their names; other keys
-    absent from the defaults are not checked."""
+    strings where it is a string; a bool is not a number, and a number must
+    be finite (json reads NaN and Infinity).  A profile's params must be an
+    object of numbers, whatever their names; other keys absent from the
+    defaults are not checked."""
     if isinstance(default, (dict, list, str)):
         ok = isinstance(value, type(default))
     elif isinstance(value, bool):
@@ -125,6 +126,8 @@ def _check_types(value, default, name: str):
     if not ok:
         raise ValueError(f"config {name} must be of type "
                          f"{type(default).__name__}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"config {name} must be finite, got {value!r}")
     if isinstance(default, dict):
         for k, v in value.items():
             key = f"{name}.{k}" if name else k
@@ -483,11 +486,9 @@ def cmd_illposedness_probe(cfg: dict, out: Path) -> int:
     t = min(PROBE_T, pipe.path.t0)
     rate = pipe.sigma0()
     ks = PROBE_KS
-    # ks is strictly increasing, so its last k has the smallest CFL step
-    dt = evolve.auto_dt(ks[-1], pipe.field, t, min_steps=PROBE_MIN_STEPS)
     all_rows = evolve.operator_growth_probe(
-        pipe.field, ks, [pipe.mode_initial(k) for k in ks], dt,
-        t=t, m=PROBE_M, alpha=PROBE_ALPHA,
+        pipe.field, ks, [pipe.mode_initial(k) for k in ks],
+        min_steps=PROBE_MIN_STEPS, t=t, m=PROBE_M, alpha=PROBE_ALPHA,
         sigmas=[f * rate for f in PROBE_SIGMA_FACTORS], mu=PROBE_MU)
     verdicts = {}
     series = []

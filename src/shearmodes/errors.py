@@ -37,10 +37,6 @@ class HorizonExceeded(ShearmodesError):
     """Requested time is beyond the validity horizon of the critical path."""
 
 
-class CflViolation(ShearmodesError):
-    """Time step violates the advective stability guard."""
-
-
 class NonFiniteState(ShearmodesError):
     """Evolved state left the floating-point range, or a mode collapsed to zero."""
 

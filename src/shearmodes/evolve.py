@@ -20,8 +20,9 @@ e^{-ikc(t_final - t0)} at the end.  The phase leaves |u_hat| alone, so only
 the time error moves: the explicit advection sees k sup|u_s - c|, not the
 fast phase k c.  At the probe's defaults and 240 steps the k = 512 row's
 log sup norm is within 3.2e-6 of a 19 200-step run, against 0.050 without
-the frame (and 3.1e-4 at 1 200 steps).  The CFL bound reads the speed in
-the frame, sup|u_s - c|.
+the frame (and 3.1e-4 at 1 200 steps).  evolve picks its own step count:
+the caller's min_steps, or more where the advective bound
+k sup|u_s - c| dt <= C_CFL, read at the speed in the frame, needs them.
 
 The Crank-Nicolson matrix I - (dt/2) D2 is real, symmetric and positive
 definite: evolve factors it once with LAPACK zpttrf, and each stage solves
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolation, NonFiniteState, NotConverged
+from .errors import NonFiniteState, NotConverged
 from .heat import HeatFlowField
 from .norms import fit_rate, weighted_sup
 
@@ -64,7 +65,7 @@ class FourierModeState:
     u_hat: np.ndarray
 
 
-# the advective step bound: dt <= C_CFL / (k sup|u_s - c|), c evolve's frame
+# the advective step bound: k sup|u_s - c| dt <= C_CFL, c evolve's frame
 # velocity
 C_CFL = 0.5
 
@@ -83,24 +84,12 @@ def _frame(field: HeatFlowField) -> tuple[float, float]:
     return c, float(np.max(np.abs(field.us - c)))
 
 
-def auto_dt(k: int, field: HeatFlowField, t_final: float, *,
-            min_steps: int) -> float:
-    """The CFL step C_CFL / (k sup|u_s - c|) of evolve's frame, capped at
-    t_final / min_steps."""
-    speed = _frame(field)[1]
-    dt_cfl = C_CFL / (max(k, 1) * max(speed, 1e-12))
-    return min(dt_cfl, t_final / min_steps)
-
-
-def _check_cfl(state: FourierModeState, field: HeatFlowField, dt: float):
-    """The advective step bound in evolve's frame, k sup|u_s - c| dt <=
-    C_CFL; in a batch the largest k binds."""
-    k = int(np.max(state.k))
-    if k > 0:
-        bound = C_CFL / (k * max(_frame(field)[1], 1e-12))
-        if dt > bound:
-            raise CflViolation(f"dt={dt:g} exceeds C_CFL/(k sup|u_s - c|)="
-                               f"{bound:g} at k={k}")
+def _step_count(k, speed: float, span: float, min_steps: int) -> int:
+    """evolve's step count over span: min_steps, or the fewest equal steps
+    that keep the advective bound |k| speed dt <= C_CFL; in a batch the
+    largest |k| binds."""
+    return max(min_steps,
+               int(np.ceil(span * np.max(np.abs(k)) * speed / C_CFL)))
 
 
 def _advection(u, y, k, us_row, dyus_row):
@@ -190,11 +179,11 @@ def step(state: FourierModeState, dt: float, *, coefs,
 
     coefs holds the (u_s, d_y u_s) rows at the step's start and end times,
     and lu the _cn_factors for dt, or None for the inviscid step, which has
-    no diffusion.  evolve checks the CFL condition once, interpolates each
-    row once and factors once, and passes them to every step, the u_s rows
-    less its frame velocity c; it also checks that the state it returns is
-    finite.  The right-hand sides are built in place, and the predictor
-    lives in the buffer of the new state.
+    no diffusion.  step checks no bound: evolve picks dt once, within the
+    CFL bound, interpolates each row once and factors once, and passes them
+    to every step, the u_s rows less its frame velocity c; it also checks
+    that the state it returns is finite.  The right-hand sides are built in
+    place, and the predictor lives in the buffer of the new state.
     """
     y, k = state.y, _k_column(state.k)
     u = state.u_hat
@@ -244,22 +233,24 @@ def _log_row_sup(u: np.ndarray):
     return np.log(nrm)
 
 
-def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
-           t_final: float, *, inviscid: bool = False) -> FourierModeState:
+def evolve(state0: FourierModeState, field: HeatFlowField, t_final: float, *,
+           min_steps: int, inviscid: bool = False) -> FourierModeState:
     """Step state0 to t_final and return the state reached there.
 
-    dt shrinks to land on t_final in the fewest whole steps of at most dt
-    (n steps at dt = (t_final - t) / n).  state0 may be one mode or a batch
-    (see FourierModeState): a batch shares the steps' coefficient rows, one
-    Crank-Nicolson factorisation and one multi-right-hand-side solve per
-    stage.  The steps run in the free-stream frame (see the module
-    docstring), and the returned state is rotated back to the rest frame.
-    The state is not rescaled.  A nan, inf or zero row of state0
-    raises NonFiniteState before any step, and so does one of the returned
-    state: the step is linear, so a row that leaves the floating-point
-    range or collapses to zero stays so, and the check at the end sees
-    what a check after every step would.  t_final equal to the start time
-    returns state0 itself; an earlier t_final raises ValueError.
+    evolve takes n equal steps, dt = (t_final - t) / n: n is min_steps (at
+    least 1), or more where the advective bound k sup|u_s - c| dt <= C_CFL
+    at the largest |k| of state0 needs them (_step_count).
+    state0 may be one mode or a batch (see FourierModeState): a batch
+    shares the steps' coefficient rows, one Crank-Nicolson factorisation
+    and one multi-right-hand-side solve per stage.  The steps run in the
+    free-stream frame (see the module docstring), and the returned state is
+    rotated back to the rest frame.  The state is not rescaled.  A nan, inf
+    or zero row of state0 raises NonFiniteState before any step, and so
+    does one of the returned state: the step is linear, so a row that
+    leaves the floating-point range or collapses to zero stays so, and the
+    check at the end sees what a check after every step would.  t_final
+    equal to the start time returns state0 itself; an earlier t_final
+    raises ValueError.
     """
     if t_final > field.horizon + 1e-12:
         raise ValueError(f"t_final={t_final} beyond field horizon {field.horizon}")
@@ -267,16 +258,12 @@ def evolve(state0: FourierModeState, field: HeatFlowField, dt: float,
         raise ValueError(f"t_final={t_final} before the start time {state0.t}")
     _log_row_sup(state0.u_hat)
     span = t_final - state0.t
-    nsteps = int(np.ceil(span / dt))
-    if nsteps > 1 and span / (nsteps - 1) <= dt:
-        # span / dt rounded up past a whole number, as for dt = span / n
-        nsteps -= 1
-    if not nsteps:
+    if not span:
         return state0
+    c, speed = _frame(field)
+    nsteps = _step_count(state0.k, speed, span, min_steps)
     dt = span / nsteps
-    _check_cfl(state0, field, dt)
     lu = None if inviscid else _cn_factors(state0.y, dt)
-    c = _frame(field)[0]
 
     def rows(t):
         us, dyus = field.slice_interp(t)
@@ -612,11 +599,12 @@ def transient_amplification(profile, k: int, t: float, *,
     return sigma
 
 
-def operator_growth_probe(field: HeatFlowField, ks, u0s, dt: float, *,
+def operator_growth_probe(field: HeatFlowField, ks, u0s, *, min_steps: int,
                           t: float, m: int, alpha: float, sigmas,
                           mu: float) -> list[dict]:
     """Evolve the initial data u0s[i] of wavenumber ks[i] from 0 to t, all
-    ks as one evolve batch at step dt, and report amplification ratios, one
+    ks as one evolve batch of at least min_steps steps (more where the
+    largest k's CFL bound needs them), and report amplification ratios, one
     row per (sigma, k), sigma-major.  sigma enters only the damping, so each
     k is evolved once for all sigmas.
 
@@ -633,7 +621,7 @@ def operator_growth_probe(field: HeatFlowField, ks, u0s, dt: float, *,
     """
     s0 = FourierModeState(k=tuple(int(k) for k in ks), t=0.0, y=field.y_grid,
                           u_hat=np.stack(u0s).astype(complex))
-    log_final = _log_row_sup(evolve(s0, field, dt, t).u_hat)
+    log_final = _log_row_sup(evolve(s0, field, t, min_steps=min_steps).u_hat)
     evolved = [(k, weighted_sup(u0, field.y_grid, alpha), log_nt)
                for k, u0, log_nt in zip(ks, u0s, log_final)]
     rows = []

@@ -300,6 +300,26 @@ def test_src_names_nothing_in_src_reads():
     assert [q for q, name in defined if name not in read] == []
 
 
+def test_src_raises_every_error_it_defines():
+    # a ShearmodesError subclass with no raise site in src is a failure no
+    # run can meet; the names pin above counts an import as a read, so it
+    # does not see one
+    src = Path(shearmodes.__file__).resolve().parent
+    tree = ast.parse((src / "errors.py").read_text())
+    errors = [node.name for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and any(getattr(b, "id", None) == "ShearmodesError"
+                      for b in node.bases)]
+    raised = set()
+    for p in src.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert len(errors) > 10
+    assert [e for e in errors if e not in raised] == []
+
+
 def test_src_reads_every_field_it_stores_but_six():
     # class-body annotations (dataclass fields) and self.X = assignments in
     # __init__ whose attribute src never loads; these six are kept because
@@ -426,31 +446,51 @@ def _cfl_limited(monkeypatch):
 
 
 def test_probe_honours_solver_c_cfl(monkeypatch, tmp_path):
-    # the step is CFL-limited, so the stepper must check it against the same
-    # C_CFL that chose it
+    # the step is CFL-limited, so evolve's own count, from C_CFL, sets it:
+    # the probe runs and writes every row
     _cfl_limited(monkeypatch)
     rows = _probe_rows(tmp_path, "o", {})
     assert [r["k"] for r in rows] == list(PROBE_KS) * len(PROBE_SIGMA_FACTORS)
 
 
 def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
-    # the probe evolves all its ks in one call, at the largest k's step: with
-    # the CFL bound the step falls with k
+    # the probe evolves all its ks in one call and passes only its floor;
+    # evolve takes the largest k's count, since with the CFL bound the count
+    # rises with k
     calls = []
     evolve_orig = evolve.evolve
 
-    def counted(state0, field, dt, *args, **kwargs):
-        calls.append((state0.k, dt))
-        return evolve_orig(state0, field, dt, *args, **kwargs)
+    def counted(state0, field, t_final, **kwargs):
+        calls.append((state0.k, kwargs["min_steps"]))
+        return evolve_orig(state0, field, t_final, **kwargs)
 
     monkeypatch.setattr(evolve, "evolve", counted)
     _cfl_limited(monkeypatch)
     _probe_rows(tmp_path, "o", {})
     pipe = Pipeline(load_config(_write_cfg(tmp_path, {})))
     t = min(PROBE_T, pipe.path.t0)
-    dt = [evolve.auto_dt(k, pipe.field, t, min_steps=1) for k in PROBE_KS]
-    assert all(b < a for a, b in zip(dt, dt[1:]))
-    assert calls == [(PROBE_KS, dt[-1])]
+    speed = float(np.max(np.abs(pipe.field.us - pipe.field.us[0, -1])))
+    n = [evolve._step_count(k, speed, t, 1) for k in PROBE_KS]
+    assert all(b > a for a, b in zip(n, n[1:]))
+    assert calls == [(PROBE_KS, 1)]
+
+
+def test_probe_takes_the_cfl_count_below_its_floor(monkeypatch, tmp_path):
+    # with a floor of one step the CFL bound at k = 512 sets the count: 103
+    # steps at the defaults, each within 512 sup|u_s - c| dt <= C_CFL
+    dts, step = [], evolve.step
+
+    def counted_step(state, dt, **kwargs):
+        dts.append(dt)
+        return step(state, dt, **kwargs)
+
+    monkeypatch.setattr(evolve, "step", counted_step)
+    monkeypatch.setattr(cli, "PROBE_MIN_STEPS", 1)
+    assert main(["illposedness-probe", "--out", str(tmp_path)]) == 4
+    us = Pipeline(load_config(None)).field.us
+    speed = float(np.max(np.abs(us - us[0, -1])))
+    assert len(dts) == 103
+    assert all(512 * dt * speed <= evolve.C_CFL for dt in dts)
 
 
 def test_probe_takes_the_step_floor_at_defaults(monkeypatch, tmp_path):
@@ -518,9 +558,17 @@ def test_unknown_family_is_config_error(tmp_path):
     {"profile": {"params": {"A": "x"}}}, {"profile": {"params": {"A": None}}},
     {"growth": {"families": [{"family": "gaussian-bump",
                               "params": {"A": None}}]}},
-    {"residual_scan": {"profile": {"params": {"A": "x"}}}}],
+    {"residual_scan": {"profile": {"params": {"A": "x"}}}},
+    # json reads NaN and Infinity: y_max NaN made heat exit 1 with
+    # "cannot convert float NaN to integer", and A NaN made it exit 0 with
+    # NaN in heat_report.json
+    {"grid": {"y_max": float("nan")}}, {"grid": {"t0": float("inf")}},
+    {"profile": {"params": {"A": float("nan")}}},
+    {"growth": {"families": [{"family": "gaussian-bump",
+                              "params": {"A": -float("inf")}}]}}],
     ids=["ny-str", "ks-int", "ks-bool", "param-str", "param-null",
-         "family-param-null", "residual-scan-param-str"])
+         "family-param-null", "residual-scan-param-str", "y-max-nan",
+         "t0-inf", "param-nan", "family-param-minus-inf"])
 def test_wrong_value_type_is_config_error(tmp_path, capsys, extra):
     cfg = _write_cfg(tmp_path, extra)
     rc = main(["heat", "--config", cfg, "--out", str(tmp_path / "o")])

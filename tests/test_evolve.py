@@ -6,12 +6,11 @@ import pytest
 
 from shearmodes.cli import (PROBE_KS, PROBE_MIN_STEPS, PROBE_T, Pipeline,
                             load_config)
-from shearmodes.errors import CflViolation, NonFiniteState, NotConverged
-from shearmodes.evolve import (_DIAG, _KL, _KU, FourierModeState,
+from shearmodes.errors import NonFiniteState, NotConverged
+from shearmodes.evolve import (_DIAG, _KL, _KU, C_CFL, FourierModeState,
                                _advection, _cn_factors, _cn_solve,
-                               _ContourExp, _ShiftedBand,
-                               _streamed_matvec,
-                               auto_dt, evolve, growth_row,
+                               _ContourExp, _ShiftedBand, _step_count,
+                               _streamed_matvec, evolve, growth_row,
                                operator_growth_probe, step,
                                transient_amplification)
 from shearmodes.heat import HeatFlowField, solve_heat
@@ -37,6 +36,24 @@ def _step_coefs(field, s, dt):
     return field.slice_interp(s.t), field.slice_interp(s.t + dt)
 
 
+def _frame_speed(field):
+    """sup|u_s - c| over the field, c its top u_s at its first time."""
+    return float(np.max(np.abs(field.us - field.us[0, -1])))
+
+
+def _step_dts(monkeypatch):
+    """The dt of each step evolve takes from here on, in a list."""
+    ev = importlib.import_module("shearmodes.evolve")
+    dts = []
+
+    def recorded(state, dt, **kwargs):
+        dts.append(dt)
+        return step(state, dt, **kwargs)
+
+    monkeypatch.setattr(ev, "step", recorded)
+    return dts
+
+
 def test_zero_data_stays_zero(gauss_field, y_grid):
     # evolve refuses zero data (it checks the rows' log norms), so step it
     # alone
@@ -50,12 +67,12 @@ def test_zero_data_stays_zero(gauss_field, y_grid):
 
 def test_heat_reduction_k0_order2(gauss_flow):
     errs = []
-    for ny, dt in ((601, 5e-4), (1201, 2.5e-4)):
+    for ny, nsteps in ((601, 200), (1201, 400)):
         y = np.linspace(0, 30, ny)
         field = solve_heat(gauss_flow, y, np.linspace(0, 0.15, 4),
                            max_order=1)
         s0 = FourierModeState(k=0, t=0.0, y=y, u_hat=_blob(y).astype(complex))
-        final = evolve(s0, field, dt, 0.1)
+        final = evolve(s0, field, 0.1, min_steps=nsteps)
         oracle = dirichlet_heat_kernel(_blob, y, 0.1)
         errs.append(np.max(np.abs(final.u_hat - oracle)))
     assert np.log2(errs[0] / errs[1]) > 1.9
@@ -67,11 +84,11 @@ def test_inviscid_scheme_matches_exact_formula(gauss_prof):
     Up = lambda yy: gauss_prof.derivs(yy)[1]
     k, tf = 8, 0.2
     errs = []
-    for ny, dt in ((601, 2e-3), (1201, 1e-3)):
+    for ny, nsteps in ((601, 100), (1201, 200)):
         y = np.linspace(0, 30, ny)
         ff = frozen_field(gauss_prof, y, np.linspace(0, 0.3, 4))
         s0 = FourierModeState(k=k, t=0.0, y=y, u_hat=_blob(y).astype(complex))
-        final = evolve(s0, ff, dt, tf, inviscid=True)
+        final = evolve(s0, ff, tf, min_steps=nsteps, inviscid=True)
         ue, _ = inviscid_exact(_blob, U, Up, k, tf, y)
         errs.append(np.max(np.abs(final.u_hat - ue)))
     assert np.log2(errs[0] / errs[1]) > 1.9
@@ -117,17 +134,22 @@ def test_linearity_spot_check(gauss_field, y_grid):
     outs = []
     for u0 in (u1, u2, a * u1 + b * u2):
         s0 = FourierModeState(k=24, t=0.0, y=y_grid, u_hat=u0)
-        outs.append(evolve(s0, gauss_field, 5e-4, 0.05).u_hat)
+        outs.append(evolve(s0, gauss_field, 0.05, min_steps=100).u_hat)
     combo = a * outs[0] + b * outs[1]
     scale = np.max(np.abs(combo))
     assert np.max(np.abs(outs[2] - combo)) / scale < 1e-11
 
 
-def test_cfl_guard(gauss_field, y_grid):
+def test_cfl_guard(monkeypatch, gauss_field, y_grid):
+    # a floor of one step would span all of t = 0.05; at k = 512 evolve
+    # takes the CFL count instead, each step within the bound
+    dts = _step_dts(monkeypatch)
     s0 = FourierModeState(k=512, t=0.0, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
-    with pytest.raises(CflViolation):
-        evolve(s0, gauss_field, 0.05, 0.05)
+    evolve(s0, gauss_field, 0.05, min_steps=1)
+    speed = _frame_speed(gauss_field)
+    assert len(dts) == int(np.ceil(0.05 * 512 * speed / C_CFL)) > 1
+    assert all(512 * speed * dt <= C_CFL for dt in dts)
 
 
 @pytest.mark.parametrize("scheme", ["imex-cn", "inviscid"])
@@ -140,7 +162,7 @@ def test_evolve_matches_standalone_steps(gauss_field, y_grid, scheme):
     c = float(gauss_field.us[0, -1])
     s = FourierModeState(k=24, t=0.0, y=y_grid,
                          u_hat=_blob(y_grid).astype(complex))
-    final = evolve(s, gauss_field, dt, 10 * dt, inviscid=inviscid)
+    final = evolve(s, gauss_field, 10 * dt, min_steps=10, inviscid=inviscid)
     for _ in range(10):
         lu = None if inviscid else _cn_factors(y_grid, dt)
         coefs = [(us - c, dyus)
@@ -163,7 +185,7 @@ def test_uniform_stream_is_a_pure_phase_at_any_step(y_grid, nsteps):
                                 np.zeros((4, y_grid.size))), flow=None)
     u0 = _batch_data(y_grid)[:2]
     final = evolve(FourierModeState(k=ks, t=0.0, y=y_grid, u_hat=u0), field,
-                   t / nsteps, t, inviscid=True)
+                   t, min_steps=nsteps, inviscid=True)
     exact = np.exp(-1j * np.array(ks)[:, None] * c0 * t) * u0
     assert np.max(np.abs(final.u_hat - exact)) <= 1e-13 * np.max(np.abs(u0))
 
@@ -176,9 +198,9 @@ def test_probe_row_converges_at_the_step_floor():
     t, k = min(PROBE_T, pipe.path.t0), PROBE_KS[-1]
     s0 = FourierModeState(k=k, t=0.0, y=pipe.y,
                           u_hat=pipe.mode_initial(k).astype(complex))
-    dt = auto_dt(k, pipe.field, t, min_steps=PROBE_MIN_STEPS)
-    logs = [np.log(np.max(np.abs(evolve(s0, pipe.field, h, t).u_hat)))
-            for h in (dt, t / 4800)]
+    logs = [np.log(np.max(np.abs(evolve(s0, pipe.field, t,
+                                        min_steps=n).u_hat)))
+            for n in (PROBE_MIN_STEPS, 4800)]
     assert abs(logs[0] - logs[1]) <= 2e-5
 
 
@@ -195,14 +217,14 @@ def test_evolve_to_its_start_time_returns_the_start_state(monkeypatch,
     monkeypatch.setattr(ev, "_cn_factors", never)
     u0 = _batch_data(y_grid)[:2] if isinstance(k, tuple) else _blob(y_grid)
     s0 = FourierModeState(k=k, t=0.02, y=y_grid, u_hat=u0.astype(complex))
-    assert evolve(s0, gauss_field, 1e-3, 0.02) is s0
+    assert evolve(s0, gauss_field, 0.02, min_steps=1) is s0
 
 
 def test_evolve_rejects_a_final_time_before_the_start(gauss_field, y_grid):
     s0 = FourierModeState(k=24, t=0.02, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
     with pytest.raises(ValueError, match="before the start time"):
-        evolve(s0, gauss_field, 1e-3, 0.01)
+        evolve(s0, gauss_field, 0.01, min_steps=10)
 
 
 def test_step_rejects_grid_below_five_points(gauss_prof):
@@ -210,7 +232,7 @@ def test_step_rejects_grid_below_five_points(gauss_prof):
     ff = frozen_field(gauss_prof, y, np.linspace(0.0, 0.3, 4))
     s0 = FourierModeState(k=1, t=0.0, y=y, u_hat=np.ones(4, complex))
     with pytest.raises(ValueError, match="at least 5 grid points"):
-        evolve(s0, ff, 1e-3, 1e-3)
+        evolve(s0, ff, 1e-3, min_steps=1)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
@@ -229,8 +251,6 @@ def test_cn_solve_matches_dense_solve(y_grid, dt):
 
 
 def test_evolve_takes_n_steps_at_dt_t_over_n(monkeypatch, gauss_field, y_grid):
-    # 0.1 / (0.1 / 95) is 95.00000000000001 in floating point, and its
-    # ceiling took a 96th step
     ev = importlib.import_module("shearmodes.evolve")
     times = []
 
@@ -241,7 +261,7 @@ def test_evolve_takes_n_steps_at_dt_t_over_n(monkeypatch, gauss_field, y_grid):
     monkeypatch.setattr(ev, "step", timed)
     s0 = FourierModeState(k=8, t=0.0, y=y_grid,
                           u_hat=_blob(y_grid).astype(complex))
-    final = evolve(s0, gauss_field, 0.1 / 95, 0.1)
+    final = evolve(s0, gauss_field, 0.1, min_steps=95)
     assert len(times) == 95
     assert times[0] == 0.1 / 95
     assert final.t == times[-1]
@@ -255,7 +275,7 @@ def test_evolve_raises_when_a_row_overflows(gauss_field, y_grid):
     s0 = FourierModeState(k=(8, 16, 24), t=0.0, y=y_grid, u_hat=u0)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonFiniteState, match="floating-point range"):
-        evolve(s0, gauss_field, 1e-3, 0.01)
+        evolve(s0, gauss_field, 0.01, min_steps=10)
 
 
 def test_non_finite_guard(gauss_field, y_grid):
@@ -263,7 +283,7 @@ def test_non_finite_guard(gauss_field, y_grid):
     bad = np.full(y_grid.size, np.inf, complex)
     with pytest.raises(NonFiniteState, match="floating-point range"):
         evolve(FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad),
-               gauss_field, 1e-3, 0.0)
+               gauss_field, 0.0, min_steps=1)
 
 
 def test_non_finite_guard_sees_imaginary_part(gauss_field, y_grid):
@@ -271,7 +291,7 @@ def test_non_finite_guard_sees_imaginary_part(gauss_field, y_grid):
     bad[7] = complex(1.0, np.nan)    # 1 + 1j * nan would make both parts nan
     with pytest.raises(NonFiniteState, match="floating-point range"):
         evolve(FourierModeState(k=1, t=0.0, y=y_grid, u_hat=bad),
-               gauss_field, 1e-3, 0.0)
+               gauss_field, 0.0, min_steps=1)
 
 
 def _batch_data(y):
@@ -285,24 +305,24 @@ def test_batch_rows_equal_one_row_evolves_exactly(gauss_field, y_grid,
                                                   scheme):
     ks = (8, 16, 24, 32)
     u0 = _batch_data(y_grid)
-    dt, inviscid = 2.0**-11, scheme == "inviscid"
+    inviscid = scheme == "inviscid"
     batch = evolve(FourierModeState(k=ks, t=0.0, y=y_grid, u_hat=u0),
-                   gauss_field, dt, 0.02, inviscid=inviscid)
+                   gauss_field, 0.02, min_steps=41, inviscid=inviscid)
     assert batch.u_hat.shape == u0.shape
     for i, k in enumerate(ks):
         one = evolve(FourierModeState(k=k, t=0.0, y=y_grid, u_hat=u0[i]),
-                     gauss_field, dt, 0.02, inviscid=inviscid)
+                     gauss_field, 0.02, min_steps=41, inviscid=inviscid)
         assert batch.t == one.t
         assert np.array_equal(batch.u_hat[i], one.u_hat)
 
 
 def test_probe_batch_rows_match_per_k_rows(gauss_field, y_grid):
     data = dict(zip((8, 12, 16, 20), _batch_data(y_grid)))
-    kw = dict(t=0.01, m=1, alpha=0.5, sigmas=[0.3, 1.2], mu=0.25)
+    kw = dict(min_steps=41, t=0.01, m=1, alpha=0.5, sigmas=[0.3, 1.2],
+              mu=0.25)
     rows = operator_growth_probe(gauss_field, list(data), list(data.values()),
-                                 2.0**-12, **kw)
-    per_k = {k: operator_growth_probe(gauss_field, [k], [data[k]], 2.0**-12,
-                                      **kw)
+                                 **kw)
+    per_k = {k: operator_growth_probe(gauss_field, [k], [data[k]], **kw)
              for k in data}
     # rows are sigma-major: sigma index j, k index i
     assert rows == [per_k[k][j] for j in range(2) for k in (8, 12, 16, 20)]
@@ -323,19 +343,28 @@ def test_probe_interpolates_coefficients_once_per_step_for_all_ks(
     counts = []
     for ks in ([64], [16, 32, 64, 128, 256]):
         calls.clear()
-        operator_growth_probe(gauss_field, ks, [u0] * len(ks), 0.01 / nsteps,
-                              t=0.01, m=1, alpha=0.0, sigmas=[1.0], mu=0.25)
+        operator_growth_probe(gauss_field, ks, [u0] * len(ks),
+                              min_steps=nsteps, t=0.01, m=1, alpha=0.0,
+                              sigmas=[1.0], mu=0.25)
         counts.append(len(calls))
     assert counts == [nsteps + 1, nsteps + 1]
 
 
-def test_batch_cfl_guard_reads_largest_k(gauss_field, y_grid):
+def test_batch_cfl_guard_reads_largest_k(monkeypatch, gauss_field, y_grid):
+    # a batch takes the CFL count of its largest k, as that k alone would
+    dts = _step_dts(monkeypatch)
     u0 = np.stack([_blob(y_grid)] * 3).astype(complex)
-    evolve(FourierModeState(k=(1, 2), t=0.0, y=y_grid, u_hat=u0[:2]),
-           gauss_field, 0.05, 0.05)
-    with pytest.raises(CflViolation, match="k=512"):
-        evolve(FourierModeState(k=(1, 2, 512), t=0.0, y=y_grid, u_hat=u0),
-               gauss_field, 0.05, 0.1)
+    counts = []
+    for k, u in (((1, 2), u0[:2]), ((1, 2, 512), u0), (512, u0[0])):
+        dts.clear()
+        evolve(FourierModeState(k=k, t=0.0, y=y_grid, u_hat=u), gauss_field,
+               0.1, min_steps=1)
+        counts.append(len(dts))
+    speed = _frame_speed(gauss_field)
+    assert counts == [_step_count(2, speed, 0.1, 1),
+                      _step_count(512, speed, 0.1, 1),
+                      _step_count(512, speed, 0.1, 1)]
+    assert counts[0] < counts[1]
 
 
 def test_batch_with_a_zero_row_raises(gauss_field, y_grid):
@@ -344,7 +373,7 @@ def test_batch_with_a_zero_row_raises(gauss_field, y_grid):
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteState,
                                                      match="collapsed"):
         evolve(FourierModeState(k=(8, 16, 24), t=0.0, y=y_grid, u_hat=u0),
-               gauss_field, 1e-3, 0.01)
+               gauss_field, 0.01, min_steps=10)
 
 
 class _ConstantKappaPath:
@@ -366,9 +395,12 @@ def test_growth_row_fits_the_compensated_amplitude():
 
 
 def test_auto_dt_respects_cfl(gauss_field):
-    dt = auto_dt(256, gauss_field, 0.1, min_steps=240)
-    umax = float(np.max(np.abs(gauss_field.us)))
-    assert dt <= 0.5 / (256 * umax) + 1e-15
+    # evolve's step count: the fewest steps within the CFL bound, unless the
+    # floor asks for more
+    speed = _frame_speed(gauss_field)
+    n = _step_count(256, speed, 0.1, 1)
+    assert 256 * speed * (0.1 / n) <= C_CFL < 256 * speed * (0.1 / (n - 1))
+    assert _step_count(256, speed, 0.1, 240) == 240 > n
 
 
 def test_transient_amplification_known_value(gauss_prof):
@@ -632,8 +664,7 @@ def test_duhamel_gap_bounded_by_propagated_residual(
     params = default_params(gauss_prof, n)
     u0 = params.eps * params.bump().f(y_grid)
     s0 = FourierModeState(k=n, t=0.0, y=y_grid, u_hat=u0.astype(complex))
-    final = evolve(s0, gauss_field, auto_dt(n, gauss_field, t, min_steps=300),
-                   t)
+    final = evolve(s0, gauss_field, t, min_steps=300)
     mode_t = assemble_mode(params, gauss_path, pair, t, y_grid)
     lhs = weighted_sup(final.u_hat - mode_t.U, y_grid, 0.0)
     ss = np.linspace(0, t, 5)

@@ -3,10 +3,9 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.special import erf
 
-from shearmodes.cli import (PROBE_KS, PROBE_MIN_STEPS, PROBE_T, Pipeline,
-                            deep_merge, load_config)
+from shearmodes.cli import (PROBE_MIN_STEPS, PROBE_T, Pipeline, deep_merge,
+                            load_config)
 from shearmodes.errors import QuadratureFailure
-from shearmodes.evolve import auto_dt
 from shearmodes.heat import (HeatFlow, check_quadrature, gl_panels,
                              heat_residual_probe, solve_heat)
 from shearmodes.profiles import build_family
@@ -176,7 +175,7 @@ def test_slice_interp_needs_four_times(gauss_flow, ts):
 def test_stepper_coefficients_at_probe_step_times():
     # the stepper reads (u_s, d_y u_s) from slice_interp, cubic in t on the
     # 16 slices; HeatFlow.derivs is the exact kernel solution.  Measured at
-    # the probe's 241 step times (all its ks step at the largest k's dt),
+    # the probe's 241 step times (its floor binds at the defaults),
     # the same to these digits as at 1 201: 4.0e-4 and 2.09e-2 overall,
     # both in the sqrt(t) wall corner layer at t < 3e-3, and 1.37e-5 and
     # 1.65e-4 for t >= 0.02.  The bounds add a 25 % margin; at nt = 6 the
@@ -184,8 +183,7 @@ def test_stepper_coefficients_at_probe_step_times():
     cfg = load_config(None)
     pipe = Pipeline(cfg)
     t = min(PROBE_T, pipe.path.t0)
-    dt = auto_dt(PROBE_KS[-1], pipe.field, t, min_steps=PROBE_MIN_STEPS)
-    times = np.linspace(0.0, t, int(np.ceil(t / dt)) + 1)
+    times = np.linspace(0.0, t, PROBE_MIN_STEPS + 1)
     ref = [pipe.field.flow.derivs(float(tv), pipe.y, orders=(0, 1))
            for tv in times]
     late = times >= 0.02
