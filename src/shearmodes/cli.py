@@ -163,6 +163,11 @@ def _validate(cfg: dict):
             raise ValueError(f"wavenumbers must be positive integers, got {n}")
     if not g["families"]:
         raise ValueError("growth.families must not be empty")
+    # each family writes its series under its own name
+    names = [fam["family"] for fam in g["families"]]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"growth.families names {name!r} twice")
     if grid["t0"] < RESIDUAL_TS[0]:
         # residual-scan skips the times past the critical path's horizon
         raise ValueError(f"grid.t0 must be at least {RESIDUAL_TS[0]}, "
@@ -433,7 +438,8 @@ def cmd_growth_scan(cfg: dict, out: Path) -> int:
     t_final = min(GROWTH_T_FINAL, cfg["grid"]["t0"])
     ts = np.linspace(t_final / 24, t_final, 24)
     for fam in g["families"]:
-        pipe = Pipeline(deep_merge(cfg, {"profile": fam}))
+        # the entry's missing params take its family's defaults
+        pipe = Pipeline({**cfg, "profile": {"params": {}, **fam}})
         path = critical_path.track_critical_point(pipe.flow, pipe.profile.a0,
                                                   t_final)
         amps = modes.mode_amplitude_series(pipe.profile, GROWTH_KS, path,

@@ -86,7 +86,8 @@ def advective_phase(path, t: float) -> float:
 def frozen_field(profile, y_grid, t_grid) -> SimpleNamespace:
     """The coefficient field of the frozen problem, every time slice the
     initial layer itself: what the stepper reads of a HeatFlowField
-    (y_grid, the u_s and d_y u_s rows, horizon and slice_interp)."""
+    (y_grid, its grid; us, for the frame velocity; horizon; and
+    slice_interp, the u_s and d_y u_s rows at a time)."""
     y = np.asarray(y_grid, dtype=float)
     us, dy_us = (np.tile(r, (len(t_grid), 1)) for r in profile.derivs(y)[:2])
     return SimpleNamespace(y_grid=y, us=us, dy_us=dy_us,

@@ -25,8 +25,8 @@ import pytest
 
 from shearmodes.eigen import (DispersionProblem, find_root, find_tau,
                               matrix_eigenvalues, sample_profile)
-from shearmodes.evolve import (FourierModeState, evolve, growth_row,
-                               operator_growth_probe, transient_amplification)
+from shearmodes.evolve import (evolve, growth_row, operator_growth_probe,
+                               transient_amplification)
 from shearmodes.heat import (HeatFlow, check_quadrature,
                              heat_residual_probe, solve_heat)
 from shearmodes.modes import (assemble_mode, default_params,
@@ -122,10 +122,10 @@ def test_criterion_3_inviscid_oracle_equivalence(gauss_prof):
     for ny, nsteps in ((601, 100), (1201, 200), (2401, 400)):
         y = np.linspace(0, 30, ny)
         ff = frozen_field(gauss_prof, y, np.linspace(0, 0.3, 4))
-        s0 = FourierModeState(k=k, t=0.0, y=y, u_hat=u0(y).astype(complex))
-        final = evolve(s0, ff, tf, min_steps=nsteps, inviscid=True)
+        final = evolve(ff, k, u0(y).astype(complex), tf, min_steps=nsteps,
+                       inviscid=True)
         ue, _ = inviscid_exact(u0, U, Up, k, tf, y)
-        errs.append(np.max(np.abs(final.u_hat - ue)))
+        errs.append(np.max(np.abs(final - ue)))
     orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
     yg = np.linspace(0, 30, 601)
     c = 0.7

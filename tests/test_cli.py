@@ -460,9 +460,9 @@ def test_probe_steps_one_batch_at_the_largest_k_dt(monkeypatch, tmp_path):
     calls = []
     evolve_orig = evolve.evolve
 
-    def counted(state0, field, t_final, **kwargs):
-        calls.append((state0.k, kwargs["min_steps"]))
-        return evolve_orig(state0, field, t_final, **kwargs)
+    def counted(field, k, u0, t_final, **kwargs):
+        calls.append((k, kwargs["min_steps"]))
+        return evolve_orig(field, k, u0, t_final, **kwargs)
 
     monkeypatch.setattr(evolve, "evolve", counted)
     _cfl_limited(monkeypatch)
@@ -480,9 +480,9 @@ def test_probe_takes_the_cfl_count_below_its_floor(monkeypatch, tmp_path):
     # steps at the defaults, each within 512 sup|u_s - c| dt <= C_CFL
     dts, step = [], evolve.step
 
-    def counted_step(state, dt, **kwargs):
+    def counted_step(u, dt, **kwargs):
         dts.append(dt)
-        return step(state, dt, **kwargs)
+        return step(u, dt, **kwargs)
 
     monkeypatch.setattr(evolve, "step", counted_step)
     monkeypatch.setattr(cli, "PROBE_MIN_STEPS", 1)
@@ -501,9 +501,9 @@ def test_probe_takes_the_step_floor_at_defaults(monkeypatch, tmp_path):
     steps, rows = [], []
     step, slice_interp = evolve.step, heat.HeatFlowField.slice_interp
 
-    def counted_step(state, dt, **kwargs):
-        steps.append(state.k)
-        return step(state, dt, **kwargs)
+    def counted_step(u, dt, **kwargs):
+        steps.append(kwargs["k"])
+        return step(u, dt, **kwargs)
 
     def counted_rows(self, t):
         rows.append(t)
@@ -639,10 +639,16 @@ def _runs_as_at_the_constants(tmp_path, capsys, constant_runs, command,
      "grid.ny must be at least 5, got 4"),
     ("mode", {"grid": {"ny": 1}}, "grid.ny must be at least 5, got 1"),
     ("residual-scan", {"residual_scan": {"n_list": [0, 64]}},
-     Unread("residual_scan.n_list"))],
+     Unread("residual_scan.n_list")),
+    # both entries wrote trajectory_gaussian-bump_k*.csv, the second over
+    # the first, and exited 0
+    ("growth-scan", {"growth": {"families": [
+        {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 1.0}},
+        {"family": "gaussian-bump", "params": {"U0": 1.0, "A": 2.0}}]}},
+     "growth.families names 'gaussian-bump' twice")],
     ids=["probe-t-zero", "probe-t-negative", "min-steps-zero",
          "min-steps-negative", "t0-zero", "y-max-zero", "ny-4", "ny-1",
-         "residual-n-zero"])
+         "residual-n-zero", "families-twice"])
 def test_value_no_run_can_use_is_config_error(tmp_path, capsys,
                                               constant_runs, command, extra,
                                               message):
@@ -968,6 +974,23 @@ def test_growth_scan_fits_where_the_curvature_vanishes_past_its_series(
     errs = rep["sigma_over_sqrt_k_rel_err"]
     assert [round(e, 3) for e in errs] == [0.183] * 4
     assert rep["pass"] is False
+
+
+def test_growth_scan_family_params_default_to_the_family(tmp_path):
+    # an entry's missing A is the family's own default 1, not the main
+    # profile's A = 2 (which gave im_tau_phys_0 0.8289 in place of 0.5297)
+    fam = {"family": "gaussian-bump", "params": {"U0": 1.0}}
+    growth = dict(ONE_FAMILY, families=[fam])
+    reports = []
+    for name, profile in (("a2", {"params": {"U0": 1.0, "A": 2.0}}),
+                          ("default", {})):
+        cfg = _write_cfg(tmp_path, {"profile": profile, "growth": growth})
+        out = tmp_path / name
+        assert main(["growth-scan", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads(
+            (out / "growth-scan" / "growth_report.json").read_text()))
+    assert reports[0]["families"] == reports[1]["families"]
+    assert reports[0]["families"][0]["profile"] == fam
 
 
 def _record_kernel_rows(monkeypatch, command):
